@@ -63,8 +63,6 @@ def cmd_rates(args) -> int:
     if args.h is not None:
         channel = ChannelSpec.plain(args.h, snr)
     else:
-        if args.eff_b is None or len(args.eff_b) != len(args.eff_g):
-            raise SystemExit("--eff-b must accompany --eff-g with matching length")
         channel = ChannelSpec.effective(args.eff_g, args.eff_b, snr)
 
     t = transform(channel, method=args.method)
@@ -244,6 +242,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "rates":
         if (args.h is None) == (args.eff_g is None):
             parser.error("provide exactly one of --h or --eff-g")
+        if args.eff_g is not None and (args.eff_b is None or len(args.eff_b) != len(args.eff_g)):
+            parser.error("--eff-b must accompany --eff-g with matching length")
     if args.command == "sweep":
         if args.points < 2:
             parser.error("--points must be at least 2")

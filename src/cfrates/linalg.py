@@ -269,10 +269,6 @@ class RationalMatrix:
     def from_rows(cls, rows) -> "RationalMatrix":
         return cls(tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -294,6 +290,3 @@ class RationalMatrix:
         for row in self.entries:
             out.append([sum(row[k] * rows_b[k][j] for k in range(n_inner)) for j in range(n_cols)])
         return RationalMatrix.from_rows(out)
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries], dtype=float)

@@ -183,14 +183,12 @@ def weak_outage_set(b: int, snr: float, c: float) -> IntervalSet:
     return IntervalSet.from_pieces(pieces, (d_lo, d_hi))
 
 
-def in_outage(g: float, snr: float, c: float, users: int | None = None) -> bool:
+def in_outage(g: float, snr: float, c: float) -> bool:
     """Whether the constant-gap guarantee is suspended at this gain.
 
     Only the strong and moderately-weak regimes carry outage sets; all other
-    regimes return False.  ``users`` is accepted for interface symmetry but
-    the sets do not depend on it.
+    regimes return False.  The sets do not depend on the number of users.
     """
-    del users
     if g <= 0:
         raise ValueError("cross gain must be positive")
     if not snr > 1:

@@ -5,14 +5,16 @@ matrix A with one decoded combination (and its rate) per row.  Solving the
 combinations back for the individual codewords by successive cancellation
 requires triangularizing A without row swaps, which is only possible for some
 column orders: each feasible order comes with a unit-lower-triangular rational
-matrix L such that L A is upper triangular up to that column permutation.  The
-same elimination can be replayed over Z_p with an integer unit-lower L once a
-suitable prime is chosen, which is what an actual mod-p decoder would use.
+matrix L such that L A is upper triangular up to that column permutation.
+Row i's multipliers depend only on the set of columns eliminated before it, so
+all feasible orders come from a prefix search over column sets with at most
+2^K exact row solves.  The same elimination can be replayed over Z_p with an
+integer unit-lower L once a suitable prime is chosen, which is what an actual
+mod-p decoder would use.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +27,6 @@ from .lattice import DEFAULT_BUDGET, BudgetExceeded, OptimalSet, lll_reduce, suc
 from .linalg import (
     GramMatrix,
     RationalMatrix,
-    RationalSpan,
     cholesky,
     exact_rank,
     exact_solve_in_span,
@@ -176,87 +177,18 @@ class PseudoTriangularization:
     a_tilde: RationalMatrix
 
 
-def _solve_row(a: list[list[int]], pi: tuple[int, ...], i: int) -> list[Fraction] | None:
-    """Multipliers for row ``i`` eliminating columns pi[0..i-1], or None.
-
-    Solves the i x i system whose unknowns are the multipliers of rows
-    0..i-1: coordinates outside a maximal independent column set are pinned
-    to zero and the rest come from the exactly-solved normal equations, which
-    is then verified against the original system (feasibility check).
-    """
-    system = [[Fraction(a[m][pi[j]]) for m in range(i)] for j in range(i)]
-    rhs = [Fraction(-a[i][pi[j]]) for j in range(i)]
-
-    # maximal independent column set, leftmost first
-    span = RationalSpan(i)
-    used: list[int] = []
-    for col in range(i):
-        if span.try_add([system[r][col] for r in range(i)]):
-            used.append(col)
-
-    sub = [[system[r][c] for c in used] for r in range(i)]
-    normal = [
-        [sum(sub[r][p] * sub[r][q] for r in range(i)) for q in range(len(used))]
-        for p in range(len(used))
-    ]
-    normal_rhs = [sum(sub[r][p] * rhs[r] for r in range(i)) for p in range(len(used))]
-
-    reduced = exact_solve_in_span(normal, normal_rhs)
-    if reduced is None:
-        return None
-    solution = [Fraction(0)] * i
-    for col, val in zip(used, reduced):
-        solution[col] = val
-    for r in range(i):
-        if sum(system[r][c] * solution[c] for c in range(i)) != rhs[r]:
-            return None
-    return solution
-
-
-def _triangularize_with(a: list[list[int]], pi: tuple[int, ...]) -> PseudoTriangularization | None:
-    k = len(a)
-    rows = [[Fraction(1 if p == q else 0) for q in range(k)] for p in range(k)]
-    for i in range(1, k):
-        sol = _solve_row(a, pi, i)
-        if sol is None:
-            return None
-        for m in range(i):
-            rows[i][m] = sol[m]
-    lower = RationalMatrix.from_rows(rows)
-    a_tilde = lower.matmul(a)
-    for i in range(k):
-        for j in range(i):
-            if a_tilde[i, pi[j]] != 0:
-                raise AssertionError("eliminated entry is nonzero")
-        if a_tilde[i, pi[i]] == 0:
-            raise AssertionError("permuted diagonal entry vanished")
-    return PseudoTriangularization(lower=lower, pi=pi, a_tilde=a_tilde)
-
-
-def _greedy_pi(a: list[list[int]]) -> tuple[int, ...]:
-    """One feasible column order from elimination with column pivoting."""
-    k = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    pi: list[int] = []
-    remaining = list(range(k))
-    for i in range(k):
-        pivot_col = next(c for c in remaining if work[i][c] != 0)
-        pi.append(pivot_col)
-        remaining.remove(pivot_col)
-        for r in range(i + 1, k):
-            if work[r][pivot_col] != 0:
-                f = work[r][pivot_col] / work[i][pivot_col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[i])]
-    return tuple(pi)
-
-
 def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTriangularization]:
-    """All column permutations under which A triangularizes without row swaps.
+    """All column orders under which A triangularizes without row swaps.
 
-    Full-rank A always admits at least one.  All K! permutations are tested
-    for K <= ``enumerate_limit``; beyond that only the greedy
-    column-pivoting order is returned, since exhaustive enumeration is
-    factorial.
+    Row i's multipliers depend only on the set S of columns eliminated before
+    it: they are the exact solution of ``A[0:i, S]^T x = -A[i, S]`` with free
+    unknowns set to zero.  A depth-first search over column prefixes in
+    lexicographic order solves each (row, column set) once, so at most 2^K
+    exact row solves are made, and an infeasible prefix is pruned for all of
+    its extensions.  Orders come out in lexicographic ``pi`` order.  Full-rank
+    A always admits at least one.  For K > ``enumerate_limit`` only the greedy
+    order is returned: at each row, the first remaining column where the
+    reduced row is nonzero.
     """
     a = np.asarray(a_matrix)
     k = a.shape[0]
@@ -265,17 +197,54 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     if exact_rank(a) != k:
         raise ValueError("matrix must be full rank")
     rows = [[int(x) for x in row] for row in a.tolist()]
+    memo: dict[frozenset[int], tuple | None] = {}  # keyed by the column set; the row is its size
+
+    def reduced(pi: tuple[int, ...]):
+        """(row of L, row of L A) for row len(pi) eliminating pi's columns, or None."""
+        done = frozenset(pi)
+        if done not in memo:
+            i, cols = len(pi), sorted(done)
+            x = exact_solve_in_span([[rows[m][c] for m in range(i)] for c in cols], [-rows[i][c] for c in cols])
+            if x is None:
+                memo[done] = None
+            else:
+                lower = (*x, Fraction(1), *[Fraction(0)] * (k - i - 1))
+                tilde = tuple(sum(lower[m] * rows[m][c] for m in range(i + 1)) for c in range(k))
+                if any(tilde[c] != 0 for c in cols):
+                    raise AssertionError("eliminated entry is nonzero")
+                memo[done] = (lower, tilde)
+        return memo[done]
+
+    def orders(pi: tuple[int, ...]):
+        if len(pi) == k:
+            yield pi
+        elif reduced(pi) is not None:
+            for c in range(k):
+                if c not in pi:
+                    yield from orders((*pi, c))
+
     if k <= enumerate_limit:
-        out = []
-        for pi in itertools.permutations(range(k)):
-            pt = _triangularize_with(rows, pi)
-            if pt is not None:
-                out.append(pt)
-        return out
-    pt = _triangularize_with(rows, _greedy_pi(rows))
-    if pt is None:
-        raise AssertionError("greedy column order must be feasible for full-rank input")
-    return [pt]
+        found = list(orders(()))
+    else:
+        pi: tuple[int, ...] = ()
+        for _ in range(k):
+            tilde = reduced(pi)[1]
+            pi = (*pi, next(c for c in range(k) if c not in pi and tilde[c] != 0))
+        found = [pi]
+
+    out = []
+    for pi in found:
+        solved = [reduced(pi[:i]) for i in range(k)]
+        if any(solved[i][1][pi[i]] == 0 for i in range(k)):
+            raise AssertionError("permuted diagonal entry vanished")
+        out.append(
+            PseudoTriangularization(
+                lower=RationalMatrix(tuple(lo for lo, _ in solved)),
+                pi=pi,
+                a_tilde=RationalMatrix(tuple(t for _, t in solved)),
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True)

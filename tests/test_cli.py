@@ -51,6 +51,12 @@ class TestRates:
         proc = run_cli(["rates", "--h", "1,1", "--eff-g", "1,1", "--eff-b", "1,1", "--snr-db", "10"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("weights", [[], ["--eff-b", "1"]])
+    def test_effective_weights_mismatch_exits_2(self, weights):
+        proc = run_cli(["rates", "--eff-g", "1,2", *weights, "--snr-db", "10"])
+        assert proc.returncode == 2
+        assert "--eff-b must accompany --eff-g" in proc.stderr
+
 
 class TestReport:
     def test_prints_all_fields(self, capsys):

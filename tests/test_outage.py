@@ -211,6 +211,3 @@ class TestInOutage:
             in_outage(1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
             in_outage(1.0, 1e4, -1.0)
-
-    def test_users_parameter_ignored(self):
-        assert in_outage(2.0, 1e4, 2.0, users=2) == in_outage(2.0, 1e4, 2.0, users=9)

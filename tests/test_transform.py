@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfrates.linalg import exact_rank
+from cfrates.linalg import RationalMatrix, exact_rank, exact_solve_in_span
 from cfrates.transform import (
     ChannelSpec,
     mod_p_lift,
@@ -50,6 +50,69 @@ def pi_feasible_oracle(a, pi):
             return False
     return True
 
+
+def greedy_pi_reference(a):
+    """One feasible column order from rational elimination with column pivoting."""
+    k = len(a)
+    work = frac_rows(a)
+    pi = []
+    for i in range(k):
+        col = next(c for c in range(k) if c not in pi and work[i][c] != 0)
+        pi.append(col)
+        for r in range(i + 1, k):
+            f = work[r][col] / work[i][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[i])]
+    return tuple(pi)
+
+
+def triangularize_reference(a, pi):
+    """Solve every row of pi independently; None when some row is infeasible."""
+    k = len(a)
+    lower = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for i in range(1, k):
+        x = exact_solve_in_span([[a[m][pi[j]] for m in range(i)] for j in range(i)], [-a[i][pi[j]] for j in range(i)])
+        if x is None:
+            return None
+        lower[i][:i] = x
+    lower = RationalMatrix.from_rows(lower)
+    return pi, lower.entries, lower.matmul(a).entries
+
+
+def brute_force_reference(a, enumerate_limit=8):
+    """(pi, L, L A) for every feasible permutation, or for the greedy one beyond the limit."""
+    rows = np.asarray(a).tolist()
+    if len(rows) > enumerate_limit:
+        return [triangularize_reference(rows, greedy_pi_reference(rows))]
+    found = (triangularize_reference(rows, pi) for pi in itertools.permutations(range(len(rows))))
+    return [out for out in found if out is not None]
+
+
+def as_tuples(pts):
+    return [(pt.pi, pt.lower.entries, pt.a_tilde.entries) for pt in pts]
+
+
+def seeded_full_rank(rng, k, sparse):
+    """Random full-rank integer matrix; sparse ones often have singular leading blocks."""
+    while True:
+        a = rng.integers(-3, 4, size=(k, k))
+        if sparse:
+            a = a * (rng.random((k, k)) < 0.5)
+        if exact_rank(a) == k:
+            return a
+
+
+# transform(ChannelSpec.plain(np.random.default_rng(7).normal(size=7), 1e3)).matrix
+TRANSFORM_K7 = np.array(
+    [
+        [0, 1, -1, -4, -2, -4, 0],
+        [0, 2, -2, -6, -3, -7, 0],
+        [0, 1, -1, -3, -1, -3, 0],
+        [0, 1, -1, -2, -1, -2, 0],
+        [0, 3, -3, -10, -5, -11, 1],
+        [0, 1, 0, -2, -1, -2, 0],
+        [1, 0, 0, 0, 0, 0, 0],
+    ]
+)
 
 EXAMPLE_A = np.array([[2, 1], [3, 1]])
 
@@ -200,6 +263,31 @@ class TestPseudoTriangularize:
         pt = pts[0]
         assert sorted(pt.pi) == list(range(9))
         assert pt.lower.matmul(a).entries == pt.a_tilde.entries
+
+    @pytest.mark.parametrize("k,count", [(2, 40), (3, 40), (4, 20), (5, 4), (6, 1)])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_matches_brute_force(self, k, count, sparse):
+        rng = np.random.default_rng(100 * k + sparse)
+        for _ in range(count):
+            a = seeded_full_rank(rng, k, sparse)
+            assert as_tuples(pseudo_triangularize(a)) == brute_force_reference(a)
+
+    @pytest.mark.parametrize("k,limit", [(5, 3), (9, 8)])
+    def test_greedy_matches_brute_force(self, k, limit):
+        rng = np.random.default_rng(k)
+        for sparse in (False, True):
+            a = seeded_full_rank(rng, k, sparse)
+            assert as_tuples(pseudo_triangularize(a, limit)) == brute_force_reference(a, limit)
+
+    def test_transform_k7_enumerates_all_orders(self):
+        rows = TRANSFORM_K7.tolist()
+        got = as_tuples(pseudo_triangularize(TRANSFORM_K7))
+        pis = [pi for pi, _, _ in got]
+        assert len(pis) > 1 and pis == sorted(set(pis))
+        assert got == [triangularize_reference(rows, pi) for pi in pis]
+        for pi in itertools.permutations(range(7)):
+            if pi not in pis:
+                assert triangularize_reference(rows, pi) is None
 
 
 class TestModPLift:
