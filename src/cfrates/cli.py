@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -56,6 +57,25 @@ def _parse_floats(text: str) -> list[float]:
         return [float(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+# options whose value is a comma-separated list of numbers
+_LIST_OPTIONS = ("--h", "--eff-g", "--eff-b", "--snr-db", "--alpha")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite ``--h -0.5,1`` as ``--h=-0.5,1``.
+
+    argparse takes a value such as ``-0.5,1`` for an option and then reports
+    the list option as missing its argument.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def cmd_rates(args) -> int:
@@ -255,7 +275,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else list(argv)))
     _validate(parser, args)
     try:
         return args.func(args)

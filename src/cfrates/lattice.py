@@ -1,16 +1,15 @@
 """Shortest independent coefficient vectors for a channel's Gram matrix.
 
 The optimal coefficient set consists of integer vectors realizing the
-successive minima of the lattice whose Gram matrix is G: sort every candidate
-inside a sphere by a^T G a and greedily keep vectors that are exactly
-(rationally) independent of those already kept.
-
-Enumeration is a depth-first Fincke-Pohst walk on the Cholesky factor of G.
-An LLL-reduced basis is computed first: the largest reduced-vector norm upper
-bounds the last successive minimum, so the search sphere can be shrunk far
-below the positive-rate radius without changing the result.  LLL is also
-exposed on its own as the fast suboptimal fallback when an enumeration budget
-is exhausted.
+successive minima of the lattice whose Gram matrix is G, found one at a time:
+vector m is the smallest a^T G a outside the span of vectors 0..m-1.  Each
+step is a depth-first Fincke-Pohst walk in the coordinates of a unimodular
+basis that starts LLL-reduced and whose leading columns span the vectors
+found so far, so a sign rule on the trailing coordinates skips the span and
+no independence test is needed.  The sphere of step m is the (m+1)-th
+smallest LLL norm, which bounds the (m+1)-th minimum and stays far below the
+positive-rate radius.  LLL is also exposed on its own as the fast suboptimal
+fallback when an enumeration budget is exhausted.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GramMatrix, RationalSpan, cholesky
+from .linalg import GramMatrix, cholesky
 
 __all__ = [
     "BudgetExceeded",
@@ -93,22 +92,25 @@ class OptimalSet:
         return np.array(self.vectors, dtype=np.int64)
 
 
-def _enumerate_half_sphere(chol_upper: np.ndarray, radius_sq: float, budget: int) -> list[tuple[int, ...]]:
-    """All nonzero integer a with ||Q a||^2 <= radius_sq, one per {a, -a} pair.
+def _enumerate_half_sphere(
+    r_upper: np.ndarray, radius_sq: float, floor: int, budget: int, nodes: int = 0
+) -> tuple[list[tuple[int, ...]], int]:
+    """All integer c with ||R c||^2 <= radius_sq and c[floor:] nonzero, one per {c, -c}.
 
-    ``chol_upper`` is upper triangular, so coordinates are fixed from the last
-    index downward; whenever every fixed coordinate is zero the current one is
-    restricted to be nonnegative, which keeps exactly the representative whose
-    last nonzero entry is positive.  Every integer tried at any level counts
-    against ``budget``.  Pure-Python recursion: the candidate volume, not
+    ``r_upper`` is upper triangular, so coordinates are fixed from the last
+    index downward; while every fixed coordinate is zero the current one is
+    restricted to be nonnegative, and at index ``floor`` to be positive.  That
+    keeps exactly the representative whose last nonzero entry is positive and
+    skips every c with c[floor:] == 0.  Every integer tried at any level
+    counts against ``budget``, starting from ``nodes``; returns the points and
+    the new node count.  Pure-Python recursion: the candidate volume, not
     numpy dispatch, should dominate.
     """
-    q = [[float(x) for x in row] for row in np.asarray(chol_upper)]
+    q = [[float(x) for x in row] for row in np.asarray(r_upper)]
     k = len(q)
     slack = _RADIUS_SLACK * radius_sq
     a = [0] * k
     found: list[tuple[int, ...]] = []
-    nodes = 0
 
     def descend(level: int, remaining: float, tail_zero: bool) -> None:
         nonlocal nodes
@@ -121,8 +123,8 @@ def _enumerate_half_sphere(chol_upper: np.ndarray, radius_sq: float, budget: int
         half_width = math.sqrt(remaining if remaining > 0.0 else 0.0) / diag
         lo = math.ceil(center - half_width - 1e-12)
         hi = math.floor(center + half_width + 1e-12)
-        if tail_zero and lo < 0:
-            lo = 0
+        if tail_zero:
+            lo = max(lo, int(level == floor))
         nodes += max(0, hi - lo + 1)
         if nodes > budget:
             raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
@@ -133,91 +135,80 @@ def _enumerate_half_sphere(chol_upper: np.ndarray, radius_sq: float, budget: int
                 continue
             a[level] = v
             if level == 0:
-                if not (tail_zero and v == 0):
-                    found.append(tuple(a))
+                found.append(tuple(a))
             else:
                 descend(level - 1, remaining - cost, tail_zero and v == 0)
         a[level] = 0
 
     descend(k - 1, radius_sq, True)
-    return found
+    return found, nodes
 
 
-def _independent_of(selected: list[tuple[int, ...]], vec: tuple[int, ...], dim: int) -> bool:
-    """Exact integer test that ``vec`` extends the span of ``selected``.
+def _fold(w: np.ndarray, m: int, c: tuple[int, ...]) -> None:
+    """Turn column m of the unimodular ``w`` into the direction of ``c[m:]``.
 
-    Fast paths cover the common shapes (parallel test against one vector,
-    3x3 determinant); anything else falls back to exact rational reduction.
+    Extended-gcd column operations on columns m.. keep ``w`` unimodular and
+    its first m columns fixed; afterwards ``w @ c`` lies in the span of the
+    first m+1 columns.
     """
-    m = len(selected)
-    if m == 0:
-        return True
-    if m == 1:
-        s = selected[0]
-        for i in range(dim):
-            si = s[i]
-            vi = vec[i]
-            for j in range(i + 1, dim):
-                if si * vec[j] - vi * s[j] != 0:
-                    return True
-        return False
-    if m == 2 and dim == 3:
-        (a1, a2, a3), (b1, b2, b3) = selected
-        v1, v2, v3 = vec
-        det = (
-            a1 * (b2 * v3 - b3 * v2)
-            - a2 * (b1 * v3 - b3 * v1)
-            + a3 * (b1 * v2 - b2 * v1)
-        )
-        return det != 0
-    span = RationalSpan(dim)
-    for s in selected:
-        span.try_add(s)
-    return span.try_add(vec)
+    x = c[m]
+    for j in range(m + 1, len(c)):
+        y = c[j]
+        if y == 0:
+            continue
+        # p*x + q*y == d == gcd(x, y) by the extended Euclidean algorithm
+        d, p, q, d1, p1, q1 = x, 1, 0, y, 0, 1
+        while d1:
+            t = d // d1
+            d, p, q, d1, p1, q1 = d1, p1, q1, d - t * d1, p - t * p1, q - t * q1
+        wm, wj = w[:, m].copy(), w[:, j].copy()
+        w[:, m] = (x // d) * wm + (y // d) * wj
+        w[:, j] = p * wj - q * wm
+        x = d
 
 
 def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> OptimalSet:
     """Optimal coefficient set: K independent vectors with minimal G-norms.
 
-    Candidates are ranked by a^T G a and ties are broken lexicographically on
-    the canonicalized entries, so the output is deterministic.  Returns an
-    empty set when even the shortest lattice vector has a^T G a >= snr, i.e.
-    no combination has positive rate.  Raises BudgetExceeded when the
-    enumeration tree grows past ``budget`` nodes; callers may fall back to
+    Vector m is the smallest lattice vector outside the span of vectors
+    0..m-1, ranked by a^T G a with ties broken lexicographically on the
+    canonicalized entries.  Step m enumerates the integer coordinates c of a
+    unimodular basis W (a = W c) whose first m columns span the vectors found
+    so far, skipping every c with c[m:] == 0.  Returns an empty set when even
+    the shortest lattice vector has a^T G a >= snr, i.e. no combination has
+    positive rate.  Raises BudgetExceeded when the K enumeration trees
+    together grow past ``budget`` nodes; callers may fall back to
     ``lll_reduce``.
     """
     g = gram.entries
     k = gram.dim
-    chol = cholesky(gram)
-
-    # The worst LLL basis norm bounds the last successive minimum, so the
-    # sphere needs no dependence on snr and stays small at high snr.
-    lll = lll_reduce(chol)
-    radius_sq = max(lll.norms) * (1.0 + _RADIUS_SLACK)
-
-    candidates = _enumerate_half_sphere(chol.T, radius_sq, budget)
-    cand = np.array(candidates, dtype=np.int64)
-    # canonical sign: flip rows whose first nonzero entry is negative
-    first_nonzero = (cand != 0).argmax(axis=1)
-    signs = np.sign(cand[np.arange(cand.shape[0]), first_nonzero])
-    cand *= signs[:, None]
-    norms = np.einsum("ij,ij->i", cand @ g, cand)
-    order = np.lexsort(tuple(cand[:, col] for col in range(k - 1, -1, -1)) + (norms,))
-
-    if norms[order[0]] >= gram.snr:
-        return OptimalSet(vectors=(), norms=(), method="exhaustive")
+    q = cholesky(gram).T
+    w = _lll_coords(q, 0.99)
+    # The m+1 shortest LLL vectors are independent, so the (m+1)-th smallest
+    # LLL norm bounds the (m+1)-th minimum whatever the snr.
+    basis = q @ w
+    radii = np.sort(np.einsum("ij,ij->j", basis, basis)) * (1.0 + _RADIUS_SLACK)
 
     vectors: list[tuple[int, ...]] = []
     out_norms: list[float] = []
-    for idx in order:
-        vec = tuple(int(x) for x in cand[idx])
-        if _independent_of(vectors, vec, k):
-            vectors.append(vec)
-            out_norms.append(float(norms[idx]))
-            if len(vectors) == k:
-                break
-    if len(vectors) != k:
-        raise AssertionError("search sphere missed a successive minimum")
+    nodes = 0
+    for m in range(k):
+        r = np.linalg.qr(q @ w, mode="r")
+        r *= np.sign(np.diag(r))[:, None]  # ||r c|| = ||q w c||, positive diagonal
+        coords, nodes = _enumerate_half_sphere(r, radii[m], m, budget, nodes)
+        if not coords:
+            raise RuntimeError("search sphere missed a successive minimum")
+        cand = np.array(coords, dtype=np.int64) @ w.T
+        # canonical sign: flip rows whose first nonzero entry is negative
+        first_nonzero = (cand != 0).argmax(axis=1)
+        cand *= np.sign(cand[np.arange(cand.shape[0]), first_nonzero])[:, None]
+        norms = np.einsum("ij,ij->i", cand @ g, cand)
+        best = np.lexsort(tuple(cand[:, col] for col in range(k - 1, -1, -1)) + (norms,))[0]
+        if m == 0 and norms[best] >= gram.snr:
+            return OptimalSet(vectors=(), norms=(), method="exhaustive")
+        vectors.append(tuple(int(x) for x in cand[best]))
+        out_norms.append(float(norms[best]))
+        _fold(w, m, coords[best])
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 
 

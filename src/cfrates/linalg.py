@@ -38,20 +38,14 @@ class GramMatrix:
     ``a @ entries @ a`` is the minimal effective noise variance achievable
     when decoding the integer combination ``a``.  ``snr`` rides along because
     both the positive-rate sphere and the rate formula are relative to it.
-    ``source`` tags whether the matrix came from a plain or an effective MAC.
     """
 
     entries: np.ndarray
     snr: float
-    source: str
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def quadratic_form(self, a) -> float:
-        a = np.asarray(a, dtype=float)
-        return float(a @ self.entries @ a)
 
 
 def _check_channel(gains: np.ndarray, snr: float) -> None:
@@ -64,19 +58,12 @@ def _check_channel(gains: np.ndarray, snr: float) -> None:
 
 
 def gram_plain(h, snr: float) -> GramMatrix:
-    """Gram matrix for a plain MAC with gains ``h`` at linear ``snr``.
+    """Gram matrix for a plain MAC: the effective MAC with unit weights.
 
-    Equals the inverse of (snr^-1 I + h h^T), evaluated through the Woodbury
-    identity so no explicit inversion is performed:
-
-        G = snr * (I - snr * h h^T / (1 + snr * ||h||^2))
+    G = snr * (I - snr * h h^T / (1 + snr * ||h||^2)), the inverse of
+    (snr^-1 I + h h^T).
     """
-    h = np.asarray(h, dtype=float)
-    _check_channel(h, snr)
-    k = h.size
-    outer = np.outer(h, h)
-    g = snr * (np.eye(k) - snr * outer / (1.0 + snr * float(h @ h)))
-    return GramMatrix(entries=g, snr=float(snr), source="plain-MAC")
+    return gram_effective(h, np.ones(np.shape(h)), snr)
 
 
 def gram_effective(g, b_sq, snr: float) -> GramMatrix:
@@ -96,7 +83,7 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
         raise ValueError("effective weights must be positive")
     bg = b_sq * g
     gram = snr * (np.diag(b_sq) - snr * np.outer(bg, bg) / (1.0 + snr * float(g @ bg)))
-    return GramMatrix(entries=gram, snr=float(snr), source="effective-MAC")
+    return GramMatrix(entries=gram, snr=float(snr))
 
 
 def cholesky(gram) -> np.ndarray:

@@ -31,7 +31,6 @@ from .linalg import (
     exact_rank,
     exact_solve_in_span,
     gram_effective,
-    gram_plain,
     sylvester_logdet,
 )
 from .rates import ComputationResult, comp_rate
@@ -79,13 +78,7 @@ class ChannelSpec:
     def dim(self) -> int:
         return len(self.gains)
 
-    @property
-    def is_plain(self) -> bool:
-        return all(w == 1.0 for w in self.weights_sq)
-
     def gram(self) -> GramMatrix:
-        if self.is_plain:
-            return gram_plain(self.gains, self.snr)
         return gram_effective(self.gains, self.weights_sq, self.snr)
 
 
@@ -131,11 +124,10 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
             opt = lll_reduce(cholesky(gram))
     if len(opt) != channel.dim:
         raise ValueError("channel admits no full positive-rate coefficient set")
-    b_sq = None if channel.is_plain else channel.weights_sq
-    results = tuple(comp_rate(channel.gains, vec, channel.snr, b_sq) for vec in opt.vectors)
+    results = tuple(comp_rate(channel.gains, vec, channel.snr, channel.weights_sq) for vec in opt.vectors)
     matrix = opt.matrix
     if exact_rank(matrix) != channel.dim:
-        raise AssertionError("coefficient matrix lost rank")
+        raise RuntimeError("coefficient matrix lost rank")
     return CfTransform(matrix=matrix, results=results, channel=channel, method=opt.method)
 
 
@@ -154,8 +146,7 @@ def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
     """
     ch = t.channel
     k = ch.dim
-    b_sq = None if ch.is_plain else ch.weights_sq
-    logdet = sylvester_logdet(ch.gains, ch.snr, b_sq)
+    logdet = sylvester_logdet(ch.gains, ch.snr, ch.weights_sq)
     upper = 0.5 * (k * math.log2(ch.snr) - logdet)
     lower = upper - 0.5 * k * math.log2(k)
     total = sum(t.rates)

@@ -2,20 +2,27 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cfrates.cli import SWEEP_COLUMNS, main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(args):
+    # pytest's pythonpath setting does not reach a child process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cfrates", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     return proc
 
@@ -50,6 +57,20 @@ class TestRates:
         assert proc.returncode == 2
         proc = run_cli(["rates", "--h", "1,1", "--eff-g", "1,1", "--eff-b", "1,1", "--snr-db", "10"])
         assert proc.returncode == 2
+
+    def test_negative_gain_list(self, capsys):
+        assert main(["rates", "--h", "-0.5,1", "--snr-db", "30"]) == 0
+        assert "gains: [-0.5, 1.0]" in capsys.readouterr().out
+        assert main(["rates", "--eff-g", "-.5,1", "--eff-b", "1,2", "--snr-db", "30"]) == 0
+        assert "gains: [-0.5, 1.0]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("snr_db", ["85", "90", "120"])
+    def test_high_snr_never_shows_a_traceback(self, snr_db):
+        # above ~80 dB the float search may miss a minimum; that must be a
+        # computation failure (exit 1 with "error:"), not a crash
+        proc = run_cli(["rates", "--h=0.1097,-0.5526,-0.7848,0.7487", "--snr-db", snr_db])
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0 or (proc.returncode == 1 and "error:" in proc.stderr)
 
     @pytest.mark.parametrize("weights", [[], ["--eff-b", "1"]])
     def test_effective_weights_mismatch_exits_2(self, weights):
@@ -151,6 +172,12 @@ class TestSweep:
             rep = report(SymmetricIcSpec(3, float(row["g"]), 10**2.5), c=2.0)
             assert float(row["r_single"]) == pytest.approx(rep.r_single, rel=1e-15)
             assert float(row["r_best"]) == pytest.approx(rep.r_best, rel=1e-15)
+
+    def test_negative_snr_list(self, capsys):
+        args = ["sweep", "--k", "3", "--snr-db", "-5,10", "--g-min", "0.5", "--g-max", "1", "--points", "2"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-5", "-5", "10", "10"]
 
     def test_usage_errors_exit_2(self):
         assert run_cli(["sweep", "--k", "3", "--snr-db", "20", "--g-min", "2", "--g-max", "1", "--points", "5"]).returncode == 2

@@ -1,4 +1,4 @@
-"""Coefficient search: sphere enumeration, greedy minima, LLL fallback."""
+"""Coefficient search: one minimum at a time outside the found span, LLL fallback."""
 
 import math
 
@@ -13,6 +13,7 @@ from cfrates.lattice import (
     successive_minima,
 )
 from cfrates.linalg import RationalSpan, cholesky, exact_rank, gram_effective, gram_plain
+from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel
 
 
 def cube_minima(gram, bound_sq):
@@ -39,6 +40,66 @@ def cube_minima(gram, bound_sq):
             if len(vecs) == k:
                 break
     return tuple(vecs), tuple(out)
+
+
+def greedy_minima(gram):
+    """Reference: the sort-then-greedy search that successive_minima replaced.
+
+    Enumerate every lattice point (one per +-pair) in the sphere of the
+    largest LLL norm, rank all of them by (a^T G a, canonical lex), and keep
+    each one that is exactly independent of those kept.
+    """
+    g, k = gram.entries, gram.dim
+    chol = cholesky(gram)
+    q = chol.T
+    radius_sq = max(lll_reduce(chol).norms) * (1.0 + 1e-9)
+    slack = 1e-9 * radius_sq
+    a, found = [0] * k, []
+
+    def descend(level, remaining, tail_zero):
+        diag = q[level, level]
+        center = -sum(q[level, j] * a[j] for j in range(level + 1, k)) / diag
+        half_width = math.sqrt(max(remaining, 0.0)) / diag
+        lo = math.ceil(center - half_width - 1e-12)
+        hi = math.floor(center + half_width + 1e-12)
+        for v in range(max(lo, 0) if tail_zero else lo, hi + 1):
+            cost = (diag * (v - center)) ** 2
+            if cost > remaining + slack:
+                continue
+            a[level] = v
+            if level > 0:
+                descend(level - 1, remaining - cost, tail_zero and v == 0)
+            elif not (tail_zero and v == 0):
+                found.append(tuple(a))
+        a[level] = 0
+
+    descend(k - 1, radius_sq, True)
+    cand = np.array(found, dtype=np.int64)
+    first_nonzero = (cand != 0).argmax(axis=1)
+    cand *= np.sign(cand[np.arange(cand.shape[0]), first_nonzero])[:, None]
+    norms = np.einsum("ij,ij->i", cand @ g, cand)
+    order = np.lexsort(tuple(cand[:, col] for col in range(k - 1, -1, -1)) + (norms,))
+    if norms[order[0]] >= gram.snr:
+        return (), ()
+    span, vecs, out = RationalSpan(k), [], []
+    for idx in order:
+        vec = tuple(int(x) for x in cand[idx])
+        if span.try_add(vec):
+            vecs.append(vec)
+            out.append(float(norms[idx]))
+            if len(vecs) == k:
+                break
+    return tuple(vecs), tuple(out)
+
+
+def random_grams(seed, n, k_range, db_max):
+    """Seeded plain and effective Grams, snr uniform in dB on [0, db_max]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(k_range[0], k_range[1] + 1))
+        snr = 10 ** (rng.uniform(0, db_max) / 10)
+        g = rng.normal(size=k)
+        yield gram_effective(g, rng.uniform(0.5, 4, size=k), snr) if rng.integers(0, 2) else gram_plain(g, snr)
 
 
 class TestCanonicalize:
@@ -130,6 +191,32 @@ class TestSuccessiveMinima:
         opt = successive_minima(gram_plain([0.0, 0.0], 5.0))
         assert opt.vectors == ()
         assert opt.norms == ()
+
+    @pytest.mark.parametrize(
+        "seed, n, k_range, db_max", [(31, 400, (2, 5), 60.0), (32, 12, (6, 8), 40.0)]
+    )
+    def test_matches_sort_then_greedy(self, seed, n, k_range, db_max):
+        for gram in random_grams(seed, n, k_range, db_max):
+            vecs, norms = greedy_minima(gram)
+            opt = successive_minima(gram)
+            assert opt.vectors == vecs, (gram.dim, gram.snr)
+            # the batch product cand @ g rounds differently with the row count
+            assert opt.norms == pytest.approx(norms, rel=1e-9)
+
+    def test_layered_channel_needs_few_nodes(self):
+        # K=3 at 45 dB: the plane of the first two minima holds tens of
+        # thousands of points inside the last minimum's sphere; searching one
+        # minimum at a time outside the found span never visits them
+        spec = SymmetricIcSpec(3, 177.82794100389228, 10**4.5)
+        gram = _hk_channel(spec, math.sqrt(1.0 / spec.inr)).gram()
+        assert successive_minima(gram, budget=1000) == successive_minima(gram)
+        assert successive_minima(gram).vectors == greedy_minima(gram)[0]
+
+    def test_missed_minimum_is_a_runtime_error(self, monkeypatch):
+        # spheres shrunk below the LLL norms hold no candidate
+        monkeypatch.setattr("cfrates.lattice._RADIUS_SLACK", -0.5)
+        with pytest.raises(RuntimeError, match="missed a successive minimum"):
+            successive_minima(gram_plain([1.0, 0.62, 0.34], 1e3))
 
     def test_budget_exceeded(self):
         gram = gram_plain([1.0, 0.62, 0.34], 1e3)
