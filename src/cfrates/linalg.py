@@ -3,8 +3,10 @@
 Floating paths use 64-bit numpy arrays and Woodbury closed forms, so the
 inverse square root of the coefficient-selection lattice basis is never
 materialized; only quadratic forms and a Cholesky factor are needed.  Exact
-paths (rank, span membership, rational matrices) run over arbitrary-precision
-rationals so integer matrices are never subject to tolerance artifacts.
+paths (rank, span solve, span membership) take integer matrices and share one
+fraction-free (Bareiss) elimination over Python ints, so they are never subject
+to tolerance artifacts; rationals appear only in the solutions they return and
+in ``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -73,6 +75,8 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
     inverse of (snr^-1 B^-1 + g g^T) via Woodbury:
 
         G = snr * (B - snr * B g g^T B / (1 + snr * g^T B g))
+
+    Raises ValueError when G overflows to a non-finite entry.
     """
     g = np.asarray(g, dtype=float)
     b_sq = np.asarray(b_sq, dtype=float)
@@ -82,7 +86,10 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
     if not np.all(b_sq > 0):
         raise ValueError("effective weights must be positive")
     bg = b_sq * g
-    gram = snr * (np.diag(b_sq) - snr * np.outer(bg, bg) / (1.0 + snr * float(g @ bg)))
+    with np.errstate(all="ignore"):
+        gram = snr * (np.diag(b_sq) - snr * np.outer(bg, bg) / (1.0 + snr * float(g @ bg)))
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("Gram matrix overflows floating point; gains or snr are too large")
     return GramMatrix(entries=gram, snr=float(snr))
 
 
@@ -125,8 +132,9 @@ def sylvester_logdet(gains, snr: float, b_sq=None) -> float:
 
 
 def _int_rows(mat) -> list[list[int]]:
+    """Rows of ``mat`` as Python ints; ``[]`` is the matrix with no rows."""
     arr = np.asarray(mat)
-    if arr.ndim != 2:
+    if arr.ndim != 2 and arr.shape != (0,):
         raise ValueError("expected a 2-D matrix")
     rows = []
     for row in arr.tolist():
@@ -140,109 +148,95 @@ def _int_rows(mat) -> list[list[int]]:
     return rows
 
 
-def exact_rank(mat) -> int:
-    """Rank of an integer matrix over the rationals.
+def _echelon(rows: list[list[int]], n_cols: int) -> list[int]:
+    """Fraction-free (Bareiss) row-echelon form of ``rows``, in place.
 
-    Fraction-free (Bareiss) elimination with row swaps; every intermediate
-    entry is a minor of the input, so divisions are exact integer divisions.
+    Pivots are searched in the first ``n_cols`` columns, leftmost first, with
+    row swaps; later columns (an augmented right-hand side) are carried along.
+    Every intermediate entry is a minor of the input, so each division by the
+    previous pivot is an exact integer division.  Returns the pivot columns;
+    row r is the pivot row of the r-th of them, and rows past the rank are
+    zero in the first ``n_cols`` columns.
     """
-    rows = _int_rows(mat)
     n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    rank = 0
+    width = len(rows[0]) if n_rows else 0
+    pivots: list[int] = []
     prev = 1
     for col in range(n_cols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
         for r in range(rank + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                rows[r][c] = (rows[r][c] * rows[rank][col] - rows[r][col] * rows[rank][c]) // prev
-            rows[r][col] = 0
-        prev = rows[rank][col]
-        rank += 1
-        if rank == n_rows:
+            row = rows[r]
+            for c in range(col + 1, width):
+                row[c] = (row[c] * top[col] - row[col] * top[c]) // prev
+            row[col] = 0
+        prev = top[col]
+        pivots.append(col)
+        if rank + 1 == n_rows:
             break
-    return rank
+    return pivots
 
 
-def _fraction_rows(mat) -> list[list[Fraction]]:
-    out = []
-    for row in mat:
-        out.append([x if isinstance(x, Fraction) else Fraction(x) for x in row])
-    return out
+def exact_rank(mat) -> int:
+    """Rank of an integer matrix over the rationals: its number of pivots."""
+    rows = _int_rows(mat)
+    return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 
 def exact_solve_in_span(mat, rhs) -> list[Fraction] | None:
     """Exact rational solution of ``mat @ x = rhs`` or None when infeasible.
 
-    ``mat`` may be rank deficient; free coordinates are set to zero.  Entries
-    may be ints or Fractions.
+    Entries must be integers (ValueError otherwise).  ``mat`` may be rank
+    deficient; free coordinates are set to zero.  The augmented matrix goes
+    through the fraction-free elimination, and back-substitution over the pivot
+    rows stays in integers: it yields ``d * x`` for the last pivot d, which is
+    the determinant of the pivot minor up to sign, so by Cramer's rule every
+    division is exact.
     """
-    a = _fraction_rows(mat)
-    b = [x if isinstance(x, Fraction) else Fraction(x) for x in rhs]
-    n_rows = len(a)
-    if n_rows != len(b):
+    aug = _int_rows(mat)
+    (b,) = _int_rows([rhs])
+    if len(aug) != len(b):
         raise ValueError("matrix and right-hand side sizes differ")
-    n_cols = len(a[0]) if n_rows else 0
-    aug = [a[i] + [b[i]] for i in range(n_rows)]
-
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if aug[i][n_cols] != 0:
-            return None
-    x = [Fraction(0)] * n_cols
-    for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][n_cols]
-    return x
+    n_cols = len(aug[0]) if aug else 0
+    for row, x in zip(aug, b):
+        row.append(x)
+    pivots = _echelon(aug, n_cols)
+    if any(row[n_cols] != 0 for row in aug[len(pivots) :]):
+        return None
+    d = aug[len(pivots) - 1][pivots[-1]] if pivots else 1
+    scaled = [0] * n_cols
+    for i in reversed(range(len(pivots))):
+        row = aug[i]
+        scaled[pivots[i]] = (d * row[n_cols] - sum(row[c] * scaled[c] for c in pivots[i + 1 :])) // row[pivots[i]]
+    return [Fraction(x, d) for x in scaled]
 
 
 class RationalSpan:
-    """Incrementally maintained row space over the rationals.
+    """Incrementally maintained row space of integer vectors over the rationals.
 
-    Used for exact greedy independence tests: ``try_add`` reduces a vector
-    against the stored reduced rows and keeps it only if a nonzero remainder
-    survives.
+    Used for exact greedy independence tests: ``try_add`` keeps a vector only
+    if it raises the rank of the stored rows.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list[tuple[int, list[Fraction]]] = []
+        self._rows: list[list[int]] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def try_add(self, vec) -> bool:
-        v = [x if isinstance(x, Fraction) else Fraction(int(x)) for x in vec]
+        (v,) = _int_rows([vec])
         if len(v) != self.dim:
             raise ValueError("vector has wrong length")
-        for pivot_col, row in self._rows:
-            if v[pivot_col] != 0:
-                f = v[pivot_col]
-                v = [vi - f * ri for vi, ri in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is None:
+        if exact_rank([*self._rows, v]) == self.rank:
             return False
-        inv = 1 / v[pivot]
-        self._rows.append((pivot, [x * inv for x in v]))
+        self._rows.append(v)
         return True
 
 
@@ -268,7 +262,9 @@ class RationalMatrix:
         return self.entries[idx[0]][idx[1]]
 
     def matmul(self, other) -> "RationalMatrix":
-        rows_b = other.entries if isinstance(other, RationalMatrix) else _fraction_rows(np.asarray(other).tolist())
+        if not isinstance(other, RationalMatrix):
+            other = RationalMatrix.from_rows(np.asarray(other).tolist())
+        rows_b = other.entries
         n_inner = len(rows_b)
         if self.cols != n_inner:
             raise ValueError("incompatible shapes")

@@ -75,7 +75,8 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
 
     The minimal variance has the Woodbury closed form
     snr * (a^T B a - snr*(g^T B a)^2 / (1 + snr * g^T B g)) and matches the
-    quadratic form of the channel's Gram matrix.
+    quadratic form of the channel's Gram matrix.  Raises RuntimeError when
+    float cancellation leaves that variance nonpositive.
     """
     gains, a_arr, b_sq = _prepare(gains, a, snr, b_sq)
     if not np.any(a_arr):
@@ -84,6 +85,8 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
     denom = 1.0 + snr * float(gains @ bg)
     cross = float(bg @ a_arr)
     sigma2 = snr * (float(a_arr @ (b_sq * a_arr)) - snr * cross * cross / denom)
+    if not sigma2 > 0:
+        raise RuntimeError(f"effective noise variance cancelled to {sigma2!r}; snr is too high for float arithmetic")
     beta = snr * cross / denom
     rate = 0.5 * math.log2(snr / sigma2)
     coeffs = tuple(int(x) for x in np.asarray(a).tolist())

@@ -15,6 +15,7 @@ mod-p decoder would use.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -256,16 +257,7 @@ class ModPLift:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
@@ -279,39 +271,19 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     a = np.asarray(a_matrix)
     k = a.shape[0]
     rows = [[int(x) for x in row] for row in a.tolist()]
-    lower = pt.lower
     pi = pt.pi
+    denoms = [math.lcm(*(x.denominator for x in row)) for row in pt.lower.entries]
+    scaled_lower = [[x * q for x in row] for row, q in zip(pt.lower.entries, denoms)]
+    if any(x.denominator != 1 for row in scaled_lower for x in row):
+        raise AssertionError("scaled multiplier is not integral")
+    diag_scaled = [pt.a_tilde[i, pi[i]] * denoms[i] for i in range(k)]
+    if any(d.denominator != 1 for d in diag_scaled):
+        raise AssertionError("row denominator does not clear the eliminated row")
+    units = denoms + [int(d) for d in diag_scaled]
+    p = next(p for p in itertools.count(2) if _is_prime(p) and all(x % p for x in units))
 
-    denoms = []
-    for i in range(k):
-        q = 1
-        for j in range(k):
-            q = q * lower[i, j].denominator // math.gcd(q, lower[i, j].denominator)
-        denoms.append(q)
-
-    scaled_lower = [[lower[i, j] * denoms[i] for j in range(k)] for i in range(k)]
-    diag_scaled = []
-    for i in range(k):
-        val = pt.a_tilde[i, pi[i]] * denoms[i]
-        if val.denominator != 1:
-            raise AssertionError("row denominator does not clear the eliminated row")
-        diag_scaled.append(int(val))
-
-    p = 2
-    while True:
-        if _is_prime(p) and all(q % p != 0 for q in denoms) and all(d % p != 0 for d in diag_scaled):
-            break
-        p += 1
-
-    lower_p = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        inv = pow(denoms[i] % p, -1, p)
-        for j in range(k):
-            num = scaled_lower[i][j]
-            if num.denominator != 1:
-                raise AssertionError("scaled multiplier is not integral")
-            lower_p[i, j] = (inv * (int(num) % p)) % p
-
+    inverses = [pow(q, -1, p) for q in denoms]
+    lower_p = np.array([[int(x) * inv % p for x in row] for row, inv in zip(scaled_lower, inverses)], dtype=np.int64)
     a_tilde_p = (lower_p @ np.array(rows, dtype=object)) % p
     a_tilde_p = a_tilde_p.astype(np.int64)
     for i in range(k):

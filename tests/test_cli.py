@@ -14,14 +14,14 @@ from cfrates.cli import SWEEP_COLUMNS, main
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(args):
+def run_cli(args, timeout=300):
     # pytest's pythonpath setting does not reach a child process
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cfrates", *args],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
         env=env,
     )
     return proc
@@ -64,13 +64,29 @@ class TestRates:
         assert main(["rates", "--eff-g", "-.5,1", "--eff-b", "1,2", "--snr-db", "30"]) == 0
         assert "gains: [-0.5, 1.0]" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("snr_db", ["85", "90", "120"])
-    def test_high_snr_never_shows_a_traceback(self, snr_db):
-        # above ~80 dB the float search may miss a minimum; that must be a
+    @pytest.mark.parametrize(
+        "h,snr_db",
+        [("0.1097,-0.5526,-0.7848,0.7487", db) for db in ("85", "90", "120")] + [("1,1", "300")],
+        ids=["85", "90", "120", "300"],
+    )
+    def test_high_snr_never_shows_a_traceback(self, h, snr_db):
+        # above ~80 dB the float search may miss a minimum, and at 300 dB the
+        # closed-form noise variance cancels to zero; either must be a
         # computation failure (exit 1 with "error:"), not a crash
-        proc = run_cli(["rates", "--h=0.1097,-0.5526,-0.7848,0.7487", "--snr-db", snr_db])
+        proc = run_cli(["rates", f"--h={h}", "--snr-db", snr_db])
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 0 or (proc.returncode == 1 and "error:" in proc.stderr)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["rates", "--h", "1e200,1", "--snr-db", "10"], ["report", "--k", "3", "--g", "1e300", "--snr-db", "20"]],
+        ids=["rates", "report"],
+    )
+    def test_overflowing_gram_fails_fast(self, args):
+        # the Gram matrix overflows to NaN, which the lattice search would loop on
+        proc = run_cli(args, timeout=30)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("weights", [[], ["--eff-b", "1"]])
     def test_effective_weights_mismatch_exits_2(self, weights):

@@ -80,6 +80,8 @@ class TestGramPlain:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             gram_plain([np.inf, 1.0], 10.0)
+        with pytest.raises(ValueError, match="overflows"):
+            gram_plain([1e200, 1.0], 10.0)
         with pytest.raises(ValueError):
             gram_plain([1.0], 0.0)
         with pytest.raises(ValueError):
@@ -203,6 +205,49 @@ class TestExactRank:
             exact_rank([[0.5, 1.0], [1.0, 2.0]])
 
 
+def fraction_solve_reference(mat, rhs):
+    """Reference: Gauss-Jordan over Fractions, free unknowns set to zero."""
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if n_rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    pivot_cols = []
+    r = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        aug[r] = [v / aug[r][col] for v in aug[r]]
+        for i in range(n_rows):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+    if any(aug[i][n_cols] != 0 for i in range(r, n_rows)):
+        return None
+    x = [Fraction(0)] * n_cols
+    for i, col in enumerate(pivot_cols):
+        x[col] = aug[i][n_cols]
+    return x
+
+
+def seeded_systems(seed, n):
+    """Integer systems up to 7 x 7: half sparsified, a third with a dependent
+    row, half with a right-hand side drawn independently of the matrix."""
+    rng = np.random.default_rng(seed)
+    for t in range(n):
+        m, k = (int(v) for v in rng.integers(1, 8, size=2))
+        a = rng.integers(-5, 6, size=(m, k))
+        if t % 2:
+            a = a * (rng.random((m, k)) < 0.5)
+        if m > 1 and t % 3 == 0:
+            i, j = rng.choice(m, 2, replace=False)
+            a[i] = rng.integers(-2, 3) * a[j]
+        b = a @ rng.integers(-5, 6, size=k) if t % 4 < 2 else rng.integers(-9, 10, size=m)
+        yield a.tolist(), b.tolist()
+
+
 class TestExactSolve:
     def test_in_span(self):
         sol = exact_solve_in_span([[2, 0], [0, 3]], [4, 9])
@@ -215,6 +260,9 @@ class TestExactSolve:
 
     def test_not_in_span(self):
         assert exact_solve_in_span([[1, 2], [2, 4]], [1, 3]) is None
+
+    def test_empty_system(self):
+        assert exact_solve_in_span([], []) == []
 
     def test_random_consistency(self):
         rng = np.random.default_rng(10)
@@ -229,6 +277,20 @@ class TestExactSolve:
             check = [sum(Fraction(int(mat[i, j])) * sol[j] for j in range(n)) for i in range(m)]
             assert check == [Fraction(int(v)) for v in rhs]
 
+    def test_matches_fraction_reference(self):
+        outcomes = set()
+        for mat, rhs in seeded_systems(11, 3000):
+            sol = exact_solve_in_span(mat, rhs)
+            assert sol == fraction_solve_reference(mat, rhs)
+            outcomes.add(sol is None)
+        assert outcomes == {True, False}
+
+    def test_rejects_non_integer(self):
+        with pytest.raises(ValueError):
+            exact_solve_in_span([[Fraction(1, 2)]], [1])
+        with pytest.raises(ValueError):
+            exact_solve_in_span([[1]], [0.5])
+
 
 class TestRationalHelpers:
     def test_span_detects_dependence(self):
@@ -238,6 +300,17 @@ class TestRationalHelpers:
         assert not span.try_add([2, 3, 5])
         assert span.try_add([0, 0, 1])
         assert span.rank == 3
+
+    def test_span_agrees_with_rank_growth(self):
+        for mat, _ in seeded_systems(12, 500):
+            span = RationalSpan(len(mat[0]))
+            for i, row in enumerate(mat):
+                assert span.try_add(row) == (exact_rank(mat[: i + 1]) > exact_rank(mat[:i]))
+            assert span.rank == exact_rank(mat)
+
+    def test_span_rejects_non_integer(self):
+        with pytest.raises(ValueError):
+            RationalSpan(1).try_add([0.5])
 
     def test_rational_matrix_matmul(self):
         left = RationalMatrix.from_rows([[1, 0], [Fraction(-3, 2), 1]])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfrates.linalg import RationalMatrix, exact_rank, exact_solve_in_span
+from cfrates.linalg import RationalMatrix, exact_rank
 from cfrates.transform import (
     ChannelSpec,
     mod_p_lift,
@@ -22,13 +22,17 @@ def frac_rows(mat):
     return [[Fraction(x) for x in row] for row in mat]
 
 
-def ref_solvable(system, rhs):
-    """Independent feasibility oracle: straight rational row reduction."""
-    rows = [list(r) + [b] for r, b in zip(system, rhs)]
+def ref_solve(system, rhs):
+    """Independent rational solver: straight row reduction over Fractions.
+
+    Free unknowns are zero; None when the system is infeasible.
+    """
+    rows = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(system, rhs)]
     n_rows = len(rows)
     n_cols = len(system[0]) if system else 0
-    r = 0
+    pivots = []
     for col in range(n_cols):
+        r = len(pivots)
         piv = next((i for i in range(r, n_rows) if rows[i][col] != 0), None)
         if piv is None:
             continue
@@ -37,16 +41,21 @@ def ref_solvable(system, rhs):
             if i != r and rows[i][col] != 0:
                 f = rows[i][col] / rows[r][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return all(rows[i][-1] == 0 for i in range(r, n_rows))
+        pivots.append(col)
+    if any(rows[i][-1] != 0 for i in range(len(pivots), n_rows)):
+        return None
+    x = [Fraction(0)] * n_cols
+    for i, col in enumerate(pivots):
+        x[col] = rows[i][-1] / rows[i][col]
+    return x
 
 
 def pi_feasible_oracle(a, pi):
     k = len(a)
     for i in range(1, k):
-        system = [[Fraction(a[m][pi[j]]) for m in range(i)] for j in range(i)]
-        rhs = [Fraction(-a[i][pi[j]]) for j in range(i)]
-        if not ref_solvable(system, rhs):
+        system = [[a[m][pi[j]] for m in range(i)] for j in range(i)]
+        rhs = [-a[i][pi[j]] for j in range(i)]
+        if ref_solve(system, rhs) is None:
             return False
     return True
 
@@ -70,7 +79,7 @@ def triangularize_reference(a, pi):
     k = len(a)
     lower = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     for i in range(1, k):
-        x = exact_solve_in_span([[a[m][pi[j]] for m in range(i)] for j in range(i)], [-a[i][pi[j]] for j in range(i)])
+        x = ref_solve([[a[m][pi[j]] for m in range(i)] for j in range(i)], [-a[i][pi[j]] for j in range(i)])
         if x is None:
             return None
         lower[i][:i] = x
