@@ -187,22 +187,16 @@ def exact_rank(mat) -> int:
     return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 
-def exact_solve_in_span(mat, rhs) -> list[Fraction] | None:
-    """Exact rational solution of ``mat @ x = rhs`` or None when infeasible.
+def _solve_scaled(aug: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] | None:
+    """``(d, d * x)`` for ``aug @ x = rhs`` (rows consumed), or None when infeasible.
 
-    Entries must be integers (ValueError otherwise).  ``mat`` may be rank
-    deficient; free coordinates are set to zero.  The augmented matrix goes
-    through the fraction-free elimination, and back-substitution over the pivot
-    rows stays in integers: it yields ``d * x`` for the last pivot d, which is
-    the determinant of the pivot minor up to sign, so by Cramer's rule every
-    division is exact.
+    Free coordinates of x are zero.  d is the last pivot of the fraction-free
+    elimination of the augmented matrix (1 without pivots), the pivot minor's
+    determinant up to sign, so by Cramer's rule the integer back-substitution
+    divides exactly.
     """
-    aug = _int_rows(mat)
-    (b,) = _int_rows([rhs])
-    if len(aug) != len(b):
-        raise ValueError("matrix and right-hand side sizes differ")
     n_cols = len(aug[0]) if aug else 0
-    for row, x in zip(aug, b):
+    for row, x in zip(aug, rhs):
         row.append(x)
     pivots = _echelon(aug, n_cols)
     if any(row[n_cols] != 0 for row in aug[len(pivots) :]):
@@ -212,7 +206,21 @@ def exact_solve_in_span(mat, rhs) -> list[Fraction] | None:
     for i in reversed(range(len(pivots))):
         row = aug[i]
         scaled[pivots[i]] = (d * row[n_cols] - sum(row[c] * scaled[c] for c in pivots[i + 1 :])) // row[pivots[i]]
-    return [Fraction(x, d) for x in scaled]
+    return d, scaled
+
+
+def exact_solve_in_span(mat, rhs) -> list[Fraction] | None:
+    """Exact rational solution of ``mat @ x = rhs`` or None when infeasible.
+
+    Entries must be integers (ValueError otherwise).  ``mat`` may be rank
+    deficient; free coordinates are set to zero.
+    """
+    aug = _int_rows(mat)
+    (b,) = _int_rows([rhs])
+    if len(aug) != len(b):
+        raise ValueError("matrix and right-hand side sizes differ")
+    solved = _solve_scaled(aug, b)
+    return None if solved is None else [Fraction(x, solved[0]) for x in solved[1]]
 
 
 class RationalSpan:

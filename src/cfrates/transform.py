@@ -6,11 +6,12 @@ combinations back for the individual codewords by successive cancellation
 requires triangularizing A without row swaps, which is only possible for some
 column orders: each feasible order comes with a unit-lower-triangular rational
 matrix L such that L A is upper triangular up to that column permutation.
-Row i's multipliers depend only on the set of columns eliminated before it, so
-all feasible orders come from a prefix search over column sets with at most
-2^K exact row solves.  The same elimination can be replayed over Z_p with an
-integer unit-lower L once a suitable prime is chosen, which is what an actual
-mod-p decoder would use.
+Row i's multipliers depend only on the set S of columns eliminated before it,
+so all feasible orders come from a prefix search over column sets with at most
+2^K integer row solves, each kept as one step with integer rows q_S L_i and
+q_S (L A)_i.  The same elimination can be replayed over Z_p with an integer
+unit-lower L once a suitable prime is chosen, which is what an actual mod-p
+decoder would use; each lifted row is built once per (column set, p).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,9 +29,9 @@ from .lattice import DEFAULT_BUDGET, BudgetExceeded, OptimalSet, lll_reduce, suc
 from .linalg import (
     GramMatrix,
     RationalMatrix,
+    _solve_scaled,
     cholesky,
     exact_rank,
-    exact_solve_in_span,
     gram_effective,
     sylvester_logdet,
 )
@@ -157,16 +158,36 @@ def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
 
 
 @dataclass(frozen=True)
+class _Step:
+    """Row i of every order that eliminates a given set S of i columns first.
+
+    q is the lcm of the reduced denominators of row i of L; ``lower_int`` and
+    ``tilde_int`` are q times row i of L and of L A, and ``lower``/``tilde``
+    the rows themselves.  ``mod_p`` caches the lifted rows per prime.
+    """
+
+    source: tuple[tuple[int, ...], ...]
+    q: int
+    lower_int: tuple[int, ...]
+    tilde_int: tuple[int, ...]
+    lower: tuple[Fraction, ...]
+    tilde: tuple[Fraction, ...]
+    mod_p: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class PseudoTriangularization:
     """Unit-lower-triangular L and column order pi with L A triangular.
 
     ``a_tilde[i, pi[j]] == 0`` for all j < i, exactly, in rational arithmetic;
     the permuted diagonal is nonzero because L A keeps the rank of A.
+    ``steps[i]`` is the step, shared with other orders of A, that holds row i.
     """
 
     lower: RationalMatrix
     pi: tuple[int, ...]
     a_tilde: RationalMatrix
+    steps: tuple[_Step, ...] = field(repr=False, compare=False)
 
 
 def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTriangularization]:
@@ -175,10 +196,11 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     Row i's multipliers depend only on the set S of columns eliminated before
     it: they are the exact solution of ``A[0:i, S]^T x = -A[i, S]`` with free
     unknowns set to zero.  A depth-first search over column prefixes in
-    lexicographic order solves each (row, column set) once, so at most 2^K
-    exact row solves are made, and an infeasible prefix is pruned for all of
-    its extensions.  Orders come out in lexicographic ``pi`` order.  Full-rank
-    A always admits at least one.  For K > ``enumerate_limit`` only the greedy
+    lexicographic order solves each (row, S) once, in integers, into one step
+    keyed by the bitmask of S, so at most 2^K row solves are made, with no
+    ``Fraction`` arithmetic, and an infeasible prefix is pruned for all of its
+    extensions.  Orders come out in lexicographic ``pi`` order.  Full-rank A
+    always admits at least one.  For K > ``enumerate_limit`` only the greedy
     order is returned: at each row, the first remaining column where the
     reduced row is nonzero.
     """
@@ -188,52 +210,46 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
         raise ValueError("matrix must be square")
     if exact_rank(a) != k:
         raise ValueError("matrix must be full rank")
-    rows = [[int(x) for x in row] for row in a.tolist()]
-    memo: dict[frozenset[int], tuple | None] = {}  # keyed by the column set; the row is its size
+    rows = tuple(tuple(int(x) for x in row) for row in a.tolist())
+    memo: dict[int, _Step | None] = {}  # keyed by the bitmask of S; the row is its size
 
-    def reduced(pi: tuple[int, ...]):
-        """(row of L, row of L A) for row len(pi) eliminating pi's columns, or None."""
-        done = frozenset(pi)
+    def step(done: int, i: int) -> _Step | None:
         if done not in memo:
-            i, cols = len(pi), sorted(done)
-            x = exact_solve_in_span([[rows[m][c] for m in range(i)] for c in cols], [-rows[i][c] for c in cols])
-            if x is None:
+            cols = [c for c in range(k) if done >> c & 1]
+            solved = _solve_scaled([[rows[m][c] for m in range(i)] for c in cols], [-rows[i][c] for c in cols])
+            if solved is None:
                 memo[done] = None
             else:
-                lower = (*x, Fraction(1), *[Fraction(0)] * (k - i - 1))
+                d, x = solved
+                q = abs(d) // math.gcd(d, *x)
+                lower = (*(n // (d // q) for n in x), q, *[0] * (k - i - 1))
                 tilde = tuple(sum(lower[m] * rows[m][c] for m in range(i + 1)) for c in range(k))
-                if any(tilde[c] != 0 for c in cols):
-                    raise AssertionError("eliminated entry is nonzero")
-                memo[done] = (lower, tilde)
+                if any(tilde[c] for c in cols):
+                    raise RuntimeError("eliminated entry is nonzero")
+                fractions = [tuple(Fraction(v, q) for v in row) for row in (lower, tilde)]
+                memo[done] = _Step(rows, q, lower, tilde, *fractions)
         return memo[done]
 
-    def orders(pi: tuple[int, ...]):
+    def orders(pi: tuple[int, ...], path: tuple[_Step, ...], done: int):
         if len(pi) == k:
-            yield pi
-        elif reduced(pi) is not None:
-            for c in range(k):
-                if c not in pi:
-                    yield from orders((*pi, c))
-
-    if k <= enumerate_limit:
-        found = list(orders(()))
-    else:
-        pi: tuple[int, ...] = ()
-        for _ in range(k):
-            tilde = reduced(pi)[1]
-            pi = (*pi, next(c for c in range(k) if c not in pi and tilde[c] != 0))
-        found = [pi]
+            yield pi, path
+        elif (s := step(done, len(pi))) is not None:
+            free = [c for c in range(k) if not done >> c & 1]
+            if k > enumerate_limit:
+                free = [next(c for c in free if s.tilde_int[c])]
+            for c in free:
+                yield from orders((*pi, c), (*path, s), done | 1 << c)
 
     out = []
-    for pi in found:
-        solved = [reduced(pi[:i]) for i in range(k)]
-        if any(solved[i][1][pi[i]] == 0 for i in range(k)):
-            raise AssertionError("permuted diagonal entry vanished")
+    for pi, path in orders((), (), 0):
+        if any(s.tilde_int[c] == 0 for s, c in zip(path, pi)):
+            raise RuntimeError("permuted diagonal entry vanished")
         out.append(
             PseudoTriangularization(
-                lower=RationalMatrix(tuple(lo for lo, _ in solved)),
+                lower=RationalMatrix(tuple(s.lower for s in path)),
                 pi=pi,
-                a_tilde=RationalMatrix(tuple(t for _, t in solved)),
+                a_tilde=RationalMatrix(tuple(s.tilde for s in path)),
+                steps=path,
             )
         )
     return out
@@ -263,44 +279,39 @@ def _is_prime(n: int) -> bool:
 def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     """Lift a rational triangularization of integer A to arithmetic mod p.
 
-    Row i of L times its common denominator q_i is integral, and so is q_i
-    times row i of L A; reducing mod p and rescaling by q_i^-1 keeps the
-    eliminated zeros for free.  p is chosen as the smallest prime that leaves
-    every q_i invertible and every permuted diagonal entry nonzero mod p.
+    Row i of L mod p is q_i^-1 times the integer row q_i L_i of its step, and p
+    is the smallest prime that leaves every q_i and every permuted diagonal
+    entry q_i (L A)[i, pi_i] nonzero mod p.  The rows of L mod p and of
+    (L mod p) A mod p are built, and checked for lost zeros, once per (column
+    set, p) and shared by every order through that step.  ValueError when A is
+    not the matrix ``pt`` was built from.
     """
-    a = np.asarray(a_matrix)
-    k = a.shape[0]
-    rows = [[int(x) for x in row] for row in a.tolist()]
-    pi = pt.pi
-    denoms = [math.lcm(*(x.denominator for x in row)) for row in pt.lower.entries]
-    scaled_lower = [[x * q for x in row] for row, q in zip(pt.lower.entries, denoms)]
-    if any(x.denominator != 1 for row in scaled_lower for x in row):
-        raise AssertionError("scaled multiplier is not integral")
-    diag_scaled = [pt.a_tilde[i, pi[i]] * denoms[i] for i in range(k)]
-    if any(d.denominator != 1 for d in diag_scaled):
-        raise AssertionError("row denominator does not clear the eliminated row")
-    units = denoms + [int(d) for d in diag_scaled]
-    p = next(p for p in itertools.count(2) if _is_prime(p) and all(x % p for x in units))
+    rows = pt.steps[0].source
+    if tuple(map(tuple, np.asarray(a_matrix).tolist())) != rows:
+        raise ValueError("matrix is not the one the triangularization was built from")
+    k, pi = len(rows), pt.pi
+    units = math.prod(s.q * s.tilde_int[c] for s, c in zip(pt.steps, pi))
+    p = next(p for p in itertools.count(2) if units % p and _is_prime(p))
+    lifted = []
+    for i, s in enumerate(pt.steps):
+        if p not in s.mod_p:
+            inv = pow(s.q, -1, p)
+            lower_p = tuple(x * inv % p for x in s.lower_int)
+            tilde_p = tuple(sum(x * row[c] for x, row in zip(lower_p, rows)) % p for c in range(k))
+            if any(tilde_p[c] for c in pi[:i]):
+                raise RuntimeError("mod-p elimination lost a zero")
+            s.mod_p[p] = lower_p, tilde_p
+        lifted.append(s.mod_p[p])
+        if lifted[i][1][pi[i]] == 0:
+            raise RuntimeError("mod-p diagonal entry vanished")
 
-    inverses = [pow(q, -1, p) for q in denoms]
-    lower_p = np.array([[int(x) * inv % p for x in row] for row, inv in zip(scaled_lower, inverses)], dtype=np.int64)
-    a_tilde_p = (lower_p @ np.array(rows, dtype=object)) % p
-    a_tilde_p = a_tilde_p.astype(np.int64)
-    for i in range(k):
-        for j in range(i):
-            if a_tilde_p[i, pi[j]] != 0:
-                raise AssertionError("mod-p elimination lost a zero")
-        if a_tilde_p[i, pi[i]] % p == 0:
-            raise AssertionError("mod-p diagonal entry vanished")
-
-    a_max = max(1, int(np.max(np.abs(a))))
-    bound = k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max
+    a_max = max(1, *map(abs, itertools.chain.from_iterable(rows)))
     return ModPLift(
         p=p,
-        lower_mod_p=lower_p,
-        a_tilde_mod_p=a_tilde_p,
-        row_denominators=tuple(denoms),
-        lemma_bound=bound,
+        lower_mod_p=np.array([lower_p for lower_p, _ in lifted], dtype=np.int64),
+        a_tilde_mod_p=np.array([tilde_p for _, tilde_p in lifted], dtype=np.int64),
+        row_denominators=tuple(s.q for s in pt.steps),
+        lemma_bound=k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max,
     )
 
 

@@ -1,12 +1,18 @@
 """Transform assembly, sum-rate sandwich, triangularization, mod-p lift."""
 
+import dataclasses
+import hashlib
+import importlib
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cfrates import cli
 from cfrates.linalg import RationalMatrix, exact_rank
 from cfrates.transform import (
     ChannelSpec,
@@ -96,6 +102,37 @@ def brute_force_reference(a, enumerate_limit=8):
     return [out for out in found if out is not None]
 
 
+def is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def mod_p_lift_reference(a, pt):
+    """(p, L mod p, L A mod p, row denominators, lemma bound) from the Fraction rows of ``pt``.
+
+    Each row of L is rescaled by the lcm of its denominators in Fraction
+    arithmetic, and L A mod p is an object-dtype matrix product.
+    """
+    a = np.asarray(a)
+    k, pi = a.shape[0], pt.pi
+    denoms = [math.lcm(*(x.denominator for x in row)) for row in pt.lower.entries]
+    scaled_lower = [[x * q for x in row] for row, q in zip(pt.lower.entries, denoms)]
+    assert all(x.denominator == 1 for row in scaled_lower for x in row)
+    diag_scaled = [pt.a_tilde[i, pi[i]] * denoms[i] for i in range(k)]
+    assert all(d.denominator == 1 for d in diag_scaled)
+    units = denoms + [int(d) for d in diag_scaled]
+    p = next(p for p in itertools.count(2) if is_prime(p) and all(x % p for x in units))
+    inverses = [pow(q, -1, p) for q in denoms]
+    lower_p = np.array([[int(x) * inv % p for x in row] for row, inv in zip(scaled_lower, inverses)], dtype=np.int64)
+    a_tilde_p = ((lower_p @ np.array(a.tolist(), dtype=object)) % p).astype(np.int64)
+    a_max = max(1, int(np.max(np.abs(a))))
+    bound = k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max
+    return p, lower_p.tolist(), a_tilde_p.tolist(), tuple(denoms), bound
+
+
+def lift_tuple(lift):
+    return lift.p, lift.lower_mod_p.tolist(), lift.a_tilde_mod_p.tolist(), lift.row_denominators, lift.lemma_bound
+
+
 def as_tuples(pts):
     return [(pt.pi, pt.lower.entries, pt.a_tilde.entries) for pt in pts]
 
@@ -124,6 +161,20 @@ TRANSFORM_K7 = np.array(
 )
 
 EXAMPLE_A = np.array([[2, 1], [3, 1]])
+
+DENSE_K8 = np.random.default_rng(5).integers(-3, 4, (8, 8))
+DENSE_K8_ORDERS = 24192
+# sha256 over every order's pi, L entries, p, L mod p and L A mod p, computed
+# with the Fraction-based lift that mod_p_lift_reference copies
+DENSE_K8_DIGEST = "d61143e94e6294c54626d432452e2c28314ff74d5eb3c73f0869d1f3b771d4ff"
+
+
+@st.composite
+def full_rank_matrices(draw):
+    k = draw(st.integers(2, 6))
+    a = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=k, max_size=k)))
+    assume(exact_rank(a) == k)
+    return a
 
 
 class TestTransform:
@@ -288,6 +339,15 @@ class TestPseudoTriangularize:
             a = seeded_full_rank(rng, k, sparse)
             assert as_tuples(pseudo_triangularize(a, limit)) == brute_force_reference(a, limit)
 
+    def test_wrong_row_solve_is_runtime_error(self, monkeypatch, capsys):
+        """An exact-invariant guard raises RuntimeError, which the CLI reports as an error."""
+        module = importlib.import_module("cfrates.transform")
+        monkeypatch.setattr(module, "_solve_scaled", lambda aug, rhs: (1, [0] * len(rhs)))
+        with pytest.raises(RuntimeError, match="eliminated entry is nonzero"):
+            pseudo_triangularize(EXAMPLE_A)
+        assert cli.main(["rates", "--h", "2.2360679,1", "--snr-db", "15"]) == 1
+        assert "error: eliminated entry is nonzero" in capsys.readouterr().err
+
     def test_transform_k7_enumerates_all_orders(self):
         rows = TRANSFORM_K7.tolist()
         got = as_tuples(pseudo_triangularize(TRANSFORM_K7))
@@ -335,6 +395,67 @@ class TestModPLift:
                     assert lift.a_tilde_mod_p[i, pt.pi[i]] != 0
                 assert np.all(np.diag(lift.lower_mod_p) == 1)
                 assert np.all((lift.lower_mod_p >= 0) & (lift.lower_mod_p < lift.p))
+
+    @pytest.mark.parametrize("k,count", [(2, 40), (3, 40), (4, 20), (5, 4), (6, 1)])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_matches_fraction_reference(self, k, count, sparse):
+        rng = np.random.default_rng(100 * k + sparse)
+        for _ in range(count):
+            a = seeded_full_rank(rng, k, sparse)
+            for pt in pseudo_triangularize(a):
+                assert lift_tuple(mod_p_lift(a, pt)) == mod_p_lift_reference(a, pt)
+
+    def test_transform_k7_matches_fraction_reference(self):
+        for pt in pseudo_triangularize(TRANSFORM_K7):
+            assert lift_tuple(mod_p_lift(TRANSFORM_K7, pt)) == mod_p_lift_reference(TRANSFORM_K7, pt)
+
+    def test_dense_k8_digest(self):
+        pts = pseudo_triangularize(DENSE_K8)
+        digest = hashlib.sha256()
+        for pt in pts:
+            lift = mod_p_lift(DENSE_K8, pt)
+            fields = [
+                *pt.pi,
+                *(x for row in pt.lower.entries for x in row),
+                lift.p,
+                *lift.lower_mod_p.ravel().tolist(),
+                *lift.a_tilde_mod_p.ravel().tolist(),
+            ]
+            digest.update((",".join(map(str, fields)) + "\n").encode())
+        assert len(pts) == DENSE_K8_ORDERS
+        assert digest.hexdigest() == DENSE_K8_DIGEST
+
+    @settings(max_examples=40, deadline=None)
+    @given(full_rank_matrices())
+    def test_smallest_prime_clearing_the_units(self, a):
+        k = len(a)
+        rows = a.tolist()
+        for pt in pseudo_triangularize(a):
+            lift = mod_p_lift(a, pt)
+            lower = pt.lower.entries
+            denoms = [math.lcm(*(x.denominator for x in row)) for row in lower]
+            diag = [sum(lower[i][m] * rows[m][pt.pi[i]] for m in range(k)) * denoms[i] for i in range(k)]
+            units = [int(x) for x in denoms + diag]
+            p = lift.p
+            assert is_prime(p) and all(u % p for u in units)
+            assert all(any(u % f == 0 for u in units) for f in range(2, p) if is_prime(f))
+            assert lift.row_denominators == tuple(denoms)
+            lower_p = [[int(x * q) * pow(q, -1, p) % p for x in row] for row, q in zip(lower, denoms)]
+            assert lift.lower_mod_p.tolist() == lower_p
+            tilde_p = [[sum(lower_p[i][m] * rows[m][c] for m in range(k)) % p for c in range(k)] for i in range(k)]
+            assert lift.a_tilde_mod_p.tolist() == tilde_p
+
+    def test_other_matrix_rejected(self):
+        for other in ([[1, 1], [1, 2]], np.eye(3, dtype=int)):
+            pt = pseudo_triangularize(other)[0]
+            with pytest.raises(ValueError, match="not the one"):
+                mod_p_lift(EXAMPLE_A, pt)
+
+    def test_lost_zero_is_runtime_error(self):
+        pt = pseudo_triangularize(EXAMPLE_A)[0]
+        broken = dataclasses.replace(pt.steps[1], lower_int=(1, 1), mod_p={})
+        with pytest.raises(RuntimeError, match="lost a zero"):
+            mod_p_lift(EXAMPLE_A, dataclasses.replace(pt, steps=(pt.steps[0], broken)))
 
     def test_lemma_bound_formula(self):
         pts = pseudo_triangularize(EXAMPLE_A)
