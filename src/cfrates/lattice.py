@@ -10,25 +10,22 @@ no independence test is needed.  The sphere of step m is the (m+1)-th
 smallest LLL norm, which bounds the (m+1)-th minimum and stays far below the
 positive-rate radius.  LLL is also exposed on its own as the fast suboptimal
 fallback when an enumeration budget is exhausted.
+
+Below the one Cholesky factorization the search runs on Python ints and floats,
+cheaper than numpy on 2x2 to 8x8 matrices; LLL and the walk share ``_Basis.gso``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .linalg import GramMatrix, cholesky
 
-__all__ = [
-    "BudgetExceeded",
-    "OptimalSet",
-    "canonicalize",
-    "candidate_bound",
-    "successive_minima",
-    "lll_reduce",
-]
+__all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -46,13 +43,10 @@ def canonicalize(a) -> np.ndarray:
     A vector and its negation give identical rates, so one representative per
     pair is enough.
     """
-    arr = np.asarray(a, dtype=np.int64).copy()
-    nz = np.nonzero(arr)[0]
-    if nz.size == 0:
+    vec = tuple(np.asarray(a, dtype=np.int64).tolist())
+    if not any(vec):
         raise ValueError("zero vector has no canonical form")
-    if arr[nz[0]] < 0:
-        arr = -arr
-    return arr
+    return np.array(_signed(vec), dtype=np.int64)
 
 
 def candidate_bound(gains, snr: float, b_sq=None) -> float:
@@ -62,10 +56,7 @@ def candidate_bound(gains, snr: float, b_sq=None) -> float:
     weights ``b_sq``.
     """
     gains = np.asarray(gains, dtype=float)
-    if b_sq is None:
-        b_sq = np.ones_like(gains)
-    else:
-        b_sq = np.asarray(b_sq, dtype=float)
+    b_sq = np.ones_like(gains) if b_sq is None else np.asarray(b_sq, dtype=float)
     return 1.0 + snr * float(gains @ (b_sq * gains))
 
 
@@ -92,35 +83,97 @@ class OptimalSet:
         return np.array(self.vectors, dtype=np.int64)
 
 
-def _enumerate_half_sphere(
-    r_upper: np.ndarray, radius_sq: float, floor: int, budget: int, nodes: int = 0
-) -> tuple[list[tuple[int, ...]], int]:
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _norm(g: list[list[float]], a: tuple[int, ...]) -> float:
+    """a^T G a, the noise norm that ranks candidates."""
+    return _dot(a, [_dot(row, a) for row in g])
+
+
+def _signed(a: tuple[int, ...]) -> tuple[int, ...]:
+    """``a`` or ``-a``, whichever has a positive first nonzero entry."""
+    return a if next(x for x in a if x) > 0 else tuple(-x for x in a)
+
+
+class _Basis:
+    """Lattice vectors b_i = q w_i and their Gram-Schmidt data, on Python floats.
+
+    ``q`` (columns generate the lattice) and the unimodular ``w`` are lists of
+    rows.  ``ortho[i]`` is b*_i, the part of b_i orthogonal to b_0..b_{i-1},
+    ``mu[i][j] = <b_i, b*_j> / |b*_j|^2`` (j < i) and ``bb[i] = |b*_i|^2``: the
+    triangular factor of the basis is R[i][i] = |b*_i|, R[j][i] = mu[i][j] |b*_j|.
+    """
+
+    def __init__(self, q: list[list[float]]):
+        k = len(q)
+        self.q, self.w = q, [[int(i == j) for j in range(k)] for i in range(k)]
+        self.b = [list(col) for col in zip(*q)]
+        self.ortho, self.mu, self.bb = [None] * k, [[0.0] * k for _ in range(k)], [0.0] * k
+        self.gso(0)
+
+    def gso(self, start: int) -> None:
+        """Recompute the Gram-Schmidt data from vector ``start`` on."""
+        b, ortho, mu, bb = self.b, self.ortho, self.mu, self.bb
+        for i in range(start, len(b)):
+            bi = oi = b[i]
+            for j, oj in enumerate(ortho[:i]):
+                mu[i][j] = c = _dot(bi, oj) / bb[j] if bb[j] > 0 else 0.0
+                oi = [x - c * y for x, y in zip(oi, oj)]
+            ortho[i] = oi
+            bb[i] = _dot(oi, oi)
+
+    def refresh(self, start: int) -> None:
+        """Recompute b_i = q w_i and the Gram-Schmidt data after columns ``start``.. of w changed."""
+        self.b[start:] = [[_dot(row, col) for row in self.q] for col in list(zip(*self.w))[start:]]
+        self.gso(start)
+
+    def lll(self, delta: float) -> list[list[int]]:
+        """LLL-reduce the vectors in place (Lovasz parameter ``delta``); return ``w``."""
+        b, w, mu, bb = self.b, self.w, self.mu, self.bb
+        i = 1
+        while i < len(b):
+            for j in range(i - 1, -1, -1):
+                if abs(mu[i][j]) > 0.5:
+                    r = round(mu[i][j])
+                    b[i] = [x - r * y for x, y in zip(b[i], b[j])]
+                    for row in w:
+                        row[i] -= r * row[j]
+                    self.gso(i)
+            c = mu[i][i - 1]
+            if bb[i] >= (delta - c * c) * bb[i - 1]:
+                i += 1
+            else:
+                b[i - 1], b[i] = b[i], b[i - 1]
+                for row in w:
+                    row[i - 1], row[i] = row[i], row[i - 1]
+                self.gso(i - 1)
+                i = max(i - 1, 1)
+        return w
+
+
+def _enumerate_half_sphere(mu, bb, radius_sq: float, floor: int, budget: int, nodes: int = 0) -> tuple[list, int]:
     """All integer c with ||R c||^2 <= radius_sq and c[floor:] nonzero, one per {c, -c}.
 
-    ``r_upper`` is upper triangular, so coordinates are fixed from the last
-    index downward; while every fixed coordinate is zero the current one is
-    restricted to be nonnegative, and at index ``floor`` to be positive.  That
-    keeps exactly the representative whose last nonzero entry is positive and
-    skips every c with c[floor:] == 0.  Every integer tried at any level
-    counts against ``budget``, starting from ``nodes``; returns the points and
-    the new node count.  Pure-Python recursion: the candidate volume, not
-    numpy dispatch, should dominate.
+    R is the triangular factor of a ``_Basis`` with Gram-Schmidt data ``mu``
+    and ``bb``, so ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2 and
+    coordinates are fixed from the last index downward; while every fixed
+    coordinate is zero the current one is restricted to be nonnegative, and at
+    index ``floor`` to be positive.  That keeps exactly the representative
+    whose last nonzero entry is positive and skips every c with c[floor:] == 0.
+    Every integer tried at any level counts against ``budget``, starting from
+    ``nodes``; returns the points and the new node count.
     """
-    q = [[float(x) for x in row] for row in np.asarray(r_upper)]
-    k = len(q)
+    k = len(bb)
     slack = _RADIUS_SLACK * radius_sq
-    a = [0] * k
-    found: list[tuple[int, ...]] = []
+    a, found = [0] * k, []
 
     def descend(level: int, remaining: float, tail_zero: bool) -> None:
         nonlocal nodes
-        row = q[level]
-        diag = row[level]
-        acc = 0.0
-        for j in range(level + 1, k):
-            acc += row[j] * a[j]
-        center = -acc / diag
-        half_width = math.sqrt(remaining if remaining > 0.0 else 0.0) / diag
+        center = -sum(mu[j][level] * a[j] for j in range(level + 1, k))
+        weight = bb[level]
+        half_width = math.sqrt(max(remaining, 0.0) / weight)
         lo = math.ceil(center - half_width - 1e-12)
         hi = math.floor(center + half_width + 1e-12)
         if tail_zero:
@@ -129,8 +182,7 @@ def _enumerate_half_sphere(
         if nodes > budget:
             raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
         for v in range(lo, hi + 1):
-            step = diag * (v - center)
-            cost = step * step
+            cost = weight * (v - center) ** 2
             if cost > remaining + slack:
                 continue
             a[level] = v
@@ -144,8 +196,8 @@ def _enumerate_half_sphere(
     return found, nodes
 
 
-def _fold(w: np.ndarray, m: int, c: tuple[int, ...]) -> None:
-    """Turn column m of the unimodular ``w`` into the direction of ``c[m:]``.
+def _fold(w: list[list[int]], m: int, c: tuple[int, ...]) -> None:
+    """Turn column m of the unimodular ``w`` (a list of rows) into the direction of ``c[m:]``.
 
     Extended-gcd column operations on columns m.. keep ``w`` unimodular and
     its first m columns fixed; afterwards ``w @ c`` lies in the span of the
@@ -161,9 +213,8 @@ def _fold(w: np.ndarray, m: int, c: tuple[int, ...]) -> None:
         while d1:
             t = d // d1
             d, p, q, d1, p1, q1 = d1, p1, q1, d - t * d1, p - t * p1, q - t * q1
-        wm, wj = w[:, m].copy(), w[:, j].copy()
-        w[:, m] = (x // d) * wm + (y // d) * wj
-        w[:, j] = p * wj - q * wm
+        for row in w:
+            row[m], row[j] = (x // d) * row[m] + (y // d) * row[j], p * row[j] - q * row[m]
         x = d
 
 
@@ -175,83 +226,37 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     canonicalized entries.  Step m enumerates the integer coordinates c of a
     unimodular basis W (a = W c) whose first m columns span the vectors found
     so far, skipping every c with c[m:] == 0.  Returns an empty set when even
-    the shortest lattice vector has a^T G a >= snr, i.e. no combination has
-    positive rate.  Raises BudgetExceeded when the K enumeration trees
-    together grow past ``budget`` nodes; callers may fall back to
-    ``lll_reduce``.
+    the shortest vector has a^T G a >= snr (no combination has positive rate).
+    Raises BudgetExceeded when the K enumeration trees together grow past
+    ``budget`` nodes; callers may fall back to ``lll_reduce``.
     """
-    g = gram.entries
-    k = gram.dim
-    q = cholesky(gram).T
-    w = _lll_coords(q, 0.99)
+    g = gram.entries.tolist()
+    lat = _Basis(cholesky(gram).T.tolist())
+    w = lat.lll(0.99)
     # The m+1 shortest LLL vectors are independent, so the (m+1)-th smallest
     # LLL norm bounds the (m+1)-th minimum whatever the snr.
-    basis = q @ w
-    radii = np.sort(np.einsum("ij,ij->j", basis, basis)) * (1.0 + _RADIUS_SLACK)
+    radii = sorted(_dot(v, v) for v in lat.b)
 
-    vectors: list[tuple[int, ...]] = []
-    out_norms: list[float] = []
-    nodes = 0
-    for m in range(k):
-        r = np.linalg.qr(q @ w, mode="r")
-        r *= np.sign(np.diag(r))[:, None]  # ||r c|| = ||q w c||, positive diagonal
-        coords, nodes = _enumerate_half_sphere(r, radii[m], m, budget, nodes)
+    vectors, out_norms, nodes = [], [], 0
+    for m in range(gram.dim):
+        if m:
+            lat.refresh(m - 1)  # the last _fold changed columns m-1.. of w
+        coords, nodes = _enumerate_half_sphere(lat.mu, lat.bb, radii[m] * (1.0 + _RADIUS_SLACK), m, budget, nodes)
         if not coords:
             raise RuntimeError("search sphere missed a successive minimum")
-        cand = np.array(coords, dtype=np.int64) @ w.T
-        # canonical sign: flip rows whose first nonzero entry is negative
-        first_nonzero = (cand != 0).argmax(axis=1)
-        cand *= np.sign(cand[np.arange(cand.shape[0]), first_nonzero])[:, None]
-        norms = np.einsum("ij,ij->i", cand @ g, cand)
-        best = np.lexsort(tuple(cand[:, col] for col in range(k - 1, -1, -1)) + (norms,))[0]
-        if m == 0 and norms[best] >= gram.snr:
+        cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]  # a = W c
+        norm, vec, c = min((_norm(g, a), a, c) for a, c in zip(cands, coords))
+        if m == 0 and norm >= gram.snr:
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
-        vectors.append(tuple(int(x) for x in cand[best]))
-        out_norms.append(float(norms[best]))
-        _fold(w, m, coords[best])
+        vectors.append(vec)
+        out_norms.append(norm)
+        _fold(w, m, c)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 
 
-def _lll_coords(basis: np.ndarray, delta: float) -> np.ndarray:
-    """LLL-reduce the columns of ``basis``; return integer coordinates U.
-
-    The reduced basis is basis @ U with U unimodular.  Standard size
-    reduction plus Lovasz condition with parameter ``delta``.
-    """
-    b = basis.astype(float).copy()
-    k = b.shape[1]
-    u = np.eye(k, dtype=np.int64)
-
-    ortho = np.zeros_like(b)
-    mu = np.zeros((k, k))
-
-    def update_gs(start: int) -> None:
-        for i in range(start, k):
-            ortho[:, i] = b[:, i]
-            for j in range(i):
-                denom = float(ortho[:, j] @ ortho[:, j])
-                mu[i, j] = float(b[:, i] @ ortho[:, j]) / denom if denom > 0 else 0.0
-                ortho[:, i] -= mu[i, j] * ortho[:, j]
-
-    update_gs(0)
-    i = 1
-    while i < k:
-        for j in range(i - 1, -1, -1):
-            if abs(mu[i, j]) > 0.5:
-                r = round(mu[i, j])
-                b[:, i] -= r * b[:, j]
-                u[:, i] -= r * u[:, j]
-                update_gs(i)
-        lhs = float(ortho[:, i] @ ortho[:, i])
-        rhs = (delta - mu[i, i - 1] ** 2) * float(ortho[:, i - 1] @ ortho[:, i - 1])
-        if lhs >= rhs:
-            i += 1
-        else:
-            b[:, [i - 1, i]] = b[:, [i, i - 1]]
-            u[:, [i - 1, i]] = u[:, [i, i - 1]]
-            update_gs(i - 1)
-            i = max(i - 1, 1)
-    return u
+def _lll_coords(basis, delta: float) -> list[list[int]]:
+    """Unimodular U, as a list of rows, such that the columns of basis @ U are LLL-reduced."""
+    return _Basis([[float(x) for x in row] for row in basis]).lll(delta)
 
 
 def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
@@ -260,26 +265,21 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
     ``basis`` is the lower-triangular Cholesky factor of the Gram matrix; the
     columns of its transpose span the lattice.  The returned norms upper
     bound the squared successive minima, hence the rates derived from them
-    lower bound the optimal computation rates.
+    lower bound the optimal computation rates.  Raises ValueError unless
+    ``basis`` is a finite, full-rank square matrix.
     """
-    basis = np.asarray(basis, dtype=float)
-    k = basis.shape[0]
-    if basis.shape != (k, k):
-        raise ValueError("basis must be square")
-    if np.linalg.matrix_rank(basis) != k:
+    try:
+        basis = np.asarray(basis, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("basis must be a finite square matrix") from exc
+    if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or not np.all(np.isfinite(basis)):
+        raise ValueError("basis must be a finite square matrix")
+    if np.linalg.matrix_rank(basis) != basis.shape[0]:
         raise ValueError("basis must be full rank")
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
 
-    gram = basis @ basis.T
-    coords = _lll_coords(basis.T, delta)
-    scored = []
-    for col in range(k):
-        vec = canonicalize(coords[:, col])
-        scored.append((float(vec @ gram @ vec), tuple(int(x) for x in vec)))
-    scored.sort()
-    return OptimalSet(
-        vectors=tuple(vec for _, vec in scored),
-        norms=tuple(norm for norm, _ in scored),
-        method="lll",
-    )
+    lat = _Basis(basis.T.tolist())
+    w = lat.lll(delta)
+    scored = sorted((_dot(v, v), _signed(col)) for v, col in zip(lat.b, zip(*w)))
+    return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")

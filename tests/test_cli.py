@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, CSV/JSON contracts, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -188,6 +189,25 @@ class TestSweep:
             rep = report(SymmetricIcSpec(3, float(row["g"]), 10**2.5), c=2.0)
             assert float(row["r_single"]) == pytest.approx(rep.r_single, rel=1e-15)
             assert float(row["r_best"]) == pytest.approx(rep.r_best, rel=1e-15)
+
+    # sha256 of the 300-point K=3 log sweep CSV over [snr^-1/4 / 4, 2 sqrt(snr)],
+    # the regime-dominance range.  Speedups must leave every 17-digit cell as
+    # it is; a change that alters answers on purpose updates these and says
+    # which rows changed.  The cells come from float arithmetic that partly
+    # runs in numpy's BLAS, so another BLAS kernel may change low digits.
+    SWEEP_DIGESTS = {
+        25: "e63d01bada4e25b2aa81fd05cc54b5839fb0126ca94e738273d69ed9b5e1dde6",
+        45: "609ede358b169ec625b7462808e0debdb89e267d7104fcf869333fb961e0eaa4",
+    }
+
+    @pytest.mark.parametrize("snr_db", [25, 45])
+    def test_sweep_digest(self, tmp_path, snr_db):
+        snr = 10 ** (snr_db / 10)
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--k", "3", "--snr-db", str(snr_db), "--g-min", repr(snr**-0.25 / 4)]
+        args += ["--g-max", repr(2 * math.sqrt(snr)), "--points", "300", "--scale", "log", "--output", str(out)]
+        assert main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SWEEP_DIGESTS[snr_db]
 
     def test_negative_snr_list(self, capsys):
         args = ["sweep", "--k", "3", "--snr-db", "-5,10", "--g-min", "0.5", "--g-max", "1", "--points", "2"]

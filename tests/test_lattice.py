@@ -1,12 +1,14 @@
 """Coefficient search: one minimum at a time outside the found span, LLL fallback."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cfrates.lattice import (
     BudgetExceeded,
+    _lll_coords,
     canonicalize,
     candidate_bound,
     lll_reduce,
@@ -90,6 +92,146 @@ def greedy_minima(gram):
             if len(vecs) == k:
                 break
     return tuple(vecs), tuple(out)
+
+
+def numpy_lll_coords(basis, delta):
+    """Reference: the numpy LLL that the Python-float one replaced, on the columns of ``basis``."""
+    b = basis.astype(float).copy()
+    k = b.shape[1]
+    u = np.eye(k, dtype=np.int64)
+    ortho = np.zeros_like(b)
+    mu = np.zeros((k, k))
+
+    def update_gs(start):
+        for i in range(start, k):
+            ortho[:, i] = b[:, i]
+            for j in range(i):
+                denom = float(ortho[:, j] @ ortho[:, j])
+                mu[i, j] = float(b[:, i] @ ortho[:, j]) / denom if denom > 0 else 0.0
+                ortho[:, i] -= mu[i, j] * ortho[:, j]
+
+    update_gs(0)
+    i = 1
+    while i < k:
+        for j in range(i - 1, -1, -1):
+            if abs(mu[i, j]) > 0.5:
+                r = round(mu[i, j])
+                b[:, i] -= r * b[:, j]
+                u[:, i] -= r * u[:, j]
+                update_gs(i)
+        lhs = float(ortho[:, i] @ ortho[:, i])
+        rhs = (delta - mu[i, i - 1] ** 2) * float(ortho[:, i - 1] @ ortho[:, i - 1])
+        if lhs >= rhs:
+            i += 1
+        else:
+            b[:, [i - 1, i]] = b[:, [i, i - 1]]
+            u[:, [i - 1, i]] = u[:, [i, i - 1]]
+            update_gs(i - 1)
+            i = max(i - 1, 1)
+    return u
+
+
+def numpy_lll_reduce(basis, delta=0.99):
+    """Reference: the numpy ``lll_reduce``, with norms from ``basis @ basis.T``."""
+    gram = basis @ basis.T
+    coords = numpy_lll_coords(basis.T, delta)
+    vecs = [canonicalize(coords[:, col]) for col in range(basis.shape[0])]
+    scored = sorted((float(v @ gram @ v), tuple(int(x) for x in v)) for v in vecs)
+    return tuple(v for _, v in scored), tuple(n for n, _ in scored)
+
+
+def numpy_search(gram):
+    """Reference: the numpy search that the Python-float core replaced.
+
+    numpy LLL, ``np.linalg.qr`` of q W at every step, a walk over the rows of
+    that R, ``einsum`` norms and a ``lexsort`` ranking of the candidates.
+    """
+    g, k = gram.entries, gram.dim
+    q = cholesky(gram).T
+    w = numpy_lll_coords(q, 0.99)
+    basis = q @ w
+    radii = np.sort(np.einsum("ij,ij->j", basis, basis)) * (1.0 + 1e-9)
+    vecs, out = [], []
+    for m in range(k):
+        r = np.linalg.qr(q @ w, mode="r")
+        r = (r * np.sign(np.diag(r))[:, None]).tolist()
+        slack, a, coords = 1e-9 * radii[m], [0] * k, []
+
+        def descend(level, remaining, tail_zero):
+            diag = r[level][level]
+            center = -sum(r[level][j] * a[j] for j in range(level + 1, k)) / diag
+            half_width = math.sqrt(max(remaining, 0.0)) / diag
+            lo = math.ceil(center - half_width - 1e-12)
+            hi = math.floor(center + half_width + 1e-12)
+            for v in range(max(lo, int(level == m)) if tail_zero else lo, hi + 1):
+                cost = (diag * (v - center)) ** 2
+                if cost > remaining + slack:
+                    continue
+                a[level] = v
+                if level == 0:
+                    coords.append(tuple(a))
+                else:
+                    descend(level - 1, remaining - cost, tail_zero and v == 0)
+            a[level] = 0
+
+        descend(k - 1, radii[m], True)
+        cand = np.array(coords, dtype=np.int64) @ w.T
+        first_nonzero = (cand != 0).argmax(axis=1)
+        cand *= np.sign(cand[np.arange(cand.shape[0]), first_nonzero])[:, None]
+        norms = np.einsum("ij,ij->i", cand @ g, cand)
+        best = np.lexsort(tuple(cand[:, col] for col in range(k - 1, -1, -1)) + (norms,))[0]
+        if m == 0 and norms[best] >= gram.snr:
+            return (), ()
+        vecs.append(tuple(int(x) for x in cand[best]))
+        out.append(float(norms[best]))
+        # fold column m of w into the direction of c[m:] by extended-gcd column steps
+        c = coords[best]
+        x = c[m]
+        for j in range(m + 1, k):
+            if c[j]:
+                d, p, s, d1, p1, s1 = x, 1, 0, c[j], 0, 1
+                while d1:
+                    t = d // d1
+                    d, p, s, d1, p1, s1 = d1, p1, s1, d - t * d1, p - t * p1, s - t * s1
+                wm, wj = w[:, m].copy(), w[:, j].copy()
+                w[:, m] = (x // d) * wm + (c[j] // d) * wj
+                w[:, j] = p * wj - s * wm
+                x = d
+    return tuple(vecs), tuple(out)
+
+
+def assert_norms_close(got, ref, vectors, gram_entries):
+    """Norms equal to 1e-9 relative, or within the rounding of two float a^T G a.
+
+    A float a^T G a is within about 2K eps |a|^T |G| |a| of its exact value
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Above
+    about 60 dB that bound exceeds 1e-9 of the norm, and two evaluations that
+    sum in different orders (numpy's BLAS and Python floats) may differ by
+    twice the bound.
+    """
+    k = len(gram_entries)
+    for vec, x, y in zip(vectors, got, ref):
+        a = np.abs(np.array(vec, dtype=float))
+        bound = 4 * k * np.finfo(float).eps * float(a @ np.abs(gram_entries) @ a)
+        assert abs(x - y) <= 1e-9 * abs(y) + bound, (vec, x, y)
+
+
+def exact_det(rows):
+    """Determinant of an integer matrix by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return det
 
 
 def random_grams(seed, n, k_range, db_max):
@@ -203,6 +345,15 @@ class TestSuccessiveMinima:
             # the batch product cand @ g rounds differently with the row count
             assert opt.norms == pytest.approx(norms, rel=1e-9)
 
+    @pytest.mark.parametrize("seed, n, k_range", [(41, 300, (2, 5)), (42, 30, (6, 8))])
+    def test_matches_numpy_search(self, seed, n, k_range):
+        # plain and effective Grams at 0-100 dB
+        for gram in random_grams(seed, n, k_range, 100.0):
+            vecs, norms = numpy_search(gram)
+            opt = successive_minima(gram)
+            assert opt.vectors == vecs, (gram.dim, gram.snr)
+            assert_norms_close(opt.norms, norms, vecs, gram.entries)
+
     def test_layered_channel_needs_few_nodes(self):
         # K=3 at 45 dB: the plane of the first two minima holds tens of
         # thousands of points inside the last minimum's sphere; searching one
@@ -259,6 +410,30 @@ class TestLll:
                 rhs = (delta - mu[i, i - 1] ** 2) * float(ortho[:, i - 1] @ ortho[:, i - 1])
                 assert lhs >= rhs - 1e-9 * abs(rhs)
 
+    @pytest.mark.parametrize("seed, n, k_range", [(41, 300, (2, 5)), (42, 30, (6, 8))])
+    def test_matches_numpy_lll(self, seed, n, k_range):
+        for gram in random_grams(seed, n, k_range, 100.0):
+            chol = cholesky(gram)
+            vecs, norms = numpy_lll_reduce(chol)
+            opt = lll_reduce(chol)
+            assert opt.vectors == vecs, (gram.dim, gram.snr)
+            assert_norms_close(opt.norms, norms, vecs, chol @ chol.T)
+
+    @pytest.mark.parametrize("seed, n, k_range", [(43, 100, (2, 5)), (44, 30, (6, 8))])
+    def test_unimodular_size_reduced_lovasz(self, seed, n, k_range):
+        delta = 0.99
+        for gram in random_grams(seed, n, k_range, 60.0):
+            basis = cholesky(gram).T
+            u = _lll_coords(basis, delta)
+            assert all(type(x) is int for row in u for x in row)
+            assert abs(exact_det(u)) == 1
+            r = np.linalg.qr(basis @ np.array(u, dtype=float), mode="r")
+            mu = r / np.diag(r)[:, None]  # mu[j, i] = <b_i, b*_j> / |b*_j|^2 for j < i
+            assert np.all(np.abs(np.triu(mu, 1)) <= 0.5 + 1e-6)
+            sq = np.diag(r) ** 2
+            for i in range(1, gram.dim):
+                assert sq[i] >= (delta - mu[i - 1, i] ** 2) * sq[i - 1] * (1 - 1e-9)
+
     def test_exhaustive_dominates(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
@@ -277,6 +452,26 @@ class TestLll:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
             lll_reduce(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            np.float64(2.0),
+            [1.0, 2.0],
+            np.ones((2, 3)),
+            np.ones((2, 2, 2)),
+            [[1.0, math.nan], [0.0, 1.0]],
+            [[math.inf, 0.0], [0.0, 1.0]],
+            [[1.0], [1.0, 2.0]],
+            "basis",
+            [[1j, 0.0], [0.0, 1.0]],
+        ],
+        ids=["scalar", "vector", "2x3", "2x2x2", "nan", "inf", "ragged", "string", "complex"],
+    )
+    def test_malformed_basis_rejected(self, basis):
+        # rejected before LLL starts: a float LLL on NaN would never stop
+        with pytest.raises(ValueError, match="finite square matrix"):
+            lll_reduce(basis)
 
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
