@@ -23,7 +23,7 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import GramMatrix, cholesky
+from .linalg import GramMatrix, _channel, cholesky
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
@@ -55,9 +55,7 @@ def candidate_bound(gains, snr: float, b_sq=None) -> float:
     Returns 1 + snr*||h||^2 for a plain MAC, or 1 + snr * g^T B g with squared
     weights ``b_sq``.
     """
-    gains = np.asarray(gains, dtype=float)
-    b_sq = np.ones_like(gains) if b_sq is None else np.asarray(b_sq, dtype=float)
-    return 1.0 + snr * float(gains @ (b_sq * gains))
+    return _channel(gains, snr, b_sq)[3]
 
 
 @dataclass(frozen=True)

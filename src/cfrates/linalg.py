@@ -2,7 +2,10 @@
 
 Floating paths use 64-bit numpy arrays and Woodbury closed forms, so the
 inverse square root of the coefficient-selection lattice basis is never
-materialized; only quadratic forms and a Cholesky factor are needed.  Exact
+materialized; only quadratic forms and a Cholesky factor are needed.  Every
+channel input (gains, snr, squared weights) is checked in one place,
+``_channel``, which also computes the Woodbury denominator 1 + snr g^T B g that
+the Gram matrix, the rates, the determinant and the search bound share.  Exact
 paths (rank, span solve, span membership) take integer matrices and share one
 fraction-free (Bareiss) elimination over Python ints, so they are never subject
 to tolerance artifacts; rationals appear only in the solutions they return and
@@ -50,13 +53,28 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def _check_channel(gains: np.ndarray, snr: float) -> None:
-    if gains.ndim != 1 or gains.size < 1:
+def _channel(gains, snr: float, b_sq=None):
+    """Checked channel arrays ``(g, b_sq, B g, 1 + snr * g^T B g)``.
+
+    ``b_sq`` None means unit weights (a plain MAC).  Raises ValueError unless
+    the gains are a nonempty finite 1-D vector, snr is positive and finite, and
+    the weights match the gains in length and are positive and finite.
+    """
+    g = np.asarray(gains, dtype=float)
+    if g.ndim != 1 or g.size < 1:
         raise ValueError("channel gains must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(gains)):
+    # checks on Python floats: a numpy reduction costs more on these short vectors
+    if not all(map(math.isfinite, g.tolist())):
         raise ValueError("channel gains must be finite")
     if not (math.isfinite(snr) and snr > 0):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
+    b_sq = np.ones(g.size) if b_sq is None else np.asarray(b_sq, dtype=float)
+    if b_sq.shape != g.shape:
+        raise ValueError("weights must match the gain vector length")
+    if not all(0 < x < math.inf for x in b_sq.tolist()):
+        raise ValueError("effective weights must be positive and finite")
+    bg = b_sq * g
+    return g, b_sq, bg, 1.0 + snr * float(g @ bg)
 
 
 def gram_plain(h, snr: float) -> GramMatrix:
@@ -65,29 +83,22 @@ def gram_plain(h, snr: float) -> GramMatrix:
     G = snr * (I - snr * h h^T / (1 + snr * ||h||^2)), the inverse of
     (snr^-1 I + h h^T).
     """
-    return gram_effective(h, np.ones(np.shape(h)), snr)
+    return gram_effective(h, None, snr)
 
 
 def gram_effective(g, b_sq, snr: float) -> GramMatrix:
     """Gram matrix for an effective MAC with gains ``g`` and squared weights.
 
-    ``b_sq`` holds the diagonal of the effective weight matrix B.  Equals the
-    inverse of (snr^-1 B^-1 + g g^T) via Woodbury:
+    ``b_sq`` holds the diagonal of the effective weight matrix B (None: unit
+    weights).  Equals the inverse of (snr^-1 B^-1 + g g^T) via Woodbury:
 
         G = snr * (B - snr * B g g^T B / (1 + snr * g^T B g))
 
     Raises ValueError when G overflows to a non-finite entry.
     """
-    g = np.asarray(g, dtype=float)
-    b_sq = np.asarray(b_sq, dtype=float)
-    _check_channel(g, snr)
-    if b_sq.shape != g.shape:
-        raise ValueError("weights must match the gain vector length")
-    if not np.all(b_sq > 0):
-        raise ValueError("effective weights must be positive")
-    bg = b_sq * g
     with np.errstate(all="ignore"):
-        gram = snr * (np.diag(b_sq) - snr * np.outer(bg, bg) / (1.0 + snr * float(g @ bg)))
+        g, b_sq, bg, denom = _channel(g, snr, b_sq)
+        gram = snr * (np.diag(b_sq) - snr * np.outer(bg, bg) / denom)
     if not np.all(np.isfinite(gram)):
         raise ValueError("Gram matrix overflows floating point; gains or snr are too large")
     return GramMatrix(entries=gram, snr=float(snr))
@@ -113,17 +124,8 @@ def sylvester_logdet(gains, snr: float, b_sq=None) -> float:
     ``b_sq`` the determinant identity picks up det(B):
     L*log2(snr) + log2(det B) - log2(1 + snr * g^T B g).
     """
-    gains = np.asarray(gains, dtype=float)
-    _check_channel(gains, snr)
-    k = gains.size
-    if b_sq is None:
-        b_sq = np.ones(k)
-    else:
-        b_sq = np.asarray(b_sq, dtype=float)
-        if not np.all(b_sq > 0):
-            raise ValueError("effective weights must be positive")
-    quad = float(gains @ (b_sq * gains))
-    return k * math.log2(snr) + float(np.sum(np.log2(b_sq))) - math.log2(1.0 + snr * quad)
+    g, b_sq, _, denom = _channel(gains, snr, b_sq)
+    return g.size * math.log2(snr) + float(np.sum(np.log2(b_sq))) - math.log2(denom)
 
 
 # ---------------------------------------------------------------------------

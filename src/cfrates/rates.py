@@ -3,7 +3,9 @@
 Everything here is closed form: the MMSE scaling coefficient, the resulting
 effective noise variance, and the rate 0.5*log2(snr/sigma2).  A plain MAC is
 the special case of an effective MAC with unit weights, so each function takes
-an optional ``b_sq`` vector of squared effective weights.
+an optional ``b_sq`` vector of squared effective weights.  The channel is
+checked, and 1 + snr g^T B g computed, by ``linalg._channel``; only the
+coefficient vector is checked here.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import _channel
 
 __all__ = [
     "ComputationResult",
@@ -36,21 +40,11 @@ class ComputationResult:
 
 
 def _prepare(gains, a, snr: float, b_sq):
-    gains = np.asarray(gains, dtype=float)
+    g, b_sq, bg, denom = _channel(gains, snr, b_sq)
     a = np.asarray(a, dtype=float)
-    if gains.shape != a.shape:
+    if a.shape != g.shape:
         raise ValueError("coefficient vector must match the gain vector length")
-    if not (math.isfinite(snr) and snr > 0):
-        raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    if b_sq is None:
-        b_sq = np.ones_like(gains)
-    else:
-        b_sq = np.asarray(b_sq, dtype=float)
-        if b_sq.shape != gains.shape:
-            raise ValueError("weights must match the gain vector length")
-        if not np.all(b_sq > 0):
-            raise ValueError("effective weights must be positive")
-    return gains, a, b_sq
+    return g, a, b_sq, bg, denom
 
 
 def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
@@ -58,16 +52,15 @@ def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
 
     snr * sum((beta*g - a)^2 * b_sq) + beta^2
     """
-    gains, a, b_sq = _prepare(gains, a, snr, b_sq)
+    gains, a, b_sq, _, _ = _prepare(gains, a, snr, b_sq)
     mismatch = beta * gains - a
     return snr * float(mismatch @ (b_sq * mismatch)) + beta * beta
 
 
 def optimal_beta(gains, a, snr: float, b_sq=None) -> float:
     """MMSE scaling coefficient: snr * g^T B a / (1 + snr * g^T B g)."""
-    gains, a, b_sq = _prepare(gains, a, snr, b_sq)
-    bg = b_sq * gains
-    return snr * float(bg @ a) / (1.0 + snr * float(gains @ bg))
+    _, a, _, bg, denom = _prepare(gains, a, snr, b_sq)
+    return snr * float(bg @ a) / denom
 
 
 def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
@@ -75,19 +68,20 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
 
     The minimal variance has the Woodbury closed form
     snr * (a^T B a - snr*(g^T B a)^2 / (1 + snr * g^T B g)) and matches the
-    quadratic form of the channel's Gram matrix.  Raises RuntimeError when
-    float cancellation leaves that variance nonpositive.
+    quadratic form of the channel's Gram matrix.  Raises ValueError unless
+    ``a`` is a nonzero integer vector, and RuntimeError when float
+    cancellation leaves that variance nonpositive.
     """
-    gains, a_arr, b_sq = _prepare(gains, a, snr, b_sq)
-    if not np.any(a_arr):
+    _, a_arr, b_sq, bg, denom = _prepare(gains, a, snr, b_sq)
+    coeffs = a_arr.tolist()
+    if not all(x.is_integer() for x in coeffs):
+        raise ValueError("coefficient vector must be integer")
+    if not any(coeffs):
         raise ValueError("coefficient vector must be nonzero")
-    bg = b_sq * gains
-    denom = 1.0 + snr * float(gains @ bg)
     cross = float(bg @ a_arr)
     sigma2 = snr * (float(a_arr @ (b_sq * a_arr)) - snr * cross * cross / denom)
     if not sigma2 > 0:
         raise RuntimeError(f"effective noise variance cancelled to {sigma2!r}; snr is too high for float arithmetic")
     beta = snr * cross / denom
     rate = 0.5 * math.log2(snr / sigma2)
-    coeffs = tuple(int(x) for x in np.asarray(a).tolist())
-    return ComputationResult(a=coeffs, beta=beta, sigma2_eff=sigma2, r_comp=rate)
+    return ComputationResult(a=tuple(map(int, coeffs)), beta=beta, sigma2_eff=sigma2, r_comp=rate)

@@ -67,8 +67,8 @@ class SymmetricIcSpec:
     def __post_init__(self):
         if self.users < 2:
             raise ValueError("need at least two users")
-        if self.cross_gain < 0:
-            raise ValueError("cross gain must be nonnegative")
+        if not (math.isfinite(self.cross_gain) and self.cross_gain >= 0):
+            raise ValueError("cross gain must be nonnegative and finite")
         if not (math.isfinite(self.snr) and self.snr > 0):
             raise ValueError("snr must be positive and finite")
 
@@ -220,8 +220,8 @@ def gdof(alpha: float, users: int) -> float:
     Piecewise linear with a singularity at alpha == 1, where the value drops
     to 1/K.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
     if users < 2:
         raise ValueError("need at least two users")
     if alpha < 0.5:

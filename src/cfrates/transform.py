@@ -29,6 +29,7 @@ from .lattice import DEFAULT_BUDGET, BudgetExceeded, OptimalSet, lll_reduce, suc
 from .linalg import (
     GramMatrix,
     RationalMatrix,
+    _channel,
     _solve_scaled,
     cholesky,
     exact_rank,
@@ -56,12 +57,17 @@ class ChannelSpec:
     """A problem instance: gains, squared effective weights, and linear snr.
 
     ``weights_sq`` is all ones for a plain MAC; effective MACs carry the
-    diagonal of their weight matrix.
+    diagonal of their weight matrix.  Construction checks the channel with
+    ``linalg._channel``, the one check of every channel input, so an invalid
+    spec raises ValueError and never exists.
     """
 
     gains: tuple[float, ...]
     snr: float
     weights_sq: tuple[float, ...]
+
+    def __post_init__(self):
+        _channel(self.gains, self.snr, self.weights_sq)
 
     @classmethod
     def plain(cls, h, snr: float) -> "ChannelSpec":
@@ -71,10 +77,7 @@ class ChannelSpec:
     @classmethod
     def effective(cls, g, b_sq, snr: float) -> "ChannelSpec":
         g = tuple(float(x) for x in g)
-        b_sq = tuple(float(x) for x in b_sq)
-        if len(b_sq) != len(g):
-            raise ValueError("weights must match the gain vector length")
-        return cls(gains=g, snr=float(snr), weights_sq=b_sq)
+        return cls(gains=g, snr=float(snr), weights_sq=tuple(float(x) for x in b_sq))
 
     @property
     def dim(self) -> int:

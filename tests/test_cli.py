@@ -253,6 +253,12 @@ class TestGdof:
         values = [float(line.split(",")[1]) for line in out]
         assert values == [1.0, 0.5, 1 / 3, 0.75, 1.0]
 
+    def test_nan_alpha_is_a_computation_failure(self):
+        proc = run_cli(["gdof", "--alpha", "nan", "--k", "3"], timeout=30)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

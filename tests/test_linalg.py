@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cfrates.lattice import candidate_bound
 from cfrates.linalg import (
     GramMatrix,
     RationalMatrix,
@@ -17,6 +18,8 @@ from cfrates.linalg import (
     gram_plain,
     sylvester_logdet,
 )
+from cfrates.rates import comp_rate, effective_variance, optimal_beta
+from cfrates.transform import ChannelSpec
 
 
 def quad(gram: GramMatrix, a) -> float:
@@ -132,6 +135,56 @@ class TestGramEffective:
             gram_effective([1.0, 2.0], [1.0, 0.0], 10.0)
         with pytest.raises(ValueError):
             gram_effective([1.0, 2.0], [1.0, -2.0], 10.0)
+
+
+# (id, gains, snr, squared weights or None, expected message)
+MALFORMED_CHANNELS = [
+    ("empty-gains", [], 10.0, None, "nonempty 1-D vector"),
+    ("2d-gains", [[1.0, 2.0]], 10.0, None, "nonempty 1-D vector"),
+    ("nan-gain", [math.nan, 1.0], 10.0, None, "gains must be finite"),
+    ("inf-gain", [1.0, math.inf], 10.0, None, "gains must be finite"),
+    ("nan-weight", [1.0, 2.0], 10.0, [1.0, math.nan], "weights must be positive and finite"),
+    ("zero-weight", [1.0, 2.0], 10.0, [1.0, 0.0], "weights must be positive and finite"),
+    ("negative-weight", [1.0, 2.0], 10.0, [-2.0, 1.0], "weights must be positive and finite"),
+    ("inf-weight", [1.0, 2.0], 10.0, [math.inf, 1.0], "weights must be positive and finite"),
+    ("long-weights", [1.0, 2.0], 10.0, [1.0, 1.0, 1.0], "weights must match the gain vector length"),
+    ("broadcast-weight", [1.0, 2.0], 10.0, [2.0], "weights must match the gain vector length"),
+    ("zero-snr", [1.0, 2.0], 0.0, None, "snr must be positive and finite"),
+    ("negative-snr", [1.0, 2.0], -1.0, None, "snr must be positive and finite"),
+    ("nan-snr", [1.0, 2.0], math.nan, None, "snr must be positive and finite"),
+    ("inf-snr", [1.0, 2.0], math.inf, None, "snr must be positive and finite"),
+]
+
+
+def _ones(gains):
+    return np.ones(np.shape(gains))
+
+
+# every public entry point that takes a channel, as f(gains, snr, b_sq)
+CHANNEL_ENTRY_POINTS = {
+    "gram_effective": lambda g, snr, b: gram_effective(g, b, snr),
+    "gram_plain": lambda g, snr, b: gram_plain(g, snr),
+    "sylvester_logdet": sylvester_logdet,
+    "candidate_bound": candidate_bound,
+    "effective_variance": lambda g, snr, b: effective_variance(g, _ones(g), 0.5, snr, b),
+    "optimal_beta": lambda g, snr, b: optimal_beta(g, _ones(g), snr, b),
+    "comp_rate": lambda g, snr, b: comp_rate(g, _ones(g), snr, b),
+    "ChannelSpec": lambda g, snr, b: ChannelSpec(g, snr, _ones(g) if b is None else b),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, gains, snr, b_sq, message",
+    [
+        pytest.param(entry, gains, snr, b_sq, message, id=f"{entry}-{case}")
+        for entry in CHANNEL_ENTRY_POINTS
+        for case, gains, snr, b_sq, message in MALFORMED_CHANNELS
+        if not (entry == "gram_plain" and b_sq is not None)
+    ],
+)
+def test_malformed_channel_rejected_by_every_entry_point(entry, gains, snr, b_sq, message):
+    with pytest.raises(ValueError, match=message):
+        CHANNEL_ENTRY_POINTS[entry](gains, snr, b_sq)
 
 
 class TestCholesky:

@@ -104,6 +104,17 @@ class TestCompRate:
         with pytest.raises(ValueError):
             comp_rate([1.0, 2.0], [0, 0], 10.0)
 
+    @pytest.mark.parametrize("a", [[0.5, 0.0], [1.0, 2.5], [math.nan, 1.0], [math.inf, 1.0]])
+    def test_non_integer_vector_rejected(self, a):
+        # the reported coefficients must be the ones the rate was computed for
+        with pytest.raises(ValueError, match="must be integer"):
+            comp_rate([1.0, 1.0], a, 10.0)
+
+    def test_integer_valued_floats_accepted(self):
+        res = comp_rate([1.0, 2.0], [1.0, 2.0], 10.0)
+        assert res.a == (1, 2) and all(type(x) is int for x in res.a)
+        assert res == comp_rate([1.0, 2.0], np.array([1, 2]), 10.0)
+
     def test_plain_equals_unit_weights(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):

@@ -43,6 +43,9 @@ class TestSpec:
             SymmetricIcSpec(3, -1.0, 10.0)
         with pytest.raises(ValueError):
             SymmetricIcSpec(3, 1.0, 0.0)
+        for gain in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="cross gain"):
+                SymmetricIcSpec(3, gain, 10.0)
 
     def test_regime_thresholds(self):
         snr = 1e4
@@ -234,6 +237,11 @@ class TestGdof:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             gdof(-0.1, 3)
+
+    def test_rejects_nan(self):
+        # every comparison with NaN is false, so no branch may silently take it
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            gdof(math.nan, 3)
 
 
 class TestTdma:
