@@ -11,8 +11,13 @@ smallest LLL norm, which bounds the (m+1)-th minimum and stays far below the
 positive-rate radius.  LLL is also exposed on its own as the fast suboptimal
 fallback when an enumeration budget is exhausted.
 
-Below the one Cholesky factorization the search runs on Python ints and floats,
-cheaper than numpy on 2x2 to 8x8 matrices; LLL and the walk share ``_Basis.gso``.
+The search core ``_search`` takes the Gram rows and their Cholesky factor as
+Python lists, which ``transform`` builds from its channel's checked record,
+and runs on Python ints and floats, cheaper than numpy on 2x2 to 8x8
+matrices.  The numpy dots left on a transform's float path, g^T B g and two
+per row in ``rates._rate``, are kept for their fused multiply-add rounding.
+LLL and the walk share ``_Basis``'s Gram-Schmidt rows; LLL computes a row
+only when it reaches it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import GramMatrix, _channel, cholesky
+from .linalg import GramMatrix, _channel, _cholesky_rows
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
@@ -98,29 +103,33 @@ def _signed(a: tuple[int, ...]) -> tuple[int, ...]:
 class _Basis:
     """Lattice vectors b_i = q w_i and their Gram-Schmidt data, on Python floats.
 
-    ``q`` (columns generate the lattice) and the unimodular ``w`` are lists of
-    rows.  ``ortho[i]`` is b*_i, the part of b_i orthogonal to b_0..b_{i-1},
+    Built from the rows of a basis, which become the columns of ``q``; ``q``
+    and the unimodular ``w`` are lists of rows.  ``ortho[i]`` is b*_i, the part of b_i orthogonal to b_0..b_{i-1},
     ``mu[i][j] = <b_i, b*_j> / |b*_j|^2`` (j < i) and ``bb[i] = |b*_i|^2``: the
     triangular factor of the basis is R[i][i] = |b*_i|, R[j][i] = mu[i][j] |b*_j|.
+    The Gram-Schmidt data are filled in by ``lll``.
     """
 
-    def __init__(self, q: list[list[float]]):
-        k = len(q)
-        self.q, self.w = q, [[int(i == j) for j in range(k)] for i in range(k)]
-        self.b = [list(col) for col in zip(*q)]
+    def __init__(self, rows: list[list[float]]):
+        k = len(rows)
+        self.q, self.w = list(zip(*rows)), [[int(i == j) for j in range(k)] for i in range(k)]
+        self.b = [list(row) for row in rows]
         self.ortho, self.mu, self.bb = [None] * k, [[0.0] * k for _ in range(k)], [0.0] * k
-        self.gso(0)
+
+    def _row(self, i: int) -> None:
+        """Gram-Schmidt data of vector i, from b_i and b*_0..b*_{i-1}."""
+        bi = oi = self.b[i]
+        mu_i, bb = self.mu[i], self.bb
+        for j, oj in enumerate(self.ortho[:i]):
+            mu_i[j] = c = _dot(bi, oj) / bb[j] if bb[j] > 0 else 0.0
+            oi = [x - c * y for x, y in zip(oi, oj)]
+        self.ortho[i] = oi
+        bb[i] = _dot(oi, oi)
 
     def gso(self, start: int) -> None:
         """Recompute the Gram-Schmidt data from vector ``start`` on."""
-        b, ortho, mu, bb = self.b, self.ortho, self.mu, self.bb
-        for i in range(start, len(b)):
-            bi = oi = b[i]
-            for j, oj in enumerate(ortho[:i]):
-                mu[i][j] = c = _dot(bi, oj) / bb[j] if bb[j] > 0 else 0.0
-                oi = [x - c * y for x, y in zip(oi, oj)]
-            ortho[i] = oi
-            bb[i] = _dot(oi, oi)
+        for i in range(start, len(self.b)):
+            self._row(i)
 
     def refresh(self, start: int) -> None:
         """Recompute b_i = q w_i and the Gram-Schmidt data after columns ``start``.. of w changed."""
@@ -128,17 +137,25 @@ class _Basis:
         self.gso(start)
 
     def lll(self, delta: float) -> list[list[int]]:
-        """LLL-reduce the vectors in place (Lovasz parameter ``delta``); return ``w``."""
+        """LLL-reduce the vectors in place (Lovasz parameter ``delta``); return ``w``.
+
+        Gram-Schmidt rows are computed lazily: row i when the loop reaches it
+        and again after each change to b_i, from the same b_i and
+        b*_0..b*_{i-1} an eager update would use, so the values are the same.
+        """
         b, w, mu, bb = self.b, self.w, self.mu, self.bb
+        if b:
+            self._row(0)
         i = 1
         while i < len(b):
+            self._row(i)
             for j in range(i - 1, -1, -1):
                 if abs(mu[i][j]) > 0.5:
                     r = round(mu[i][j])
                     b[i] = [x - r * y for x, y in zip(b[i], b[j])]
                     for row in w:
                         row[i] -= r * row[j]
-                    self.gso(i)
+                    self._row(i)
             c = mu[i][i - 1]
             if bb[i] >= (delta - c * c) * bb[i - 1]:
                 i += 1
@@ -146,7 +163,8 @@ class _Basis:
                 b[i - 1], b[i] = b[i], b[i - 1]
                 for row in w:
                     row[i - 1], row[i] = row[i], row[i - 1]
-                self.gso(i - 1)
+                if i == 1:
+                    self._row(0)
                 i = max(i - 1, 1)
         return w
 
@@ -229,14 +247,19 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     ``budget`` nodes; callers may fall back to ``lll_reduce``.
     """
     g = gram.entries.tolist()
-    lat = _Basis(cholesky(gram).T.tolist())
+    return _search(g, _cholesky_rows(g), gram.snr, budget)
+
+
+def _search(g: list[list[float]], r: list[list[float]], snr: float, budget: int) -> OptimalSet:
+    """``successive_minima`` on the Gram rows ``g`` and their Cholesky factor ``r`` (rows)."""
+    lat = _Basis(r)
     w = lat.lll(0.99)
     # The m+1 shortest LLL vectors are independent, so the (m+1)-th smallest
     # LLL norm bounds the (m+1)-th minimum whatever the snr.
     radii = sorted(_dot(v, v) for v in lat.b)
 
     vectors, out_norms, nodes = [], [], 0
-    for m in range(gram.dim):
+    for m in range(len(g)):
         if m:
             lat.refresh(m - 1)  # the last _fold changed columns m-1.. of w
         coords, nodes = _enumerate_half_sphere(lat.mu, lat.bb, radii[m] * (1.0 + _RADIUS_SLACK), m, budget, nodes)
@@ -244,7 +267,7 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
             raise RuntimeError("search sphere missed a successive minimum")
         cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]  # a = W c
         norm, vec, c = min((_norm(g, a), a, c) for a, c in zip(cands, coords))
-        if m == 0 and norm >= gram.snr:
+        if m == 0 and norm >= snr:
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
         out_norms.append(norm)
@@ -254,7 +277,7 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
 
 def _lll_coords(basis, delta: float) -> list[list[int]]:
     """Unimodular U, as a list of rows, such that the columns of basis @ U are LLL-reduced."""
-    return _Basis([[float(x) for x in row] for row in basis]).lll(delta)
+    return _Basis(np.asarray(basis, dtype=float).T.tolist()).lll(delta)
 
 
 def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
@@ -277,7 +300,12 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
 
-    lat = _Basis(basis.T.tolist())
+    return _lll_set(basis.tolist(), delta)
+
+
+def _lll_set(r: list[list[float]], delta: float = 0.99) -> OptimalSet:
+    """``lll_reduce`` on a checked basis ``r`` given as rows."""
+    lat = _Basis(r)
     w = lat.lll(delta)
     scored = sorted((_dot(v, v), _signed(col)) for v, col in zip(lat.b, zip(*w)))
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")

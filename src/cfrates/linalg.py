@@ -1,15 +1,20 @@
 """Small exact and floating-point matrix kernels shared across the package.
 
-Floating paths use 64-bit numpy arrays and Woodbury closed forms, so the
-inverse square root of the coefficient-selection lattice basis is never
-materialized; only quadratic forms and a Cholesky factor are needed.  Every
-channel input (gains, snr, squared weights) is checked in one place,
-``_channel``, which also computes the Woodbury denominator 1 + snr g^T B g that
-the Gram matrix, the rates, the determinant and the search bound share.  Exact
-paths (rank, span solve, span membership) take integer matrices and share one
-fraction-free (Bareiss) elimination over Python ints, so they are never subject
-to tolerance artifacts; rationals appear only in the solutions they return and
-in ``RationalMatrix``.
+Floating paths use Woodbury closed forms, so the inverse square root of the
+coefficient-selection lattice basis is never materialized; only quadratic
+forms and a Cholesky factor are needed.  Every channel input (gains, snr,
+squared weights) is checked in one place, ``_channel``, which returns one
+record (g, b_sq, B g, 1 + snr g^T B g) that the Gram matrix, the rates, the
+determinant and the search bound share; ``ChannelSpec`` keeps it, so a
+transform checks its channel once.  The Gram rows (bit-equal to the numpy
+expression, entry by entry) and their Cholesky factor are Python lists, which
+the public ``gram_effective`` and ``cholesky`` wrap in arrays.  g^T B g stays
+a numpy dot: on short vectors that dot is a fused multiply-add chain, which a
+Python sum does not reproduce.  Exact paths (rank, span solve, span
+membership) take integer matrices and share one fraction-free (Bareiss)
+elimination over Python ints, so they are never subject to tolerance
+artifacts; rationals appear only in the solutions they return and in
+``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -20,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +60,22 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def _channel(gains, snr: float, b_sq=None):
-    """Checked channel arrays ``(g, b_sq, B g, 1 + snr * g^T B g)``.
+class _Checked(NamedTuple):
+    """One checked channel: gains, squared weights, B g and 1 + snr g^T B g."""
+
+    g: np.ndarray
+    b_sq: np.ndarray
+    bg: np.ndarray
+    denom: float
+
+
+def _channel(gains, snr: float, b_sq=None) -> _Checked:
+    """The checked record ``(g, b_sq, B g, 1 + snr * g^T B g)`` of a channel.
 
     ``b_sq`` None means unit weights (a plain MAC).  Raises ValueError unless
-    the gains are a nonempty finite 1-D vector, snr is positive and finite, and
-    the weights match the gains in length and are positive and finite.
+    the gains are a nonempty finite 1-D vector, snr is positive and finite, the
+    weights match the gains in length and are positive and finite, and the
+    denominator is finite.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size < 1:
@@ -73,8 +90,50 @@ def _channel(gains, snr: float, b_sq=None):
         raise ValueError("weights must match the gain vector length")
     if not all(0 < x < math.inf for x in b_sq.tolist()):
         raise ValueError("effective weights must be positive and finite")
-    bg = b_sq * g
-    return g, b_sq, bg, 1.0 + snr * float(g @ bg)
+    with np.errstate(over="ignore"):
+        bg = b_sq * g
+        denom = 1.0 + snr * float(g @ bg)
+    if not math.isfinite(denom):
+        raise ValueError("1 + snr g^T B g overflows floating point; gains or snr are too large")
+    return _Checked(g, b_sq, bg, denom)
+
+
+def _gram_rows(ch: _Checked, snr: float) -> list[list[float]]:
+    """Rows of snr * (B - snr * B g g^T B / (1 + snr * g^T B g)) on Python floats.
+
+    Each entry takes the same elementwise operations, in the same order, as
+    the numpy expression, so the rows are bit-equal to it.  Raises ValueError
+    when an entry overflows.
+    """
+    snr, b_sq, bg, denom = float(snr), ch.b_sq.tolist(), ch.bg.tolist(), ch.denom
+    rows = [
+        [snr * ((b_sq[i] if i == j else 0.0) - snr * (x * y) / denom) for j, y in enumerate(bg)]
+        for i, x in enumerate(bg)
+    ]
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("Gram matrix overflows floating point; gains or snr are too large")
+    return rows
+
+
+def _cholesky_rows(g) -> list[list[float]]:
+    """Lower-triangular R, as rows, with R R^T = (G + G^T) / 2.
+
+    Raises ValueError unless every pivot is positive and finite, which also
+    rejects NaN entries.
+    """
+    r: list[list[float]] = []
+    k = len(g)
+    for i, row in enumerate(g):
+        ri: list[float] = []
+        for j, rj in enumerate(r):
+            ri.append((0.5 * (row[j] + g[j][i]) - sum(map(mul, ri, rj))) / rj[j])
+        pivot = row[i] - sum(map(mul, ri, ri))
+        if not 0.0 < pivot < math.inf:
+            raise ValueError("matrix is not positive definite")
+        ri.append(math.sqrt(pivot))
+        ri += [0.0] * (k - 1 - i)
+        r.append(ri)
+    return r
 
 
 def gram_plain(h, snr: float) -> GramMatrix:
@@ -96,25 +155,18 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
 
     Raises ValueError when G overflows to a non-finite entry.
     """
-    with np.errstate(all="ignore"):
-        g, b_sq, bg, denom = _channel(g, snr, b_sq)
-        gram = snr * (np.diag(b_sq) - snr * np.outer(bg, bg) / denom)
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("Gram matrix overflows floating point; gains or snr are too large")
-    return GramMatrix(entries=gram, snr=float(snr))
+    return GramMatrix(entries=np.array(_gram_rows(_channel(g, snr, b_sq), snr)), snr=float(snr))
 
 
 def cholesky(gram) -> np.ndarray:
     """Lower-triangular R with R R^T = G; rows of R form a basis with Gram G.
 
-    Raises ValueError when G is not positive definite.
+    Raises ValueError when G is not a positive definite square matrix.
     """
     g = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
-    g = 0.5 * (g + g.T)
-    try:
-        return np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("matrix is not positive definite") from exc
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError("matrix must be square")
+    return np.array(_cholesky_rows(g.tolist()), dtype=float).reshape(g.shape)
 
 
 def sylvester_logdet(gains, snr: float, b_sq=None) -> float:

@@ -5,7 +5,11 @@ effective noise variance, and the rate 0.5*log2(snr/sigma2).  A plain MAC is
 the special case of an effective MAC with unit weights, so each function takes
 an optional ``b_sq`` vector of squared effective weights.  The channel is
 checked, and 1 + snr g^T B g computed, by ``linalg._channel``; only the
-coefficient vector is checked here.
+coefficient vector is checked here.  ``comp_rate`` checks its inputs and calls
+``_rate`` on the checked record, which ``transform`` calls directly for each
+row of a channel it has checked once.  The dot products g^T B a and a^T B a
+stay numpy: on short vectors numpy's dot is a fused multiply-add chain, which
+a Python sum does not reproduce, and the rates must not move in the last bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _channel
+from .linalg import _channel, _Checked
 
 __all__ = [
     "ComputationResult",
@@ -39,12 +43,12 @@ class ComputationResult:
     r_comp: float
 
 
-def _prepare(gains, a, snr: float, b_sq):
-    g, b_sq, bg, denom = _channel(gains, snr, b_sq)
+def _prepare(gains, a, snr: float, b_sq) -> tuple[_Checked, np.ndarray]:
+    ch = _channel(gains, snr, b_sq)
     a = np.asarray(a, dtype=float)
-    if a.shape != g.shape:
+    if a.shape != ch.g.shape:
         raise ValueError("coefficient vector must match the gain vector length")
-    return g, a, b_sq, bg, denom
+    return ch, a
 
 
 def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
@@ -52,15 +56,15 @@ def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
 
     snr * sum((beta*g - a)^2 * b_sq) + beta^2
     """
-    gains, a, b_sq, _, _ = _prepare(gains, a, snr, b_sq)
-    mismatch = beta * gains - a
-    return snr * float(mismatch @ (b_sq * mismatch)) + beta * beta
+    ch, a = _prepare(gains, a, snr, b_sq)
+    mismatch = beta * ch.g - a
+    return snr * float(mismatch @ (ch.b_sq * mismatch)) + beta * beta
 
 
 def optimal_beta(gains, a, snr: float, b_sq=None) -> float:
     """MMSE scaling coefficient: snr * g^T B a / (1 + snr * g^T B g)."""
-    _, a, _, bg, denom = _prepare(gains, a, snr, b_sq)
-    return snr * float(bg @ a) / denom
+    ch, a = _prepare(gains, a, snr, b_sq)
+    return snr * float(ch.bg @ a) / ch.denom
 
 
 def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
@@ -72,16 +76,23 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
     ``a`` is a nonzero integer vector, and RuntimeError when float
     cancellation leaves that variance nonpositive.
     """
-    _, a_arr, b_sq, bg, denom = _prepare(gains, a, snr, b_sq)
+    ch, a_arr = _prepare(gains, a, snr, b_sq)
     coeffs = a_arr.tolist()
     if not all(x.is_integer() for x in coeffs):
         raise ValueError("coefficient vector must be integer")
     if not any(coeffs):
         raise ValueError("coefficient vector must be nonzero")
+    return _rate(ch, snr, tuple(map(int, coeffs)))
+
+
+def _rate(ch: _Checked, snr: float, a: tuple[int, ...]) -> ComputationResult:
+    """``comp_rate`` for a checked channel record and a nonzero integer vector ``a``."""
+    _, b_sq, bg, denom = ch
+    a_arr = np.array(a, dtype=float)
     cross = float(bg @ a_arr)
     sigma2 = snr * (float(a_arr @ (b_sq * a_arr)) - snr * cross * cross / denom)
     if not sigma2 > 0:
         raise RuntimeError(f"effective noise variance cancelled to {sigma2!r}; snr is too high for float arithmetic")
     beta = snr * cross / denom
     rate = 0.5 * math.log2(snr / sigma2)
-    return ComputationResult(a=tuple(map(int, coeffs)), beta=beta, sigma2_eff=sigma2, r_comp=rate)
+    return ComputationResult(a=a, beta=beta, sigma2_eff=sigma2, r_comp=rate)

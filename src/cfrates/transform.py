@@ -25,18 +25,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import DEFAULT_BUDGET, BudgetExceeded, OptimalSet, lll_reduce, successive_minima
+from .lattice import DEFAULT_BUDGET, BudgetExceeded, OptimalSet, _lll_set, _search
 from .linalg import (
     GramMatrix,
     RationalMatrix,
     _channel,
+    _Checked,
+    _cholesky_rows,
+    _echelon,
+    _gram_rows,
     _solve_scaled,
-    cholesky,
     exact_rank,
     gram_effective,
     sylvester_logdet,
 )
-from .rates import ComputationResult, comp_rate
+from .rates import ComputationResult, _rate
 
 __all__ = [
     "ChannelSpec",
@@ -59,15 +62,18 @@ class ChannelSpec:
     ``weights_sq`` is all ones for a plain MAC; effective MACs carry the
     diagonal of their weight matrix.  Construction checks the channel with
     ``linalg._channel``, the one check of every channel input, so an invalid
-    spec raises ValueError and never exists.
+    spec raises ValueError and never exists; the checked record is kept in
+    ``_checked``, outside init, repr, equality and hash, so ``transform``
+    reuses it instead of checking again.
     """
 
     gains: tuple[float, ...]
     snr: float
     weights_sq: tuple[float, ...]
+    _checked: _Checked = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _channel(self.gains, self.snr, self.weights_sq)
+        object.__setattr__(self, "_checked", _channel(self.gains, self.snr, self.weights_sq))
 
     @classmethod
     def plain(cls, h, snr: float) -> "ChannelSpec":
@@ -112,28 +118,33 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
 
     ``method='auto'`` tries exhaustive enumeration and falls back to LLL when
     the node budget is exhausted; 'exhaustive' propagates BudgetExceeded;
-    'lll' skips enumeration entirely.
+    'lll' skips enumeration entirely.  The channel's checked record gives the
+    Gram rows and their Cholesky factor, shared by both searches; each row's
+    result comes from the record by the same ``rates._rate`` that
+    ``comp_rate`` calls, and the rank check is ``exact_rank``'s elimination on
+    the rows.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")
-    gram = channel.gram()
+    k, snr, checked = channel.dim, channel.snr, channel._checked
+    gram = _gram_rows(checked, snr)
+    factor = _cholesky_rows(gram)
     opt: OptimalSet
     if method == "lll":
-        opt = lll_reduce(cholesky(gram))
+        opt = _lll_set(factor)
     else:
         try:
-            opt = successive_minima(gram, budget=budget)
+            opt = _search(gram, factor, snr, budget)
         except BudgetExceeded:
             if method == "exhaustive":
                 raise
-            opt = lll_reduce(cholesky(gram))
-    if len(opt) != channel.dim:
+            opt = _lll_set(factor)
+    if len(opt) != k:
         raise ValueError("channel admits no full positive-rate coefficient set")
-    results = tuple(comp_rate(channel.gains, vec, channel.snr, channel.weights_sq) for vec in opt.vectors)
-    matrix = opt.matrix
-    if exact_rank(matrix) != channel.dim:
+    results = tuple(_rate(checked, snr, vec) for vec in opt.vectors)
+    if len(_echelon([list(vec) for vec in opt.vectors], k)) != k:
         raise RuntimeError("coefficient matrix lost rank")
-    return CfTransform(matrix=matrix, results=results, channel=channel, method=opt.method)
+    return CfTransform(matrix=opt.matrix, results=results, channel=channel, method=opt.method)
 
 
 class SumRateBounds(NamedTuple):

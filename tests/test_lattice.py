@@ -1,5 +1,6 @@
 """Coefficient search: one minimum at a time outside the found span, LLL fallback."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from cfrates.lattice import (
     BudgetExceeded,
+    _Basis,
     _lll_coords,
     canonicalize,
     candidate_bound,
@@ -476,3 +478,31 @@ class TestLll:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             lll_reduce(np.eye(2), delta=0.2)
+
+
+class TestLazyGramSchmidt:
+    """LLL recomputes Gram-Schmidt rows lazily; the result must be a fresh ``gso(0)``, bit for bit."""
+
+    @staticmethod
+    def assert_fresh_after_lll(rows):
+        lat = _Basis(rows)
+        lat.lll(0.99)
+        lazy = copy.deepcopy((lat.mu, lat.bb, lat.ortho))
+        lat.gso(0)
+        assert lazy == (lat.mu, lat.bb, lat.ortho)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_channel_bases(self, k):
+        for gram in random_grams(60 + k, 40, (k, k), 60.0):
+            self.assert_fresh_after_lll(cholesky(gram).tolist())
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_integer_bases(self, k):
+        rng = np.random.default_rng(70 + k)
+        done = 0
+        while done < 40:
+            basis = rng.integers(-20, 21, size=(k, k))
+            if exact_rank(basis) == k:
+                self.assert_fresh_after_lll(basis.astype(float).tolist())
+                done += 1
+

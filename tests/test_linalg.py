@@ -1,6 +1,7 @@
 """Exact and floating kernels: Woodbury Gram matrices, Cholesky, rank."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from cfrates.linalg import (
     GramMatrix,
     RationalMatrix,
     RationalSpan,
+    _cholesky_rows,
     cholesky,
     exact_rank,
     exact_solve_in_span,
@@ -19,7 +21,7 @@ from cfrates.linalg import (
     sylvester_logdet,
 )
 from cfrates.rates import comp_rate, effective_variance, optimal_beta
-from cfrates.transform import ChannelSpec
+from cfrates.transform import ChannelSpec, transform
 
 
 def quad(gram: GramMatrix, a) -> float:
@@ -187,6 +189,55 @@ def test_malformed_channel_rejected_by_every_entry_point(entry, gains, snr, b_sq
         CHANNEL_ENTRY_POINTS[entry](gains, snr, b_sq)
 
 
+# (id, gains, snr, squared weights or None): 1 + snr g^T B g is not finite
+OVERFLOWING_CHANNELS = [
+    ("gains", [1e200, 1.0], 10.0, None),
+    ("weights", [1e100, 1.0], 10.0, [1e200, 1.0]),
+    ("snr", [1e150, 1.0], 1e10, None),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, gains, snr, b_sq",
+    [
+        pytest.param(entry, gains, snr, b_sq, id=f"{entry}-{case}")
+        for entry in [*CHANNEL_ENTRY_POINTS, "ChannelSpec.plain"]
+        for case, gains, snr, b_sq in OVERFLOWING_CHANNELS
+        if not (entry in ("gram_plain", "ChannelSpec.plain") and b_sq is not None)
+    ],
+)
+def test_overflowing_denominator_rejected_without_warning(entry, gains, snr, b_sq):
+    call = CHANNEL_ENTRY_POINTS.get(entry, lambda g, s, b: ChannelSpec.plain(g, s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            call(gains, snr, b_sq)
+
+
+def test_overflowing_gram_entry_rejected_by_transform():
+    # g^T B g underflows, so the denominator is 1, but snr * b_sq overflows
+    channel = ChannelSpec.effective([1e-300], [1e200], 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Gram matrix overflows"):
+            transform(channel)
+        with pytest.raises(ValueError, match="Gram matrix overflows"):
+            channel.gram()
+
+
+def spd_matrices(seed, n):
+    """Seeded plain and weighted Grams (K=1..8, -10..60 dB) and random SPD matrices."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        k = int(rng.integers(1, 9))
+        if i % 3 == 2:
+            m = rng.normal(size=(k, k))
+            yield m @ m.T + 1e-3 * np.eye(k)
+        else:
+            b_sq = rng.uniform(0.5, 4, size=k) if i % 3 else None
+            yield gram_effective(rng.normal(size=k), b_sq, 10 ** rng.uniform(-1, 6)).entries
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_allclose(cholesky(np.eye(3)), np.eye(3))
@@ -209,6 +260,42 @@ class TestCholesky:
     def test_not_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("seed", [8, 9, 10])
+    def test_lower_triangular_positive_diagonal(self, seed):
+        for gram in spd_matrices(seed, 120):
+            r = cholesky(gram)
+            assert np.array_equal(r, np.tril(r))
+            assert np.all(np.diag(r) > 0)
+            assert np.max(np.abs(r @ r.T - gram)) <= 1e-12 * np.max(np.abs(gram))
+            # one implementation: the array wraps the rows the search uses
+            assert r.tolist() == _cholesky_rows(gram.tolist())
+
+    def test_symmetrizes_its_input(self):
+        assert cholesky(np.array([[4.0, 3.0], [1.0, 3.0]])).tolist() == _cholesky_rows([[4.0, 2.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[-1.0]],
+            [[math.nan]],
+            [[1.0, math.nan], [math.nan, 1.0]],
+            [[1.0, 0.0], [0.0, math.nan]],
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0]],
+        ],
+        ids=["indefinite", "negative", "nan", "nan-off-diagonal", "nan-last", "zero-first-pivot", "zero-last-pivot"],
+    )
+    def test_rejected(self, matrix):
+        with pytest.raises(ValueError, match="positive definite"):
+            _cholesky_rows(matrix)
+        with pytest.raises(ValueError, match="positive definite"):
+            cholesky(np.array(matrix))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            cholesky(np.ones((2, 3)))
 
 
 class TestSylvesterLogdet:

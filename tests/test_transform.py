@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrates import cli
-from cfrates.linalg import RationalMatrix, exact_rank
+from cfrates.linalg import RationalMatrix, _channel, exact_rank
+from cfrates.rates import comp_rate
 from cfrates.transform import (
     ChannelSpec,
     mod_p_lift,
@@ -219,6 +220,51 @@ class TestTransform:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             transform(ChannelSpec.plain([1.0], 10.0), method="fastest")
+
+
+@st.composite
+def channels(draw):
+    """Plain and weighted channels, K=1..6, -10..60 dB, every gain away from zero."""
+    k = draw(st.integers(1, 6))
+    gains = draw(st.lists(st.floats(-4.0, 4.0).filter(lambda x: abs(x) >= 0.05), min_size=k, max_size=k))
+    weights = draw(st.one_of(st.just([1.0] * k), st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k)))
+    snr = 10 ** (draw(st.floats(-10.0, 60.0)) / 10)
+    return ChannelSpec.effective(gains, weights, snr)
+
+
+class TestCheckedChannel:
+    """A transform checks its channel once and builds its rows on the stored record."""
+
+    @pytest.mark.parametrize("method", ["auto", "lll"])
+    @settings(max_examples=120, deadline=None)
+    @given(ch=channels())
+    def test_rows_match_comp_rate_exactly(self, method, ch):
+        try:
+            t = transform(ch, method=method)
+        except ValueError as exc:  # a weighted channel at low snr may have no positive-rate vector
+            assert "positive-rate" in str(exc)
+            assume(False)
+        rows = t.matrix.tolist()
+        assert t.results == tuple(comp_rate(ch.gains, v, ch.snr, ch.weights_sq) for v in rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ch=channels())
+    def test_record_is_outside_equality_hash_and_repr(self, ch):
+        twin = ChannelSpec(ch.gains, ch.snr, ch.weights_sq)
+        assert twin == ch and hash(twin) == hash(ch)
+        assert repr(ch) == f"ChannelSpec(gains={ch.gains!r}, snr={ch.snr!r}, weights_sq={ch.weights_sq!r})"
+        assert [f.name for f in dataclasses.fields(ch) if f.init or f.compare or f.repr] == ["gains", "snr", "weights_sq"]
+        assert ch != ChannelSpec(ch.gains, 2 * ch.snr, ch.weights_sq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ch=channels())
+    def test_replace_rebuilds_the_record(self, ch):
+        moved = dataclasses.replace(ch, snr=2 * ch.snr)
+        assert moved == ChannelSpec(ch.gains, 2 * ch.snr, ch.weights_sq)
+        assert moved._checked.denom == _channel(ch.gains, 2 * ch.snr, ch.weights_sq).denom
+        assert moved._checked.denom != ch._checked.denom
+        with pytest.raises(ValueError, match="snr must be positive"):
+            dataclasses.replace(ch, snr=-1.0)
 
 
 class TestSumRateBounds:
