@@ -17,7 +17,9 @@ and runs on Python ints and floats, cheaper than numpy on 2x2 to 8x8
 matrices.  The numpy dots left on a transform's float path, g^T B g and two
 per row in ``rates._rate``, are kept for their fused multiply-add rounding.
 LLL and the walk share ``_Basis``'s Gram-Schmidt rows; LLL computes a row
-only when it reaches it.
+only when it reaches it.  The search recomputes b = q W and its rows once at
+step 1 (LLL updates b in place, a rounding away from q W), then only after a
+``_fold`` that moved W.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ def canonicalize(a) -> np.ndarray:
     """Sign-normalize an integer vector so its first nonzero entry is positive.
 
     A vector and its negation give identical rates, so one representative per
-    pair is enough.
+    pair is enough.  ValueError unless the entries are integers, not all zero.
     """
-    vec = tuple(np.asarray(a, dtype=np.int64).tolist())
+    vec = tuple(np.asarray(a).tolist())
+    if not all(float(x).is_integer() for x in vec):
+        raise ValueError("vector must be integer")
     if not any(vec):
         raise ValueError("zero vector has no canonical form")
     return np.array(_signed(vec), dtype=np.int64)
@@ -212,12 +216,12 @@ def _enumerate_half_sphere(mu, bb, radius_sq: float, floor: int, budget: int, no
     return found, nodes
 
 
-def _fold(w: list[list[int]], m: int, c: tuple[int, ...]) -> None:
+def _fold(w: list[list[int]], m: int, c: tuple[int, ...]) -> bool:
     """Turn column m of the unimodular ``w`` (a list of rows) into the direction of ``c[m:]``.
 
     Extended-gcd column operations on columns m.. keep ``w`` unimodular and
     its first m columns fixed; afterwards ``w @ c`` lies in the span of the
-    first m+1 columns.
+    first m+1 columns.  Returns whether ``w`` changed, i.e. ``c[m+1:]`` is nonzero.
     """
     x = c[m]
     for j in range(m + 1, len(c)):
@@ -232,6 +236,7 @@ def _fold(w: list[list[int]], m: int, c: tuple[int, ...]) -> None:
         for row in w:
             row[m], row[j] = (x // d) * row[m] + (y // d) * row[j], p * row[j] - q * row[m]
         x = d
+    return any(c[m + 1 :])
 
 
 def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> OptimalSet:
@@ -244,8 +249,11 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     so far, skipping every c with c[m:] == 0.  Returns an empty set when even
     the shortest vector has a^T G a >= snr (no combination has positive rate).
     Raises BudgetExceeded when the K enumeration trees together grow past
-    ``budget`` nodes; callers may fall back to ``lll_reduce``.
+    ``budget`` nodes; callers may fall back to ``lll_reduce``.  A negative
+    ``budget`` is a ValueError.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     g = gram.entries.tolist()
     return _search(g, _cholesky_rows(g), gram.snr, budget)
 
@@ -258,10 +266,10 @@ def _search(g: list[list[float]], r: list[list[float]], snr: float, budget: int)
     # LLL norm bounds the (m+1)-th minimum whatever the snr.
     radii = sorted(_dot(v, v) for v in lat.b)
 
-    vectors, out_norms, nodes = [], [], 0
+    vectors, out_norms, nodes, moved = [], [], 0, False
     for m in range(len(g)):
-        if m:
-            lat.refresh(m - 1)  # the last _fold changed columns m-1.. of w
+        if m == 1 or moved:  # LLL's b is not q w; later only a moving _fold changes w
+            lat.refresh(m - 1)
         coords, nodes = _enumerate_half_sphere(lat.mu, lat.bb, radii[m] * (1.0 + _RADIUS_SLACK), m, budget, nodes)
         if not coords:
             raise RuntimeError("search sphere missed a successive minimum")
@@ -271,7 +279,7 @@ def _search(g: list[list[float]], r: list[list[float]], snr: float, budget: int)
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
         out_norms.append(norm)
-        _fold(w, m, c)
+        moved = m + 1 < len(g) and _fold(w, m, c)  # w is not read after the last step
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 
 

@@ -7,11 +7,12 @@ requires triangularizing A without row swaps, which is only possible for some
 column orders: each feasible order comes with a unit-lower-triangular rational
 matrix L such that L A is upper triangular up to that column permutation.
 Row i's multipliers depend only on the set S of columns eliminated before it,
-so all feasible orders come from a prefix search over column sets with at most
-2^K integer row solves, each kept as one step with integer rows q_S L_i and
-q_S (L A)_i.  The same elimination can be replayed over Z_p with an integer
-unit-lower L once a suitable prime is chosen, which is what an actual mod-p
-decoder would use; each lifted row is built once per (column set, p).
+so all feasible orders come from one depth-first walk over column-set prefixes
+with at most 2^K integer row solves, each kept as one step with integer rows
+q_S L_i and q_S (L A)_i; the steps of one matrix share one record of its rows.
+The same elimination can be replayed over Z_p with an integer unit-lower L
+once a suitable prime is chosen, which is what an actual mod-p decoder would
+use; each lifted row is built once per (column set, p).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .linalg import (
     _cholesky_rows,
     _echelon,
     _gram_rows,
+    _int_rows,
     _solve_scaled,
-    exact_rank,
     gram_effective,
     sylvester_logdet,
 )
@@ -122,10 +123,12 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     Gram rows and their Cholesky factor, shared by both searches; each row's
     result comes from the record by the same ``rates._rate`` that
     ``comp_rate`` calls, and the rank check is ``exact_rank``'s elimination on
-    the rows.
+    the rows.  ValueError for an unknown method or a negative ``budget``.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     k, snr, checked = channel.dim, channel.snr, channel._checked
     gram = _gram_rows(checked, snr)
     factor = _cholesky_rows(gram)
@@ -171,6 +174,13 @@ def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
     return SumRateBounds(lower=lower, total=total, upper=upper)
 
 
+class _Source(NamedTuple):
+    """What every step of one matrix shares: its integer rows and the lemma's prime bound."""
+
+    rows: list[list[int]]
+    lemma_bound: int
+
+
 @dataclass(frozen=True)
 class _Step:
     """Row i of every order that eliminates a given set S of i columns first.
@@ -180,7 +190,7 @@ class _Step:
     the rows themselves.  ``mod_p`` caches the lifted rows per prime.
     """
 
-    source: tuple[tuple[int, ...], ...]
+    source: _Source
     q: int
     lower_int: tuple[int, ...]
     tilde_int: tuple[int, ...]
@@ -208,64 +218,54 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     """All column orders under which A triangularizes without row swaps.
 
     Row i's multipliers depend only on the set S of columns eliminated before
-    it: they are the exact solution of ``A[0:i, S]^T x = -A[i, S]`` with free
-    unknowns set to zero.  A depth-first search over column prefixes in
-    lexicographic order solves each (row, S) once, in integers, into one step
-    keyed by the bitmask of S, so at most 2^K row solves are made, with no
-    ``Fraction`` arithmetic, and an infeasible prefix is pruned for all of its
-    extensions.  Orders come out in lexicographic ``pi`` order.  Full-rank A
-    always admits at least one.  For K > ``enumerate_limit`` only the greedy
-    order is returned: at each row, the first remaining column where the
-    reduced row is nonzero.
+    it: they solve ``A[0:i, S]^T x = -A[i, S]`` exactly.  Column c can follow S
+    iff row i of L A is nonzero at c, as L A keeps the rank of A; then
+    A[0:i+1, S + c] is nonsingular, so every prefix completes.  A depth-first
+    walk over column prefixes, on a stack, solves each (row, S) once, in
+    integers, into one step keyed by the bitmask of S: at most 2^K row solves,
+    with no ``Fraction`` arithmetic.  Orders come out in lexicographic ``pi``
+    order; full-rank A admits at least one.  For K > ``enumerate_limit`` only
+    the greedy order is returned: at each row, the first remaining column
+    where the reduced row is nonzero.  ValueError unless A is a nonempty,
+    full-rank square matrix of integers.
     """
     a = np.asarray(a_matrix)
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise ValueError("matrix must be square")
-    if exact_rank(a) != k:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("matrix must be a nonempty square matrix")
+    rows = _int_rows(a)
+    k = len(rows)
+    if len(_echelon([row[:] for row in rows], k)) != k:
         raise ValueError("matrix must be full rank")
-    rows = tuple(tuple(int(x) for x in row) for row in a.tolist())
-    memo: dict[int, _Step | None] = {}  # keyed by the bitmask of S; the row is its size
-
-    def step(done: int, i: int) -> _Step | None:
-        if done not in memo:
-            cols = [c for c in range(k) if done >> c & 1]
+    a_max = max(1, *map(abs, itertools.chain.from_iterable(rows)))
+    source = _Source(rows, k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max)
+    memo: dict[int, _Step] = {}  # keyed by the bitmask of S; the row is its size
+    out, stack = [], [((), (), 0)]  # stack entries: (pi, its steps, the bitmask of pi)
+    while stack:
+        pi, path, done = stack.pop()
+        i = len(pi)
+        if i == k:
+            lower_m, tilde_m = RationalMatrix(tuple(s.lower for s in path)), RationalMatrix(tuple(s.tilde for s in path))
+            out.append(PseudoTriangularization(lower=lower_m, pi=pi, a_tilde=tilde_m, steps=path))
+            continue
+        s = memo.get(done)
+        if s is None:
+            cols = sorted(pi)
             solved = _solve_scaled([[rows[m][c] for m in range(i)] for c in cols], [-rows[i][c] for c in cols])
             if solved is None:
-                memo[done] = None
-            else:
-                d, x = solved
-                q = abs(d) // math.gcd(d, *x)
-                lower = (*(n // (d // q) for n in x), q, *[0] * (k - i - 1))
-                tilde = tuple(sum(lower[m] * rows[m][c] for m in range(i + 1)) for c in range(k))
-                if any(tilde[c] for c in cols):
-                    raise RuntimeError("eliminated entry is nonzero")
-                fractions = [tuple(Fraction(v, q) for v in row) for row in (lower, tilde)]
-                memo[done] = _Step(rows, q, lower, tilde, *fractions)
-        return memo[done]
-
-    def orders(pi: tuple[int, ...], path: tuple[_Step, ...], done: int):
-        if len(pi) == k:
-            yield pi, path
-        elif (s := step(done, len(pi))) is not None:
-            free = [c for c in range(k) if not done >> c & 1]
-            if k > enumerate_limit:
-                free = [next(c for c in free if s.tilde_int[c])]
-            for c in free:
-                yield from orders((*pi, c), (*path, s), done | 1 << c)
-
-    out = []
-    for pi, path in orders((), (), 0):
-        if any(s.tilde_int[c] == 0 for s, c in zip(path, pi)):
-            raise RuntimeError("permuted diagonal entry vanished")
-        out.append(
-            PseudoTriangularization(
-                lower=RationalMatrix(tuple(s.lower for s in path)),
-                pi=pi,
-                a_tilde=RationalMatrix(tuple(s.tilde for s in path)),
-                steps=path,
-            )
-        )
+                raise RuntimeError("row solve is infeasible")
+            d, x = solved
+            q = abs(d) // math.gcd(d, *x)
+            lower = (*(n // (d // q) for n in x), q, *[0] * (k - i - 1))
+            tilde = tuple(sum(lower[m] * rows[m][c] for m in range(i + 1)) for c in range(k))
+            if any(tilde[c] for c in cols):
+                raise RuntimeError("eliminated entry is nonzero")
+            fractions = [tuple(Fraction(v, q) for v in row) for row in (lower, tilde)]
+            memo[done] = s = _Step(source, q, lower, tilde, *fractions)
+        nxt = [c for c in range(k) if s.tilde_int[c]]  # the columns in S are zero there
+        if k > enumerate_limit:
+            nxt = nxt[:1]
+        path = (*path, s)
+        stack += [((*pi, c), path, done | 1 << c) for c in reversed(nxt)]  # smallest column popped first
     return out
 
 
@@ -298,11 +298,11 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     entry q_i (L A)[i, pi_i] nonzero mod p.  The rows of L mod p and of
     (L mod p) A mod p are built, and checked for lost zeros, once per (column
     set, p) and shared by every order through that step.  ValueError when A is
-    not the matrix ``pt`` was built from.
+    not the matrix ``pt`` was built from, whose rows the steps' ``_Source`` holds.
     """
-    rows = pt.steps[0].source
-    if tuple(map(tuple, np.asarray(a_matrix).tolist())) != rows:
+    if not pt.steps or np.asarray(a_matrix).tolist() != pt.steps[0].source.rows:
         raise ValueError("matrix is not the one the triangularization was built from")
+    rows, lemma_bound = pt.steps[0].source
     k, pi = len(rows), pt.pi
     units = math.prod(s.q * s.tilde_int[c] for s, c in zip(pt.steps, pi))
     p = next(p for p in itertools.count(2) if units % p and _is_prime(p))
@@ -319,13 +319,12 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
         if lifted[i][1][pi[i]] == 0:
             raise RuntimeError("mod-p diagonal entry vanished")
 
-    a_max = max(1, *map(abs, itertools.chain.from_iterable(rows)))
     return ModPLift(
         p=p,
         lower_mod_p=np.array([lower_p for lower_p, _ in lifted], dtype=np.int64),
         a_tilde_mod_p=np.array([tilde_p for _, tilde_p in lifted], dtype=np.int64),
         row_denominators=tuple(s.q for s in pt.steps),
-        lemma_bound=k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max,
+        lemma_bound=lemma_bound,
     )
 
 

@@ -7,16 +7,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cfrates.lattice
 from cfrates.lattice import (
+    _RADIUS_SLACK,
+    DEFAULT_BUDGET,
     BudgetExceeded,
+    OptimalSet,
     _Basis,
+    _dot,
+    _enumerate_half_sphere,
+    _fold,
     _lll_coords,
+    _norm,
+    _search,
+    _signed,
     canonicalize,
     candidate_bound,
     lll_reduce,
     successive_minima,
 )
-from cfrates.linalg import RationalSpan, cholesky, exact_rank, gram_effective, gram_plain
+from cfrates.linalg import RationalSpan, _cholesky_rows, cholesky, exact_rank, gram_effective, gram_plain
 from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel
 
 
@@ -202,6 +212,35 @@ def numpy_search(gram):
     return tuple(vecs), tuple(out)
 
 
+def refresh_every_step_search(g, r, snr, budget):
+    """Reference: ``_search`` as it was before it skipped refreshes.
+
+    It recomputes the basis and its Gram-Schmidt data from column m-1 at
+    every step m >= 1, and folds after every step, the last one included.
+    The walk is looked up on the module, as ``_search`` does, so a test can
+    record what each step walks.
+    """
+    lat = _Basis(r)
+    w = lat.lll(0.99)
+    radii = sorted(_dot(v, v) for v in lat.b)
+    vectors, out_norms, nodes = [], [], 0
+    for m in range(len(g)):
+        if m:
+            lat.refresh(m - 1)
+        walk = cfrates.lattice._enumerate_half_sphere
+        coords, nodes = walk(lat.mu, lat.bb, radii[m] * (1.0 + _RADIUS_SLACK), m, budget, nodes)
+        if not coords:
+            raise RuntimeError("search sphere missed a successive minimum")
+        cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
+        norm, vec, c = min((_norm(g, a), a, c) for a, c in zip(cands, coords))
+        if m == 0 and norm >= snr:
+            return OptimalSet(vectors=(), norms=(), method="exhaustive")
+        vectors.append(vec)
+        out_norms.append(norm)
+        _fold(w, m, c)
+    return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
+
+
 def assert_norms_close(got, ref, vectors, gram_entries):
     """Norms equal to 1e-9 relative, or within the rounding of two float a^T G a.
 
@@ -255,6 +294,17 @@ class TestCanonicalize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             canonicalize([0, 0])
+
+    @pytest.mark.parametrize("vec", [[-0.5, 1], [1.5, -2], [np.nan, 1], [1, np.inf], [-np.inf, 2]])
+    def test_non_integer_rejected(self, vec):
+        with pytest.raises(ValueError, match="must be integer"):
+            canonicalize(vec)
+
+    def test_integer_valued_floats_accepted(self):
+        got = canonicalize([-2.0, 1.0, 0.0])
+        assert got.dtype == np.int64
+        assert got.tolist() == [2, -1, 0]
+        assert canonicalize(np.array([0.0, -3.0])).tolist() == [0, 3]
 
 
 class TestCandidateBound:
@@ -375,6 +425,88 @@ class TestSuccessiveMinima:
         gram = gram_plain([1.0, 0.62, 0.34], 1e3)
         with pytest.raises(BudgetExceeded):
             successive_minima(gram, budget=3)
+
+    def test_negative_budget_rejected(self):
+        gram = gram_plain([1.0, 0.62, 0.34], 1e3)
+        for budget in (-1, -5):
+            with pytest.raises(ValueError, match="budget must be nonnegative"):
+                successive_minima(gram, budget=budget)
+        with pytest.raises(BudgetExceeded, match="exceeded 0 nodes"):
+            successive_minima(gram, budget=0)
+
+
+def search_cases():
+    """(label, g, r, snr, budget) for seeded Grams at 0-140 dB and integer bases, K=2..8.
+
+    Every third case gets a budget of 4K nodes, so some searches raise
+    BudgetExceeded part way; the highest snrs can miss a minimum.
+    """
+    for k in range(2, 9):
+        for i, gram in enumerate(random_grams(80 + k, 60, (k, k), 140.0)):
+            g = gram.entries.tolist()
+            try:
+                r = _cholesky_rows(g)
+            except ValueError:
+                continue
+            yield f"gram K={k} #{i}", g, r, gram.snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+        rng = np.random.default_rng(90 + k)
+        for i in range(40):
+            basis = rng.integers(-20, 21, size=(k, k))
+            if exact_rank(basis) == k:
+                g = (basis @ basis.T).astype(float).tolist()
+                yield f"basis K={k} #{i}", g, basis.astype(float).tolist(), math.inf, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except (BudgetExceeded, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRefreshAfterMovingFold:
+    """The search refreshes its basis only after a fold that moved ``w``, with unchanged results."""
+
+    def test_matches_refresh_every_step(self, monkeypatch):
+        folds, walks = [], []
+
+        def recording_fold(w, m, c):
+            moved = _fold(w, m, c)
+            folds.append((m, len(c), moved))
+            return moved
+
+        def recording_walk(mu, bb, *args):
+            walks.append(copy.deepcopy((mu, bb, args)))
+            return _enumerate_half_sphere(mu, bb, *args)
+
+        monkeypatch.setattr(cfrates.lattice, "_fold", recording_fold)
+        monkeypatch.setattr(cfrates.lattice, "_enumerate_half_sphere", recording_walk)
+        kinds = set()
+        for label, g, r, snr, budget in search_cases():
+            walks.clear()
+            ref = outcome(refresh_every_step_search, g, r, snr, budget)
+            ref_walks = walks[:]
+            walks.clear()
+            assert outcome(_search, g, r, snr, budget) == ref, label
+            # every step walks the same triangular factor, bit for bit
+            assert walks == ref_walks, label
+            kinds.add(ref[0] if isinstance(ref, tuple) else "ok")
+        assert {"ok", BudgetExceeded} <= kinds
+        # no fold after the last step, and the moving branch is well covered
+        assert all(m + 1 < k for m, k, _ in folds)
+        assert sum(moved for _, _, moved in folds) >= 20
+
+    def test_fold_reports_a_move(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            k = int(rng.integers(2, 7))
+            m = int(rng.integers(0, k))
+            c = tuple(int(x) for x in rng.integers(-3, 4, size=k))
+            if c[m] == 0 and not any(c[m + 1 :]):
+                continue  # c[m:] must be nonzero, as for every point the walk returns
+            w = [[int(i == j) for j in range(k)] for i in range(k)]
+            before = copy.deepcopy(w)
+            assert _fold(w, m, c) == (w != before)
 
 
 class TestLll:

@@ -13,10 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrates import cli
+from cfrates.lattice import BudgetExceeded
 from cfrates.linalg import RationalMatrix, _channel, exact_rank
 from cfrates.rates import comp_rate
 from cfrates.transform import (
     ChannelSpec,
+    PseudoTriangularization,
     mod_p_lift,
     pseudo_triangularize,
     rate_allocation,
@@ -208,8 +210,6 @@ class TestTransform:
         ch = ChannelSpec.plain([1.0, 0.62, 0.34], 1e3)
         t = transform(ch, method="auto", budget=3)
         assert t.method == "lll"
-        from cfrates.lattice import BudgetExceeded
-
         with pytest.raises(BudgetExceeded):
             transform(ch, method="exhaustive", budget=3)
 
@@ -220,6 +220,18 @@ class TestTransform:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             transform(ChannelSpec.plain([1.0], 10.0), method="fastest")
+
+    @pytest.mark.parametrize("method", ["auto", "exhaustive", "lll"])
+    def test_negative_budget_rejected(self, method):
+        ch = ChannelSpec.plain([1.0, 0.62, 0.34], 1e3)
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            transform(ch, method=method, budget=-5)
+
+    def test_zero_budget(self):
+        ch = ChannelSpec.plain([1.0, 0.62, 0.34], 1e3)
+        assert transform(ch, budget=0).method == "lll"
+        with pytest.raises(BudgetExceeded, match="exceeded 0 nodes"):
+            transform(ch, method="exhaustive", budget=0)
 
 
 @st.composite
@@ -359,6 +371,39 @@ class TestPseudoTriangularize:
         with pytest.raises(ValueError):
             pseudo_triangularize([[1, 2], [2, 4]])
 
+    @pytest.mark.parametrize("a", [np.zeros((0, 0), int), np.zeros((0,), int), np.zeros((2, 0), int), 3, [[1, 2, 3]]])
+    def test_empty_or_non_square_rejected(self, a):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            pseudo_triangularize(a)
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ValueError, match="integer entries"):
+            pseudo_triangularize([[1.5, 0], [0, 1]])
+        assert as_tuples(pseudo_triangularize([[2.0, 1.0], [3.0, 1.0]])) == as_tuples(pseudo_triangularize(EXAMPLE_A))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+    def test_orders_through_a_column_set_share_its_step(self, k):
+        """One step object per column set, holding exactly the primes of the orders through it.
+
+        K=3..6 run on seeded dense and sparse matrices, K=8 on the dense one.
+        """
+        if k == 8:
+            matrices = [DENSE_K8]
+        else:
+            rng = np.random.default_rng(300 + k)
+            matrices = [seeded_full_rank(rng, k, sparse) for sparse in (False, True) for _ in range(4)]
+        for a in matrices:
+            pts = pseudo_triangularize(a)
+            by_set, primes = {}, {}
+            for pt in pts:
+                p = mod_p_lift(a, pt).p
+                for i, s in enumerate(pt.steps):
+                    assert by_set.setdefault(frozenset(pt.pi[:i]), s) is s
+                    primes.setdefault(id(s), set()).add(p)
+            assert len({id(s) for s in by_set.values()}) == len(by_set)
+            for s in by_set.values():
+                assert set(s.mod_p) == primes[id(s)]
+
     def test_large_k_greedy_single_order(self):
         rng = np.random.default_rng(26)
         a = rng.integers(-3, 4, size=(9, 9))
@@ -496,6 +541,14 @@ class TestModPLift:
             pt = pseudo_triangularize(other)[0]
             with pytest.raises(ValueError, match="not the one"):
                 mod_p_lift(EXAMPLE_A, pt)
+
+    def test_empty_matrix_rejected(self):
+        pt = pseudo_triangularize(EXAMPLE_A)[0]
+        with pytest.raises(ValueError, match="not the one"):
+            mod_p_lift(np.zeros((0, 0), int), pt)
+        empty = PseudoTriangularization(lower=RationalMatrix(()), pi=(), a_tilde=RationalMatrix(()), steps=())
+        with pytest.raises(ValueError, match="not the one"):
+            mod_p_lift(np.zeros((0, 0), int), empty)
 
     def test_lost_zero_is_runtime_error(self):
         pt = pseudo_triangularize(EXAMPLE_A)[0]
