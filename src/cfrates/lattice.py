@@ -16,10 +16,14 @@ Python lists, which ``transform`` builds from its channel's checked record,
 and runs on Python ints and floats, cheaper than numpy on 2x2 to 8x8
 matrices.  The numpy dots left on a transform's float path, g^T B g and two
 per row in ``rates._rate``, are kept for their fused multiply-add rounding.
-LLL and the walk share ``_Basis``'s Gram-Schmidt rows; LLL computes a row
-only when it reaches it.  The search recomputes b = q W and its rows once at
-step 1 (LLL updates b in place, a rounding away from q W), then only after a
-``_fold`` that moved W.
+LLL and the walk share ``_Basis``'s Gram-Schmidt rows.  LLL is classical
+floating LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
+1993, §2.6.3): it computes a row when it first reaches it, then updates the
+rows in place on each size reduction and exchange, so an exchange costs
+O(K) whatever the vectors' length.  The search then rebuilds b = q W and all
+its rows once, right after LLL (LLL's b is a rounding away from q W), takes
+its radii from that, and afterwards refreshes only after a ``_fold`` that
+moved W.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ class _Basis:
     and the unimodular ``w`` are lists of rows.  ``ortho[i]`` is b*_i, the part of b_i orthogonal to b_0..b_{i-1},
     ``mu[i][j] = <b_i, b*_j> / |b*_j|^2`` (j < i) and ``bb[i] = |b*_i|^2``: the
     triangular factor of the basis is R[i][i] = |b*_i|, R[j][i] = mu[i][j] |b*_j|.
-    The Gram-Schmidt data are filled in by ``lll``.
+    ``lll`` keeps ``mu`` and ``bb`` but not ``ortho``; ``refresh`` rebuilds all three.
     """
 
     def __init__(self, rows: list[list[float]]):
@@ -130,46 +134,62 @@ class _Basis:
         self.ortho[i] = oi
         bb[i] = _dot(oi, oi)
 
-    def gso(self, start: int) -> None:
-        """Recompute the Gram-Schmidt data from vector ``start`` on."""
-        for i in range(start, len(self.b)):
-            self._row(i)
-
     def refresh(self, start: int) -> None:
         """Recompute b_i = q w_i and the Gram-Schmidt data after columns ``start``.. of w changed."""
         self.b[start:] = [[_dot(row, col) for row in self.q] for col in list(zip(*self.w))[start:]]
-        self.gso(start)
+        for i in range(start, len(self.b)):
+            self._row(i)
 
     def lll(self, delta: float) -> list[list[int]]:
         """LLL-reduce the vectors in place (Lovasz parameter ``delta``); return ``w``.
 
-        Gram-Schmidt rows are computed lazily: row i when the loop reaches it
-        and again after each change to b_i, from the same b_i and
-        b*_0..b*_{i-1} an eager update would use, so the values are the same.
+        Classical floating LLL (Cohen 1993, Algorithm 2.6.3): a size reduction
+        b_i -= r b_j updates row i of ``mu`` in place (b*_i does not change)
+        and an exchange applies the swap formulas to ``mu`` and ``bb``.  Row i
+        is computed when the loop first reaches it, against b*_0..b*_{i-1}
+        rebuilt from b and ``mu``: orthogonalizing vectors, not inner
+        products, keeps ``bb`` accurate on ill-conditioned bases.
         """
-        b, w, mu, bb = self.b, self.w, self.mu, self.bb
+        b, w, mu, bb, ortho = self.b, self.w, self.mu, self.bb, self.ortho
+        k, top = len(b), 0
         if b:
             self._row(0)
         i = 1
-        while i < len(b):
-            self._row(i)
+        while i < k:
+            mu_i = mu[i]
+            if i > top:
+                top = i
+                for j in range(i):  # b*_j = b_j - sum_{m<j} mu_jm b*_m
+                    oj = b[j]
+                    for c, om in zip(mu[j], ortho[:j]):
+                        oj = [x - c * y for x, y in zip(oj, om)]
+                    ortho[j] = oj
+                self._row(i)
             for j in range(i - 1, -1, -1):
-                if abs(mu[i][j]) > 0.5:
-                    r = round(mu[i][j])
+                if abs(mu_i[j]) > 0.5:
+                    r = round(mu_i[j])
                     b[i] = [x - r * y for x, y in zip(b[i], b[j])]
                     for row in w:
                         row[i] -= r * row[j]
-                    self._row(i)
-            c = mu[i][i - 1]
+                    mu_i[:j] = [x - r * y for x, y in zip(mu_i, mu[j][:j])]
+                    mu_i[j] -= r
+            c = mu_i[i - 1]
             if bb[i] >= (delta - c * c) * bb[i - 1]:
                 i += 1
-            else:
-                b[i - 1], b[i] = b[i], b[i - 1]
-                for row in w:
-                    row[i - 1], row[i] = row[i], row[i - 1]
-                if i == 1:
-                    self._row(0)
-                i = max(i - 1, 1)
+                continue
+            # exchange b_{i-1} and b_i; rows of mu above i-1 and the other bb do not change
+            bb_new = bb[i] + c * c * bb[i - 1]  # |b*_{i-1}|^2 after the exchange
+            mu_i[i - 1] = c * bb[i - 1] / bb_new
+            bb[i - 1], bb[i] = bb_new, bb[i - 1] * bb[i] / bb_new
+            b[i - 1], b[i] = b[i], b[i - 1]
+            for row in w:
+                row[i - 1], row[i] = row[i], row[i - 1]
+            mu[i - 1][: i - 1], mu_i[: i - 1] = mu_i[: i - 1], mu[i - 1][: i - 1]
+            for mu_l in mu[i + 1 : top + 1]:
+                t = mu_l[i]
+                mu_l[i] = mu_l[i - 1] - c * t
+                mu_l[i - 1] = t + mu_i[i - 1] * mu_l[i]
+            i = max(i - 1, 1)
         return w
 
 
@@ -262,14 +282,13 @@ def _search(g: list[list[float]], r: list[list[float]], snr: float, budget: int)
     """``successive_minima`` on the Gram rows ``g`` and their Cholesky factor ``r`` (rows)."""
     lat = _Basis(r)
     w = lat.lll(0.99)
+    lat.refresh(0)  # LLL updates b in place, a rounding away from q W, and leaves ortho stale
     # The m+1 shortest LLL vectors are independent, so the (m+1)-th smallest
     # LLL norm bounds the (m+1)-th minimum whatever the snr.
     radii = sorted(_dot(v, v) for v in lat.b)
 
-    vectors, out_norms, nodes, moved = [], [], 0, False
+    vectors, out_norms, nodes = [], [], 0
     for m in range(len(g)):
-        if m == 1 or moved:  # LLL's b is not q w; later only a moving _fold changes w
-            lat.refresh(m - 1)
         coords, nodes = _enumerate_half_sphere(lat.mu, lat.bb, radii[m] * (1.0 + _RADIUS_SLACK), m, budget, nodes)
         if not coords:
             raise RuntimeError("search sphere missed a successive minimum")
@@ -279,7 +298,8 @@ def _search(g: list[list[float]], r: list[list[float]], snr: float, budget: int)
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
         out_norms.append(norm)
-        moved = m + 1 < len(g) and _fold(w, m, c)  # w is not read after the last step
+        if m + 1 < len(g) and _fold(w, m, c):  # w is not read after the last step
+            lat.refresh(m)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 
 

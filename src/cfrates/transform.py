@@ -12,7 +12,10 @@ with at most 2^K integer row solves, each kept as one step with integer rows
 q_S L_i and q_S (L A)_i; the steps of one matrix share one record of its rows.
 The same elimination can be replayed over Z_p with an integer unit-lower L
 once a suitable prime is chosen, which is what an actual mod-p decoder would
-use; each lifted row is built once per (column set, p).
+use; each lifted row is built once per (column set, p).  Orders and lifts
+hold only these integer rows: their ``Fraction`` matrices and int64 arrays are
+views, built on first read and cached, so listing every order and its prime,
+as ``cfrates rates`` does, builds none of them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -186,32 +190,48 @@ class _Step:
     """Row i of every order that eliminates a given set S of i columns first.
 
     q is the lcm of the reduced denominators of row i of L; ``lower_int`` and
-    ``tilde_int`` are q times row i of L and of L A, and ``lower``/``tilde``
-    the rows themselves.  ``mod_p`` caches the lifted rows per prime.
+    ``tilde_int`` are q times row i of L and of L A, which determine the step,
+    so equality and hashing compare only these three.  The ``Fraction`` rows
+    ``lower`` and ``tilde`` are built from them on first read.  ``mod_p``
+    caches the lifted rows per prime.
     """
 
-    source: _Source
+    source: _Source = field(repr=False, compare=False)
     q: int
     lower_int: tuple[int, ...]
     tilde_int: tuple[int, ...]
-    lower: tuple[Fraction, ...]
-    tilde: tuple[Fraction, ...]
-    mod_p: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
+    mod_p: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def lower(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.q) for v in self.lower_int)
+
+    @cached_property
+    def tilde(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.q) for v in self.tilde_int)
 
 
 @dataclass(frozen=True)
 class PseudoTriangularization:
     """Unit-lower-triangular L and column order pi with L A triangular.
 
-    ``a_tilde[i, pi[j]] == 0`` for all j < i, exactly, in rational arithmetic;
-    the permuted diagonal is nonzero because L A keeps the rank of A.
-    ``steps[i]`` is the step, shared with other orders of A, that holds row i.
+    ``steps[i]`` is the step, shared with other orders of A, that holds row i
+    in integers; ``lower`` (L) and ``a_tilde`` (L A) are built from the steps
+    on first read.  ``a_tilde[i, pi[j]] == 0`` for all j < i, exactly, in
+    rational arithmetic; the permuted diagonal is nonzero because L A keeps
+    the rank of A.  Two orders are equal when their pi, L and L A are.
     """
 
-    lower: RationalMatrix
     pi: tuple[int, ...]
-    a_tilde: RationalMatrix
-    steps: tuple[_Step, ...] = field(repr=False, compare=False)
+    steps: tuple[_Step, ...]
+
+    @cached_property
+    def lower(self) -> RationalMatrix:
+        return RationalMatrix(tuple(s.lower for s in self.steps))
+
+    @cached_property
+    def a_tilde(self) -> RationalMatrix:
+        return RationalMatrix(tuple(s.tilde for s in self.steps))
 
 
 def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTriangularization]:
@@ -244,8 +264,7 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
         pi, path, done = stack.pop()
         i = len(pi)
         if i == k:
-            lower_m, tilde_m = RationalMatrix(tuple(s.lower for s in path)), RationalMatrix(tuple(s.tilde for s in path))
-            out.append(PseudoTriangularization(lower=lower_m, pi=pi, a_tilde=tilde_m, steps=path))
+            out.append(PseudoTriangularization(pi, path))
             continue
         s = memo.get(done)
         if s is None:
@@ -259,8 +278,7 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
             tilde = tuple(sum(lower[m] * rows[m][c] for m in range(i + 1)) for c in range(k))
             if any(tilde[c] for c in cols):
                 raise RuntimeError("eliminated entry is nonzero")
-            fractions = [tuple(Fraction(v, q) for v in row) for row in (lower, tilde)]
-            memo[done] = s = _Step(source, q, lower, tilde, *fractions)
+            memo[done] = s = _Step(source, q, lower, tilde)
         nxt = [c for c in range(k) if s.tilde_int[c]]  # the columns in S are zero there
         if k > enumerate_limit:
             nxt = nxt[:1]
@@ -273,17 +291,28 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
 class ModPLift:
     """Integer replay of a triangularization over Z_p.
 
-    ``lower_mod_p`` is unit-lower-triangular with entries in {0..p-1} and
-    (lower_mod_p @ A) mod p reproduces the zero pattern of the rational
-    elimination; ``lemma_bound`` is the sufficient (far larger) prime bound
-    K*(K!)^2*(K*a_max)^(2K)*a_max kept for reference.
+    ``lower_rows`` and ``a_tilde_rows`` are the rows of L mod p and of
+    (L mod p) A mod p; ``lower_mod_p`` and ``a_tilde_mod_p`` are the same rows
+    as int64 arrays, built on first read.  ``lower_mod_p`` is
+    unit-lower-triangular with entries in {0..p-1} and (lower_mod_p @ A) mod p
+    reproduces the zero pattern of the rational elimination; ``lemma_bound``
+    is the sufficient (far larger) prime bound K*(K!)^2*(K*a_max)^(2K)*a_max
+    kept for reference.
     """
 
     p: int
-    lower_mod_p: np.ndarray
-    a_tilde_mod_p: np.ndarray
+    lower_rows: tuple[tuple[int, ...], ...]
+    a_tilde_rows: tuple[tuple[int, ...], ...]
     row_denominators: tuple[int, ...]
     lemma_bound: int
+
+    @cached_property
+    def lower_mod_p(self) -> np.ndarray:
+        return np.array(self.lower_rows, dtype=np.int64)
+
+    @cached_property
+    def a_tilde_mod_p(self) -> np.ndarray:
+        return np.array(self.a_tilde_rows, dtype=np.int64)
 
 
 def _is_prime(n: int) -> bool:
@@ -319,13 +348,8 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
         if lifted[i][1][pi[i]] == 0:
             raise RuntimeError("mod-p diagonal entry vanished")
 
-    return ModPLift(
-        p=p,
-        lower_mod_p=np.array([lower_p for lower_p, _ in lifted], dtype=np.int64),
-        a_tilde_mod_p=np.array([tilde_p for _, tilde_p in lifted], dtype=np.int64),
-        row_denominators=tuple(s.q for s in pt.steps),
-        lemma_bound=lemma_bound,
-    )
+    lower_rows, a_tilde_rows = zip(*lifted)
+    return ModPLift(p, lower_rows, a_tilde_rows, tuple(s.q for s in pt.steps), lemma_bound)
 
 
 def rate_allocation(t: CfTransform, pt: PseudoTriangularization) -> tuple[float, ...]:

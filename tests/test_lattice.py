@@ -213,15 +213,17 @@ def numpy_search(gram):
 
 
 def refresh_every_step_search(g, r, snr, budget):
-    """Reference: ``_search`` as it was before it skipped refreshes.
+    """Reference: ``_search`` refreshing its basis at every step.
 
-    It recomputes the basis and its Gram-Schmidt data from column m-1 at
-    every step m >= 1, and folds after every step, the last one included.
-    The walk is looked up on the module, as ``_search`` does, so a test can
-    record what each step walks.
+    It recomputes the basis and its Gram-Schmidt data before step 0, takes
+    the radii after that, then refreshes from column m-1 at every step m >= 1,
+    and folds after every step, the last one included.  The walk is looked up
+    on the module, as ``_search`` does, so a test can record what each step
+    walks.
     """
     lat = _Basis(r)
     w = lat.lll(0.99)
+    lat.refresh(0)
     radii = sorted(_dot(v, v) for v in lat.b)
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(g)):
@@ -613,28 +615,54 @@ class TestLll:
 
 
 class TestLazyGramSchmidt:
-    """LLL recomputes Gram-Schmidt rows lazily; the result must be a fresh ``gso(0)``, bit for bit."""
+    """LLL computes each Gram-Schmidt row when it first reaches it and then updates it in place.
 
-    @staticmethod
-    def assert_fresh_after_lll(rows):
+    What must hold is the result: W is unimodular, and the Gram-Schmidt data
+    of q W that ``refresh(0)`` rebuilds are size-reduced and meet the Lovasz
+    condition at delta = 0.99.
+    """
+
+    DELTA = 0.99
+
+    def reduced_basis(self, rows):
         lat = _Basis(rows)
-        lat.lll(0.99)
-        lazy = copy.deepcopy((lat.mu, lat.bb, lat.ortho))
-        lat.gso(0)
-        assert lazy == (lat.mu, lat.bb, lat.ortho)
+        w = lat.lll(self.DELTA)
+        assert all(type(x) is int for row in w for x in row)
+        assert abs(exact_det(w)) == 1
+        lat.refresh(0)
+        k = len(rows)
+        assert all(abs(lat.mu[i][j]) <= 0.5 + 1e-9 for i in range(k) for j in range(i))
+        for i in range(1, k):
+            c = lat.mu[i][i - 1]
+            assert lat.bb[i] >= (self.DELTA - c * c) * lat.bb[i - 1] * (1 - 1e-9)
+        return w
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_channel_bases(self, k):
         for gram in random_grams(60 + k, 40, (k, k), 60.0):
-            self.assert_fresh_after_lll(cholesky(gram).tolist())
+            self.reduced_basis(cholesky(gram).tolist())
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_integer_bases(self, k):
+        """On integer bases both conditions are checked exactly, in Fractions from the basis and W."""
         rng = np.random.default_rng(70 + k)
         done = 0
         while done < 40:
             basis = rng.integers(-20, 21, size=(k, k))
-            if exact_rank(basis) == k:
-                self.assert_fresh_after_lll(basis.astype(float).tolist())
-                done += 1
-
+            if exact_rank(basis) != k:
+                continue
+            w = self.reduced_basis(basis.astype(float).tolist())
+            rows = basis.tolist()
+            vecs = [[Fraction(_dot(col, column)) for column in zip(*rows)] for col in zip(*w)]  # q W, exactly
+            ortho, bb = [], []
+            for i, v in enumerate(vecs):
+                mu = [_dot(v, o) / n for o, n in zip(ortho, bb)]
+                assert all(abs(x) <= Fraction(1, 2) for x in mu)
+                o = v
+                for x, oj in zip(mu, ortho):
+                    o = [a - x * b for a, b in zip(o, oj)]
+                ortho.append(o)
+                bb.append(_dot(o, o))
+                if i:
+                    assert bb[i] >= (Fraction(99, 100) - mu[i - 1] ** 2) * bb[i - 1]
+            done += 1

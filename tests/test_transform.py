@@ -546,7 +546,7 @@ class TestModPLift:
         pt = pseudo_triangularize(EXAMPLE_A)[0]
         with pytest.raises(ValueError, match="not the one"):
             mod_p_lift(np.zeros((0, 0), int), pt)
-        empty = PseudoTriangularization(lower=RationalMatrix(()), pi=(), a_tilde=RationalMatrix(()), steps=())
+        empty = PseudoTriangularization(pi=(), steps=())
         with pytest.raises(ValueError, match="not the one"):
             mod_p_lift(np.zeros((0, 0), int), empty)
 
@@ -561,6 +561,56 @@ class TestModPLift:
         lift = mod_p_lift(EXAMPLE_A, pts[0])
         a_max = 3
         assert lift.lemma_bound == 2 * math.factorial(2) ** 2 * (2 * a_max) ** 4 * a_max
+
+
+class TestEqualityAndViews:
+    """Orders and lifts keep integer rows; ``Fraction`` and ndarray views are built on first read."""
+
+    VIEWS = {"pt": ("lower", "a_tilde"), "step": ("lower", "tilde"), "lift": ("lower_mod_p", "a_tilde_mod_p")}
+
+    def test_lift_equality_and_hash(self):
+        pt = pseudo_triangularize(EXAMPLE_A)[0]
+        first, second = mod_p_lift(EXAMPLE_A, pt), mod_p_lift(EXAMPLE_A, pseudo_triangularize(EXAMPLE_A)[0])
+        assert first == second and hash(first) == hash(second)
+        assert first != mod_p_lift(EXAMPLE_A, pseudo_triangularize(EXAMPLE_A)[1])
+
+    def test_equal_orders_from_one_matrix(self):
+        for a in (EXAMPLE_A, DENSE_K8[:5, :5]):
+            first, second = pseudo_triangularize(a), pseudo_triangularize(a)
+            assert first == second
+            assert [hash(pt) for pt in first] == [hash(pt) for pt in second]
+            assert len(set(first)) == len(first)
+
+    def test_same_order_of_different_matrices_differs(self):
+        """pi alone does not make two orders equal: L and L A are compared too."""
+        ours = next(pt for pt in pseudo_triangularize(EXAMPLE_A) if pt.pi == (0, 1))
+        identity = next(pt for pt in pseudo_triangularize(np.eye(2, dtype=int)) if pt.pi == (0, 1))
+        assert ours != identity
+        rescaled = next(pt for pt in pseudo_triangularize(2 * EXAMPLE_A) if pt.pi == (0, 1))
+        assert ours.lower == rescaled.lower and ours != rescaled  # same L, different L A
+
+    def built_views(self, pts, lifts):
+        objs = [("pt", pt) for pt in pts] + [("step", s) for pt in pts for s in pt.steps]
+        objs += [("lift", lift) for lift in lifts]
+        return [(kind, name) for kind, obj in objs for name in self.VIEWS[kind] if name in vars(obj)]
+
+    def test_rates_sequence_builds_no_view(self):
+        """``cfrates rates`` reads only pi and p, so no view is built; a view read twice is one object."""
+        t = transform(ChannelSpec.plain([0.9, -1.3, 0.4, 1.1], 10**2.5))
+        pts = pseudo_triangularize(t.matrix)
+        lifts = []
+        for pt in pts:
+            rate_allocation(t, pt)
+            lifts.append(mod_p_lift(t.matrix, pt))
+            assert lifts[-1].p > 1
+        assert len(pts) > 1 and self.built_views(pts, lifts) == []
+        for kind, obj in [("pt", pts[-1]), ("step", pts[-1].steps[-1]), ("lift", lifts[-1])]:
+            for name in self.VIEWS[kind]:
+                assert getattr(obj, name) is getattr(obj, name)
+        assert pts[-1].lower.entries == tuple(s.lower for s in pts[-1].steps)
+        assert lifts[-1].lower_mod_p.dtype == np.int64 and lifts[-1].lower_mod_p.tolist() == list(
+            map(list, lifts[-1].lower_rows)
+        )
 
 
 class TestRateAllocation:
