@@ -140,23 +140,9 @@ def _sweep_rows(args) -> list[dict]:
         for g in grid:
             spec = SymmetricIcSpec(users=args.k, cross_gain=float(g), snr=snr)
             rep = report(spec, c=args.gap, method=args.method)
-            rows.append(
-                {
-                    "snr_db": float(snr_db),
-                    "g": float(g),
-                    "alpha": rep.alpha,
-                    "r_single": rep.r_single,
-                    "r_noise": rep.r_noise,
-                    "r_hk": math.nan if rep.r_hk is None else rep.r_hk,
-                    "r_tdma": rep.r_tdma,
-                    "r_best": rep.r_best,
-                    "lower_closed": rep.lower_closed,
-                    "upper_tight": rep.upper_tight,
-                    "upper_loose": rep.upper_loose,
-                    "in_outage": rep.in_outage,
-                    "method_used": rep.method,
-                }
-            )
+            row = {"snr_db": float(snr_db), "g": float(g), **{col: getattr(rep, col) for col in SWEEP_COLUMNS[2:-1]}}
+            row.update(r_hk=math.nan if rep.r_hk is None else rep.r_hk, method_used=rep.method)
+            rows.append(row)
     return rows
 
 

@@ -5,16 +5,17 @@ coefficient-selection lattice basis is never materialized; only quadratic
 forms and a Cholesky factor are needed.  Every channel input (gains, snr,
 squared weights) is checked in one place, ``_channel``, which returns one
 record (g, b_sq, B g, 1 + snr g^T B g) that the Gram matrix, the rates, the
-determinant and the search bound share; ``ChannelSpec`` keeps it, so a
-transform checks its channel once.  The Gram rows (bit-equal to the numpy
-expression, entry by entry) and their Cholesky factor are Python lists, which
-the public ``gram_effective`` and ``cholesky`` wrap in arrays.  g^T B g stays
-a numpy dot: on short vectors that dot is a fused multiply-add chain, which a
-Python sum does not reproduce.  Exact paths (rank, span solve, span
+determinant (``_logdet``) and the search bound share; ``ChannelSpec`` keeps
+it, so a transform checks its channel once.  The Gram rows (bit-equal to the
+numpy expression, entry by entry) and their Cholesky factor are Python lists,
+which the public ``gram_effective`` and ``cholesky`` wrap in arrays.  g^T B g
+stays a numpy dot: on short vectors that dot is a fused multiply-add chain,
+which a Python sum does not reproduce.  Exact paths (rank, span solve, span
 membership) take integer matrices and share one fraction-free (Bareiss)
-elimination over Python ints, so they are never subject to tolerance
-artifacts; rationals appear only in the solutions they return and in
-``RationalMatrix``.
+elimination over Python ints, never subject to tolerance artifacts; rationals
+appear only in their solutions and in ``RationalMatrix``.  The cancellation
+steps in ``transform`` solve no system: each extends its path by one integer
+row operation per path row.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -176,8 +177,12 @@ def sylvester_logdet(gains, snr: float, b_sq=None) -> float:
     ``b_sq`` the determinant identity picks up det(B):
     L*log2(snr) + log2(det B) - log2(1 + snr * g^T B g).
     """
-    g, b_sq, _, denom = _channel(gains, snr, b_sq)
-    return g.size * math.log2(snr) + float(np.sum(np.log2(b_sq))) - math.log2(denom)
+    return _logdet(_channel(gains, snr, b_sq), snr)
+
+
+def _logdet(ch: _Checked, snr: float) -> float:
+    """``sylvester_logdet`` of a checked channel record."""
+    return ch.g.size * math.log2(snr) + float(np.sum(np.log2(ch.b_sq))) - math.log2(ch.denom)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ column orders: each feasible order comes with a unit-lower-triangular rational
 matrix L such that L A is upper triangular up to that column permutation.
 Row i's multipliers depend only on the set S of columns eliminated before it,
 so all feasible orders come from one depth-first walk over column-set prefixes
-with at most 2^K integer row solves, each kept as one step with integer rows
-q_S L_i and q_S (L A)_i; the steps of one matrix share one record of its rows.
+with at most 2^K steps of integer rows q_S L_i and q_S (L A)_i, each built from
+its path by one integer row operation per path row; they share A's columns.
 The same elimination can be replayed over Z_p with an integer unit-lower L
 once a suitable prime is chosen, which is what an actual mod-p decoder would
 use; each lifted row is built once per (column set, p).  Orders and lifts
@@ -26,6 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +41,8 @@ from .linalg import (
     _echelon,
     _gram_rows,
     _int_rows,
-    _solve_scaled,
+    _logdet,
     gram_effective,
-    sylvester_logdet,
 )
 from .rates import ComputationResult, _rate
 
@@ -169,7 +169,7 @@ def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
     """
     ch = t.channel
     k = ch.dim
-    logdet = sylvester_logdet(ch.gains, ch.snr, ch.weights_sq)
+    logdet = _logdet(ch._checked, ch.snr)
     upper = 0.5 * (k * math.log2(ch.snr) - logdet)
     lower = upper - 0.5 * k * math.log2(k)
     total = sum(t.rates)
@@ -179,9 +179,9 @@ def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
 
 
 class _Source(NamedTuple):
-    """What every step of one matrix shares: its integer rows and the lemma's prime bound."""
+    """What every step of one matrix shares: its integer columns and the lemma's prime bound."""
 
-    rows: list[list[int]]
+    cols: list[list[int]]
     lemma_bound: int
 
 
@@ -234,20 +234,38 @@ class PseudoTriangularization:
         return RationalMatrix(tuple(s.tilde for s in self.steps))
 
 
+def _reduce(cols, path, pi) -> tuple[int, ...]:
+    """q_S L_i, i = len(pi), S = pi[:i]: e_i with each pi[j] eliminated by path step j, made primitive.
+
+    Step j's row of L A is zero at pi[:j], so eliminating pi[j] keeps the earlier zeros; q > 0.
+    """
+    i = len(pi)
+    lower = [0] * i + [1]
+    for s, c in zip(path, pi):
+        y = sum(map(mul, lower, cols[c]))
+        if y:
+            d = s.tilde_int[c]
+            lower = [d * x - y * v for x, v in zip(lower, s.lower_int)]
+    g = math.gcd(*lower) if lower[i] > 0 else -math.gcd(*lower)
+    return (*(x // g for x in lower), *[0] * (len(cols) - i - 1))
+
+
 def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTriangularization]:
     """All column orders under which A triangularizes without row swaps.
 
     Row i's multipliers depend only on the set S of columns eliminated before
-    it: they solve ``A[0:i, S]^T x = -A[i, S]`` exactly.  Column c can follow S
-    iff row i of L A is nonzero at c, as L A keeps the rank of A; then
-    A[0:i+1, S + c] is nonsingular, so every prefix completes.  A depth-first
-    walk over column prefixes, on a stack, solves each (row, S) once, in
-    integers, into one step keyed by the bitmask of S: at most 2^K row solves,
-    with no ``Fraction`` arithmetic.  Orders come out in lexicographic ``pi``
+    it: they solve ``A[0:i, S]^T x = -A[i, S]``, uniquely as A[0:i, S] is
+    nonsingular.  Column c can follow S iff row i of L A is nonzero at c, since
+    L A keeps the rank of A, so every prefix completes.  A depth-first walk
+    over column prefixes, on a stack, builds each (row, S) once, by ``_reduce``
+    from the steps on its path, into one step keyed by the bitmask of S and
+    kept with its next columns: at most 2^K steps, with no ``Fraction``
+    arithmetic.  L A is recomputed from A, so the check that S is eliminated
+    does not trust the reduction.  Orders come out in lexicographic ``pi``
     order; full-rank A admits at least one.  For K > ``enumerate_limit`` only
-    the greedy order is returned: at each row, the first remaining column
-    where the reduced row is nonzero.  ValueError unless A is a nonempty,
-    full-rank square matrix of integers.
+    the greedy order is returned: at each row, the first remaining column where
+    the reduced row is nonzero.  ValueError unless A is a nonempty full-rank
+    square integer matrix.
     """
     a = np.asarray(a_matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -257,8 +275,9 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     if len(_echelon([row[:] for row in rows], k)) != k:
         raise ValueError("matrix must be full rank")
     a_max = max(1, *map(abs, itertools.chain.from_iterable(rows)))
-    source = _Source(rows, k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max)
-    memo: dict[int, _Step] = {}  # keyed by the bitmask of S; the row is its size
+    cols = [list(col) for col in zip(*rows)]
+    source = _Source(cols, k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max)
+    memo: dict[int, tuple[_Step, list[int]]] = {}  # keyed by the bitmask of S: its step and next columns
     out, stack = [], [((), (), 0)]  # stack entries: (pi, its steps, the bitmask of pi)
     while stack:
         pi, path, done = stack.pop()
@@ -266,22 +285,14 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
         if i == k:
             out.append(PseudoTriangularization(pi, path))
             continue
-        s = memo.get(done)
-        if s is None:
-            cols = sorted(pi)
-            solved = _solve_scaled([[rows[m][c] for m in range(i)] for c in cols], [-rows[i][c] for c in cols])
-            if solved is None:
-                raise RuntimeError("row solve is infeasible")
-            d, x = solved
-            q = abs(d) // math.gcd(d, *x)
-            lower = (*(n // (d // q) for n in x), q, *[0] * (k - i - 1))
-            tilde = tuple(sum(lower[m] * rows[m][c] for m in range(i + 1)) for c in range(k))
-            if any(tilde[c] for c in cols):
+        if done not in memo:
+            lower = _reduce(cols, path, pi)
+            tilde = tuple(sum(map(mul, lower, col)) for col in cols)
+            if any(tilde[c] for c in pi):
                 raise RuntimeError("eliminated entry is nonzero")
-            memo[done] = s = _Step(source, q, lower, tilde)
-        nxt = [c for c in range(k) if s.tilde_int[c]]  # the columns in S are zero there
-        if k > enumerate_limit:
-            nxt = nxt[:1]
+            nxt = [c for c in range(k) if tilde[c]]  # the columns in S are zero there
+            memo[done] = _Step(source, lower[i], lower, tilde), nxt[:1] if k > enumerate_limit else nxt
+        s, nxt = memo[done]
         path = (*path, s)
         stack += [((*pi, c), path, done | 1 << c) for c in reversed(nxt)]  # smallest column popped first
     return out
@@ -325,14 +336,14 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     Row i of L mod p is q_i^-1 times the integer row q_i L_i of its step, and p
     is the smallest prime that leaves every q_i and every permuted diagonal
     entry q_i (L A)[i, pi_i] nonzero mod p.  The rows of L mod p and of
-    (L mod p) A mod p are built, and checked for lost zeros, once per (column
-    set, p) and shared by every order through that step.  ValueError when A is
-    not the matrix ``pt`` was built from, whose rows the steps' ``_Source`` holds.
+    (L mod p) A mod p, from A's columns, are built and checked for lost zeros
+    once per (column set, p), shared by every order through that step.  ValueError
+    when A is not the matrix ``pt`` was built from, whose columns ``_Source`` holds.
     """
-    if not pt.steps or np.asarray(a_matrix).tolist() != pt.steps[0].source.rows:
+    if not pt.steps or np.asarray(a_matrix).T.tolist() != pt.steps[0].source.cols:
         raise ValueError("matrix is not the one the triangularization was built from")
-    rows, lemma_bound = pt.steps[0].source
-    k, pi = len(rows), pt.pi
+    cols, lemma_bound = pt.steps[0].source
+    pi = pt.pi
     units = math.prod(s.q * s.tilde_int[c] for s, c in zip(pt.steps, pi))
     p = next(p for p in itertools.count(2) if units % p and _is_prime(p))
     lifted = []
@@ -340,14 +351,13 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
         if p not in s.mod_p:
             inv = pow(s.q, -1, p)
             lower_p = tuple(x * inv % p for x in s.lower_int)
-            tilde_p = tuple(sum(x * row[c] for x, row in zip(lower_p, rows)) % p for c in range(k))
+            tilde_p = tuple(sum(map(mul, lower_p, col)) % p for col in cols)
             if any(tilde_p[c] for c in pi[:i]):
                 raise RuntimeError("mod-p elimination lost a zero")
             s.mod_p[p] = lower_p, tilde_p
         lifted.append(s.mod_p[p])
         if lifted[i][1][pi[i]] == 0:
             raise RuntimeError("mod-p diagonal entry vanished")
-
     lower_rows, a_tilde_rows = zip(*lifted)
     return ModPLift(p, lower_rows, a_tilde_rows, tuple(s.q for s in pt.steps), lemma_bound)
 
@@ -361,8 +371,5 @@ def rate_allocation(t: CfTransform, pt: PseudoTriangularization) -> tuple[float,
     k = len(pt.pi)
     if t.matrix.shape[0] != k:
         raise ValueError("transform and triangularization sizes differ")
-    pi_inv = [0] * k
-    for m, col in enumerate(pt.pi):
-        pi_inv[col] = m
-    rates = t.rates
-    return tuple(rates[pi_inv[user]] for user in range(k))
+    rates = dict(zip(pt.pi, t.rates))
+    return tuple(rates[user] for user in range(k))

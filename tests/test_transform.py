@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cfrates import cli
 from cfrates.lattice import BudgetExceeded
-from cfrates.linalg import RationalMatrix, _channel, exact_rank
+from cfrates.linalg import RationalMatrix, _channel, exact_rank, sylvester_logdet
 from cfrates.rates import comp_rate
 from cfrates.transform import (
     ChannelSpec,
@@ -316,13 +316,60 @@ class TestSumRateBounds:
             assert bounds.lower - 1e-9 <= bounds.total <= bounds.upper + 1e-9
         assert checked >= 100
 
+    @pytest.mark.parametrize("b_sq", [None, (1.0, 2.5, 0.6)])
+    def test_log_determinant_from_the_checked_record(self, b_sq, monkeypatch):
+        """The bounds check no channel again and match ``sylvester_logdet`` bit for bit."""
+        gains, snr = (0.7, -1.3, 0.4), 10**2.5
+        ch = ChannelSpec.plain(gains, snr) if b_sq is None else ChannelSpec.effective(gains, b_sq, snr)
+        t = transform(ch)
+        upper = 0.5 * (3 * math.log2(snr) - sylvester_logdet(gains, snr, b_sq))
+        for module in ("cfrates.linalg", "cfrates.transform"):
+            monkeypatch.setattr(importlib.import_module(module), "_channel", None)
+        bounds = sum_rate_bounds(t)
+        assert bounds.upper == upper
+        assert bounds.lower == upper - 1.5 * math.log2(3)
+
     def test_lll_transform_warns(self):
         t = transform(ChannelSpec.plain([1.0, 1.7], 100.0), method="lll")
         with pytest.warns(UserWarning):
             sum_rate_bounds(t)
 
 
+def assert_steps_in_normal_form(a):
+    """Every step of every order is q_S times row i of L and of L A, primitive, with q > 0.
+
+    L A is recomputed here from A, and L against ``ref_solve`` once per step.
+    """
+    rows = np.asarray(a).tolist()
+    k = len(rows)
+    solved = set()
+    for pt in pseudo_triangularize(a):
+        for i, s in enumerate(pt.steps):
+            q, lower, tilde = s.q, s.lower_int, s.tilde_int
+            assert q > 0 and lower[i] == q and not any(lower[i + 1 :])
+            assert math.gcd(*lower) == 1
+            assert tilde == tuple(sum(lower[m] * rows[m][c] for m in range(k)) for c in range(k))
+            assert not any(tilde[c] for c in pt.pi[:i]) and tilde[pt.pi[i]] != 0
+            if id(s) not in solved:
+                solved.add(id(s))
+                cols = pt.pi[:i]
+                x = ref_solve([[rows[m][c] for m in range(i)] for c in cols], [-rows[i][c] for c in cols])
+                assert [Fraction(lower[m], q) for m in range(i)] == x
+
+
 class TestPseudoTriangularize:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(full_rank_matrices())
+    def test_steps_in_normal_form(self, a):
+        assert_steps_in_normal_form(a)
+
+    def test_greedy_steps_in_normal_form(self):
+        rng = np.random.default_rng(26)
+        a = rng.integers(-3, 4, size=(9, 9))
+        while exact_rank(a) != 9:
+            a = rng.integers(-3, 4, size=(9, 9))
+        assert_steps_in_normal_form(a)
+
     def test_reference_matrix_both_orders(self):
         pts = pseudo_triangularize(EXAMPLE_A)
         assert [pt.pi for pt in pts] == [(0, 1), (1, 0)]
@@ -430,10 +477,14 @@ class TestPseudoTriangularize:
             a = seeded_full_rank(rng, k, sparse)
             assert as_tuples(pseudo_triangularize(a, limit)) == brute_force_reference(a, limit)
 
-    def test_wrong_row_solve_is_runtime_error(self, monkeypatch, capsys):
-        """An exact-invariant guard raises RuntimeError, which the CLI reports as an error."""
+    def test_wrong_row_reduction_is_runtime_error(self, monkeypatch, capsys):
+        """An exact-invariant guard raises RuntimeError, which the CLI reports as an error.
+
+        The injected reduction returns e_i unreduced; L A is recomputed from A,
+        so the guard sees the column it failed to eliminate.
+        """
         module = importlib.import_module("cfrates.transform")
-        monkeypatch.setattr(module, "_solve_scaled", lambda aug, rhs: (1, [0] * len(rhs)))
+        monkeypatch.setattr(module, "_reduce", lambda cols, path, pi: tuple(int(c == len(pi)) for c in range(len(cols))))
         with pytest.raises(RuntimeError, match="eliminated entry is nonzero"):
             pseudo_triangularize(EXAMPLE_A)
         assert cli.main(["rates", "--h", "2.2360679,1", "--snr-db", "15"]) == 1
@@ -516,7 +567,7 @@ class TestModPLift:
         assert len(pts) == DENSE_K8_ORDERS
         assert digest.hexdigest() == DENSE_K8_DIGEST
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(full_rank_matrices())
     def test_smallest_prime_clearing_the_units(self, a):
         k = len(a)
