@@ -15,7 +15,9 @@ The search core ``_search`` takes the Gram rows and their Cholesky factor as
 Python lists, which ``transform`` builds from its channel's checked record,
 and runs on Python ints and floats, cheaper than numpy on 2x2 to 8x8
 matrices.  The numpy dots left on a transform's float path, g^T B g and two
-per row in ``rates._rate``, are kept for their fused multiply-add rounding.
+``ndarray.dot`` calls per row in ``rates._rate``, are kept for their fused
+multiply-add rounding.  A step whose sphere holds one point, the usual case,
+takes it without ranking; two or more are ranked by norm, then vector.
 LLL and the walk share ``_Basis``'s Gram-Schmidt rows.  LLL is classical
 floating LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
 1993, §2.6.3): it computes a row when it first reaches it, then updates the
@@ -292,8 +294,13 @@ def _search(g: list[list[float]], r: list[list[float]], snr: float, budget: int)
         coords, nodes = _enumerate_half_sphere(lat.mu, lat.bb, radii[m] * (1.0 + _RADIUS_SLACK), m, budget, nodes)
         if not coords:
             raise RuntimeError("search sphere missed a successive minimum")
-        cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]  # a = W c
-        norm, vec, c = min((_norm(g, a), a, c) for a, c in zip(cands, coords))
+        if len(coords) == 1:  # the usual case: nothing to rank
+            c = coords[0]
+            vec = _signed(tuple(_dot(row, c) for row in w))  # a = W c
+            norm = _norm(g, vec)
+        else:
+            cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
+            norm, vec, c = min((_norm(g, a), a, c) for a, c in zip(cands, coords))
         if m == 0 and norm >= snr:
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)

@@ -10,6 +10,8 @@ coefficient vector is checked here.  ``comp_rate`` checks its inputs and calls
 row of a channel it has checked once.  The dot products g^T B a and a^T B a
 stay numpy: on short vectors numpy's dot is a fused multiply-add chain, which
 a Python sum does not reproduce, and the rates must not move in the last bit.
+``_rate`` calls the ``ndarray.dot`` method, which gives the same bits as ``@``
+at about half the call cost on these short vectors.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ def _rate(ch: _Checked, snr: float, a: tuple[int, ...]) -> ComputationResult:
     """``comp_rate`` for a checked channel record and a nonzero integer vector ``a``."""
     _, b_sq, bg, denom = ch
     a_arr = np.array(a, dtype=float)
-    cross = float(bg @ a_arr)
-    sigma2 = snr * (float(a_arr @ (b_sq * a_arr)) - snr * cross * cross / denom)
+    cross = float(bg.dot(a_arr))
+    sigma2 = snr * (float(a_arr.dot(b_sq * a_arr)) - snr * cross * cross / denom)
     if not sigma2 > 0:
         raise RuntimeError(f"effective noise variance cancelled to {sigma2!r}; snr is too high for float arithmetic")
     beta = snr * cross / denom

@@ -10,12 +10,17 @@ Row i's multipliers depend only on the set S of columns eliminated before it,
 so all feasible orders come from one depth-first walk over column-set prefixes
 with at most 2^K steps of integer rows q_S L_i and q_S (L A)_i, each built from
 its path by one integer row operation per path row; they share A's columns.
-The same elimination can be replayed over Z_p with an integer unit-lower L
-once a suitable prime is chosen, which is what an actual mod-p decoder would
-use; each lifted row is built once per (column set, p).  Orders and lifts
-hold only these integer rows: their ``Fraction`` matrices and int64 arrays are
-views, built on first read and cached, so listing every order and its prime,
-as ``cfrates rates`` does, builds none of them.
+q_S L_i is zero past entry i, so each product of it with a column of A sums
+only entries 0..i.  The same elimination can be replayed over Z_p with an
+integer unit-lower L once a suitable prime is chosen, which is what an actual
+mod-p decoder would use; each lifted row is built once per (column set, p).
+Orders and lifts hold only these integer rows: their ``Fraction`` matrices and
+int64 arrays are views, built on first read and cached, so listing every order
+and its prime, as ``cfrates rates`` does, builds none of them.  A transform's
+coefficient matrix, rates and integer columns are cached views of its rows
+too, so the per-order work of ``rate_allocation`` and ``mod_p_lift`` is a few
+O(K) loops; both check that the order was built from the matrix they are
+given.
 """
 
 from __future__ import annotations
@@ -100,22 +105,31 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class CfTransform:
-    """Integer coefficient matrix plus per-row decoding results.
+    """Per-row decoding results of a channel's optimal coefficient vectors.
 
-    Rows of ``matrix`` are the optimal coefficient vectors sorted by rate
-    (best first); ``results`` carries (a, beta, sigma2_eff, r_comp) per row.
-    ``method`` records whether the rows came from exhaustive enumeration or
-    the LLL fallback.
+    ``results`` carries (a, beta, sigma2_eff, r_comp) per row, sorted by rate
+    (best first); ``method`` records whether the rows came from exhaustive
+    enumeration or the LLL fallback.  Equality and hashing compare these and
+    the channel.  The coefficient ``matrix`` (int64, rows a), the ``rates``
+    and the integer columns of the matrix, which ``rate_allocation`` checks
+    an order against, are views built on first read and cached.
     """
 
-    matrix: np.ndarray
     results: tuple[ComputationResult, ...]
     channel: ChannelSpec
     method: str
 
-    @property
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return np.array([r.a for r in self.results], dtype=np.int64)
+
+    @cached_property
     def rates(self) -> tuple[float, ...]:
         return tuple(r.r_comp for r in self.results)
+
+    @cached_property
+    def _cols(self) -> list[list[int]]:
+        return [list(col) for col in zip(*(r.a for r in self.results))]
 
 
 def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_BUDGET) -> CfTransform:
@@ -151,7 +165,7 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     results = tuple(_rate(checked, snr, vec) for vec in opt.vectors)
     if len(_echelon([list(vec) for vec in opt.vectors], k)) != k:
         raise RuntimeError("coefficient matrix lost rank")
-    return CfTransform(matrix=opt.matrix, results=results, channel=channel, method=opt.method)
+    return CfTransform(results=results, channel=channel, method=opt.method)
 
 
 class SumRateBounds(NamedTuple):
@@ -234,10 +248,11 @@ class PseudoTriangularization:
         return RationalMatrix(tuple(s.tilde for s in self.steps))
 
 
-def _reduce(cols, path, pi) -> tuple[int, ...]:
-    """q_S L_i, i = len(pi), S = pi[:i]: e_i with each pi[j] eliminated by path step j, made primitive.
+def _reduce(cols, path, pi) -> list[int]:
+    """Entries 0..i of q_S L_i, i = len(pi), S = pi[:i]; the entries past i are zero.
 
-    Step j's row of L A is zero at pi[:j], so eliminating pi[j] keeps the earlier zeros; q > 0.
+    e_i with each pi[j] eliminated by path step j, made primitive.  Step j's row of L A is zero
+    at pi[:j], so eliminating pi[j] keeps the earlier zeros; q > 0.
     """
     i = len(pi)
     lower = [0] * i + [1]
@@ -247,7 +262,7 @@ def _reduce(cols, path, pi) -> tuple[int, ...]:
             d = s.tilde_int[c]
             lower = [d * x - y * v for x, v in zip(lower, s.lower_int)]
     g = math.gcd(*lower) if lower[i] > 0 else -math.gcd(*lower)
-    return (*(x // g for x in lower), *[0] * (len(cols) - i - 1))
+    return [x // g for x in lower]
 
 
 def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTriangularization]:
@@ -260,12 +275,15 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     over column prefixes, on a stack, builds each (row, S) once, by ``_reduce``
     from the steps on its path, into one step keyed by the bitmask of S and
     kept with its next columns: at most 2^K steps, with no ``Fraction``
-    arithmetic.  L A is recomputed from A, so the check that S is eliminated
-    does not trust the reduction.  Orders come out in lexicographic ``pi``
-    order; full-rank A admits at least one.  For K > ``enumerate_limit`` only
-    the greedy order is returned: at each row, the first remaining column where
-    the reduced row is nonzero.  ValueError unless A is a nonempty full-rank
-    square integer matrix.
+    arithmetic.  L A is recomputed from A's columns, summing entries 0..i of
+    the row of L (the rest are zero), so the check that S is eliminated does
+    not trust the reduction.  The last row's one next column completes an
+    order, which is emitted at once instead of going through the stack.
+    Orders come out in lexicographic ``pi`` order; full-rank A admits at
+    least one.  For K > ``enumerate_limit`` only the greedy order is
+    returned: at each row, the first remaining column where the reduced row
+    is nonzero.  ValueError unless A is a nonempty full-rank square integer
+    matrix.
     """
     a = np.asarray(a_matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -278,23 +296,24 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     cols = [list(col) for col in zip(*rows)]
     source = _Source(cols, k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max)
     memo: dict[int, tuple[_Step, list[int]]] = {}  # keyed by the bitmask of S: its step and next columns
-    out, stack = [], [((), (), 0)]  # stack entries: (pi, its steps, the bitmask of pi)
+    out, stack = [], [((), (), 0)]  # stack entries: (pi, its steps, the bitmask of pi), pi shorter than k
     while stack:
         pi, path, done = stack.pop()
         i = len(pi)
-        if i == k:
-            out.append(PseudoTriangularization(pi, path))
-            continue
         if done not in memo:
-            lower = _reduce(cols, path, pi)
-            tilde = tuple(sum(map(mul, lower, col)) for col in cols)
-            if any(tilde[c] for c in pi):
+            head = _reduce(cols, path, pi)
+            tilde = tuple([sum(map(mul, head, col)) for col in cols])  # map stops at entry i
+            if any(map(tilde.__getitem__, pi)):
                 raise RuntimeError("eliminated entry is nonzero")
             nxt = [c for c in range(k) if tilde[c]]  # the columns in S are zero there
-            memo[done] = _Step(source, lower[i], lower, tilde), nxt[:1] if k > enumerate_limit else nxt
+            step = _Step(source, head[i], (*head, *[0] * (k - i - 1)), tilde)
+            memo[done] = step, nxt[:1] if k > enumerate_limit else nxt
         s, nxt = memo[done]
         path = (*path, s)
-        stack += [((*pi, c), path, done | 1 << c) for c in reversed(nxt)]  # smallest column popped first
+        if i + 1 == k:  # the last row: its one next column completes the order
+            out += [PseudoTriangularization((*pi, c), path) for c in nxt]
+        else:
+            stack += [((*pi, c), path, done | 1 << c) for c in reversed(nxt)]  # smallest column popped first
     return out
 
 
@@ -327,49 +346,62 @@ class ModPLift:
 
 
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+    for f in range(2, math.isqrt(n) + 1):
+        if not n % f:
+            return False
+    return n >= 2
 
 
 def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     """Lift a rational triangularization of integer A to arithmetic mod p.
 
     Row i of L mod p is q_i^-1 times the integer row q_i L_i of its step, and p
-    is the smallest prime that leaves every q_i and every permuted diagonal
-    entry q_i (L A)[i, pi_i] nonzero mod p.  The rows of L mod p and of
-    (L mod p) A mod p, from A's columns, are built and checked for lost zeros
-    once per (column set, p), shared by every order through that step.  ValueError
-    when A is not the matrix ``pt`` was built from, whose columns ``_Source`` holds.
+    is the smallest prime that does not divide the product of every q_i and
+    every permuted diagonal entry q_i (L A)[i, pi_i].  The rows of L mod p and
+    of (L mod p) A mod p, the latter from A's columns and entries 0..i of the
+    row of L mod p, are built and checked for lost zeros once per (column set,
+    p), shared by every order through that step.  ValueError when A is not the
+    matrix ``pt`` was built from, whose columns ``_Source`` holds.
     """
-    if not pt.steps or np.asarray(a_matrix).T.tolist() != pt.steps[0].source.cols:
+    steps, pi = pt.steps, pt.pi
+    if not steps or np.asarray(a_matrix).T.tolist() != steps[0].source.cols:
         raise ValueError("matrix is not the one the triangularization was built from")
-    cols, lemma_bound = pt.steps[0].source
-    pi = pt.pi
-    units = math.prod(s.q * s.tilde_int[c] for s, c in zip(pt.steps, pi))
-    p = next(p for p in itertools.count(2) if units % p and _is_prime(p))
-    lifted = []
-    for i, s in enumerate(pt.steps):
-        if p not in s.mod_p:
+    cols, lemma_bound = steps[0].source
+    units = 1
+    for s, c in zip(steps, pi):
+        units *= s.q * s.tilde_int[c]
+    p = 2
+    while not units % p or not _is_prime(p):
+        p += 1
+    lower_rows, a_tilde_rows = [], []
+    for i, s in enumerate(steps):
+        lifted = s.mod_p.get(p)
+        if lifted is None:
             inv = pow(s.q, -1, p)
-            lower_p = tuple(x * inv % p for x in s.lower_int)
-            tilde_p = tuple(sum(map(mul, lower_p, col)) % p for col in cols)
-            if any(tilde_p[c] for c in pi[:i]):
+            head = [x * inv % p for x in s.lower_int[: i + 1]]  # entries past i are zero
+            tilde_p = tuple([sum(map(mul, head, col)) % p for col in cols])
+            if any(map(tilde_p.__getitem__, pi[:i])):
                 raise RuntimeError("mod-p elimination lost a zero")
-            s.mod_p[p] = lower_p, tilde_p
-        lifted.append(s.mod_p[p])
-        if lifted[i][1][pi[i]] == 0:
+            lifted = s.mod_p[p] = (*head, *[0] * (len(cols) - i - 1)), tilde_p
+        if not lifted[1][pi[i]]:
             raise RuntimeError("mod-p diagonal entry vanished")
-    lower_rows, a_tilde_rows = zip(*lifted)
-    return ModPLift(p, lower_rows, a_tilde_rows, tuple(s.q for s in pt.steps), lemma_bound)
+        lower_rows.append(lifted[0])
+        a_tilde_rows.append(lifted[1])
+    return ModPLift(p, tuple(lower_rows), tuple(a_tilde_rows), tuple([s.q for s in steps]), lemma_bound)
 
 
 def rate_allocation(t: CfTransform, pt: PseudoTriangularization) -> tuple[float, ...]:
     """Per-user rates under a feasible cancellation order.
 
     User k is decoded at the rate of combination pi^-1(k); the sum equals the
-    transform's sum rate for every feasible permutation.
+    transform's sum rate for every feasible permutation.  ValueError unless
+    ``pt`` was built from the transform's matrix, as in ``mod_p_lift``: the
+    integer columns its steps share must equal the transform's cached
+    ``_cols``, which no order of another matrix (or with no steps) has.
     """
-    k = len(pt.pi)
-    if t.matrix.shape[0] != k:
-        raise ValueError("transform and triangularization sizes differ")
-    rates = dict(zip(pt.pi, t.rates))
-    return tuple(rates[user] for user in range(k))
+    if not pt.steps or pt.steps[0].source.cols != t._cols:
+        raise ValueError("matrix is not the one the triangularization was built from")
+    alloc = [0.0] * len(pt.pi)
+    for user, rate in zip(pt.pi, t.rates):
+        alloc[user] = rate
+    return tuple(alloc)

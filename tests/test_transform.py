@@ -171,6 +171,12 @@ DENSE_K8_ORDERS = 24192
 # with the Fraction-based lift that mod_p_lift_reference copies
 DENSE_K8_DIGEST = "d61143e94e6294c54626d432452e2c28314ff74d5eb3c73f0869d1f3b771d4ff"
 
+# sha256 over the whole `cfrates rates` pipeline on default_rng(13) plain
+# MACs, 8 per K for K=2..6 at 10-40 dB: the transform rows with 17-digit beta,
+# sigma2 and rate, the sum-rate bounds, and for every order its pi, L, p, both
+# lifted row sets and its allocation
+PIPELINE_DIGEST = "0b04abef329d8c7bfa4b7b239b25056bd8cac5a15738fc4f00a1b4f92b22015e"
+
 
 @st.composite
 def full_rank_matrices(draw):
@@ -572,20 +578,33 @@ class TestModPLift:
     def test_smallest_prime_clearing_the_units(self, a):
         k = len(a)
         rows = a.tolist()
+        # The oracle of a row of L depends only on its Fraction entries (and p),
+        # which orders through one column set share: build it once per row.
+        scaled = {}  # row of L -> its denominator lcm q and q (L A)_i, in integers
+        lifted = {}  # (row of L, p) -> L_i mod p and (L A)_i mod p
+        primes = {}  # p -> the primes below p
         for pt in pseudo_triangularize(a):
             lift = mod_p_lift(a, pt)
-            lower = pt.lower.entries
-            denoms = [math.lcm(*(x.denominator for x in row)) for row in lower]
-            diag = [sum(lower[i][m] * rows[m][pt.pi[i]] for m in range(k)) * denoms[i] for i in range(k)]
-            units = [int(x) for x in denoms + diag]
             p = lift.p
+            lower = pt.lower.entries
+            for row in lower:
+                if row not in scaled:
+                    q = math.lcm(*(x.denominator for x in row))
+                    scaled[row] = q, [int(sum(row[m] * rows[m][c] for m in range(k)) * q) for c in range(k)]
+                if (row, p) not in lifted:
+                    q = scaled[row][0]
+                    row_p = [int(x * q) * pow(q, -1, p) % p for x in row]
+                    lifted[row, p] = row_p, [sum(row_p[m] * rows[m][c] for m in range(k)) % p for c in range(k)]
+            denoms = [scaled[row][0] for row in lower]
+            diag = [scaled[row][1][c] for row, c in zip(lower, pt.pi)]
+            units = denoms + diag
+            if p not in primes:
+                primes[p] = [f for f in range(2, p) if is_prime(f)]
             assert is_prime(p) and all(u % p for u in units)
-            assert all(any(u % f == 0 for u in units) for f in range(2, p) if is_prime(f))
+            assert all(any(u % f == 0 for u in units) for f in primes[p])
             assert lift.row_denominators == tuple(denoms)
-            lower_p = [[int(x * q) * pow(q, -1, p) % p for x in row] for row, q in zip(lower, denoms)]
-            assert lift.lower_mod_p.tolist() == lower_p
-            tilde_p = [[sum(lower_p[i][m] * rows[m][c] for m in range(k)) % p for c in range(k)] for i in range(k)]
-            assert lift.a_tilde_mod_p.tolist() == tilde_p
+            assert lift.lower_mod_p.tolist() == [lifted[row, p][0] for row in lower]
+            assert lift.a_tilde_mod_p.tolist() == [lifted[row, p][1] for row in lower]
 
     def test_other_matrix_rejected(self):
         for other in ([[1, 1], [1, 2]], np.eye(3, dtype=int)):
@@ -618,6 +637,20 @@ class TestEqualityAndViews:
     """Orders and lifts keep integer rows; ``Fraction`` and ndarray views are built on first read."""
 
     VIEWS = {"pt": ("lower", "a_tilde"), "step": ("lower", "tilde"), "lift": ("lower_mod_p", "a_tilde_mod_p")}
+
+    def test_transform_equality_and_hash(self):
+        """Transforms compare and hash by their results, channel and method; the matrix is a view of the rows."""
+        ch = ChannelSpec.plain([0.9, -1.3, 0.4], 10**2.5)
+        first, second = transform(ch), transform(ch)
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != transform(ChannelSpec.plain([0.9, -1.3, 0.4], 10**3))
+        assert first != dataclasses.replace(first, method="lll")
+        assert first.matrix.dtype == np.int64 and first.matrix.tolist() == [list(r.a) for r in first.results]
+        for name in ("matrix", "rates", "_cols"):
+            assert getattr(first, name) is getattr(first, name)
+        assert first.rates == tuple(r.r_comp for r in first.results)
+        assert first._cols == first.matrix.T.tolist()
 
     def test_lift_equality_and_hash(self):
         pt = pseudo_triangularize(EXAMPLE_A)[0]
@@ -664,6 +697,34 @@ class TestEqualityAndViews:
         )
 
 
+def pipeline_lines(rng, macs_per_k):
+    """The digest's lines, one per MAC then one per order, in 17-digit text."""
+
+    def text(fields):
+        return ",".join(format(x, ".17g") if isinstance(x, float) else str(x) for x in fields)
+
+    for k in range(2, 7):
+        for _ in range(macs_per_k):
+            snr_db = float(rng.uniform(10, 40))
+            h = rng.normal(size=k)
+            t = transform(ChannelSpec.plain(h, 10 ** (snr_db / 10)))
+            bounds = sum_rate_bounds(t)
+            rows = [x for r in t.results for x in (*r.a, r.beta, r.sigma2_eff, r.r_comp)]
+            yield text([k, snr_db, *h.tolist(), t.method, *rows, bounds.lower, bounds.total, bounds.upper])
+            for pt in pseudo_triangularize(t.matrix):
+                lift = mod_p_lift(t.matrix, pt)
+                lifted = [x for block in (lift.lower_rows, lift.a_tilde_rows) for row in block for x in row]
+                lower = [x for row in pt.lower.entries for x in row]
+                yield text([*pt.pi, *lower, lift.p, *lifted, *rate_allocation(t, pt)])
+
+
+def test_rates_pipeline_digest():
+    digest = hashlib.sha256()
+    for line in pipeline_lines(np.random.default_rng(13), 8):
+        digest.update((line + "\n").encode())
+    assert digest.hexdigest() == PIPELINE_DIGEST
+
+
 class TestRateAllocation:
     def test_reference_allocations(self):
         t = transform(ChannelSpec.plain([math.sqrt(5), 1.0], 10**1.5))
@@ -678,6 +739,18 @@ class TestRateAllocation:
         t = transform(ChannelSpec.plain([2.0], 10.0))
         pts = pseudo_triangularize(t.matrix)
         assert rate_allocation(t, pts[0]) == (t.rates[0],)
+
+    def test_order_of_another_matrix_rejected(self):
+        """An order must come from the transform's own matrix, as for ``mod_p_lift``."""
+        t = transform(ChannelSpec.plain([0.9, -1.3, 0.4], 10**2.5))
+        assert t.matrix.tolist() != np.eye(3, dtype=int).tolist()
+        for pt in (pseudo_triangularize(np.eye(3, dtype=int))[0], pseudo_triangularize(EXAMPLE_A)[0]):
+            with pytest.raises(ValueError, match="not the one"):
+                rate_allocation(t, pt)
+        with pytest.raises(ValueError, match="not the one"):
+            rate_allocation(t, PseudoTriangularization(pi=(), steps=()))
+        # an order of an equal matrix from another call is accepted
+        assert len(rate_allocation(t, pseudo_triangularize(t.matrix.tolist())[0])) == 3
 
     def test_sum_is_order_invariant(self):
         rng = np.random.default_rng(28)
