@@ -7,25 +7,16 @@ step is a depth-first Fincke-Pohst walk in the coordinates of a unimodular
 basis that starts LLL-reduced and whose leading columns span the vectors
 found so far, so a sign rule on the trailing coordinates skips the span and
 no independence test is needed.  The sphere of step m is the (m+1)-th
-smallest LLL norm, which bounds the (m+1)-th minimum and stays far below the
-positive-rate radius.  LLL is also exposed on its own as the fast suboptimal
-fallback when an enumeration budget is exhausted.
+smallest LLL norm, which bounds the (m+1)-th minimum.  LLL alone is the fast
+suboptimal fallback when an enumeration budget is exhausted.
 
-The search core ``_search`` takes the Gram rows and their Cholesky factor as
-Python lists, which ``transform`` builds from its channel's checked record,
-and runs on Python ints and floats, cheaper than numpy on 2x2 to 8x8
-matrices.  The numpy dots left on a transform's float path, g^T B g and two
-``ndarray.dot`` calls per row in ``rates._rate``, are kept for their fused
-multiply-add rounding.  A step whose sphere holds one point, the usual case,
-takes it without ranking; two or more are ranked by norm, then vector.
-LLL and the walk share ``_Basis``'s Gram-Schmidt rows.  LLL is classical
-floating LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
-1993, §2.6.3): it computes a row when it first reaches it, then updates the
-rows in place on each size reduction and exchange, so an exchange costs
-O(K) whatever the vectors' length.  The search then rebuilds b = q W and all
-its rows once, right after LLL (LLL's b is a rounding away from q W), takes
-its radii from that, and afterwards refreshes only after a ``_fold`` that
-moved W.
+``_search`` runs on Python ints and floats over the columns of an embedding
+M (``linalg._embedding`` for a channel, Cholesky rows for a bare Gram) and
+ranks candidates by ``linalg._sq_norm``, the norm the rates use.  LLL is
+classical floating LLL (Cohen, *A Course in Computational Algebraic Number
+Theory*, 1993, §2.6.3), updating its Gram-Schmidt rows in place; the search
+rebuilds them from b = q W once after LLL and then only after a ``_fold``
+that moved W.
 """
 
 from __future__ import annotations
@@ -36,13 +27,17 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import GramMatrix, _channel, _cholesky_rows
+from .linalg import GramMatrix, _basis_embedding, _channel, _cholesky_rows, _Embedding, _sq_norm
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
 DEFAULT_BUDGET = 10_000_000
 
-# relative slack for sphere inclusion tests on floating-point radii
+# Relative slack for sphere inclusion tests.  The walk runs on M's float
+# columns, whose entries c g_j round independently, so a walk norm is within
+# 3 eps sqrt(den) of ||M a||^2 = a^T G a, relative, den = 1 + snr g^T B g
+# (to first order; 0.4 eps sqrt(den) was the largest seen).  1e-9 covers that
+# while den < 1e12: 120 dB at g^T B g = 1.
 _RADIUS_SLACK = 1e-9
 
 
@@ -100,11 +95,6 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _norm(g: list[list[float]], a: tuple[int, ...]) -> float:
-    """a^T G a, the noise norm that ranks candidates."""
-    return _dot(a, [_dot(row, a) for row in g])
-
-
 def _signed(a: tuple[int, ...]) -> tuple[int, ...]:
     """``a`` or ``-a``, whichever has a positive first nonzero entry."""
     return a if next(x for x in a if x) > 0 else tuple(-x for x in a)
@@ -113,11 +103,10 @@ def _signed(a: tuple[int, ...]) -> tuple[int, ...]:
 class _Basis:
     """Lattice vectors b_i = q w_i and their Gram-Schmidt data, on Python floats.
 
-    Built from the rows of a basis, which become the columns of ``q``; ``q``
-    and the unimodular ``w`` are lists of rows.  ``ortho[i]`` is b*_i, the part of b_i orthogonal to b_0..b_{i-1},
-    ``mu[i][j] = <b_i, b*_j> / |b*_j|^2`` (j < i) and ``bb[i] = |b*_i|^2``: the
-    triangular factor of the basis is R[i][i] = |b*_i|, R[j][i] = mu[i][j] |b*_j|.
-    ``lll`` keeps ``mu`` and ``bb`` but not ``ortho``; ``refresh`` rebuilds all three.
+    Built from the basis vectors (rows), the columns of ``q``; ``q`` and the
+    unimodular ``w`` are lists of rows.  ``ortho[i]`` is b*_i, ``mu[i][j] =
+    <b_i, b*_j> / |b*_j|^2`` (j < i) and ``bb[i] = |b*_i|^2``.  ``lll`` keeps
+    ``mu`` and ``bb`` but not ``ortho``; ``refresh`` rebuilds all three.
     """
 
     def __init__(self, rows: list[list[float]]):
@@ -145,12 +134,11 @@ class _Basis:
     def lll(self, delta: float) -> list[list[int]]:
         """LLL-reduce the vectors in place (Lovasz parameter ``delta``); return ``w``.
 
-        Classical floating LLL (Cohen 1993, Algorithm 2.6.3): a size reduction
-        b_i -= r b_j updates row i of ``mu`` in place (b*_i does not change)
-        and an exchange applies the swap formulas to ``mu`` and ``bb``.  Row i
-        is computed when the loop first reaches it, against b*_0..b*_{i-1}
-        rebuilt from b and ``mu``: orthogonalizing vectors, not inner
-        products, keeps ``bb`` accurate on ill-conditioned bases.
+        A size reduction updates row i of ``mu`` in place and an exchange
+        applies the swap formulas to ``mu`` and ``bb`` (Cohen 1993, 2.6.3).
+        Row i is computed when the loop first reaches it, against b*_0..b*_{i-1}
+        rebuilt from b and ``mu``: orthogonalizing vectors, not inner products,
+        keeps ``bb`` accurate on ill-conditioned bases.
         """
         b, w, mu, bb, ortho = self.b, self.w, self.mu, self.bb, self.ortho
         k, top = len(b), 0
@@ -198,14 +186,12 @@ class _Basis:
 def _enumerate_half_sphere(mu, bb, radius_sq: float, floor: int, budget: int, nodes: int = 0) -> tuple[list, int]:
     """All integer c with ||R c||^2 <= radius_sq and c[floor:] nonzero, one per {c, -c}.
 
-    R is the triangular factor of a ``_Basis`` with Gram-Schmidt data ``mu``
-    and ``bb``, so ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2 and
-    coordinates are fixed from the last index downward; while every fixed
-    coordinate is zero the current one is restricted to be nonnegative, and at
-    index ``floor`` to be positive.  That keeps exactly the representative
-    whose last nonzero entry is positive and skips every c with c[floor:] == 0.
-    Every integer tried at any level counts against ``budget``, starting from
-    ``nodes``; returns the points and the new node count.
+    ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2 for a ``_Basis``'s
+    Gram-Schmidt data, fixed from the last coordinate down; while the fixed
+    ones are zero the current one must be nonnegative, and positive at
+    ``floor``, which keeps the representative whose last nonzero entry is
+    positive.  Every integer tried counts against ``budget``, from ``nodes``;
+    returns the points and the new node count.
     """
     k = len(bb)
     slack = _RADIUS_SLACK * radius_sq
@@ -266,23 +252,20 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
 
     Vector m is the smallest lattice vector outside the span of vectors
     0..m-1, ranked by a^T G a with ties broken lexicographically on the
-    canonicalized entries.  Step m enumerates the integer coordinates c of a
-    unimodular basis W (a = W c) whose first m columns span the vectors found
-    so far, skipping every c with c[m:] == 0.  Returns an empty set when even
-    the shortest vector has a^T G a >= snr (no combination has positive rate).
-    Raises BudgetExceeded when the K enumeration trees together grow past
-    ``budget`` nodes; callers may fall back to ``lll_reduce``.  A negative
-    ``budget`` is a ValueError.
+    canonicalized entries; a bare Gram's basis is its Cholesky rows.  Returns an
+    empty set when even the shortest vector has a^T G a >= snr (no positive
+    rate).  Raises BudgetExceeded when the K enumeration trees together grow
+    past ``budget`` nodes; callers may fall back to ``lll_reduce``.  A
+    negative ``budget`` is a ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    g = gram.entries.tolist()
-    return _search(g, _cholesky_rows(g), gram.snr, budget)
+    return _search(_basis_embedding(_cholesky_rows(gram.entries.tolist())), gram.snr, budget)
 
 
-def _search(g: list[list[float]], r: list[list[float]], snr: float, budget: int) -> OptimalSet:
-    """``successive_minima`` on the Gram rows ``g`` and their Cholesky factor ``r`` (rows)."""
-    lat = _Basis(r)
+def _search(emb: _Embedding, snr: float, budget: int) -> OptimalSet:
+    """``successive_minima`` on an embedding: LLL and the walk on ``emb.basis``, ranking by ``_sq_norm``."""
+    lat = _Basis(emb.basis)
     w = lat.lll(0.99)
     lat.refresh(0)  # LLL updates b in place, a rounding away from q W, and leaves ortho stale
     # The m+1 shortest LLL vectors are independent, so the (m+1)-th smallest
@@ -290,29 +273,24 @@ def _search(g: list[list[float]], r: list[list[float]], snr: float, budget: int)
     radii = sorted(_dot(v, v) for v in lat.b)
 
     vectors, out_norms, nodes = [], [], 0
-    for m in range(len(g)):
+    for m in range(len(w)):
         coords, nodes = _enumerate_half_sphere(lat.mu, lat.bb, radii[m] * (1.0 + _RADIUS_SLACK), m, budget, nodes)
         if not coords:
             raise RuntimeError("search sphere missed a successive minimum")
         if len(coords) == 1:  # the usual case: nothing to rank
             c = coords[0]
             vec = _signed(tuple(_dot(row, c) for row in w))  # a = W c
-            norm = _norm(g, vec)
+            norm = _sq_norm(emb, vec)
         else:
             cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
-            norm, vec, c = min((_norm(g, a), a, c) for a, c in zip(cands, coords))
+            norm, vec, c = min((_sq_norm(emb, a), a, c) for a, c in zip(cands, coords))
         if m == 0 and norm >= snr:
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
         out_norms.append(norm)
-        if m + 1 < len(g) and _fold(w, m, c):  # w is not read after the last step
+        if m + 1 < len(w) and _fold(w, m, c):  # w is not read after the last step
             lat.refresh(m)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
-
-
-def _lll_coords(basis, delta: float) -> list[list[int]]:
-    """Unimodular U, as a list of rows, such that the columns of basis @ U are LLL-reduced."""
-    return _Basis(np.asarray(basis, dtype=float).T.tolist()).lll(delta)
 
 
 def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
@@ -335,12 +313,10 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
 
-    return _lll_set(basis.tolist(), delta)
+    return _lll_set(_basis_embedding(basis.tolist()), delta)
 
 
-def _lll_set(r: list[list[float]], delta: float = 0.99) -> OptimalSet:
-    """``lll_reduce`` on a checked basis ``r`` given as rows."""
-    lat = _Basis(r)
-    w = lat.lll(delta)
-    scored = sorted((_dot(v, v), _signed(col)) for v, col in zip(lat.b, zip(*w)))
+def _lll_set(emb: _Embedding, delta: float = 0.99) -> OptimalSet:
+    """``lll_reduce`` on the float basis of an embedding, with ``_sq_norm`` norms."""
+    scored = sorted((_sq_norm(emb, col), _signed(col)) for col in zip(*_Basis(emb.basis).lll(delta)))
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")

@@ -1,21 +1,14 @@
 """Small exact and floating-point matrix kernels shared across the package.
 
-Floating paths use Woodbury closed forms, so the inverse square root of the
-coefficient-selection lattice basis is never materialized; only quadratic
-forms and a Cholesky factor are needed.  Every channel input (gains, snr,
-squared weights) is checked in one place, ``_channel``, which returns one
-record (g, b_sq, B g, 1 + snr g^T B g) that the Gram matrix, the rates, the
-determinant (``_logdet``) and the search bound share; ``ChannelSpec`` keeps
-it, so a transform checks its channel once.  The Gram rows (bit-equal to the
-numpy expression, entry by entry) and their Cholesky factor are Python lists,
-which the public ``gram_effective`` and ``cholesky`` wrap in arrays.  g^T B g
-stays a numpy dot: on short vectors that dot is a fused multiply-add chain,
-which a Python sum does not reproduce.  Exact paths (rank, span solve, span
-membership) take integer matrices and share one fraction-free (Bareiss)
-elimination over Python ints, never subject to tolerance artifacts; rationals
-appear only in their solutions and in ``RationalMatrix``.  The cancellation
-steps in ``transform`` solve no system: each extends its path by one integer
-row operation per path row.
+Every channel input (gains, snr, squared weights) is checked in one place,
+``_channel``, which returns one record (g, b_sq, B g, 1 + snr g^T B g); a
+``ChannelSpec`` keeps it, so a transform checks its channel once.  Every noise
+norm a^T G a is ``_sq_norm`` of the channel's ``_embedding`` M, a sum of
+squares by Lagrange's identity, so nothing cancels at any snr; the Gram matrix
+is M^T M and the search reduces M's columns.  Exact paths (rank, span solve,
+span membership) take integer matrices and share one fraction-free (Bareiss)
+elimination over Python ints; rationals appear only in their solutions and in
+``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -32,15 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "GramMatrix",
-    "RationalMatrix",
-    "gram_plain",
-    "gram_effective",
-    "cholesky",
-    "sylvester_logdet",
-    "exact_rank",
-    "exact_solve_in_span",
-    "RationalSpan",
+    "GramMatrix", "RationalMatrix", "gram_plain", "gram_effective", "cholesky",
+    "sylvester_logdet", "exact_rank", "exact_solve_in_span", "RationalSpan",
 ]
 
 
@@ -51,10 +37,20 @@ class GramMatrix:
     ``a @ entries @ a`` is the minimal effective noise variance achievable
     when decoding the integer combination ``a``.  ``snr`` rides along because
     both the positive-rate sphere and the rate formula are relative to it.
+    Equality and hashing compare the entries, as nested tuples, and snr.
     """
 
     entries: np.ndarray
     snr: float
+
+    def _key(self) -> tuple:
+        return tuple(map(tuple, self.entries.tolist())), self.snr
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GramMatrix) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def dim(self) -> int:
@@ -62,11 +58,11 @@ class GramMatrix:
 
 
 class _Checked(NamedTuple):
-    """One checked channel: gains, squared weights, B g and 1 + snr g^T B g."""
+    """One checked channel: gains, squared weights (arrays), B g (Python floats) and 1 + snr g^T B g."""
 
     g: np.ndarray
     b_sq: np.ndarray
-    bg: np.ndarray
+    bg: tuple[float, ...]
     denom: float
 
 
@@ -96,24 +92,80 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
         denom = 1.0 + snr * float(g @ bg)
     if not math.isfinite(denom):
         raise ValueError("1 + snr g^T B g overflows floating point; gains or snr are too large")
-    return _Checked(g, b_sq, bg, denom)
+    return _Checked(g, b_sq, tuple(bg.tolist()), denom)
 
 
-def _gram_rows(ch: _Checked, snr: float) -> list[list[float]]:
-    """Rows of snr * (B - snr * B g g^T B / (1 + snr * g^T B g)) on Python floats.
+class _Embedding(NamedTuple):
+    """M with ||M a||^2 = a^T G a: rows sqrt(diag[i]) e_i, c (x_j e_i - x_i e_j) per pair, then ``dense``.
 
-    Each entry takes the same elementwise operations, in the same order, as
-    the numpy expression, so the rows are bit-equal to it.  Raises ValueError
-    when an entry overflows.
+    A pair is (i, j, c, x_j, x_i) with each x as its ``_split`` halves;
+    ``basis`` holds M's columns on floats, the basis that LLL and the walk reduce.
     """
-    snr, b_sq, bg, denom = float(snr), ch.b_sq.tolist(), ch.bg.tolist(), ch.denom
-    rows = [
-        [snr * ((b_sq[i] if i == j else 0.0) - snr * (x * y) / denom) for j, y in enumerate(bg)]
-        for i, x in enumerate(bg)
-    ]
-    if not all(math.isfinite(v) for row in rows for v in row):
+
+    basis: list[list[float]]
+    diag: tuple[float, ...]
+    pairs: tuple[tuple, ...]
+    dense: tuple[tuple[float, ...], ...]
+
+
+def _split(x: float) -> tuple[float, float]:
+    """``(hi, lo)``, hi + lo = x, with 26 bits in hi: hi * n is exact for an integer |n| < 2^27."""
+    m, e = math.frexp(x)
+    hi = math.ldexp(math.trunc(m * 67108864.0), e - 26)
+    return hi, x - hi
+
+
+def _embedding(ch: _Checked, snr: float) -> _Embedding:
+    """The channel's M: rows sqrt(snr b_i / den) e_i and snr sqrt(b_i b_j / den) (g_j e_i - g_i e_j), i < j.
+
+    With den = 1 + snr g^T B g, Lagrange's identity makes ||M a||^2 =
+    snr (a^T B a + snr sum_{i<j} b_i b_j (a_i g_j - a_j g_i)^2) / den = a^T G a,
+    a sum of squares.  Raises ValueError when a squared column norm (a
+    diagonal entry of G) overflows or underflows to zero.
+    """
+    snr, den = float(snr), ch.denom
+    g, b_sq = ch.g.tolist(), ch.b_sq.tolist()
+    k = len(g)
+    diag = tuple([snr * b / den for b in b_sq])
+    basis = [[0.0] * (k * (k + 1) // 2) for _ in g]
+    root, scale, parts = [math.sqrt(b) for b in b_sq], snr / math.sqrt(den), [_split(x) for x in g]
+    pairs, r = [], k
+    for i, (col, d, gi) in enumerate(zip(basis, diag, g)):
+        col[i] = math.sqrt(d)
+        for j in range(i + 1, k):
+            c = scale * root[i] * root[j]
+            pairs.append((i, j, c, *parts[j], *parts[i]))
+            col[r], basis[j][r] = c * g[j], -c * gi
+            r += 1
+    norms = [sum(map(mul, col, col)) for col in basis]
+    if not all(map(math.isfinite, norms)):
         raise ValueError("Gram matrix overflows floating point; gains or snr are too large")
-    return rows
+    if not all(norms):
+        raise ValueError("Gram matrix underflows floating point; snr is too small")
+    return _Embedding(basis, diag, tuple(pairs), ())
+
+
+def _basis_embedding(basis: list[list[float]]) -> _Embedding:
+    """The M of a bare lattice basis (vectors as rows): the basis transposed, as dense rows."""
+    return _Embedding(basis, (), (), tuple(zip(*basis)))
+
+
+def _sq_norm(emb: _Embedding, a) -> float:
+    """||M a||^2 = a^T G a for an integer ``a``: every noise norm, searched or reported.
+
+    On a channel's M each term is a square and a_i g_j - a_j g_i sums exact
+    products of ``_split`` halves, so for |a_i| < 2^27 the result is within
+    (K^2 + 10) eps of a^T G a (from the float inputs), relative, at any snr.
+    """
+    total = sum(map(mul, emb.diag, [x * x for x in a]))
+    for i, j, c, hj, lj, hi, li in emb.pairs:
+        ai, aj = a[i], a[j]
+        v = c * ((hj * ai - hi * aj) + (lj * ai - li * aj))
+        total += v * v
+    for row in emb.dense:
+        v = sum(map(mul, row, a))
+        total += v * v
+    return total
 
 
 def _cholesky_rows(g) -> list[list[float]]:
@@ -154,9 +206,11 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
 
         G = snr * (B - snr * B g g^T B / (1 + snr * g^T B g))
 
-    Raises ValueError when G overflows to a non-finite entry.
+    Evaluated as M^T M (``_embedding``), whose entries sum products of one
+    sign, so nothing cancels.  Raises ValueError when G overflows.
     """
-    return GramMatrix(entries=np.array(_gram_rows(_channel(g, snr, b_sq), snr)), snr=float(snr))
+    cols = _embedding(_channel(g, snr, b_sq), snr).basis
+    return GramMatrix(entries=np.array([[sum(map(mul, u, v)) for v in cols] for u in cols]), snr=float(snr))
 
 
 def cholesky(gram) -> np.ndarray:

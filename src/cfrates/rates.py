@@ -5,30 +5,23 @@ effective noise variance, and the rate 0.5*log2(snr/sigma2).  A plain MAC is
 the special case of an effective MAC with unit weights, so each function takes
 an optional ``b_sq`` vector of squared effective weights.  The channel is
 checked, and 1 + snr g^T B g computed, by ``linalg._channel``; only the
-coefficient vector is checked here.  ``comp_rate`` checks its inputs and calls
-``_rate`` on the checked record, which ``transform`` calls directly for each
-row of a channel it has checked once.  The dot products g^T B a and a^T B a
-stay numpy: on short vectors numpy's dot is a fused multiply-add chain, which
-a Python sum does not reproduce, and the rates must not move in the last bit.
-``_rate`` calls the ``ndarray.dot`` method, which gives the same bits as ``@``
-at about half the call cost on these short vectors.
+coefficient vector is checked here.  The noise variance is ``linalg._sq_norm``
+of the channel's embedding, the norm the search ranks by: ``comp_rate`` builds
+the embedding, and ``transform`` passes each row's norm from its search to
+``_rate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .linalg import _channel, _Checked
+from .linalg import _channel, _Checked, _embedding, _sq_norm
 
-__all__ = [
-    "ComputationResult",
-    "effective_variance",
-    "optimal_beta",
-    "comp_rate",
-]
+__all__ = ["ComputationResult", "effective_variance", "optimal_beta", "comp_rate"]
 
 
 @dataclass(frozen=True)
@@ -66,17 +59,17 @@ def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
 def optimal_beta(gains, a, snr: float, b_sq=None) -> float:
     """MMSE scaling coefficient: snr * g^T B a / (1 + snr * g^T B g)."""
     ch, a = _prepare(gains, a, snr, b_sq)
-    return snr * float(ch.bg @ a) / ch.denom
+    return snr * sum(map(mul, ch.bg, a.tolist())) / ch.denom
 
 
 def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
     """Best achievable rate for decoding combination ``a``.
 
-    The minimal variance has the Woodbury closed form
-    snr * (a^T B a - snr*(g^T B a)^2 / (1 + snr * g^T B g)) and matches the
-    quadratic form of the channel's Gram matrix.  Raises ValueError unless
-    ``a`` is a nonzero integer vector, and RuntimeError when float
-    cancellation leaves that variance nonpositive.
+    The minimal variance is a^T G a, the Woodbury closed form
+    snr * (a^T B a - snr*(g^T B a)^2 / (1 + snr * g^T B g)), evaluated as the
+    Lagrange sum of squares ``linalg._sq_norm``.  Raises ValueError unless
+    ``a`` is a nonzero integer vector, and RuntimeError when that variance
+    underflows to zero.
     """
     ch, a_arr = _prepare(gains, a, snr, b_sq)
     coeffs = a_arr.tolist()
@@ -84,17 +77,14 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
         raise ValueError("coefficient vector must be integer")
     if not any(coeffs):
         raise ValueError("coefficient vector must be nonzero")
-    return _rate(ch, snr, tuple(map(int, coeffs)))
+    a = tuple(map(int, coeffs))
+    return _rate(ch, snr, a, _sq_norm(_embedding(ch, snr), a))
 
 
-def _rate(ch: _Checked, snr: float, a: tuple[int, ...]) -> ComputationResult:
-    """``comp_rate`` for a checked channel record and a nonzero integer vector ``a``."""
-    _, b_sq, bg, denom = ch
-    a_arr = np.array(a, dtype=float)
-    cross = float(bg.dot(a_arr))
-    sigma2 = snr * (float(a_arr.dot(b_sq * a_arr)) - snr * cross * cross / denom)
+def _rate(ch: _Checked, snr: float, a: tuple[int, ...], sigma2: float) -> ComputationResult:
+    """``comp_rate`` for a checked channel record, a nonzero integer ``a`` and its ``_sq_norm`` ``sigma2``."""
     if not sigma2 > 0:
-        raise RuntimeError(f"effective noise variance cancelled to {sigma2!r}; snr is too high for float arithmetic")
-    beta = snr * cross / denom
+        raise RuntimeError(f"effective noise variance underflowed to {sigma2!r}; snr is too small for float arithmetic")
+    beta = snr * sum(map(mul, ch.bg, a)) / ch.denom
     rate = 0.5 * math.log2(snr / sigma2)
     return ComputationResult(a=a, beta=beta, sigma2_eff=sigma2, r_comp=rate)

@@ -1,26 +1,15 @@
 """Stacked integer-combination receivers and their algebraic bookkeeping.
 
 A channel's transform stacks the optimal coefficient vectors into an integer
-matrix A with one decoded combination (and its rate) per row.  Solving the
-combinations back for the individual codewords by successive cancellation
-requires triangularizing A without row swaps, which is only possible for some
-column orders: each feasible order comes with a unit-lower-triangular rational
-matrix L such that L A is upper triangular up to that column permutation.
-Row i's multipliers depend only on the set S of columns eliminated before it,
-so all feasible orders come from one depth-first walk over column-set prefixes
-with at most 2^K steps of integer rows q_S L_i and q_S (L A)_i, each built from
-its path by one integer row operation per path row; they share A's columns.
-q_S L_i is zero past entry i, so each product of it with a column of A sums
-only entries 0..i.  The same elimination can be replayed over Z_p with an
-integer unit-lower L once a suitable prime is chosen, which is what an actual
-mod-p decoder would use; each lifted row is built once per (column set, p).
-Orders and lifts hold only these integer rows: their ``Fraction`` matrices and
-int64 arrays are views, built on first read and cached, so listing every order
-and its prime, as ``cfrates rates`` does, builds none of them.  A transform's
-coefficient matrix, rates and integer columns are cached views of its rows
-too, so the per-order work of ``rate_allocation`` and ``mod_p_lift`` is a few
-O(K) loops; both check that the order was built from the matrix they are
-given.
+matrix A with one decoded combination (and its rate) per row.  Successive
+cancellation needs A triangularized without row swaps, which only some column
+orders allow: each comes with a unit-lower-triangular rational L such that
+L A is upper triangular up to that permutation.  All feasible orders come
+from one depth-first walk over column-set prefixes, with at most 2^K steps of
+integer rows q_S L_i and q_S (L A)_i; each order can be replayed over Z_p
+with an integer L, as a mod-p decoder would.  Orders and lifts hold only
+integer rows, and their ``Fraction`` matrices and int64 arrays are cached
+views, as are a transform's matrix, rates and integer columns.
 """
 
 from __future__ import annotations
@@ -42,9 +31,8 @@ from .linalg import (
     RationalMatrix,
     _channel,
     _Checked,
-    _cholesky_rows,
     _echelon,
-    _gram_rows,
+    _embedding,
     _int_rows,
     _logdet,
     gram_effective,
@@ -71,10 +59,9 @@ class ChannelSpec:
 
     ``weights_sq`` is all ones for a plain MAC; effective MACs carry the
     diagonal of their weight matrix.  Construction checks the channel with
-    ``linalg._channel``, the one check of every channel input, so an invalid
-    spec raises ValueError and never exists; the checked record is kept in
-    ``_checked``, outside init, repr, equality and hash, so ``transform``
-    reuses it instead of checking again.
+    ``linalg._channel``, so an invalid spec raises ValueError; the record is
+    kept in ``_checked``, outside init, repr, equality and hash, for
+    ``transform`` to reuse.
     """
 
     gains: tuple[float, ...]
@@ -111,8 +98,7 @@ class CfTransform:
     (best first); ``method`` records whether the rows came from exhaustive
     enumeration or the LLL fallback.  Equality and hashing compare these and
     the channel.  The coefficient ``matrix`` (int64, rows a), the ``rates``
-    and the integer columns of the matrix, which ``rate_allocation`` checks
-    an order against, are views built on first read and cached.
+    and the matrix's integer columns are views built on first read and cached.
     """
 
     results: tuple[ComputationResult, ...]
@@ -138,31 +124,30 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     ``method='auto'`` tries exhaustive enumeration and falls back to LLL when
     the node budget is exhausted; 'exhaustive' propagates BudgetExceeded;
     'lll' skips enumeration entirely.  The channel's checked record gives the
-    Gram rows and their Cholesky factor, shared by both searches; each row's
-    result comes from the record by the same ``rates._rate`` that
-    ``comp_rate`` calls, and the rank check is ``exact_rank``'s elimination on
-    the rows.  ValueError for an unknown method or a negative ``budget``.
+    embedding both searches run on; each row's result comes from the record
+    and the row's search norm by the same ``rates._rate`` that ``comp_rate``
+    calls, and the rank check is ``exact_rank``'s elimination on the rows.
+    ValueError for an unknown method or a negative ``budget``.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     k, snr, checked = channel.dim, channel.snr, channel._checked
-    gram = _gram_rows(checked, snr)
-    factor = _cholesky_rows(gram)
+    emb = _embedding(checked, snr)
     opt: OptimalSet
     if method == "lll":
-        opt = _lll_set(factor)
+        opt = _lll_set(emb)
     else:
         try:
-            opt = _search(gram, factor, snr, budget)
+            opt = _search(emb, snr, budget)
         except BudgetExceeded:
             if method == "exhaustive":
                 raise
-            opt = _lll_set(factor)
+            opt = _lll_set(emb)
     if len(opt) != k:
         raise ValueError("channel admits no full positive-rate coefficient set")
-    results = tuple(_rate(checked, snr, vec) for vec in opt.vectors)
+    results = tuple(_rate(checked, snr, vec, norm) for vec, norm in zip(opt.vectors, opt.norms))
     if len(_echelon([list(vec) for vec in opt.vectors], k)) != k:
         raise RuntimeError("coefficient matrix lost rank")
     return CfTransform(results=results, channel=channel, method=opt.method)
@@ -269,21 +254,15 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     """All column orders under which A triangularizes without row swaps.
 
     Row i's multipliers depend only on the set S of columns eliminated before
-    it: they solve ``A[0:i, S]^T x = -A[i, S]``, uniquely as A[0:i, S] is
-    nonsingular.  Column c can follow S iff row i of L A is nonzero at c, since
-    L A keeps the rank of A, so every prefix completes.  A depth-first walk
-    over column prefixes, on a stack, builds each (row, S) once, by ``_reduce``
-    from the steps on its path, into one step keyed by the bitmask of S and
-    kept with its next columns: at most 2^K steps, with no ``Fraction``
-    arithmetic.  L A is recomputed from A's columns, summing entries 0..i of
-    the row of L (the rest are zero), so the check that S is eliminated does
-    not trust the reduction.  The last row's one next column completes an
-    order, which is emitted at once instead of going through the stack.
-    Orders come out in lexicographic ``pi`` order; full-rank A admits at
-    least one.  For K > ``enumerate_limit`` only the greedy order is
-    returned: at each row, the first remaining column where the reduced row
-    is nonzero.  ValueError unless A is a nonempty full-rank square integer
-    matrix.
+    it, and column c can follow S iff row i of L A is nonzero at c (L A keeps
+    the rank of A), so every prefix completes.  A depth-first walk over column
+    prefixes builds each (row, S) step once, by ``_reduce`` from the steps on
+    its path, with no ``Fraction`` arithmetic; L A is recomputed from A's
+    columns, so the check that S is eliminated does not trust the reduction.
+    Orders come out in lexicographic ``pi`` order.  For K > ``enumerate_limit``
+    only the greedy order is returned: at each row, the first remaining column
+    where the reduced row is nonzero.  ValueError unless A is a nonempty
+    full-rank square integer matrix.
     """
     a = np.asarray(a_matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -356,12 +335,10 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     """Lift a rational triangularization of integer A to arithmetic mod p.
 
     Row i of L mod p is q_i^-1 times the integer row q_i L_i of its step, and p
-    is the smallest prime that does not divide the product of every q_i and
-    every permuted diagonal entry q_i (L A)[i, pi_i].  The rows of L mod p and
-    of (L mod p) A mod p, the latter from A's columns and entries 0..i of the
-    row of L mod p, are built and checked for lost zeros once per (column set,
-    p), shared by every order through that step.  ValueError when A is not the
-    matrix ``pt`` was built from, whose columns ``_Source`` holds.
+    is the smallest prime that divides no q_i and no permuted diagonal entry
+    q_i (L A)[i, pi_i].  Each lifted row is built and checked for lost zeros
+    once per (column set, p).  ValueError when A is not the matrix ``pt`` was
+    built from.
     """
     steps, pi = pt.steps, pt.pi
     if not steps or np.asarray(a_matrix).T.tolist() != steps[0].source.cols:
@@ -395,9 +372,8 @@ def rate_allocation(t: CfTransform, pt: PseudoTriangularization) -> tuple[float,
 
     User k is decoded at the rate of combination pi^-1(k); the sum equals the
     transform's sum rate for every feasible permutation.  ValueError unless
-    ``pt`` was built from the transform's matrix, as in ``mod_p_lift``: the
-    integer columns its steps share must equal the transform's cached
-    ``_cols``, which no order of another matrix (or with no steps) has.
+    ``pt`` was built from the transform's matrix (its steps share the
+    transform's integer columns ``_cols``), as in ``mod_p_lift``.
     """
     if not pt.steps or pt.steps[0].source.cols != t._cols:
         raise ValueError("matrix is not the one the triangularization was built from")

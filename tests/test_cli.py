@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,12 +72,19 @@ class TestRates:
         ids=["85", "90", "120", "300"],
     )
     def test_high_snr_never_shows_a_traceback(self, h, snr_db):
-        # above ~80 dB the float search may miss a minimum, and at 300 dB the
-        # closed-form noise variance cancels to zero; either must be a
+        # past about 130 dB the float search may miss a minimum, and at 300 dB
+        # the exhaustive search overruns its budget; a failure must be a
         # computation failure (exit 1 with "error:"), not a crash
         proc = run_cli(["rates", f"--h={h}", "--snr-db", snr_db])
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 0 or (proc.returncode == 1 and "error:" in proc.stderr)
+
+    def test_150_db_rate_sum_below_capacity(self, capsys):
+        # the float Woodbury form printed sum/upper = 1.004380 here
+        assert main(["rates", "--h", "0.3,-0.7,1.1", "--snr-db", "150"]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("sum rate:"))
+        total, upper = map(float, re.match(r"sum rate: (\S+) .* <= sum <= (\S+) ", line).groups())
+        assert total <= upper + 1e-9
 
     @pytest.mark.parametrize(
         "args",
@@ -196,9 +204,23 @@ class TestSweep:
     # which rows changed.  The cells come from float arithmetic that partly
     # runs in numpy's BLAS, so another BLAS kernel may change low digits.
     SWEEP_DIGESTS = {
-        25: "e63d01bada4e25b2aa81fd05cc54b5839fb0126ca94e738273d69ed9b5e1dde6",
-        45: "609ede358b169ec625b7462808e0debdb89e267d7104fcf869333fb961e0eaa4",
+        25: "0a470df94b3ada6d38b8364b855e4eac6e3571cee947e754d6337efb8c3065ad",
+        45: "7c9d8b1b8c955ee60b6e3fa2083b6829706e2cd66cbca225c12580bf604a3594",
     }
+
+    def test_high_snr_sweep_keeps_the_report_checks(self, capsys):
+        # each of these three snrs made the whole sweep exit 1 while the float
+        # Gram cancelled ("not positive definite", "noise variance cancelled")
+        args = ["sweep", "--k", "3", "--snr-db", "80,100,120", "--g-min", "1e-3", "--g-max", "1e6", "--points", "60"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(SWEEP_COLUMNS) and len(lines) == 1 + 3 * 60
+        for line in lines[1:]:
+            row = dict(zip(SWEEP_COLUMNS, line.split(",")))
+            r_best = float(row["r_best"])
+            if row["in_outage"] == "false":
+                assert float(row["lower_closed"]) <= r_best + 1e-9, row
+            assert r_best <= float(row["upper_loose"]) + 1e-9, row
 
     @pytest.mark.parametrize("snr_db", [25, 45])
     def test_sweep_digest(self, tmp_path, snr_db):

@@ -17,8 +17,6 @@ from cfrates.lattice import (
     _dot,
     _enumerate_half_sphere,
     _fold,
-    _lll_coords,
-    _norm,
     _search,
     _signed,
     canonicalize,
@@ -26,7 +24,18 @@ from cfrates.lattice import (
     lll_reduce,
     successive_minima,
 )
-from cfrates.linalg import RationalSpan, _cholesky_rows, cholesky, exact_rank, gram_effective, gram_plain
+from cfrates.linalg import (
+    RationalSpan,
+    _basis_embedding,
+    _channel,
+    _cholesky_rows,
+    _embedding,
+    _sq_norm,
+    cholesky,
+    exact_rank,
+    gram_effective,
+    gram_plain,
+)
 from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel
 
 
@@ -212,7 +221,7 @@ def numpy_search(gram):
     return tuple(vecs), tuple(out)
 
 
-def refresh_every_step_search(g, r, snr, budget):
+def refresh_every_step_search(emb, snr, budget):
     """Reference: ``_search`` refreshing its basis at every step.
 
     It recomputes the basis and its Gram-Schmidt data before step 0, takes
@@ -221,12 +230,12 @@ def refresh_every_step_search(g, r, snr, budget):
     on the module, as ``_search`` does, so a test can record what each step
     walks.
     """
-    lat = _Basis(r)
+    lat = _Basis(emb.basis)
     w = lat.lll(0.99)
     lat.refresh(0)
     radii = sorted(_dot(v, v) for v in lat.b)
     vectors, out_norms, nodes = [], [], 0
-    for m in range(len(g)):
+    for m in range(len(w)):
         if m:
             lat.refresh(m - 1)
         walk = cfrates.lattice._enumerate_half_sphere
@@ -234,7 +243,7 @@ def refresh_every_step_search(g, r, snr, budget):
         if not coords:
             raise RuntimeError("search sphere missed a successive minimum")
         cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
-        norm, vec, c = min((_norm(g, a), a, c) for a, c in zip(cands, coords))
+        norm, vec, c = min((_sq_norm(emb, a), a, c) for a, c in zip(cands, coords))
         if m == 0 and norm >= snr:
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
@@ -438,25 +447,29 @@ class TestSuccessiveMinima:
 
 
 def search_cases():
-    """(label, g, r, snr, budget) for seeded Grams at 0-140 dB and integer bases, K=2..8.
+    """(label, embedding, snr, budget) for seeded Grams and channels at 0-140 dB and integer bases, K=2..8.
 
     Every third case gets a budget of 4K nodes, so some searches raise
     BudgetExceeded part way; the highest snrs can miss a minimum.
     """
     for k in range(2, 9):
         for i, gram in enumerate(random_grams(80 + k, 60, (k, k), 140.0)):
-            g = gram.entries.tolist()
             try:
-                r = _cholesky_rows(g)
+                r = _cholesky_rows(gram.entries.tolist())
             except ValueError:
                 continue
-            yield f"gram K={k} #{i}", g, r, gram.snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+            yield f"gram K={k} #{i}", _basis_embedding(r), gram.snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+        rng = np.random.default_rng(100 + k)
+        for i in range(20):
+            snr = 10 ** (rng.uniform(0, 140) / 10)
+            emb = _embedding(_channel(rng.normal(size=k), snr, rng.uniform(0.5, 4, size=k)), snr)
+            yield f"channel K={k} #{i}", emb, snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
         rng = np.random.default_rng(90 + k)
         for i in range(40):
             basis = rng.integers(-20, 21, size=(k, k))
             if exact_rank(basis) == k:
-                g = (basis @ basis.T).astype(float).tolist()
-                yield f"basis K={k} #{i}", g, basis.astype(float).tolist(), math.inf, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+                emb = _basis_embedding(basis.astype(float).tolist())
+                yield f"basis K={k} #{i}", emb, math.inf, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
 
 
 def outcome(search, *args):
@@ -484,12 +497,12 @@ class TestRefreshAfterMovingFold:
         monkeypatch.setattr(cfrates.lattice, "_fold", recording_fold)
         monkeypatch.setattr(cfrates.lattice, "_enumerate_half_sphere", recording_walk)
         kinds = set()
-        for label, g, r, snr, budget in search_cases():
+        for label, emb, snr, budget in search_cases():
             walks.clear()
-            ref = outcome(refresh_every_step_search, g, r, snr, budget)
+            ref = outcome(refresh_every_step_search, emb, snr, budget)
             ref_walks = walks[:]
             walks.clear()
-            assert outcome(_search, g, r, snr, budget) == ref, label
+            assert outcome(_search, emb, snr, budget) == ref, label
             # every step walks the same triangular factor, bit for bit
             assert walks == ref_walks, label
             kinds.add(ref[0] if isinstance(ref, tuple) else "ok")
@@ -530,9 +543,7 @@ class TestLll:
         for _ in range(50):
             gram = gram_plain(rng.normal(size=4), 10 ** rng.uniform(0, 3))
             chol = cholesky(gram)
-            from cfrates.lattice import _lll_coords
-
-            coords = _lll_coords(chol.T, delta)
+            coords = _Basis(chol.tolist()).lll(delta)
             basis = chol.T @ coords
             ortho = np.zeros_like(basis)
             mu = np.zeros((4, 4))
@@ -560,7 +571,7 @@ class TestLll:
         delta = 0.99
         for gram in random_grams(seed, n, k_range, 60.0):
             basis = cholesky(gram).T
-            u = _lll_coords(basis, delta)
+            u = _Basis(basis.T.tolist()).lll(delta)
             assert all(type(x) is int for row in u for x in row)
             assert abs(exact_det(u)) == 1
             r = np.linalg.qr(basis @ np.array(u, dtype=float), mode="r")

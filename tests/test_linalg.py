@@ -12,7 +12,10 @@ from cfrates.linalg import (
     GramMatrix,
     RationalMatrix,
     RationalSpan,
+    _channel,
     _cholesky_rows,
+    _embedding,
+    _sq_norm,
     cholesky,
     exact_rank,
     exact_solve_in_span,
@@ -132,6 +135,32 @@ class TestGramEffective:
             gram = gram_effective(g, b_sq, snr)
             assert quad(gram, a) == pytest.approx(float(a @ direct @ a), rel=1e-9, abs=1e-12)
 
+    def test_entries_match_exact_rationals_at_high_snr(self):
+        """G = M^T M sums products of one sign, so every entry is exact to a few eps at any snr.
+
+        The Woodbury form snr (B - snr B g g^T B / den) cancels on the
+        diagonal: its error there grows like eps * snr g^T B g.
+        """
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            k = int(rng.integers(1, 6))
+            g, b_sq, snr = rng.normal(size=k), rng.uniform(0.25, 4, size=k), 10 ** rng.uniform(0, 15)
+            s, gf, bf = Fraction(snr), [Fraction(x) for x in g], [Fraction(x) for x in b_sq]
+            den = 1 + s * sum(b * x * x for b, x in zip(bf, gf))
+            got = gram_effective(g, b_sq, snr).entries
+            for i in range(k):
+                for j in range(k):
+                    exact = s * ((bf[i] if i == j else 0) - s * bf[i] * gf[i] * bf[j] * gf[j] / den)
+                    assert abs(Fraction(got[i, j]) - exact) <= 8 * k * np.finfo(float).eps * abs(exact)
+
+    def test_compares_and_hashes(self):
+        a, b = gram_plain([1.0, 2.0], 10.0), gram_plain([1.0, 2.0], 10.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != gram_plain([1.0, 2.0], 11.0)
+        assert a != GramMatrix(a.entries, 11.0)  # equal entries, unequal snr
+        assert a != gram_plain([1.0, 2.5], 10.0)
+        assert a != "gram"
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             gram_effective([1.0, 2.0], [1.0, 0.0], 10.0)
@@ -223,6 +252,32 @@ def test_overflowing_gram_entry_rejected_by_transform():
             transform(channel)
         with pytest.raises(ValueError, match="Gram matrix overflows"):
             channel.gram()
+
+
+def test_underflowing_gram_entry_rejected():
+    # snr * b_sq / den underflows to zero, so the search basis would lose a column
+    channel = ChannelSpec.effective([1.0, 2.0], [1e-300, 1.0], 1e-300)
+    with pytest.raises(ValueError, match="Gram matrix underflows"):
+        transform(channel)
+    with pytest.raises(ValueError, match="Gram matrix underflows"):
+        channel.gram()
+
+
+def test_sq_norm_is_the_lagrange_form_exactly_rounded():
+    """``_sq_norm`` of a channel's embedding is a^T G a to a few eps, from 0 to 150 dB."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        k = int(rng.integers(1, 6))
+        g, b_sq, snr = rng.normal(size=k), rng.uniform(0.25, 4, size=k), 10 ** rng.uniform(0, 15)
+        emb = _embedding(_channel(g, snr, b_sq), snr)
+        s, gf, bf = Fraction(snr), [Fraction(x) for x in g], [Fraction(x) for x in b_sq]
+        den = 1 + s * sum(b * x * x for b, x in zip(bf, gf))
+        a = [int(x) for x in rng.integers(-10**6, 10**6, size=k)]
+        cross = sum(b * x * y for b, x, y in zip(bf, gf, a))
+        exact = s * (sum(b * y * y for b, y in zip(bf, a)) - s * cross * cross / den)
+        assert abs(Fraction(_sq_norm(emb, a)) - exact) <= (k * k + 10) * np.finfo(float).eps * exact
+        # the float basis is M's columns: its Gram is M^T M
+        assert len(emb.basis) == k and all(len(col) == k + k * (k - 1) // 2 for col in emb.basis)
 
 
 def spd_matrices(seed, n):

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrates import cli
-from cfrates.lattice import BudgetExceeded
-from cfrates.linalg import RationalMatrix, _channel, exact_rank, sylvester_logdet
+from cfrates.lattice import BudgetExceeded, _Basis, _dot, _enumerate_half_sphere
+from cfrates.linalg import RationalMatrix, RationalSpan, _channel, _embedding, exact_rank, sylvester_logdet
 from cfrates.rates import comp_rate
 from cfrates.transform import (
     ChannelSpec,
@@ -175,7 +175,7 @@ DENSE_K8_DIGEST = "d61143e94e6294c54626d432452e2c28314ff74d5eb3c73f0869d1f3b771d
 # MACs, 8 per K for K=2..6 at 10-40 dB: the transform rows with 17-digit beta,
 # sigma2 and rate, the sum-rate bounds, and for every order its pi, L, p, both
 # lifted row sets and its allocation
-PIPELINE_DIGEST = "0b04abef329d8c7bfa4b7b239b25056bd8cac5a15738fc4f00a1b4f92b22015e"
+PIPELINE_DIGEST = "e2db0864423ba640cb9cea3f2431ff703be95216086e3464d8733750df544659"
 
 
 @st.composite
@@ -285,6 +285,64 @@ class TestCheckedChannel:
             dataclasses.replace(ch, snr=-1.0)
 
 
+def exact_norm(ch, a):
+    """a^T G a in rationals from the float inputs: snr (a^T B a - snr (g^T B a)^2 / (1 + snr g^T B g))."""
+    snr, g, b = Fraction(ch.snr), [Fraction(x) for x in ch.gains], [Fraction(x) for x in ch.weights_sq]
+    cross = sum(w * x * y for w, x, y in zip(b, g, a))
+    den = 1 + snr * sum(w * x * x for w, x in zip(b, g))
+    return snr * (sum(w * y * y for w, y in zip(b, a)) - snr * cross * cross / den)
+
+
+def exact_minima(ch, radius_sq, budget=100_000):
+    """Exact squared successive minima up to ``radius_sq``, or None past ``budget`` nodes.
+
+    The candidates are every lattice point in the sphere, found on a freshly
+    LLL-reduced float basis of the embedding; ``radius_sq`` carries a slack far
+    wider than float rounding, so the sphere holds every point whose exact norm
+    is below the radius.  They are ranked by exact norm and kept greedily when
+    independent of those kept.
+    """
+    lat = _Basis(_embedding(ch._checked, ch.snr).basis)
+    w = lat.lll(0.99)
+    lat.refresh(0)
+    try:
+        coords, _ = _enumerate_half_sphere(lat.mu, lat.bb, radius_sq, 0, budget)
+    except BudgetExceeded:
+        return None
+    span, minima = RationalSpan(ch.dim), []
+    for norm, vec in sorted((exact_norm(ch, a), a) for a in (tuple(_dot(row, c) for row in w) for c in coords)):
+        if span.try_add(vec):
+            minima.append(norm)
+    return minima
+
+
+class TestHighSnrExactNorms:
+    """60-120 dB: each noise norm is a^T G a to 1e-12 and each vector a successive minimum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 5),
+        snr_db=st.floats(60.0, 120.0),
+        seed=st.integers(0, 2**32 - 1),
+        weighted=st.booleans(),
+    )
+    def test_against_exact_rationals(self, k, snr_db, seed, weighted):
+        # gains from a seeded generator: hypothesis's favourite floats (1.0, 2.0, ...) are
+        # rationally related, whose spheres hold too many points for the oracle's budget
+        rng = np.random.default_rng(seed)
+        b_sq = rng.uniform(0.25, 4.0, size=k) if weighted else np.ones(k)
+        ch = ChannelSpec.effective(rng.normal(size=k), b_sq, 10 ** (snr_db / 10))
+        t = transform(ch, method="exhaustive")
+        exact = [exact_norm(ch, r.a) for r in t.results]
+        for r, x in zip(t.results, exact):
+            assert abs(Fraction(r.sigma2_eff) - x) <= 1e-12 * x, r
+        minima = exact_minima(ch, max(r.sigma2_eff for r in t.results) * 1.001)
+        assume(minima is not None)
+        assert len(minima) == k
+        for x, m in zip(exact, minima):
+            assert x <= m * (1 + Fraction(1, 10**12))
+
+
 class TestSumRateBounds:
     def test_reference_ratio(self):
         t = transform(ChannelSpec.plain([math.sqrt(5), 1.0], 10**1.5))
@@ -305,6 +363,11 @@ class TestSumRateBounds:
             t = transform(ChannelSpec.plain(rng.normal(size=k), 10 ** rng.uniform(0, 4)))
             bounds = sum_rate_bounds(t)
             assert bounds.lower - 1e-9 <= bounds.total <= bounds.upper + 1e-9
+
+    def test_150_db_sandwich(self):
+        # the float Woodbury form put this rate sum 0.4% above the sum capacity
+        bounds = sum_rate_bounds(transform(ChannelSpec.plain([0.3, -0.7, 1.1], 10**15)))
+        assert bounds.lower <= bounds.total <= bounds.upper + 1e-9
 
     def test_effective_sandwich(self):
         rng = np.random.default_rng(24)
