@@ -253,8 +253,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "sweep":
         if args.points < 2:
             parser.error("--points must be at least 2")
-        if not 0 < args.g_min < args.g_max:
-            parser.error("need 0 < g-min < g-max")
+        if not 0 < args.g_min < args.g_max < math.inf:
+            parser.error("need 0 < g-min < g-max < inf")
     if args.command in ("report", "sweep") and args.k < 2:
         parser.error("--k must be at least 2")
 

@@ -10,9 +10,9 @@ no independence test is needed.  The sphere of step m is the (m+1)-th
 smallest LLL norm, which bounds the (m+1)-th minimum.  LLL alone is the fast
 suboptimal fallback when an enumeration budget is exhausted.
 
-``_search`` runs on Python ints and floats over the columns of an embedding
-M (``linalg._embedding`` for a channel, Cholesky rows for a bare Gram) and
-ranks candidates by ``linalg._sq_norm``, the norm the rates use.  LLL is
+``successive_minima`` and ``transform`` both run ``_search``, on Python ints
+and floats over the columns of a channel's embedding M (``linalg._embedding``)
+and ranking candidates by ``linalg._sq_norm``, the norm the rates use.  LLL is
 classical floating LLL (Cohen, *A Course in Computational Algebraic Number
 Theory*, 1993, §2.6.3), updating its Gram-Schmidt rows in place; the search
 rebuilds them from b = q W once after LLL and then only after a ``_fold``
@@ -27,7 +27,7 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import GramMatrix, _basis_embedding, _channel, _cholesky_rows, _Embedding, _sq_norm
+from .linalg import GramMatrix, _channel, _Embedding, _sq_norm
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
@@ -252,15 +252,19 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
 
     Vector m is the smallest lattice vector outside the span of vectors
     0..m-1, ranked by a^T G a with ties broken lexicographically on the
-    canonicalized entries; a bare Gram's basis is its Cholesky rows.  Returns an
-    empty set when even the shortest vector has a^T G a >= snr (no positive
-    rate).  Raises BudgetExceeded when the K enumeration trees together grow
-    past ``budget`` nodes; callers may fall back to ``lll_reduce``.  A
-    negative ``budget`` is a ValueError.
+    canonicalized entries, on the embedding the Gram carries: vectors and
+    norms equal ``transform``'s rows.  Returns an empty set when even the
+    shortest vector has a^T G a >= snr (no positive rate).  Raises
+    BudgetExceeded when the K enumeration trees together grow past ``budget``
+    nodes; callers may fall back to ``lll_reduce``.  A negative ``budget``, or
+    a Gram with no embedding (built by hand or ``dataclasses.replace``), is a
+    ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    return _search(_basis_embedding(_cholesky_rows(gram.entries.tolist())), gram.snr, budget)
+    if gram._emb is None:
+        raise ValueError("successive_minima needs a Gram built by gram_effective, gram_plain or ChannelSpec.gram")
+    return _search(gram._emb, gram.snr, budget)
 
 
 def _search(emb: _Embedding, snr: float, budget: int) -> OptimalSet:
@@ -294,13 +298,13 @@ def _search(emb: _Embedding, snr: float, budget: int) -> OptimalSet:
 
 
 def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
-    """Suboptimal coefficient set from an LLL-reduced lattice basis.
+    """Suboptimal coefficient set from an LLL reduction of ``basis``.
 
-    ``basis`` is the lower-triangular Cholesky factor of the Gram matrix; the
-    columns of its transpose span the lattice.  The returned norms upper
-    bound the squared successive minima, hence the rates derived from them
-    lower bound the optimal computation rates.  Raises ValueError unless
-    ``basis`` is a finite, full-rank square matrix.
+    The rows of ``basis`` (for a Gram G, the Cholesky factor from
+    ``cholesky``) span the lattice, and a's norm is |B^T a|^2.  The returned
+    norms upper bound the squared successive minima, hence the rates derived
+    from them lower bound the optimal computation rates.  Raises ValueError
+    unless ``basis`` is a finite, full-rank square matrix.
     """
     try:
         basis = np.asarray(basis, dtype=float)
@@ -313,7 +317,9 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
 
-    return _lll_set(_basis_embedding(basis.tolist()), delta)
+    rows, cols = basis.tolist(), basis.T.tolist()
+    scored = sorted((sum(v * v for v in (_dot(c, a) for c in cols)), _signed(a)) for a in zip(*_Basis(rows).lll(delta)))
+    return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")
 
 
 def _lll_set(emb: _Embedding, delta: float = 0.99) -> OptimalSet:

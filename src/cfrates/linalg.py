@@ -17,7 +17,7 @@ CLI boundary).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -38,10 +38,13 @@ class GramMatrix:
     when decoding the integer combination ``a``.  ``snr`` rides along because
     both the positive-rate sphere and the rate formula are relative to it.
     Equality and hashing compare the entries, as nested tuples, and snr.
+    ``_emb``, outside init, repr, equality and hash, keeps the channel's M for
+    ``successive_minima``; a Gram built by hand or ``dataclasses.replace`` has none.
     """
 
     entries: np.ndarray
     snr: float
+    _emb: _Embedding | None = field(default=None, init=False, repr=False, compare=False)
 
     def _key(self) -> tuple:
         return tuple(map(tuple, self.entries.tolist())), self.snr
@@ -96,7 +99,7 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
 
 
 class _Embedding(NamedTuple):
-    """M with ||M a||^2 = a^T G a: rows sqrt(diag[i]) e_i, c (x_j e_i - x_i e_j) per pair, then ``dense``.
+    """M with ||M a||^2 = a^T G a: rows sqrt(diag[i]) e_i, then c (x_j e_i - x_i e_j) per pair.
 
     A pair is (i, j, c, x_j, x_i) with each x as its ``_split`` halves;
     ``basis`` holds M's columns on floats, the basis that LLL and the walk reduce.
@@ -105,7 +108,6 @@ class _Embedding(NamedTuple):
     basis: list[list[float]]
     diag: tuple[float, ...]
     pairs: tuple[tuple, ...]
-    dense: tuple[tuple[float, ...], ...]
 
 
 def _split(x: float) -> tuple[float, float]:
@@ -142,51 +144,22 @@ def _embedding(ch: _Checked, snr: float) -> _Embedding:
         raise ValueError("Gram matrix overflows floating point; gains or snr are too large")
     if not all(norms):
         raise ValueError("Gram matrix underflows floating point; snr is too small")
-    return _Embedding(basis, diag, tuple(pairs), ())
-
-
-def _basis_embedding(basis: list[list[float]]) -> _Embedding:
-    """The M of a bare lattice basis (vectors as rows): the basis transposed, as dense rows."""
-    return _Embedding(basis, (), (), tuple(zip(*basis)))
+    return _Embedding(basis, diag, tuple(pairs))
 
 
 def _sq_norm(emb: _Embedding, a) -> float:
     """||M a||^2 = a^T G a for an integer ``a``: every noise norm, searched or reported.
 
-    On a channel's M each term is a square and a_i g_j - a_j g_i sums exact
-    products of ``_split`` halves, so for |a_i| < 2^27 the result is within
-    (K^2 + 10) eps of a^T G a (from the float inputs), relative, at any snr.
+    Each term is a square and a_i g_j - a_j g_i sums exact products of
+    ``_split`` halves, so for |a_i| < 2^27 the result is within (K^2 + 10)
+    eps of a^T G a (from the float inputs), relative, at any snr.
     """
     total = sum(map(mul, emb.diag, [x * x for x in a]))
     for i, j, c, hj, lj, hi, li in emb.pairs:
         ai, aj = a[i], a[j]
         v = c * ((hj * ai - hi * aj) + (lj * ai - li * aj))
         total += v * v
-    for row in emb.dense:
-        v = sum(map(mul, row, a))
-        total += v * v
     return total
-
-
-def _cholesky_rows(g) -> list[list[float]]:
-    """Lower-triangular R, as rows, with R R^T = (G + G^T) / 2.
-
-    Raises ValueError unless every pivot is positive and finite, which also
-    rejects NaN entries.
-    """
-    r: list[list[float]] = []
-    k = len(g)
-    for i, row in enumerate(g):
-        ri: list[float] = []
-        for j, rj in enumerate(r):
-            ri.append((0.5 * (row[j] + g[j][i]) - sum(map(mul, ri, rj))) / rj[j])
-        pivot = row[i] - sum(map(mul, ri, ri))
-        if not 0.0 < pivot < math.inf:
-            raise ValueError("matrix is not positive definite")
-        ri.append(math.sqrt(pivot))
-        ri += [0.0] * (k - 1 - i)
-        r.append(ri)
-    return r
 
 
 def gram_plain(h, snr: float) -> GramMatrix:
@@ -209,19 +182,36 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
     Evaluated as M^T M (``_embedding``), whose entries sum products of one
     sign, so nothing cancels.  Raises ValueError when G overflows.
     """
-    cols = _embedding(_channel(g, snr, b_sq), snr).basis
-    return GramMatrix(entries=np.array([[sum(map(mul, u, v)) for v in cols] for u in cols]), snr=float(snr))
+    return _gram(_channel(g, snr, b_sq), snr)
+
+
+def _gram(ch: _Checked, snr: float) -> GramMatrix:
+    """``gram_effective`` of a checked channel record, keeping its M."""
+    cols = (emb := _embedding(ch, snr)).basis
+    gram = GramMatrix(entries=np.array([[sum(map(mul, u, v)) for v in cols] for u in cols]), snr=float(snr))
+    object.__setattr__(gram, "_emb", emb)
+    return gram
 
 
 def cholesky(gram) -> np.ndarray:
-    """Lower-triangular R with R R^T = G; rows of R form a basis with Gram G.
+    """Lower-triangular R with R R^T = (G + G^T) / 2; rows of R form a basis with Gram G.
 
-    Raises ValueError when G is not a positive definite square matrix.
+    Raises ValueError when G is not a positive definite square matrix: every
+    pivot must be positive and finite, which also rejects NaN entries.
     """
     g = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("matrix must be square")
-    return np.array(_cholesky_rows(g.tolist()), dtype=float).reshape(g.shape)
+    rows, r = g.tolist(), []
+    for i, row in enumerate(rows):
+        ri: list[float] = []
+        for j, rj in enumerate(r):
+            ri.append((0.5 * (row[j] + rows[j][i]) - sum(map(mul, ri, rj))) / rj[j])
+        pivot = row[i] - sum(map(mul, ri, ri))
+        if not 0.0 < pivot < math.inf:
+            raise ValueError("matrix is not positive definite")
+        r.append([*ri, math.sqrt(pivot)] + [0.0] * (len(rows) - 1 - i))
+    return np.array(r, dtype=float).reshape(g.shape)
 
 
 def sylvester_logdet(gains, snr: float, b_sq=None) -> float:

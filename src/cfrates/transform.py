@@ -33,9 +33,9 @@ from .linalg import (
     _Checked,
     _echelon,
     _embedding,
+    _gram,
     _int_rows,
     _logdet,
-    gram_effective,
 )
 from .rates import ComputationResult, _rate
 
@@ -87,7 +87,7 @@ class ChannelSpec:
         return len(self.gains)
 
     def gram(self) -> GramMatrix:
-        return gram_effective(self.gains, self.weights_sq, self.snr)
+        return _gram(self._checked, self.snr)
 
 
 @dataclass(frozen=True)

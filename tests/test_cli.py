@@ -17,8 +17,12 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(args, timeout=300):
-    # pytest's pythonpath setting does not reach a child process
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    # pytest's pythonpath and filterwarnings settings do not reach a child process
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "cfrates", *args],
         capture_output=True,
@@ -241,6 +245,9 @@ class TestSweep:
         assert run_cli(["sweep", "--k", "3", "--snr-db", "20", "--g-min", "2", "--g-max", "1", "--points", "5"]).returncode == 2
         assert run_cli(["sweep", "--k", "3", "--snr-db", "20", "--g-min", "1", "--g-max", "2", "--points", "1"]).returncode == 2
         assert run_cli(["sweep", "--k", "1", "--snr-db", "20", "--g-min", "1", "--g-max", "2", "--points", "3"]).returncode == 2
+        # an infinite end of the grid is a usage error, not a numpy warning and exit 1
+        proc = run_cli(["sweep", "--k", "3", "--snr-db", "25", "--g-min", "1", "--g-max", "inf", "--points", "3"])
+        assert proc.returncode == 2 and "RuntimeWarning" not in proc.stderr
 
     def test_unwritable_path_exits_1(self):
         proc = run_cli(self.ARGS + ["--output", "/nonexistent-dir/sweep.csv"])

@@ -1,11 +1,14 @@
 """Coefficient search: one minimum at a time outside the found span, LLL fallback."""
 
 import copy
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfrates.lattice
 from cfrates.lattice import (
@@ -25,10 +28,9 @@ from cfrates.lattice import (
     successive_minima,
 )
 from cfrates.linalg import (
+    GramMatrix,
     RationalSpan,
-    _basis_embedding,
     _channel,
-    _cholesky_rows,
     _embedding,
     _sq_norm,
     cholesky,
@@ -37,6 +39,7 @@ from cfrates.linalg import (
     gram_plain,
 )
 from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel
+from cfrates.transform import ChannelSpec, transform
 
 
 def cube_minima(gram, bound_sq):
@@ -446,30 +449,76 @@ class TestSuccessiveMinima:
             successive_minima(gram, budget=0)
 
 
-def search_cases():
-    """(label, embedding, snr, budget) for seeded Grams and channels at 0-140 dB and integer bases, K=2..8.
+class TestOneSearchPath:
+    """``successive_minima`` searches the channel embedding its Gram carries, as ``transform`` does."""
 
-    Every third case gets a budget of 4K nodes, so some searches raise
-    BudgetExceeded part way; the highest snrs can miss a minimum.
+    def test_high_snr_case_equals_transform(self):
+        # K=4 at 138.45 dB: a search on the Cholesky rows of the float Gram
+        # returned a second norm 0.44% above the minimum
+        h = (-1.0864024691496545, -0.192433217899296, 1.8507945516938518, -0.10718041800746184)
+        snr = 10 ** (138.45 / 10)
+        t = transform(ChannelSpec.plain(h, snr), "exhaustive")
+        opt = successive_minima(gram_plain(h, snr))
+        assert opt.vectors == tuple(r.a for r in t.results)
+        assert opt.norms == tuple(r.sigma2_eff for r in t.results)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(2, 5),
+        snr_db=st.floats(0.0, 130.0),
+        seed=st.integers(0, 2**32 - 1),
+        weighted=st.booleans(),
+        from_spec=st.booleans(),
+    )
+    def test_equals_transform(self, k, snr_db, seed, weighted, from_spec):
+        # gains from a seeded generator: hypothesis's favourite floats (1.0, 2.0, ...) are
+        # rationally related, whose spheres hold too many points for the budget
+        rng = np.random.default_rng(seed)
+        g, snr = rng.normal(size=k), 10 ** (snr_db / 10)
+        if weighted:
+            b_sq = rng.uniform(0.25, 4.0, size=k)
+            ch, gram = ChannelSpec.effective(g, b_sq, snr), gram_effective(g, b_sq, snr)
+        else:
+            ch, gram = ChannelSpec.plain(g, snr), gram_plain(g, snr)
+        if from_spec:
+            gram = ch.gram()
+        opt = successive_minima(gram)
+        if not opt.vectors:
+            with pytest.raises(ValueError, match="positive-rate"):
+                transform(ch, "exhaustive")
+            return
+        t = transform(ch, "exhaustive")
+        assert opt.vectors == tuple(r.a for r in t.results)
+        assert opt.norms == tuple(r.sigma2_eff for r in t.results)
+
+    def test_gram_without_embedding_is_rejected(self):
+        g = gram_plain([1.0, 0.62, 0.34], 1e3)
+        hand = GramMatrix(g.entries, g.snr)
+        moved = dataclasses.replace(g, snr=2 * g.snr)
+        # the embedding is outside equality, hash and repr
+        assert hand == g and hash(hand) == hash(g) and repr(hand) == repr(g)
+        assert moved == GramMatrix(g.entries, 2 * g.snr) and hash(moved) == hash(GramMatrix(g.entries, 2 * g.snr))
+        assert moved != g
+        for gram in (hand, moved):
+            with pytest.raises(ValueError, match="gram_effective"):
+                successive_minima(gram)
+
+
+def search_cases():
+    """(label, embedding, snr, budget) for seeded channels at 0-140 dB, K=2..8.
+
+    The "gram" cases search the embeddings that ``random_grams``' Grams
+    carry.  Every third case gets a budget of 4K nodes, so some searches
+    raise BudgetExceeded part way; the highest snrs can miss a minimum.
     """
     for k in range(2, 9):
         for i, gram in enumerate(random_grams(80 + k, 60, (k, k), 140.0)):
-            try:
-                r = _cholesky_rows(gram.entries.tolist())
-            except ValueError:
-                continue
-            yield f"gram K={k} #{i}", _basis_embedding(r), gram.snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+            yield f"gram K={k} #{i}", gram._emb, gram.snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
         rng = np.random.default_rng(100 + k)
         for i in range(20):
             snr = 10 ** (rng.uniform(0, 140) / 10)
             emb = _embedding(_channel(rng.normal(size=k), snr, rng.uniform(0.5, 4, size=k)), snr)
             yield f"channel K={k} #{i}", emb, snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
-        rng = np.random.default_rng(90 + k)
-        for i in range(40):
-            basis = rng.integers(-20, 21, size=(k, k))
-            if exact_rank(basis) == k:
-                emb = _basis_embedding(basis.astype(float).tolist())
-                yield f"basis K={k} #{i}", emb, math.inf, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
 
 
 def outcome(search, *args):
