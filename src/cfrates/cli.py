@@ -41,7 +41,10 @@ SWEEP_COLUMNS = (
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr of {db!r} dB overflows floating point") from None
 
 
 def _fmt(value) -> str:

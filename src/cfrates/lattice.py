@@ -10,13 +10,13 @@ no independence test is needed.  The sphere of step m is the (m+1)-th
 smallest LLL norm, which bounds the (m+1)-th minimum.  LLL alone is the fast
 suboptimal fallback when an enumeration budget is exhausted.
 
-``successive_minima`` and ``transform`` both run ``_search``, on Python ints
-and floats over the columns of a channel's embedding M (``linalg._embedding``)
-and ranking candidates by ``linalg._sq_norm``, the norm the rates use.  LLL is
-classical floating LLL (Cohen, *A Course in Computational Algebraic Number
-Theory*, 1993, §2.6.3), updating its Gram-Schmidt rows in place; the search
-rebuilds them from b = q W once after LLL and then only after a ``_fold``
-that moved W.
+``successive_minima`` and ``transform`` both run ``_search`` on a channel's
+checked record (``linalg._channel``): Python ints and floats over the columns
+of its M, ranking candidates by ``linalg._sq_norm``, the norm the rates use.
+LLL is classical floating LLL (Cohen, *A Course in Computational Algebraic
+Number Theory*, 1993, §2.6.3), updating its Gram-Schmidt rows in place; the
+search rebuilds them from b = q W once after LLL and then only after a
+``_fold`` that moved W.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import GramMatrix, _channel, _Embedding, _sq_norm
+from .linalg import GramMatrix, _channel, _Checked, _sq_norm
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
@@ -65,7 +65,7 @@ def candidate_bound(gains, snr: float, b_sq=None) -> float:
     Returns 1 + snr*||h||^2 for a plain MAC, or 1 + snr * g^T B g with squared
     weights ``b_sq``.
     """
-    return _channel(gains, snr, b_sq)[3]
+    return _channel(gains, snr, b_sq).denom
 
 
 @dataclass(frozen=True)
@@ -252,24 +252,24 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
 
     Vector m is the smallest lattice vector outside the span of vectors
     0..m-1, ranked by a^T G a with ties broken lexicographically on the
-    canonicalized entries, on the embedding the Gram carries: vectors and
-    norms equal ``transform``'s rows.  Returns an empty set when even the
+    canonicalized entries, on the channel record the Gram carries: vectors
+    and norms equal ``transform``'s rows.  Returns an empty set when even the
     shortest vector has a^T G a >= snr (no positive rate).  Raises
     BudgetExceeded when the K enumeration trees together grow past ``budget``
     nodes; callers may fall back to ``lll_reduce``.  A negative ``budget``, or
-    a Gram with no embedding (built by hand or ``dataclasses.replace``), is a
-    ValueError.
+    a Gram with no channel record (built by hand or ``dataclasses.replace``),
+    is a ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if gram._emb is None:
+    if gram._checked is None:
         raise ValueError("successive_minima needs a Gram built by gram_effective, gram_plain or ChannelSpec.gram")
-    return _search(gram._emb, gram.snr, budget)
+    return _search(gram._checked, budget)
 
 
-def _search(emb: _Embedding, snr: float, budget: int) -> OptimalSet:
-    """``successive_minima`` on an embedding: LLL and the walk on ``emb.basis``, ranking by ``_sq_norm``."""
-    lat = _Basis(emb.basis)
+def _search(ch: _Checked, budget: int) -> OptimalSet:
+    """``successive_minima`` on a channel record: LLL and the walk on M's columns, ranking by ``_sq_norm``."""
+    lat = _Basis(ch.m[0])
     w = lat.lll(0.99)
     lat.refresh(0)  # LLL updates b in place, a rounding away from q W, and leaves ortho stale
     # The m+1 shortest LLL vectors are independent, so the (m+1)-th smallest
@@ -284,11 +284,11 @@ def _search(emb: _Embedding, snr: float, budget: int) -> OptimalSet:
         if len(coords) == 1:  # the usual case: nothing to rank
             c = coords[0]
             vec = _signed(tuple(_dot(row, c) for row in w))  # a = W c
-            norm = _sq_norm(emb, vec)
+            norm = _sq_norm(ch, vec)
         else:
             cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
-            norm, vec, c = min((_sq_norm(emb, a), a, c) for a, c in zip(cands, coords))
-        if m == 0 and norm >= snr:
+            norm, vec, c = min((_sq_norm(ch, a), a, c) for a, c in zip(cands, coords))
+        if m == 0 and norm >= ch.snr:
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
         out_norms.append(norm)
@@ -322,7 +322,7 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")
 
 
-def _lll_set(emb: _Embedding, delta: float = 0.99) -> OptimalSet:
-    """``lll_reduce`` on the float basis of an embedding, with ``_sq_norm`` norms."""
-    scored = sorted((_sq_norm(emb, col), _signed(col)) for col in zip(*_Basis(emb.basis).lll(delta)))
+def _lll_set(ch: _Checked, delta: float = 0.99) -> OptimalSet:
+    """``lll_reduce`` on M's float columns for a channel record, with ``_sq_norm`` norms."""
+    scored = sorted((_sq_norm(ch, col), _signed(col)) for col in zip(*_Basis(ch.m[0]).lll(delta)))
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")

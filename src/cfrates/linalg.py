@@ -1,10 +1,11 @@
 """Small exact and floating-point matrix kernels shared across the package.
 
 Every channel input (gains, snr, squared weights) is checked in one place,
-``_channel``, which returns one record (g, b_sq, B g, 1 + snr g^T B g); a
-``ChannelSpec`` keeps it, so a transform checks its channel once.  Every noise
-norm a^T G a is ``_sq_norm`` of the channel's ``_embedding`` M, a sum of
-squares by Lagrange's identity, so nothing cancels at any snr; the Gram matrix
+``_channel``, whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the
+channel's M on first read; a ``ChannelSpec`` and its Grams share one record,
+and each public function of a raw channel is a view over its record.  Every
+noise norm a^T G a is ``_sq_norm`` of the record, ||M a||^2, a sum of squares
+by Lagrange's identity, so nothing cancels at any snr; the Gram matrix
 is M^T M and the search reduces M's columns.  Exact paths (rank, span solve,
 span membership) take integer matrices and share one fraction-free (Bareiss)
 elimination over Python ints; rationals appear only in their solutions and in
@@ -19,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +39,14 @@ class GramMatrix:
     when decoding the integer combination ``a``.  ``snr`` rides along because
     both the positive-rate sphere and the rate formula are relative to it.
     Equality and hashing compare the entries, as nested tuples, and snr.
-    ``_emb``, outside init, repr, equality and hash, keeps the channel's M for
-    ``successive_minima``; a Gram built by hand or ``dataclasses.replace`` has none.
+    ``_checked``, outside init, repr, equality and hash, keeps the channel's
+    record, and so its M, for ``successive_minima``; a Gram built by hand or
+    ``dataclasses.replace`` has none.
     """
 
     entries: np.ndarray
     snr: float
-    _emb: _Embedding | None = field(default=None, init=False, repr=False, compare=False)
+    _checked: _Checked | None = field(default=None, init=False, repr=False, compare=False)
 
     def _key(self) -> tuple:
         return tuple(map(tuple, self.entries.tolist())), self.snr
@@ -60,17 +62,22 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-class _Checked(NamedTuple):
-    """One checked channel: gains, squared weights (arrays), B g (Python floats) and 1 + snr g^T B g."""
+class _Checked:
+    """One checked channel: g and b_sq (arrays), B g (Python floats), 1 + snr g^T B g and snr.
 
-    g: np.ndarray
-    b_sq: np.ndarray
-    bg: tuple[float, ...]
-    denom: float
+    ``m``, M as ``_embedding``'s (basis, diag, pairs), is built on first read and kept.
+    """
+
+    def __init__(self, g: np.ndarray, b_sq: np.ndarray, bg: tuple[float, ...], denom: float, snr: float):
+        self.g, self.b_sq, self.bg, self.denom, self.snr = g, b_sq, bg, denom, snr
+
+    @cached_property
+    def m(self) -> tuple[list[list[float]], tuple[float, ...], tuple[tuple, ...]]:
+        return _embedding(self)
 
 
 def _channel(gains, snr: float, b_sq=None) -> _Checked:
-    """The checked record ``(g, b_sq, B g, 1 + snr * g^T B g)`` of a channel.
+    """The checked record of a channel: g, b_sq, B g, 1 + snr * g^T B g and snr.
 
     ``b_sq`` None means unit weights (a plain MAC).  Raises ValueError unless
     the gains are a nonempty finite 1-D vector, snr is positive and finite, the
@@ -90,24 +97,13 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
         raise ValueError("weights must match the gain vector length")
     if not all(0 < x < math.inf for x in b_sq.tolist()):
         raise ValueError("effective weights must be positive and finite")
+    snr = float(snr)
     with np.errstate(over="ignore"):
         bg = b_sq * g
         denom = 1.0 + snr * float(g @ bg)
     if not math.isfinite(denom):
         raise ValueError("1 + snr g^T B g overflows floating point; gains or snr are too large")
-    return _Checked(g, b_sq, tuple(bg.tolist()), denom)
-
-
-class _Embedding(NamedTuple):
-    """M with ||M a||^2 = a^T G a: rows sqrt(diag[i]) e_i, then c (x_j e_i - x_i e_j) per pair.
-
-    A pair is (i, j, c, x_j, x_i) with each x as its ``_split`` halves;
-    ``basis`` holds M's columns on floats, the basis that LLL and the walk reduce.
-    """
-
-    basis: list[list[float]]
-    diag: tuple[float, ...]
-    pairs: tuple[tuple, ...]
+    return _Checked(g, b_sq, tuple(bg.tolist()), denom, snr)
 
 
 def _split(x: float) -> tuple[float, float]:
@@ -117,15 +113,18 @@ def _split(x: float) -> tuple[float, float]:
     return hi, x - hi
 
 
-def _embedding(ch: _Checked, snr: float) -> _Embedding:
+def _embedding(ch: _Checked) -> tuple[list[list[float]], tuple[float, ...], tuple[tuple, ...]]:
     """The channel's M: rows sqrt(snr b_i / den) e_i and snr sqrt(b_i b_j / den) (g_j e_i - g_i e_j), i < j.
 
     With den = 1 + snr g^T B g, Lagrange's identity makes ||M a||^2 =
     snr (a^T B a + snr sum_{i<j} b_i b_j (a_i g_j - a_j g_i)^2) / den = a^T G a,
-    a sum of squares.  Raises ValueError when a squared column norm (a
-    diagonal entry of G) overflows or underflows to zero.
+    a sum of squares.  Returns (basis, diag, pairs): M's columns on floats,
+    the basis that LLL and the walk reduce; the squared diagonal rows; and per
+    pair (i, j, c, x_j, x_i), each x as its ``_split`` halves.  Raises
+    ValueError when a squared column norm (a diagonal entry of G) overflows or
+    underflows to zero.
     """
-    snr, den = float(snr), ch.denom
+    snr, den = ch.snr, ch.denom
     g, b_sq = ch.g.tolist(), ch.b_sq.tolist()
     k = len(g)
     diag = tuple([snr * b / den for b in b_sq])
@@ -144,18 +143,19 @@ def _embedding(ch: _Checked, snr: float) -> _Embedding:
         raise ValueError("Gram matrix overflows floating point; gains or snr are too large")
     if not all(norms):
         raise ValueError("Gram matrix underflows floating point; snr is too small")
-    return _Embedding(basis, diag, tuple(pairs))
+    return basis, diag, tuple(pairs)
 
 
-def _sq_norm(emb: _Embedding, a) -> float:
+def _sq_norm(ch: _Checked, a) -> float:
     """||M a||^2 = a^T G a for an integer ``a``: every noise norm, searched or reported.
 
     Each term is a square and a_i g_j - a_j g_i sums exact products of
     ``_split`` halves, so for |a_i| < 2^27 the result is within (K^2 + 10)
     eps of a^T G a (from the float inputs), relative, at any snr.
     """
-    total = sum(map(mul, emb.diag, [x * x for x in a]))
-    for i, j, c, hj, lj, hi, li in emb.pairs:
+    _, diag, pairs = ch.m
+    total = sum(map(mul, diag, [x * x for x in a]))
+    for i, j, c, hj, lj, hi, li in pairs:
         ai, aj = a[i], a[j]
         v = c * ((hj * ai - hi * aj) + (lj * ai - li * aj))
         total += v * v
@@ -168,7 +168,7 @@ def gram_plain(h, snr: float) -> GramMatrix:
     G = snr * (I - snr * h h^T / (1 + snr * ||h||^2)), the inverse of
     (snr^-1 I + h h^T).
     """
-    return gram_effective(h, None, snr)
+    return _gram(_channel(h, snr))
 
 
 def gram_effective(g, b_sq, snr: float) -> GramMatrix:
@@ -182,14 +182,14 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
     Evaluated as M^T M (``_embedding``), whose entries sum products of one
     sign, so nothing cancels.  Raises ValueError when G overflows.
     """
-    return _gram(_channel(g, snr, b_sq), snr)
+    return _gram(_channel(g, snr, b_sq))
 
 
-def _gram(ch: _Checked, snr: float) -> GramMatrix:
-    """``gram_effective`` of a checked channel record, keeping its M."""
-    cols = (emb := _embedding(ch, snr)).basis
-    gram = GramMatrix(entries=np.array([[sum(map(mul, u, v)) for v in cols] for u in cols]), snr=float(snr))
-    object.__setattr__(gram, "_emb", emb)
+def _gram(ch: _Checked) -> GramMatrix:
+    """``gram_effective`` of a checked channel record, keeping the record."""
+    cols = ch.m[0]
+    gram = GramMatrix(entries=np.array([[sum(map(mul, u, v)) for v in cols] for u in cols]), snr=ch.snr)
+    object.__setattr__(gram, "_checked", ch)
     return gram
 
 
@@ -221,12 +221,12 @@ def sylvester_logdet(gains, snr: float, b_sq=None) -> float:
     ``b_sq`` the determinant identity picks up det(B):
     L*log2(snr) + log2(det B) - log2(1 + snr * g^T B g).
     """
-    return _logdet(_channel(gains, snr, b_sq), snr)
+    return _logdet(_channel(gains, snr, b_sq))
 
 
-def _logdet(ch: _Checked, snr: float) -> float:
+def _logdet(ch: _Checked) -> float:
     """``sylvester_logdet`` of a checked channel record."""
-    return ch.g.size * math.log2(snr) + float(np.sum(np.log2(ch.b_sq))) - math.log2(ch.denom)
+    return ch.g.size * math.log2(ch.snr) + float(np.sum(np.log2(ch.b_sq))) - math.log2(ch.denom)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Everything here is closed form: the MMSE scaling coefficient, the resulting
 effective noise variance, and the rate 0.5*log2(snr/sigma2).  A plain MAC is
 the special case of an effective MAC with unit weights, so each function takes
 an optional ``b_sq`` vector of squared effective weights.  The channel is
-checked, and 1 + snr g^T B g computed, by ``linalg._channel``; only the
-coefficient vector is checked here.  The noise variance is ``linalg._sq_norm``
-of the channel's embedding, the norm the search ranks by: ``comp_rate`` builds
-the embedding, and ``transform`` passes each row's norm from its search to
-``_rate``.
+checked, and 1 + snr g^T B g computed, by ``linalg._channel``, and each
+public function here is a view over that record; only the coefficient vector
+is checked here.  The noise variance is ``linalg._sq_norm`` of the record, the
+norm the search ranks by: ``comp_rate`` reads the record's M, and
+``transform`` passes each row's norm from its search to ``_rate``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import _channel, _Checked, _embedding, _sq_norm
+from .linalg import _channel, _Checked, _sq_norm
 
 __all__ = ["ComputationResult", "effective_variance", "optimal_beta", "comp_rate"]
 
@@ -53,13 +53,13 @@ def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
     """
     ch, a = _prepare(gains, a, snr, b_sq)
     mismatch = beta * ch.g - a
-    return snr * float(mismatch @ (ch.b_sq * mismatch)) + beta * beta
+    return ch.snr * float(mismatch @ (ch.b_sq * mismatch)) + beta * beta
 
 
 def optimal_beta(gains, a, snr: float, b_sq=None) -> float:
     """MMSE scaling coefficient: snr * g^T B a / (1 + snr * g^T B g)."""
     ch, a = _prepare(gains, a, snr, b_sq)
-    return snr * sum(map(mul, ch.bg, a.tolist())) / ch.denom
+    return ch.snr * sum(map(mul, ch.bg, a.tolist())) / ch.denom
 
 
 def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
@@ -78,13 +78,13 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
     if not any(coeffs):
         raise ValueError("coefficient vector must be nonzero")
     a = tuple(map(int, coeffs))
-    return _rate(ch, snr, a, _sq_norm(_embedding(ch, snr), a))
+    return _rate(ch, a, _sq_norm(ch, a))
 
 
-def _rate(ch: _Checked, snr: float, a: tuple[int, ...], sigma2: float) -> ComputationResult:
+def _rate(ch: _Checked, a: tuple[int, ...], sigma2: float) -> ComputationResult:
     """``comp_rate`` for a checked channel record, a nonzero integer ``a`` and its ``_sq_norm`` ``sigma2``."""
     if not sigma2 > 0:
         raise RuntimeError(f"effective noise variance underflowed to {sigma2!r}; snr is too small for float arithmetic")
-    beta = snr * sum(map(mul, ch.bg, a)) / ch.denom
-    rate = 0.5 * math.log2(snr / sigma2)
+    beta = ch.snr * sum(map(mul, ch.bg, a)) / ch.denom
+    rate = 0.5 * math.log2(ch.snr / sigma2)
     return ComputationResult(a=a, beta=beta, sigma2_eff=sigma2, r_comp=rate)

@@ -9,7 +9,9 @@ from one depth-first walk over column-set prefixes, with at most 2^K steps of
 integer rows q_S L_i and q_S (L A)_i; each order can be replayed over Z_p
 with an integer L, as a mod-p decoder would.  Orders and lifts hold only
 integer rows, and their ``Fraction`` matrices and int64 arrays are cached
-views, as are a transform's matrix, rates and integer columns.
+views, as are a transform's matrix, rates and integer columns.  A
+``ChannelSpec`` keeps one checked channel record (``linalg._channel``) that
+``transform``, ``gram()`` and ``sum_rate_bounds`` share, so M is built once.
 """
 
 from __future__ import annotations
@@ -26,17 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import DEFAULT_BUDGET, BudgetExceeded, OptimalSet, _lll_set, _search
-from .linalg import (
-    GramMatrix,
-    RationalMatrix,
-    _channel,
-    _Checked,
-    _echelon,
-    _embedding,
-    _gram,
-    _int_rows,
-    _logdet,
-)
+from .linalg import GramMatrix, RationalMatrix, _channel, _Checked, _echelon, _gram, _int_rows, _logdet
 from .rates import ComputationResult, _rate
 
 __all__ = [
@@ -59,9 +51,11 @@ class ChannelSpec:
 
     ``weights_sq`` is all ones for a plain MAC; effective MACs carry the
     diagonal of their weight matrix.  Construction checks the channel with
-    ``linalg._channel``, so an invalid spec raises ValueError; the record is
-    kept in ``_checked``, outside init, repr, equality and hash, for
-    ``transform`` to reuse.
+    ``linalg._channel``, so an invalid spec raises ValueError; the record,
+    snr included, is kept in ``_checked``, outside init, repr, equality and
+    hash.  ``transform``, ``gram()`` and ``sum_rate_bounds`` all read it, so
+    the channel's M is built once, on first use: an M that overflows raises
+    there, not here.
     """
 
     gains: tuple[float, ...]
@@ -87,7 +81,7 @@ class ChannelSpec:
         return len(self.gains)
 
     def gram(self) -> GramMatrix:
-        return _gram(self._checked, self.snr)
+        return _gram(self._checked)
 
 
 @dataclass(frozen=True)
@@ -123,31 +117,30 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
 
     ``method='auto'`` tries exhaustive enumeration and falls back to LLL when
     the node budget is exhausted; 'exhaustive' propagates BudgetExceeded;
-    'lll' skips enumeration entirely.  The channel's checked record gives the
-    embedding both searches run on; each row's result comes from the record
-    and the row's search norm by the same ``rates._rate`` that ``comp_rate``
-    calls, and the rank check is ``exact_rank``'s elimination on the rows.
+    'lll' skips enumeration entirely.  Both searches run on the channel's
+    checked record and its M; each row's result comes from the record and the
+    row's search norm by the same ``rates._rate`` that ``comp_rate`` calls,
+    and the rank check is ``exact_rank``'s elimination on the rows.
     ValueError for an unknown method or a negative ``budget``.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    k, snr, checked = channel.dim, channel.snr, channel._checked
-    emb = _embedding(checked, snr)
+    k, ch = channel.dim, channel._checked
     opt: OptimalSet
     if method == "lll":
-        opt = _lll_set(emb)
+        opt = _lll_set(ch)
     else:
         try:
-            opt = _search(emb, snr, budget)
+            opt = _search(ch, budget)
         except BudgetExceeded:
             if method == "exhaustive":
                 raise
-            opt = _lll_set(emb)
+            opt = _lll_set(ch)
     if len(opt) != k:
         raise ValueError("channel admits no full positive-rate coefficient set")
-    results = tuple(_rate(checked, snr, vec, norm) for vec, norm in zip(opt.vectors, opt.norms))
+    results = tuple(_rate(ch, vec, norm) for vec, norm in zip(opt.vectors, opt.norms))
     if len(_echelon([list(vec) for vec in opt.vectors], k)) != k:
         raise RuntimeError("coefficient matrix lost rank")
     return CfTransform(results=results, channel=channel, method=opt.method)
@@ -168,7 +161,7 @@ def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
     """
     ch = t.channel
     k = ch.dim
-    logdet = _logdet(ch._checked, ch.snr)
+    logdet = _logdet(ch._checked)
     upper = 0.5 * (k * math.log2(ch.snr) - logdet)
     lower = upper - 0.5 * k * math.log2(k)
     total = sum(t.rates)
@@ -178,8 +171,9 @@ def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
 
 
 class _Source(NamedTuple):
-    """What every step of one matrix shares: its integer columns and the lemma's prime bound."""
+    """What every step of one matrix shares: its integer rows and columns and the lemma's prime bound."""
 
+    rows: list[list[int]]
     cols: list[list[int]]
     lemma_bound: int
 
@@ -273,7 +267,7 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
         raise ValueError("matrix must be full rank")
     a_max = max(1, *map(abs, itertools.chain.from_iterable(rows)))
     cols = [list(col) for col in zip(*rows)]
-    source = _Source(cols, k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max)
+    source = _Source(rows, cols, k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max)
     memo: dict[int, tuple[_Step, list[int]]] = {}  # keyed by the bitmask of S: its step and next columns
     out, stack = [], [((), (), 0)]  # stack entries: (pi, its steps, the bitmask of pi), pi shorter than k
     while stack:
@@ -341,9 +335,9 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     built from.
     """
     steps, pi = pt.steps, pt.pi
-    if not steps or np.asarray(a_matrix).T.tolist() != steps[0].source.cols:
+    if not steps or np.asarray(a_matrix).tolist() != steps[0].source.rows:
         raise ValueError("matrix is not the one the triangularization was built from")
-    cols, lemma_bound = steps[0].source
+    _, cols, lemma_bound = steps[0].source
     units = 1
     for s, c in zip(steps, pi):
         units *= s.q * s.tilde_int[c]

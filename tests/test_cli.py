@@ -289,6 +289,26 @@ class TestGdof:
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+class TestSnrDbOverflow:
+    """An snr in dB whose linear value overflows is a computation failure (exit 1), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rates", "--h", "1,2", "--snr-db", "4000"],
+            ["report", "--k", "3", "--g", "2", "--snr-db", "4000"],
+            ["sweep", "--k", "3", "--snr-db", "4000", "--g-min", "1", "--g-max", "2", "--points", "3"],
+            ["outage", "--regime", "strong", "--b", "1", "--snr-db", "4000", "--c", "2"],
+        ],
+        ids=["rates", "report", "sweep", "outage"],
+    )
+    def test_exits_1_with_one_error_line(self, args, capsys):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: snr of 4000.0 dB overflows floating point"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = run_cli(["gdof", "--alpha", "1", "--k", "4"])

@@ -31,7 +31,6 @@ from cfrates.linalg import (
     GramMatrix,
     RationalSpan,
     _channel,
-    _embedding,
     _sq_norm,
     cholesky,
     exact_rank,
@@ -224,7 +223,7 @@ def numpy_search(gram):
     return tuple(vecs), tuple(out)
 
 
-def refresh_every_step_search(emb, snr, budget):
+def refresh_every_step_search(ch, budget):
     """Reference: ``_search`` refreshing its basis at every step.
 
     It recomputes the basis and its Gram-Schmidt data before step 0, takes
@@ -233,7 +232,7 @@ def refresh_every_step_search(emb, snr, budget):
     on the module, as ``_search`` does, so a test can record what each step
     walks.
     """
-    lat = _Basis(emb.basis)
+    lat = _Basis(ch.m[0])
     w = lat.lll(0.99)
     lat.refresh(0)
     radii = sorted(_dot(v, v) for v in lat.b)
@@ -246,8 +245,8 @@ def refresh_every_step_search(emb, snr, budget):
         if not coords:
             raise RuntimeError("search sphere missed a successive minimum")
         cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
-        norm, vec, c = min((_sq_norm(emb, a), a, c) for a, c in zip(cands, coords))
-        if m == 0 and norm >= snr:
+        norm, vec, c = min((_sq_norm(ch, a), a, c) for a, c in zip(cands, coords))
+        if m == 0 and norm >= ch.snr:
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
         out_norms.append(norm)
@@ -495,7 +494,7 @@ class TestOneSearchPath:
         g = gram_plain([1.0, 0.62, 0.34], 1e3)
         hand = GramMatrix(g.entries, g.snr)
         moved = dataclasses.replace(g, snr=2 * g.snr)
-        # the embedding is outside equality, hash and repr
+        # the channel record is outside equality, hash and repr
         assert hand == g and hash(hand) == hash(g) and repr(hand) == repr(g)
         assert moved == GramMatrix(g.entries, 2 * g.snr) and hash(moved) == hash(GramMatrix(g.entries, 2 * g.snr))
         assert moved != g
@@ -505,20 +504,20 @@ class TestOneSearchPath:
 
 
 def search_cases():
-    """(label, embedding, snr, budget) for seeded channels at 0-140 dB, K=2..8.
+    """(label, channel record, budget) for seeded channels at 0-140 dB, K=2..8.
 
-    The "gram" cases search the embeddings that ``random_grams``' Grams
+    The "gram" cases search the records that ``random_grams``' Grams
     carry.  Every third case gets a budget of 4K nodes, so some searches
     raise BudgetExceeded part way; the highest snrs can miss a minimum.
     """
     for k in range(2, 9):
         for i, gram in enumerate(random_grams(80 + k, 60, (k, k), 140.0)):
-            yield f"gram K={k} #{i}", gram._emb, gram.snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+            yield f"gram K={k} #{i}", gram._checked, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
         rng = np.random.default_rng(100 + k)
         for i in range(20):
             snr = 10 ** (rng.uniform(0, 140) / 10)
-            emb = _embedding(_channel(rng.normal(size=k), snr, rng.uniform(0.5, 4, size=k)), snr)
-            yield f"channel K={k} #{i}", emb, snr, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+            ch = _channel(rng.normal(size=k), snr, rng.uniform(0.5, 4, size=k))
+            yield f"channel K={k} #{i}", ch, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
 
 
 def outcome(search, *args):
@@ -546,12 +545,12 @@ class TestRefreshAfterMovingFold:
         monkeypatch.setattr(cfrates.lattice, "_fold", recording_fold)
         monkeypatch.setattr(cfrates.lattice, "_enumerate_half_sphere", recording_walk)
         kinds = set()
-        for label, emb, snr, budget in search_cases():
+        for label, ch, budget in search_cases():
             walks.clear()
-            ref = outcome(refresh_every_step_search, emb, snr, budget)
+            ref = outcome(refresh_every_step_search, ch, budget)
             ref_walks = walks[:]
             walks.clear()
-            assert outcome(_search, emb, snr, budget) == ref, label
+            assert outcome(_search, ch, budget) == ref, label
             # every step walks the same triangular factor, bit for bit
             assert walks == ref_walks, label
             kinds.add(ref[0] if isinstance(ref, tuple) else "ok")

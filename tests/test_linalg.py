@@ -13,7 +13,6 @@ from cfrates.linalg import (
     RationalMatrix,
     RationalSpan,
     _channel,
-    _embedding,
     _sq_norm,
     cholesky,
     exact_rank,
@@ -263,20 +262,21 @@ def test_underflowing_gram_entry_rejected():
 
 
 def test_sq_norm_is_the_lagrange_form_exactly_rounded():
-    """``_sq_norm`` of a channel's embedding is a^T G a to a few eps, from 0 to 150 dB."""
+    """``_sq_norm`` of a channel record is a^T G a to a few eps, from 0 to 150 dB."""
     rng = np.random.default_rng(12)
     for _ in range(200):
         k = int(rng.integers(1, 6))
         g, b_sq, snr = rng.normal(size=k), rng.uniform(0.25, 4, size=k), 10 ** rng.uniform(0, 15)
-        emb = _embedding(_channel(g, snr, b_sq), snr)
+        ch = _channel(g, snr, b_sq)
         s, gf, bf = Fraction(snr), [Fraction(x) for x in g], [Fraction(x) for x in b_sq]
         den = 1 + s * sum(b * x * x for b, x in zip(bf, gf))
         a = [int(x) for x in rng.integers(-10**6, 10**6, size=k)]
         cross = sum(b * x * y for b, x, y in zip(bf, gf, a))
         exact = s * (sum(b * y * y for b, y in zip(bf, a)) - s * cross * cross / den)
-        assert abs(Fraction(_sq_norm(emb, a)) - exact) <= (k * k + 10) * np.finfo(float).eps * exact
+        assert abs(Fraction(_sq_norm(ch, a)) - exact) <= (k * k + 10) * np.finfo(float).eps * exact
         # the float basis is M's columns: its Gram is M^T M
-        assert len(emb.basis) == k and all(len(col) == k + k * (k - 1) // 2 for col in emb.basis)
+        basis = ch.m[0]
+        assert len(basis) == k and all(len(col) == k + k * (k - 1) // 2 for col in basis)
 
 
 def spd_matrices(seed, n):

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfrates import cli
-from cfrates.lattice import BudgetExceeded, _Basis, _dot, _enumerate_half_sphere
-from cfrates.linalg import RationalMatrix, RationalSpan, _channel, _embedding, exact_rank, sylvester_logdet
+from cfrates import cli, linalg
+from cfrates.lattice import BudgetExceeded, _Basis, _dot, _enumerate_half_sphere, successive_minima
+from cfrates.linalg import RationalMatrix, RationalSpan, _channel, exact_rank, sylvester_logdet
 from cfrates.rates import comp_rate
 from cfrates.transform import (
     ChannelSpec,
@@ -284,6 +284,25 @@ class TestCheckedChannel:
         with pytest.raises(ValueError, match="snr must be positive"):
             dataclasses.replace(ch, snr=-1.0)
 
+    def test_m_is_built_once_per_channel(self, monkeypatch):
+        """``transform``, two ``gram()`` calls, the bounds and the Gram search share one record and one M."""
+        calls = []
+        build = linalg._embedding
+
+        def counting_build(ch):
+            calls.append(ch)
+            return build(ch)
+
+        monkeypatch.setattr(linalg, "_embedding", counting_build)
+        ch = ChannelSpec.effective((0.7, -1.3, 0.4), (1.0, 2.5, 0.6), 10**2.5)
+        t = transform(ch)
+        grams = ch.gram(), ch.gram()
+        assert len(calls) == 1 and calls[0] is ch._checked
+        assert all(gram._checked is ch._checked for gram in grams)
+        assert successive_minima(grams[0]).vectors == tuple(r.a for r in t.results)
+        sum_rate_bounds(t)
+        assert len(calls) == 1
+
 
 def exact_norm(ch, a):
     """a^T G a in rationals from the float inputs: snr (a^T B a - snr (g^T B a)^2 / (1 + snr g^T B g))."""
@@ -302,7 +321,7 @@ def exact_minima(ch, radius_sq, budget=100_000):
     is below the radius.  They are ranked by exact norm and kept greedily when
     independent of those kept.
     """
-    lat = _Basis(_embedding(ch._checked, ch.snr).basis)
+    lat = _Basis(ch._checked.m[0])
     w = lat.lll(0.99)
     lat.refresh(0)
     try:
