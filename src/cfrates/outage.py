@@ -7,6 +7,9 @@ gains form intervals of half-width phi/q around the rationals a/q, so the
 whole outage set is a finite union of half-open intervals whose Lebesgue
 measure can be computed exactly.
 
+Membership builds no set: g's last convergent with denominator <= q_max decides
+it (Khinchin, *Continued Fractions*, §§6-7).  A builder refuses over 2^20 pieces.
+
 Strong regime: unit intervals [b, b+1), cutoff q_max and half-width phi
 chosen so the total measure is at most 2*snr^(-delta) = 2^(-c) when
 delta = (c+1)/log2(snr).
@@ -19,10 +22,9 @@ sqrt(2)*2^(b/2)*snr^(-1/4-delta/2) + 8*2^(-b)*snr^(-delta) bound.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 __all__ = [
     "IntervalSet",
@@ -69,37 +71,11 @@ class IntervalSet:
     def measure(self) -> float:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
-    def __contains__(self, x: float) -> bool:
-        return bool(self.contains_many(np.array([x]))[0])
-
-    def contains_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized membership; relies on the sorted-disjoint invariant."""
-        if not self.intervals:
-            return np.zeros(np.asarray(xs).shape, dtype=bool)
-        bounds = np.array(self.intervals, dtype=float).ravel()
-        idx = np.searchsorted(bounds, np.asarray(xs, dtype=float), side="right")
-        return idx % 2 == 1
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        """True when every interval here is covered by the other set."""
-        for lo, hi in self.intervals:
-            covered = False
-            for olo, ohi in other.intervals:
-                if olo <= lo and hi <= ohi:
-                    covered = True
-                    break
-            if not covered:
-                return False
-        return True
-
 
 def _wrap_pieces(lo: float, hi: float, d_lo: float, d_hi: float) -> list[tuple[float, float]]:
     """Reduce [lo, hi) modulo the domain, splitting at the right edge."""
-    length = d_hi - d_lo
-    if hi - lo >= length:
-        return [(d_lo, d_hi)]
-    off = (lo - d_lo) % length
-    start = d_lo + off
+    length = d_hi - d_lo  # > hi - lo: 2*phi/q <= 2^-c, since q_max*phi = 2^(-c-1) and q <= q_max
+    start = d_lo + (lo - d_lo) % length
     end = start + (hi - lo)
     if end <= d_hi:
         return [(start, end)]
@@ -142,6 +118,17 @@ def weak_outage_params(b: int, snr: float, c: float) -> OutageParams:
     return OutageParams(b=int(b), snr=float(snr), c=float(c), delta=delta, q_max=q_max, phi=phi, regime="moderately-weak")
 
 
+_MAX_PIECES = 2**20
+
+
+def _denominators(params: OutageParams, pieces_up_to: Callable[[int], int]) -> range:
+    """1..floor(q_max), or ValueError before a build of more than 2^20 pieces."""
+    q_top = math.floor(params.q_max)
+    if (pieces := pieces_up_to(q_top)) > _MAX_PIECES:
+        raise ValueError(f"the {params.regime} outage set at b={params.b} has up to {pieces} pieces, over {_MAX_PIECES}")
+    return range(1, q_top + 1)
+
+
 @lru_cache(maxsize=512)
 def strong_outage_set(b: int, snr: float, c: float) -> IntervalSet:
     """Gains in [b, b+1) admitting |q*g - a| < phi with 0 < q <= q_max.
@@ -154,11 +141,10 @@ def strong_outage_set(b: int, snr: float, c: float) -> IntervalSet:
     params = strong_outage_params(b, snr, c)
     d_lo, d_hi = float(b), float(b + 1)
     pieces: list[tuple[float, float]] = []
-    for q in range(1, math.floor(params.q_max) + 1):
+    for q in _denominators(params, lambda n: n * (n + 3) // 2):  # q anchors per q, the one at b split
         w = params.phi / q
         for j in range(q):
-            anchor = b + j / q
-            pieces.extend(_wrap_pieces(anchor - w, anchor + w, d_lo, d_hi))
+            pieces.extend(_wrap_pieces(b + j / q - w, b + j / q + w, d_lo, d_hi))
     return IntervalSet.from_pieces(pieces, (d_lo, d_hi))
 
 
@@ -166,20 +152,18 @@ def strong_outage_set(b: int, snr: float, c: float) -> IntervalSet:
 def weak_outage_set(b: int, snr: float, c: float) -> IntervalSet:
     """Gains in [2^-b, 2^-b+1) admitting |q*g - a| < phi with 0 < q <= q_max.
 
-    Built directly from the rational anchors a/q intersecting the dyadic
-    domain, so membership agrees exactly with the Diophantine condition; no
-    wraparound is involved.
+    Built directly from the rational anchors a/q that meet the dyadic
+    domain; no wraparound is involved.
     """
     params = weak_outage_params(b, snr, c)
     d_lo, d_hi = 2.0 ** (-b), 2.0 ** (-b + 1)
     pieces: list[tuple[float, float]] = []
-    for q in range(1, math.floor(params.q_max) + 1):
+    for q in _denominators(params, lambda n: (n * (n + 1) >> (b + 1)) + 2 * n):  # q*2^-b + 2 or fewer per q
         w = params.phi / q
         a_lo = math.floor(q * (d_lo - w)) + 1
         a_hi = math.ceil(q * (d_hi + w)) - 1
         for a in range(a_lo, a_hi + 1):
-            anchor = a / q
-            pieces.append((anchor - w, anchor + w))
+            pieces.append((a / q - w, a / q + w))
     return IntervalSet.from_pieces(pieces, (d_lo, d_hi))
 
 
@@ -187,7 +171,8 @@ def in_outage(g: float, snr: float, c: float) -> bool:
     """Whether the constant-gap guarantee is suspended at this gain.
 
     Only the strong and moderately-weak regimes carry outage sets; all other
-    regimes return False.  The sets do not depend on the number of users.
+    regimes return False.  The sets do not depend on the number of users, and
+    none is built: g's continued fraction decides membership exactly.
     """
     if g <= 0:
         raise ValueError("cross gain must be positive")
@@ -196,7 +181,21 @@ def in_outage(g: float, snr: float, c: float) -> bool:
     if c <= 0:
         raise ValueError("gap parameter c must be positive")
     if 1.0 <= g < math.sqrt(snr):
-        return g in strong_outage_set(math.floor(g), snr, c)
-    if snr ** (-1.0 / 6.0) <= g < 1.0:
-        return g in weak_outage_set(math.ceil(-math.log2(g)), snr, c)
-    return False
+        params = strong_outage_params(math.floor(g), snr, c)
+    elif snr ** (-1.0 / 6.0) <= g < 1.0:
+        params = weak_outage_params(1 - math.frexp(g)[1], snr, c)  # g in [2^-b, 2^-b+1), exactly
+    else:
+        return False
+    # some |q*g - a| < phi with 0 < q <= q_top iff the last convergent p/q of g with q <= q_top has one
+    num, den = float(g).as_integer_ratio()
+    phi_num, phi_den = params.phi.as_integer_ratio()
+    q_top = math.floor(params.q_max)
+    p_prev, q_prev, p, q = 1, 0, num // den, 1
+    x, y = den, num % den  # the next partial quotient is x // y
+    while y:
+        a = x // y
+        if a * q + q_prev > q_top:
+            break
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        x, y = y, x - a * y
+    return q <= q_top and abs(q * num - p * den) * phi_den < phi_num * den

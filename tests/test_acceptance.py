@@ -13,7 +13,7 @@ import pytest
 
 from cfrates.lattice import lll_reduce, successive_minima
 from cfrates.linalg import cholesky, gram_plain
-from cfrates.outage import strong_outage_params, strong_outage_set
+from cfrates.outage import in_outage, strong_outage_params, strong_outage_set
 from cfrates.symmetric_ic import SymmetricIcSpec, gdof, report, single_layer_rate
 from cfrates.transform import ChannelSpec, pseudo_triangularize, sum_rate_bounds, transform
 
@@ -130,7 +130,9 @@ def test_07_outage_measure_and_membership():
                 brute = np.zeros(gs.shape, dtype=bool)
                 for q in range(1, math.floor(params.q_max) + 1):
                     brute |= np.abs(q * gs - np.round(q * gs)) < params.phi
-                np.testing.assert_array_equal(s.contains_many(gs), brute)
+                bounds = np.ravel(s.intervals)  # sorted, so a bisection lands inside a [lo, hi) at an odd index
+                np.testing.assert_array_equal(np.searchsorted(bounds, gs, side="right") % 2 == 1, brute)
+                np.testing.assert_array_equal([in_outage(float(g), snr, c) for g in gs], brute)
                 configs += 1
     verdict(7, f"{configs} configurations: measure <= 2^-c and 10^4-point membership agreement each")
 

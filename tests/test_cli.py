@@ -309,6 +309,16 @@ class TestSnrDbOverflow:
         assert captured.err.splitlines() == ["error: snr of 4000.0 dB overflows floating point"]
 
 
+class TestOutageSizeCap:
+    def test_oversized_set_exits_1_with_one_error_line(self, capsys):
+        # about 4e8 intervals: refused from q_max before any is built
+        assert main(["outage", "--regime", "strong", "--b", "1", "--snr-db", "200", "--c", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: the strong outage set at b=1 has up to ")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = run_cli(["gdof", "--alpha", "1", "--k", "4"])

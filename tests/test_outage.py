@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cfrates.outage import (
     IntervalSet,
@@ -24,6 +26,21 @@ def brute_force_membership(gs, q_max, phi):
     return hit
 
 
+def exact_scan(g, q_max, phi):
+    """Exact search in integers: any q <= q_max with |q*g - a| < phi, a the integer nearest q*g."""
+    num, den = float(g).as_integer_ratio()
+    phi_num, phi_den = float(phi).as_integer_ratio()
+    return any(
+        abs(q * num - (2 * q * num + den) // (2 * den) * den) * phi_den < phi_num * den
+        for q in range(1, math.floor(q_max) + 1)
+    )
+
+
+def set_members(s, gs):
+    """Half-open membership by bisection over the sorted disjoint intervals of s."""
+    return np.searchsorted(np.ravel(s.intervals), np.asarray(gs, dtype=float), side="right") % 2 == 1
+
+
 class TestIntervalSet:
     def test_merge_and_measure(self):
         s = IntervalSet.from_pieces([(0.1, 0.3), (0.2, 0.4), (0.6, 0.7), (0.4, 0.5)], (0.0, 1.0))
@@ -36,23 +53,8 @@ class TestIntervalSet:
 
     def test_half_open_membership(self):
         s = IntervalSet.from_pieces([(0.25, 0.5)], (0.0, 1.0))
-        assert 0.25 in s
-        assert 0.4999999 in s
-        assert 0.5 not in s
-        assert 0.1 not in s
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(30)
-        s = IntervalSet.from_pieces([(0.1, 0.2), (0.55, 0.8)], (0.0, 1.0))
-        xs = rng.random(2000)
-        many = s.contains_many(xs)
-        assert all(many[i] == (float(x) in s) for i, x in enumerate(xs))
-
-    def test_subset_relation(self):
-        small = IntervalSet.from_pieces([(0.2, 0.3)], (0.0, 1.0))
-        big = IntervalSet.from_pieces([(0.1, 0.4), (0.6, 0.9)], (0.0, 1.0))
-        assert small.is_subset_of(big)
-        assert not big.is_subset_of(small)
+        assert set_members(s, [0.25, 0.4999999, 0.5, 0.1]).tolist() == [True, True, False, False]
+        assert not set_members(IntervalSet.from_pieces([], (0.0, 1.0)), [0.5])[0]
 
     def test_bad_domain(self):
         with pytest.raises(ValueError):
@@ -108,7 +110,9 @@ class TestStrongSet:
             p = strong_outage_params(b, snr, c)
             s = strong_outage_set(b, snr, c)
             gs = b + rng.random(5000)
-            np.testing.assert_array_equal(s.contains_many(gs), brute_force_membership(gs, p.q_max, p.phi))
+            brute = brute_force_membership(gs, p.q_max, p.phi)
+            np.testing.assert_array_equal(set_members(s, gs), brute)
+            np.testing.assert_array_equal([in_outage(float(g), snr, c) for g in gs], brute)
 
     def test_wraparound_right_edge_piece(self):
         # the anchor at b always pushes a piece against b+1
@@ -123,8 +127,9 @@ class TestStrongSet:
             s1 = strong_outage_set(b, 1e6, 1.0)
             s2 = strong_outage_set(b, 1e6, 2.0)
             s4 = strong_outage_set(b, 1e6, 4.0)
-            assert s4.is_subset_of(s2)
-            assert s2.is_subset_of(s1)
+            for small, big in ((s4, s2), (s2, s1)):
+                for lo, hi in small.intervals:
+                    assert any(b_lo <= lo and hi <= b_hi for b_lo, b_hi in big.intervals)
 
 
 class TestWeakSet:
@@ -166,7 +171,9 @@ class TestWeakSet:
             p = weak_outage_params(b, snr, c)
             s = weak_outage_set(b, snr, c)
             gs = 2.0 ** (-b) * (1 + rng.random(5000))
-            np.testing.assert_array_equal(s.contains_many(gs), brute_force_membership(gs, p.q_max, p.phi))
+            brute = brute_force_membership(gs, p.q_max, p.phi)
+            np.testing.assert_array_equal(set_members(s, gs), brute)
+            np.testing.assert_array_equal([in_outage(float(g), snr, c) for g in gs], brute)
 
     def test_domain_is_dyadic(self):
         s = weak_outage_set(2, 1e8, 0.5)
@@ -201,7 +208,7 @@ class TestInOutage:
         for _ in range(200):
             g = float(snr ** (-1 / 6) + (1 - snr ** (-1 / 6)) * rng.random())
             b = math.ceil(-math.log2(g))
-            expected = g in weak_outage_set(b, snr, c)
+            expected = set_members(weak_outage_set(b, snr, c), [g])[0]
             assert in_outage(g, snr, c) == expected
 
     def test_validation(self):
@@ -211,3 +218,78 @@ class TestInOutage:
             in_outage(1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
             in_outage(1.0, 1e4, -1.0)
+
+    def test_gain_one_ulp_below_a_power_of_two(self):
+        # g sits in [2^-b, 2^-b+1) with b = 3 although -log2(g) rounds to 2; 4*g is within 2^-52 of 1
+        snr, c = 1e10, 0.5
+        g = math.nextafter(0.25, 0.0)
+        p = weak_outage_params(3, snr, c)
+        assert exact_scan(g, p.q_max, p.phi)
+        assert in_outage(g, snr, c)
+
+
+@st.composite
+def outage_points(draw):
+    """A gain in one regime's domain, random or within a relative 1e-3..1e-12 of a/q."""
+    snr = 10 ** (draw(st.sampled_from([100.0, 80.0, 60.0, 40.0, 20.0])) / 10)
+    c = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    if draw(st.booleans()):
+        b = draw(st.integers(1, 9))
+        params, s = strong_outage_params(b, snr, c), strong_outage_set(b, snr, c)
+    else:
+        b = draw(st.integers(1, math.ceil(math.log2(snr) / 6)))
+        params, s = weak_outage_params(b, snr, c), weak_outage_set(b, snr, c)
+    lo, hi = max(s.domain[0], snr ** (-1 / 6)), s.domain[1]
+    if draw(st.booleans()):
+        g = draw(st.floats(lo, hi, exclude_max=True))
+    else:
+        q = draw(st.integers(1, math.floor(params.q_max) + 5))
+        a = draw(st.integers(math.ceil(lo * q), max(math.ceil(lo * q), math.ceil(hi * q) - 1)))
+        eps = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.integers(3, 12))
+        g = a / q * (1 + eps)
+    assume(lo <= g < hi)
+    return g, snr, c, params, s
+
+
+class TestContinuedFractionRule:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(outage_points())
+    def test_matches_exact_scan_and_set(self, point):
+        g, snr, c, params, s = point
+        expected = exact_scan(g, params.q_max, params.phi)
+        assert in_outage(g, snr, c) == expected
+        assert set_members(s, [g])[0] == expected
+
+    @pytest.mark.parametrize("snr_db", [140.0, 160.0, 200.0])
+    def test_high_snr_matches_exact_scan_without_a_set(self, snr_db):
+        snr, c = 10 ** (snr_db / 10), 2.0
+        misses = strong_outage_set.cache_info().misses, weak_outage_set.cache_info().misses
+        cases = [
+            (strong_outage_params, 1, 1.0),
+            (strong_outage_params, 7, 7.0),
+            (strong_outage_params, 1, math.sqrt(2)),
+            (strong_outage_params, 2, 1 + math.sqrt(2)),
+            (strong_outage_params, 3, 355 / 113 + 1e-13),
+            (strong_outage_params, 1, 4 / 3 - 1e-15),
+            (weak_outage_params, 1, math.sqrt(2) / 2),
+            (weak_outage_params, 2, 1 / 3 + 1e-16),
+            (weak_outage_params, 3, 0.2 * (1 - 1e-12)),
+        ]
+        hits = []
+        for params_of, b, g in cases:
+            p = params_of(b, snr, c)
+            expected = exact_scan(g, p.q_max, p.phi)
+            assert in_outage(g, snr, c) == expected, (b, g)
+            hits.append(expected)
+        assert hits[:2] == [True, True] and not all(hits)
+        assert (strong_outage_set.cache_info().misses, weak_outage_set.cache_info().misses) == misses
+
+
+class TestSizeCap:
+    def test_strong_set_refused_before_building(self):
+        with pytest.raises(ValueError, match="pieces"):
+            strong_outage_set(1, 1e20, 2.0)
+
+    def test_weak_set_refused_before_building(self):
+        with pytest.raises(ValueError, match="pieces"):
+            weak_outage_set(1, 1e24, 2.0)
