@@ -17,8 +17,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from .outage import strong_outage_params, strong_outage_set, weak_outage_params, weak_outage_set
 from .symmetric_ic import SymmetricIcSpec, gdof, report
 from .transform import ChannelSpec, mod_p_lift, pseudo_triangularize, rate_allocation, sum_rate_bounds, transform
@@ -94,8 +92,8 @@ def cmd_rates(args) -> int:
     print(f"gains: {list(channel.gains)}  weights^2: {list(channel.weights_sq)}")
     print(f"snr: {snr:.6g} ({args.snr_db} dB)   search: {t.method}")
     print("coefficient matrix (rows sorted by computation rate):")
-    for row in t.matrix:
-        print("  [" + " ".join(f"{int(x):4d}" for x in row) + " ]")
+    for r in t.results:
+        print("  [" + " ".join(f"{x:4d}" for x in r.a) + " ]")
     print("equations:")
     for m, r in enumerate(t.results, start=1):
         print(
@@ -105,11 +103,11 @@ def cmd_rates(args) -> int:
         f"sum rate: {bounds.total:.6f}   sandwich: {bounds.lower:.6f} <= sum <= {bounds.upper:.6f}"
         f"   (sum/upper = {bounds.total / bounds.upper:.6f})"
     )
-    pts = pseudo_triangularize(t.matrix)
+    pts = pseudo_triangularize([r.a for r in t.results])
     print(f"feasible cancellation orders: {len(pts)}")
     for pt in pts:
         alloc = rate_allocation(t, pt)
-        lift = mod_p_lift(t.matrix, pt)
+        lift = mod_p_lift([r.a for r in t.results], pt)
         one_based = tuple(i + 1 for i in pt.pi)
         alloc_text = "  ".join(f"R_{u + 1}<{r:.4f}" for u, r in enumerate(alloc))
         print(f"  pi={one_based}  allocation: {alloc_text}  (mod-p lift: p={lift.p})")
@@ -133,17 +131,21 @@ def cmd_report(args) -> int:
 
 
 def _sweep_rows(args) -> list[dict]:
-    if args.scale == "log":
-        grid = np.logspace(math.log10(args.g_min), math.log10(args.g_max), args.points)
-    else:
-        grid = np.linspace(args.g_min, args.g_max, args.points)
+    lo, hi = (args.g_min, args.g_max) if args.scale == "linear" else (math.log10(args.g_min), math.log10(args.g_max))
+    step = (hi - lo) / (args.points - 1)  # numpy's linspace on floats, but for a step that underflows
+    grid = [lo + i * step for i in range(args.points - 1)] + [hi]
+    if args.scale == "log":  # numpy's logspace, with CPython's power
+        try:
+            grid = [10.0**y for y in grid]
+        except OverflowError:
+            raise ValueError(f"the log grid's end 10**log10({args.g_max!r}) overflows floating point") from None
     rows = []
     for snr_db in args.snr_db:
         snr = _db_to_linear(snr_db)
         for g in grid:
-            spec = SymmetricIcSpec(users=args.k, cross_gain=float(g), snr=snr)
+            spec = SymmetricIcSpec(users=args.k, cross_gain=g, snr=snr)
             rep = report(spec, c=args.gap, method=args.method)
-            row = {"snr_db": float(snr_db), "g": float(g), **{col: getattr(rep, col) for col in SWEEP_COLUMNS[2:-1]}}
+            row = {"snr_db": snr_db, "g": g, **{col: getattr(rep, col) for col in SWEEP_COLUMNS[2:-1]}}
             row.update(r_hk=math.nan if rep.r_hk is None else rep.r_hk, method_used=rep.method)
             rows.append(row)
     return rows

@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-import numpy as np
-
-from .linalg import GramMatrix, _channel, _Checked, _sq_norm
+from .linalg import GramMatrix, _channel, _Checked, _matrix, _sq_norm
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
@@ -51,12 +49,13 @@ def canonicalize(a) -> np.ndarray:
     A vector and its negation give identical rates, so one representative per
     pair is enough.  ValueError unless the entries are integers, not all zero.
     """
-    vec = tuple(np.asarray(a).tolist())
+    (vec,) = _matrix([a], "vector must be integer")
     if not all(float(x).is_integer() for x in vec):
         raise ValueError("vector must be integer")
     if not any(vec):
         raise ValueError("zero vector has no canonical form")
-    return np.array(_signed(vec), dtype=np.int64)
+    import numpy as np
+    return np.array(_signed(tuple(vec)), dtype=np.int64)
 
 
 def candidate_bound(gains, snr: float, b_sq=None) -> float:
@@ -88,6 +87,7 @@ class OptimalSet:
     @property
     def matrix(self) -> np.ndarray:
         """Vectors stacked as rows, best (smallest norm) first."""
+        import numpy as np
         return np.array(self.vectors, dtype=np.int64)
 
 
@@ -307,17 +307,18 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
     unless ``basis`` is a finite, full-rank square matrix.
     """
     try:
-        basis = np.asarray(basis, dtype=float)
+        rows = [list(map(float, row)) for row in _matrix(basis, "basis must be a finite square matrix", square=True)]
     except (TypeError, ValueError) as exc:
         raise ValueError("basis must be a finite square matrix") from exc
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or not np.all(np.isfinite(basis)):
+    if not all(all(map(math.isfinite, row)) for row in rows):
         raise ValueError("basis must be a finite square matrix")
-    if np.linalg.matrix_rank(basis) != basis.shape[0]:
+    import numpy as np
+    if np.linalg.matrix_rank(rows) != len(rows):
         raise ValueError("basis must be full rank")
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
 
-    rows, cols = basis.tolist(), basis.T.tolist()
+    cols = list(zip(*rows))
     scored = sorted((sum(v * v for v in (_dot(c, a) for c in cols)), _signed(a)) for a in zip(*_Basis(rows).lll(delta)))
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")
 

@@ -1,15 +1,16 @@
 """Small exact and floating-point matrix kernels shared across the package.
 
-Every channel input (gains, snr, squared weights) is checked in one place,
-``_channel``, whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the
-channel's M on first read; a ``ChannelSpec`` and its Grams share one record,
-and each public function of a raw channel is a view over its record.  Every
-noise norm a^T G a is ``_sq_norm`` of the record, ||M a||^2, a sum of squares
-by Lagrange's identity, so nothing cancels at any snr; the Gram matrix
-is M^T M and the search reduces M's columns.  Exact paths (rank, span solve,
-span membership) take integer matrices and share one fraction-free (Bareiss)
-elimination over Python ints; rationals appear only in their solutions and in
-``RationalMatrix``.
+Vector and matrix inputs are read by ``_vector`` and ``_matrix`` (arrays through
+``tolist()``), so the kernels run on Python floats and ints and numpy loads only
+in views that return arrays.  Every channel input is checked in ``_channel``,
+whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the channel's M on
+first read; a ``ChannelSpec`` and its Grams share one record, and each public
+function of a raw channel is a view over its record.  Every noise norm a^T G a
+is ``_sq_norm`` of the record, ||M a||^2, a sum of squares by Lagrange's
+identity, so nothing cancels at any snr; the Gram matrix is M^T M and the
+search reduces M's columns.  Exact paths (rank, span solve, span membership)
+take integer matrices and share one fraction-free (Bareiss) elimination over
+Python ints; rationals appear only in their solutions and in ``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -21,9 +22,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import mul
-
-import numpy as np
 
 __all__ = [
     "GramMatrix", "RationalMatrix", "gram_plain", "gram_effective", "cholesky",
@@ -62,13 +62,40 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
+def _listed(values) -> list:
+    """``values`` as a list, an array read through ``tolist()``; TypeError for text, which would list its characters."""
+    if isinstance(values, (str, bytes)):
+        raise TypeError("text is not a vector")
+    return list(values.tolist() if hasattr(values, "tolist") else values)
+
+
+def _vector(values, message: str) -> tuple[float, ...]:
+    """The entries of a 1-D input as floats; ValueError(message) unless 1-D."""
+    try:
+        return tuple(map(float, _listed(values)))
+    except TypeError:
+        raise ValueError(message) from None
+
+
+def _matrix(values, message: str, square: bool = False) -> list[list]:
+    """The rows of a 2-D input as lists of one length (a list row kept as is), square if ``square``; else ValueError(message)."""
+    try:
+        rows = [row if type(row) is list else _listed(row) for row in _listed(values)]
+    except TypeError:
+        raise ValueError(message) from None
+    widths = set(map(len, rows)) or set(getattr(values, "shape", ())[1:2])  # an array with no rows keeps its width
+    if len(widths) > 1 or (square and widths != {len(rows)}) or not {list, tuple}.isdisjoint(map(type, chain(*rows))):
+        raise ValueError(message)
+    return rows
+
+
 class _Checked:
-    """One checked channel: g and b_sq (arrays), B g (Python floats), 1 + snr g^T B g and snr.
+    """One checked channel: g, b_sq and B g (tuples of floats), 1 + snr g^T B g and snr.
 
     ``m``, M as ``_embedding``'s (basis, diag, pairs), is built on first read and kept.
     """
 
-    def __init__(self, g: np.ndarray, b_sq: np.ndarray, bg: tuple[float, ...], denom: float, snr: float):
+    def __init__(self, g: tuple[float, ...], b_sq: tuple[float, ...], bg: tuple[float, ...], denom: float, snr: float):
         self.g, self.b_sq, self.bg, self.denom, self.snr = g, b_sq, bg, denom, snr
 
     @cached_property
@@ -82,28 +109,29 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
     ``b_sq`` None means unit weights (a plain MAC).  Raises ValueError unless
     the gains are a nonempty finite 1-D vector, snr is positive and finite, the
     weights match the gains in length and are positive and finite, and the
-    denominator is finite.
+    denominator is finite.  g^T B g is the ``math.fsum`` of the g_i (b_i g_i).
     """
-    g = np.asarray(gains, dtype=float)
-    if g.ndim != 1 or g.size < 1:
+    g = _vector(gains, "channel gains must be a nonempty 1-D vector")
+    if not g:
         raise ValueError("channel gains must be a nonempty 1-D vector")
-    # checks on Python floats: a numpy reduction costs more on these short vectors
-    if not all(map(math.isfinite, g.tolist())):
+    if not all(map(math.isfinite, g)):
         raise ValueError("channel gains must be finite")
     if not (math.isfinite(snr) and snr > 0):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    b_sq = np.ones(g.size) if b_sq is None else np.asarray(b_sq, dtype=float)
-    if b_sq.shape != g.shape:
+    b_sq = (1.0,) * len(g) if b_sq is None else _vector(b_sq, "weights must match the gain vector length")
+    if len(b_sq) != len(g):
         raise ValueError("weights must match the gain vector length")
-    if not all(0 < x < math.inf for x in b_sq.tolist()):
+    if not all(0 < x < math.inf for x in b_sq):
         raise ValueError("effective weights must be positive and finite")
     snr = float(snr)
-    with np.errstate(over="ignore"):
-        bg = b_sq * g
-        denom = 1.0 + snr * float(g @ bg)
+    bg = tuple(map(mul, b_sq, g))
+    try:
+        denom = 1.0 + snr * math.fsum(map(mul, g, bg))
+    except OverflowError:  # fsum's partial sums overflowed
+        denom = math.inf
     if not math.isfinite(denom):
         raise ValueError("1 + snr g^T B g overflows floating point; gains or snr are too large")
-    return _Checked(g, b_sq, tuple(bg.tolist()), denom, snr)
+    return _Checked(g, b_sq, bg, denom, snr)
 
 
 def _split(x: float) -> tuple[float, float]:
@@ -124,8 +152,7 @@ def _embedding(ch: _Checked) -> tuple[list[list[float]], tuple[float, ...], tupl
     ValueError when a squared column norm (a diagonal entry of G) overflows or
     underflows to zero.
     """
-    snr, den = ch.snr, ch.denom
-    g, b_sq = ch.g.tolist(), ch.b_sq.tolist()
+    snr, den, g, b_sq = ch.snr, ch.denom, ch.g, ch.b_sq
     k = len(g)
     diag = tuple([snr * b / den for b in b_sq])
     basis = [[0.0] * (k * (k + 1) // 2) for _ in g]
@@ -187,6 +214,7 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
 
 def _gram(ch: _Checked) -> GramMatrix:
     """``gram_effective`` of a checked channel record, keeping the record."""
+    import numpy as np
     cols = ch.m[0]
     gram = GramMatrix(entries=np.array([[sum(map(mul, u, v)) for v in cols] for u in cols]), snr=ch.snr)
     object.__setattr__(gram, "_checked", ch)
@@ -199,10 +227,8 @@ def cholesky(gram) -> np.ndarray:
     Raises ValueError when G is not a positive definite square matrix: every
     pivot must be positive and finite, which also rejects NaN entries.
     """
-    g = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("matrix must be square")
-    rows, r = g.tolist(), []
+    rows = _matrix(gram.entries if isinstance(gram, GramMatrix) else gram, "matrix must be square", square=True)
+    rows, r = [list(map(float, row)) for row in rows], []
     for i, row in enumerate(rows):
         ri: list[float] = []
         for j, rj in enumerate(r):
@@ -211,7 +237,8 @@ def cholesky(gram) -> np.ndarray:
         if not 0.0 < pivot < math.inf:
             raise ValueError("matrix is not positive definite")
         r.append([*ri, math.sqrt(pivot)] + [0.0] * (len(rows) - 1 - i))
-    return np.array(r, dtype=float).reshape(g.shape)
+    import numpy as np
+    return np.array(r, dtype=float).reshape(len(rows), len(rows))
 
 
 def sylvester_logdet(gains, snr: float, b_sq=None) -> float:
@@ -226,7 +253,7 @@ def sylvester_logdet(gains, snr: float, b_sq=None) -> float:
 
 def _logdet(ch: _Checked) -> float:
     """``sylvester_logdet`` of a checked channel record."""
-    return ch.g.size * math.log2(ch.snr) + float(np.sum(np.log2(ch.b_sq))) - math.log2(ch.denom)
+    return len(ch.g) * math.log2(ch.snr) + math.fsum(map(math.log2, ch.b_sq)) - math.log2(ch.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +262,11 @@ def _logdet(ch: _Checked) -> float:
 
 
 def _int_rows(mat) -> list[list[int]]:
-    """Rows of ``mat`` as Python ints; ``[]`` is the matrix with no rows."""
-    arr = np.asarray(mat)
-    if arr.ndim != 2 and arr.shape != (0,):
-        raise ValueError("expected a 2-D matrix")
-    rows = []
-    for row in arr.tolist():
-        out = []
-        for x in row:
-            xi = int(x)
-            if xi != x:
-                raise ValueError("exact routines require integer entries")
-            out.append(xi)
-        rows.append(out)
+    """Rows of ``mat`` as Python ints; ``[]`` is the matrix with no rows.  ValueError unless 2-D."""
+    entries = _matrix(mat, "expected a 2-D matrix")
+    rows = [list(map(int, row)) for row in entries]
+    if rows != entries:
+        raise ValueError("exact routines require integer entries")
     return rows
 
 
@@ -374,7 +393,7 @@ class RationalMatrix:
 
     def matmul(self, other) -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
-            other = RationalMatrix.from_rows(np.asarray(other).tolist())
+            other = RationalMatrix.from_rows(_matrix(other, "incompatible shapes"))
         rows_b = other.entries
         n_inner = len(rows_b)
         if self.cols != n_inner:

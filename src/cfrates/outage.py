@@ -95,27 +95,34 @@ class OutageParams:
     regime: str
 
 
-def strong_outage_params(b: int, snr: float, c: float) -> OutageParams:
-    if not (snr > 1 and c > 0):
-        raise ValueError("need snr > 1 and c > 0")
+# delta, q_max and phi of one regime's set at b, or ValueError out of its range; in_outage builds no OutageParams
+def _strong(b, snr: float, c: float) -> tuple[float, float, float]:
+    if not (1 < snr < math.inf and c > 0):
+        raise ValueError("need 1 < snr < inf and c > 0")
     if not (1 <= b < math.sqrt(snr)) or b != int(b):
         raise ValueError(f"b must be an integer in [1, sqrt(snr)), got {b!r}")
     delta = (c + 1.0) / math.log2(snr)
-    q_max = snr ** (0.25 - delta / 2.0) / math.sqrt(b + 0.5)
-    phi = math.sqrt(b + 0.5) * snr ** (-0.25 - delta / 2.0)
-    return OutageParams(b=int(b), snr=float(snr), c=float(c), delta=delta, q_max=q_max, phi=phi, regime="strong")
+    return delta, snr ** (0.25 - delta / 2.0) / math.sqrt(b + 0.5), math.sqrt(b + 0.5) * snr ** (-0.25 - delta / 2.0)
 
 
-def weak_outage_params(b: int, snr: float, c: float) -> OutageParams:
-    if not (snr > 1 and c > 0):
-        raise ValueError("need snr > 1 and c > 0")
+def _weak(b, snr: float, c: float) -> tuple[float, float, float]:
+    if not (1 < snr < math.inf and c > 0):
+        raise ValueError("need 1 < snr < inf and c > 0")
     if not (1 <= b <= math.ceil(math.log2(snr) / 6.0)) or b != int(b):
         raise ValueError(f"b must be an integer in [1, ceil(log2(snr)/6)], got {b!r}")
     delta = (2.0 * c + 8.0) / math.log2(snr)
     scale = math.sqrt(2.0 ** (-b + 1))
-    q_max = scale * snr ** (0.25 - delta / 2.0)
-    phi = snr ** (-0.25 - delta / 2.0) / scale
-    return OutageParams(b=int(b), snr=float(snr), c=float(c), delta=delta, q_max=q_max, phi=phi, regime="moderately-weak")
+    return delta, scale * snr ** (0.25 - delta / 2.0), snr ** (-0.25 - delta / 2.0) / scale
+
+
+def strong_outage_params(b: int, snr: float, c: float) -> OutageParams:
+    delta, q_max, phi = _strong(b, snr, c)
+    return OutageParams(int(b), float(snr), float(c), delta, q_max, phi, "strong")
+
+
+def weak_outage_params(b: int, snr: float, c: float) -> OutageParams:
+    delta, q_max, phi = _weak(b, snr, c)
+    return OutageParams(int(b), float(snr), float(c), delta, q_max, phi, "moderately-weak")
 
 
 _MAX_PIECES = 2**20
@@ -181,15 +188,15 @@ def in_outage(g: float, snr: float, c: float) -> bool:
     if c <= 0:
         raise ValueError("gap parameter c must be positive")
     if 1.0 <= g < math.sqrt(snr):
-        params = strong_outage_params(math.floor(g), snr, c)
+        _, q_max, phi = _strong(math.floor(g), snr, c)
     elif snr ** (-1.0 / 6.0) <= g < 1.0:
-        params = weak_outage_params(1 - math.frexp(g)[1], snr, c)  # g in [2^-b, 2^-b+1), exactly
+        _, q_max, phi = _weak(1 - math.frexp(g)[1], snr, c)  # g in [2^-b, 2^-b+1), exactly
     else:
         return False
     # some |q*g - a| < phi with 0 < q <= q_top iff the last convergent p/q of g with q <= q_top has one
     num, den = float(g).as_integer_ratio()
-    phi_num, phi_den = params.phi.as_integer_ratio()
-    q_top = math.floor(params.q_max)
+    phi_num, phi_den = phi.as_integer_ratio()
+    q_top = math.floor(q_max)
     p_prev, q_prev, p, q = 1, 0, num // den, 1
     x, y = den, num % den  # the next partial quotient is x // y
     while y:

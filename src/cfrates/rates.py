@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-import numpy as np
-
-from .linalg import _channel, _Checked, _sq_norm
+from .linalg import _channel, _Checked, _sq_norm, _vector
 
 __all__ = ["ComputationResult", "effective_variance", "optimal_beta", "comp_rate"]
 
@@ -38,10 +36,10 @@ class ComputationResult:
     r_comp: float
 
 
-def _prepare(gains, a, snr: float, b_sq) -> tuple[_Checked, np.ndarray]:
+def _prepare(gains, a, snr: float, b_sq) -> tuple[_Checked, tuple[float, ...]]:
     ch = _channel(gains, snr, b_sq)
-    a = np.asarray(a, dtype=float)
-    if a.shape != ch.g.shape:
+    a = _vector(a, "coefficient vector must match the gain vector length")
+    if len(a) != len(ch.g):
         raise ValueError("coefficient vector must match the gain vector length")
     return ch, a
 
@@ -52,14 +50,17 @@ def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
     snr * sum((beta*g - a)^2 * b_sq) + beta^2
     """
     ch, a = _prepare(gains, a, snr, b_sq)
-    mismatch = beta * ch.g - a
-    return ch.snr * float(mismatch @ (ch.b_sq * mismatch)) + beta * beta
+    mismatch = [beta * g - x for g, x in zip(ch.g, a)]
+    try:
+        return ch.snr * math.fsum(m * (b * m) for m, b in zip(mismatch, ch.b_sq)) + beta * beta
+    except OverflowError:  # fsum's partial sums overflowed; every term is nonnegative
+        return math.inf
 
 
 def optimal_beta(gains, a, snr: float, b_sq=None) -> float:
     """MMSE scaling coefficient: snr * g^T B a / (1 + snr * g^T B g)."""
     ch, a = _prepare(gains, a, snr, b_sq)
-    return ch.snr * sum(map(mul, ch.bg, a.tolist())) / ch.denom
+    return ch.snr * sum(map(mul, ch.bg, a)) / ch.denom
 
 
 def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
@@ -71,8 +72,7 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
     ``a`` is a nonzero integer vector, and RuntimeError when that variance
     underflows to zero.
     """
-    ch, a_arr = _prepare(gains, a, snr, b_sq)
-    coeffs = a_arr.tolist()
+    ch, coeffs = _prepare(gains, a, snr, b_sq)
     if not all(x.is_integer() for x in coeffs):
         raise ValueError("coefficient vector must be integer")
     if not any(coeffs):

@@ -25,10 +25,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-import numpy as np
-
 from .lattice import DEFAULT_BUDGET, BudgetExceeded, OptimalSet, _lll_set, _search
-from .linalg import GramMatrix, RationalMatrix, _channel, _Checked, _echelon, _gram, _int_rows, _logdet
+from .linalg import GramMatrix, RationalMatrix, _channel, _Checked, _echelon, _gram, _int_rows, _logdet, _matrix
 from .rates import ComputationResult, _rate
 
 __all__ = [
@@ -101,6 +99,7 @@ class CfTransform:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        import numpy as np
         return np.array([r.a for r in self.results], dtype=np.int64)
 
     @cached_property
@@ -258,11 +257,10 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     where the reduced row is nonzero.  ValueError unless A is a nonempty
     full-rank square integer matrix.
     """
-    a = np.asarray(a_matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise ValueError("matrix must be a nonempty square matrix")
-    rows = _int_rows(a)
+    rows = _int_rows(_matrix(a_matrix, "matrix must be a nonempty square matrix", square=True))
     k = len(rows)
+    if not k:
+        raise ValueError("matrix must be a nonempty square matrix")
     if len(_echelon([row[:] for row in rows], k)) != k:
         raise ValueError("matrix must be full rank")
     a_max = max(1, *map(abs, itertools.chain.from_iterable(rows)))
@@ -311,10 +309,12 @@ class ModPLift:
 
     @cached_property
     def lower_mod_p(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.lower_rows, dtype=np.int64)
 
     @cached_property
     def a_tilde_mod_p(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.a_tilde_rows, dtype=np.int64)
 
 
@@ -335,7 +335,7 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     built from.
     """
     steps, pi = pt.steps, pt.pi
-    if not steps or np.asarray(a_matrix).tolist() != steps[0].source.rows:
+    if not steps or _matrix(a_matrix, "matrix is not the one the triangularization was built from") != steps[0].source.rows:
         raise ValueError("matrix is not the one the triangularization was built from")
     _, cols, lemma_bound = steps[0].source
     units = 1

@@ -1,22 +1,28 @@
 """Command-line surface: subcommands, CSV/JSON contracts, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrates.cli import SWEEP_COLUMNS, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(args, timeout=300):
+def run_cli(args, timeout=300, code=None):
+    """``python -m cfrates args``, or ``python -c code args`` when ``code`` is given."""
     # pytest's pythonpath and filterwarnings settings do not reach a child process
     env = dict(
         os.environ,
@@ -24,7 +30,7 @@ def run_cli(args, timeout=300):
         PYTHONWARNINGS="error::RuntimeWarning",
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "cfrates", *args],
+        [sys.executable, *(["-m", "cfrates"] if code is None else ["-c", code]), *args],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -205,11 +211,12 @@ class TestSweep:
     # sha256 of the 300-point K=3 log sweep CSV over [snr^-1/4 / 4, 2 sqrt(snr)],
     # the regime-dominance range.  Speedups must leave every 17-digit cell as
     # it is; a change that alters answers on purpose updates these and says
-    # which rows changed.  The cells come from float arithmetic that partly
-    # runs in numpy's BLAS, so another BLAS kernel may change low digits.
+    # which rows changed.  The cells are CPython float arithmetic (den is a
+    # math.fsum, the grid points 10.0 ** y), so they depend on CPython's float
+    # operations and the C library's pow, log and sqrt, not on numpy.
     SWEEP_DIGESTS = {
-        25: "0a470df94b3ada6d38b8364b855e4eac6e3571cee947e754d6337efb8c3065ad",
-        45: "7c9d8b1b8c955ee60b6e3fa2083b6829706e2cd66cbca225c12580bf604a3594",
+        25: "5054317c7d5b5a09134a17160b469aa80e1435992c4c4b86b5a606a1d4b461fa",
+        45: "c53fadd0d77de489ff7f1e20f152c14be5c0ba6ab90a24d2d18ab8f780732622",
     }
 
     def test_high_snr_sweep_keeps_the_report_checks(self, capsys):
@@ -327,3 +334,129 @@ class TestEntryPoint:
 
     def test_missing_command_exits_2(self):
         assert run_cli([]).returncode == 2
+
+
+class TestFoundByFuzzing:
+    """Input classes found by fuzzing the command line; each ended in a traceback or a RuntimeWarning."""
+
+    @pytest.mark.parametrize("regime", ["strong", "weak"])
+    def test_infinite_snr_outage_exits_1(self, regime, capsys):
+        # 10 ** (inf / 10) is inf, not an OverflowError, and floor(q_max) then raised one
+        assert main(["outage", "--regime", regime, "--b", "1", "--snr-db", "inf", "--c", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == ["error: need 1 < snr < inf and c > 0"]
+
+    def test_log_grid_end_that_overflows_exits_1(self, capsys):
+        # 10 ** log10(max float) overflows; the numpy grid made it inf with a RuntimeWarning
+        args = ["sweep", "--k", "3", "--snr-db", "25", "--g-min", "1", "--g-max", repr(sys.float_info.max), "--points", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: the log grid's end ")
+
+
+# Pools for the fuzz test: values that run, then edge values.  dB values stop at
+# 60 or overflow (10 ** (db / 10) leaves the float range at about 3083 dB):
+# between them the exhaustive search can take seconds (ROADMAP item 1).
+NUMBERS = (
+    ["0.5", "1", "2", "2.5"],
+    ["0", "-0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "1.7976931348623157e308", "x"],
+)
+DECIBELS = (["0", "15", "25", "40", "60"], ["-5000", "-400", "-3", "4000", "5000", "nan", "inf", "-inf", "1e300", "x"])
+USERS = (["2", "3", "8"], ["-1", "0", "1", "x"])
+POINTS = (["2", "3", "5"], ["-1", "0", "1", "x"])
+
+
+def _value(pool, edge_share=3):
+    """A value from ``pool``: an edge value about one time in ``edge_share``, else one that runs."""
+    good, edge = pool
+    return st.sampled_from(good * ((edge_share - 1) * len(edge) // len(good) + 1) + edge)
+
+
+def _values(pool, max_size):
+    return st.lists(_value(pool), min_size=1, max_size=max_size).map(",".join)
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for one of the five subcommands, with values from the pools above.
+
+    Sizes stay small (at most 4 gains, K <= 8, 5 sweep points, outage sets at
+    60 dB at most), and now and then an option is dropped or an unknown one
+    added, so usage errors are drawn too.
+    """
+    command = draw(st.sampled_from(["rates", "report", "sweep", "outage", "gdof"]))
+    pick = lambda pool, edge_share=3: draw(_value(pool, edge_share))  # noqa: E731
+    if command == "rates":
+        if draw(st.booleans()):
+            opts = [("--h", draw(_values(NUMBERS, 4)))]
+        else:
+            opts = [("--eff-g", draw(_values(NUMBERS, 4))), ("--eff-b", draw(_values(NUMBERS, 4)))]
+        opts += [("--snr-db", pick(DECIBELS)), ("--method", draw(st.sampled_from(["auto", "exhaustive", "lll"])))]
+    elif command == "report":
+        opts = [("--k", pick(USERS, 8)), ("--g", pick(NUMBERS)), ("--snr-db", pick(DECIBELS)), ("--gap", pick(NUMBERS))]
+    elif command == "sweep":
+        g_min, g_max = sorted([pick(NUMBERS), pick(NUMBERS)], key=lambda x: (x == "x", float(x) if x != "x" else 0))
+        opts = [("--k", pick(USERS, 8)), ("--snr-db", draw(_values(DECIBELS, 2))), ("--g-min", g_min), ("--g-max", g_max)]
+        opts += [("--points", pick(POINTS, 8)), ("--gap", pick(NUMBERS))]
+        opts += [("--scale", draw(st.sampled_from(["linear", "log"]))), ("--format", draw(st.sampled_from(["csv", "json"])))]
+    elif command == "outage":
+        opts = [("--regime", draw(st.sampled_from(["strong", "weak"])))]
+        opts += [("--b", pick((["1", "2"], ["-1", "0", "x"]), 8))]
+        opts += [("--snr-db", pick((DECIBELS[0], ["-5000", "4000", "nan", "inf", "-inf"]))), ("--c", pick(NUMBERS))]
+    else:
+        opts = [("--alpha", draw(_values(NUMBERS, 3))), ("--k", pick(USERS, 8))]
+    if draw(st.integers(0, 9)) == 0:
+        del opts[draw(st.integers(0, len(opts) - 1))]
+    if draw(st.integers(0, 19)) == 0:
+        opts.append(("--bogus", "1"))
+    return [command, *(f"{opt}={value}" for opt, value in opts)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_exit_code_contract_under_fuzzing(argv):
+    """Exit 0, 1 or 2; 1 and 2 print one ``error:`` line; no traceback and no RuntimeWarning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    elif code == 2:
+        assert lines[0].startswith("usage: cfrates"), (argv, lines)
+        assert [line for line in lines if "error:" in line] == [lines[-1]], (argv, lines)
+        assert lines[-1].startswith("cfrates") and out.getvalue() == "", (argv, lines)
+
+
+class TestNumpyFree:
+    """numpy loads only behind the views that return arrays: no subcommand reads one."""
+
+    BLOCKED = "import sys; sys.modules['numpy'] = None; from cfrates.cli import main; raise SystemExit(main(sys.argv[1:]))"
+
+    def test_import_leaves_numpy_out(self):
+        proc = run_cli([], code="import sys, cfrates; assert 'numpy' not in sys.modules, 'numpy was imported'")
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rates", "--h", "2.2360679,1", "--snr-db", "15"],
+            ["report", "--k", "3", "--g", "2.0", "--snr-db", "25"],
+            ["sweep", "--k", "3", "--snr-db", "25,45", "--g-min", "0.1", "--g-max", "100", "--points", "4"],
+            ["outage", "--regime", "strong", "--b", "1", "--snr-db", "40", "--c", "2"],
+            ["gdof", "--alpha", "0,0.5,1.5", "--k", "3"],
+        ],
+        ids=["rates", "report", "sweep", "outage", "gdof"],
+    )
+    def test_subcommand_runs_with_numpy_blocked(self, args, capsys):
+        proc = run_cli(args, code=self.BLOCKED)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert main(args) == 0
+        assert proc.stdout == capsys.readouterr().out

@@ -660,8 +660,11 @@ class TestLll:
             [[1.0], [1.0, 2.0]],
             "basis",
             [[1j, 0.0], [0.0, 1.0]],
+            ["12", "34"],
+            [b"12", b"34"],
+            np.ones((0, 2)),
         ],
-        ids=["scalar", "vector", "2x3", "2x2x2", "nan", "inf", "ragged", "string", "complex"],
+        ids=["scalar", "vector", "2x3", "2x2x2", "nan", "inf", "ragged", "string", "complex", "text-rows", "bytes-rows", "0x2"],
     )
     def test_malformed_basis_rejected(self, basis):
         # rejected before LLL starts: a float LLL on NaN would never stop

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrates.lattice import candidate_bound
 from cfrates.linalg import (
@@ -170,6 +172,8 @@ class TestGramEffective:
 MALFORMED_CHANNELS = [
     ("empty-gains", [], 10.0, None, "nonempty 1-D vector"),
     ("2d-gains", [[1.0, 2.0]], 10.0, None, "nonempty 1-D vector"),
+    ("text-gains", "25", 10.0, None, "nonempty 1-D vector"),  # not the gains (2.0, 5.0)
+    ("bytes-gains", b"25", 10.0, None, "nonempty 1-D vector"),
     ("nan-gain", [math.nan, 1.0], 10.0, None, "gains must be finite"),
     ("inf-gain", [1.0, math.inf], 10.0, None, "gains must be finite"),
     ("nan-weight", [1.0, 2.0], 10.0, [1.0, math.nan], "weights must be positive and finite"),
@@ -178,6 +182,7 @@ MALFORMED_CHANNELS = [
     ("inf-weight", [1.0, 2.0], 10.0, [math.inf, 1.0], "weights must be positive and finite"),
     ("long-weights", [1.0, 2.0], 10.0, [1.0, 1.0, 1.0], "weights must match the gain vector length"),
     ("broadcast-weight", [1.0, 2.0], 10.0, [2.0], "weights must match the gain vector length"),
+    ("text-weights", [1.0, 2.0], 10.0, "11", "weights must match the gain vector length"),
     ("zero-snr", [1.0, 2.0], 0.0, None, "snr must be positive and finite"),
     ("negative-snr", [1.0, 2.0], -1.0, None, "snr must be positive and finite"),
     ("nan-snr", [1.0, 2.0], math.nan, None, "snr must be positive and finite"),
@@ -239,6 +244,31 @@ def test_overflowing_denominator_rejected_without_warning(entry, gains, snr, b_s
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
             call(gains, snr, b_sq)
+
+
+MAGNITUDES = st.floats(min_value=1e-50, max_value=1e50)
+
+
+@st.composite
+def normal_range_channels(draw):
+    """K = 1..8 gains, squared weights and snr in [1e-50, 1e50]: every product and sum is a normal float."""
+    k = draw(st.integers(1, 8))
+    gains = [draw(MAGNITUDES) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(k)]
+    return gains, draw(MAGNITUDES), [draw(MAGNITUDES) for _ in range(k)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(normal_range_channels())
+def test_denominator_within_6_eps_of_the_exact_value(channel):
+    """den = 1 + snr sum b_i g_i^2 against its exact rational value.
+
+    Every term is nonnegative, so the two product roundings per term, fsum's
+    one, and those of the multiply by snr and the add of 1 bound the relative
+    error by 5 * 2^-53 to first order.
+    """
+    gains, snr, b_sq = channel
+    exact = 1 + Fraction(snr) * sum(Fraction(b) * Fraction(g) ** 2 for g, b in zip(gains, b_sq))
+    assert abs(Fraction(_channel(gains, snr, b_sq).denom) - exact) <= Fraction(6, 2**53) * exact
 
 
 def test_overflowing_gram_entry_rejected_by_transform():
@@ -347,6 +377,19 @@ class TestCholesky:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             cholesky(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.ones((0, 2)), [], ["12", "34"], [b"12", b"34"], "1", [[1.0], [1.0, 2.0]]],
+        ids=["0x2", "no-rows-no-width", "text-rows", "bytes-rows", "text", "ragged"],
+    )
+    def test_malformed_rejected(self, matrix):
+        # text rows are not rows of digits; an array with no rows keeps its width, and [] has none
+        with pytest.raises(ValueError, match="square"):
+            cholesky(matrix)
+
+    def test_empty(self):
+        assert cholesky(np.ones((0, 0))).shape == (0, 0)
 
 
 class TestSylvesterLogdet:

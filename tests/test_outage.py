@@ -79,6 +79,9 @@ class TestStrongParams:
             strong_outage_params(101, 1e4, 1.0)
         with pytest.raises(ValueError):
             strong_outage_params(1, 1e4, 0.0)
+        for b in (math.inf, math.nan, 1.5):  # the range check runs before int(b), which raises at inf and NaN
+            with pytest.raises(ValueError, match="b must be an integer"):
+                strong_outage_params(b, 1e4, 1.0)
 
 
 class TestStrongSet:
@@ -146,6 +149,9 @@ class TestWeakSet:
             weak_outage_params(0, 1e8, 1.0)
         with pytest.raises(ValueError):
             weak_outage_params(10, 1e8, 1.0)  # ceil(log2(1e8)/6) = 5
+        for b in (math.inf, math.nan, 1.5):
+            with pytest.raises(ValueError, match="b must be an integer"):
+                weak_outage_params(b, 1e8, 1.0)
 
     def test_per_interval_measure_bound(self):
         snr, c = 1e8, 0.5

@@ -35,6 +35,10 @@ class TestEffectiveVariance:
         h = [0.3, 1.7, -2.0]
         assert effective_variance(h, h, 1.0, 123.0) == pytest.approx(1.0, rel=1e-12)
 
+    def test_sum_past_the_float_range_is_inf(self):
+        # each term is 1.69e308; math.fsum raises on the overflowing partial sum
+        assert effective_variance([1.0, 1.0], [1.3e154, 1.3e154], 0.0, 1.0) == math.inf
+
     def test_reference_pair(self):
         snr = 10**1.5
         h = [math.sqrt(5), 1.0]

@@ -175,7 +175,7 @@ DENSE_K8_DIGEST = "d61143e94e6294c54626d432452e2c28314ff74d5eb3c73f0869d1f3b771d
 # MACs, 8 per K for K=2..6 at 10-40 dB: the transform rows with 17-digit beta,
 # sigma2 and rate, the sum-rate bounds, and for every order its pi, L, p, both
 # lifted row sets and its allocation
-PIPELINE_DIGEST = "e2db0864423ba640cb9cea3f2431ff703be95216086e3464d8733750df544659"
+PIPELINE_DIGEST = "a8decf7a8221df0ffcc74e5327540cc7df03e3b7617313bb1d7110ee234aeace"
 
 
 @st.composite
