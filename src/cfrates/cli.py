@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 from .outage import strong_outage_params, strong_outage_set, weak_outage_params, weak_outage_set
 from .symmetric_ic import SymmetricIcSpec, gdof, report
@@ -87,7 +88,9 @@ def cmd_rates(args) -> int:
         channel = ChannelSpec.effective(args.eff_g, args.eff_b, snr)
 
     t = transform(channel, method=args.method)
-    bounds = sum_rate_bounds(t)
+    with warnings.catch_warnings():  # an LLL transform's bounds warning: "search: lll" below says so
+        warnings.simplefilter("ignore", UserWarning)
+        bounds = sum_rate_bounds(t)
 
     print(f"gains: {list(channel.gains)}  weights^2: {list(channel.weights_sq)}")
     print(f"snr: {snr:.6g} ({args.snr_db} dB)   search: {t.method}")

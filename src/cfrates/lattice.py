@@ -3,12 +3,12 @@
 The optimal coefficient set consists of integer vectors realizing the
 successive minima of the lattice whose Gram matrix is G, found one at a time:
 vector m is the smallest a^T G a outside the span of vectors 0..m-1.  Each
-step is a depth-first Fincke-Pohst walk in the coordinates of a unimodular
-basis that starts LLL-reduced and whose leading columns span the vectors
-found so far, so a sign rule on the trailing coordinates skips the span and
-no independence test is needed.  The sphere of step m is the (m+1)-th
-smallest LLL norm, which bounds the (m+1)-th minimum.  LLL alone is the fast
-suboptimal fallback when an enumeration budget is exhausted.
+step is a depth-first walk in the coordinates of a unimodular basis that
+starts LLL-reduced and whose leading columns span the vectors found so far,
+so a sign rule on the trailing coordinates skips the span and no
+independence test is needed.  The walk takes no radius: its first descent,
+nearest-first as in Schnorr-Euchner, sets one and each later leaf shrinks
+it.  LLL alone is the fast suboptimal fallback when a node budget runs out.
 
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
 checked record (``linalg._channel``): Python ints and floats over the columns
@@ -31,12 +31,11 @@ __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "s
 
 DEFAULT_BUDGET = 10_000_000
 
-# Relative slack for sphere inclusion tests.  The walk runs on M's float
-# columns, whose entries c g_j round independently, so a walk norm is within
-# 3 eps sqrt(den) of ||M a||^2 = a^T G a, relative, den = 1 + snr g^T B g
-# (to first order; 0.4 eps sqrt(den) was the largest seen).  1e-9 covers that
-# while den < 1e12: 120 dB at g^T B g = 1.
-_RADIUS_SLACK = 1e-9
+# The walk keeps the leaves whose cost is within this factor of the least one,
+# for ``_search`` to rank by ``_sq_norm``: costs equal on the walk's own mu and
+# bb differ in floats by the rounding of its sums, a few ulps per level (a
+# center, a square, a product, a running sum), which 64 eps covers at these K.
+_WINDOW = 1.0 + 64 * 2.0**-52
 
 
 class BudgetExceeded(RuntimeError):
@@ -183,45 +182,47 @@ class _Basis:
         return w
 
 
-def _enumerate_half_sphere(mu, bb, radius_sq: float, floor: int, budget: int, nodes: int = 0) -> tuple[list, int]:
-    """All integer c with ||R c||^2 <= radius_sq and c[floor:] nonzero, one per {c, -c}.
+def _walk(mu, bb, floor: int, budget: int, nodes: int = 0) -> tuple[list, int]:
+    """The c with c[floor:] nonzero, one per {c, -c}, of least ||R c||^2 to within ``_WINDOW``.
 
     ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2 for a ``_Basis``'s
     Gram-Schmidt data, fixed from the last coordinate down; while the fixed
     ones are zero the current one must be nonnegative, and positive at
     ``floor``, which keeps the representative whose last nonzero entry is
-    positive.  Every integer tried counts against ``budget``, from ``nodes``;
-    returns the points and the new node count.
+    positive.  The first descent takes the integer nearest each center
+    (Schnorr-Euchner), reaching Babai's point; each leaf shrinks the radius,
+    and each level's range at the radius counts against ``budget`` from
+    ``nodes``.  Returns the leaves and the new node count.
     """
     k = len(bb)
-    slack = _RADIUS_SLACK * radius_sq
-    a, found = [0] * k, []
+    a, leaves, limit = [0] * k, [], math.inf
 
-    def descend(level: int, remaining: float, tail_zero: bool) -> None:
-        nonlocal nodes
+    def descend(level: int, partial: float, tail_zero: bool) -> None:
+        nonlocal nodes, limit
+        if level < 0:  # a leaf
+            leaves.append((partial, tuple(a)))
+            limit = min(limit, partial * _WINDOW)
+            return
         center = -sum(mu[j][level] * a[j] for j in range(level + 1, k))
         weight = bb[level]
-        half_width = math.sqrt(max(remaining, 0.0) / weight)
-        lo = math.ceil(center - half_width - 1e-12)
-        hi = math.floor(center + half_width + 1e-12)
-        if tail_zero:
-            lo = max(lo, int(level == floor))
+        low = int(level == floor) if tail_zero else -math.inf
+        first = max(round(center), low) if limit == math.inf else None
+        if first is not None:  # the first descent: the nearest admissible integer alone, until its leaf sets the radius
+            a[level] = first
+            descend(level - 1, partial + weight * (first - center) ** 2, tail_zero and first == 0)
+        half = math.sqrt((limit - partial) / weight)
+        lo, hi = max(math.ceil(center - half), low), math.floor(center + half)
         nodes += max(0, hi - lo + 1)
         if nodes > budget:
             raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
         for v in range(lo, hi + 1):
-            cost = weight * (v - center) ** 2
-            if cost > remaining + slack:
-                continue
-            a[level] = v
-            if level == 0:
-                found.append(tuple(a))
-            else:
-                descend(level - 1, remaining - cost, tail_zero and v == 0)
-        a[level] = 0
+            cost = partial + weight * (v - center) ** 2
+            if cost <= limit and v != first:  # a cost passes the limit only after a leaf shrank it
+                a[level] = v
+                descend(level - 1, cost, tail_zero and v == 0)
 
-    descend(k - 1, radius_sq, True)
-    return found, nodes
+    descend(k - 1, 0.0, True)
+    return [c for cost, c in leaves if cost <= limit], nodes
 
 
 def _fold(w: list[list[int]], m: int, c: tuple[int, ...]) -> bool:
@@ -272,22 +273,15 @@ def _search(ch: _Checked, budget: int) -> OptimalSet:
     lat = _Basis(ch.m[0])
     w = lat.lll(0.99)
     lat.refresh(0)  # LLL updates b in place, a rounding away from q W, and leaves ortho stale
-    # The m+1 shortest LLL vectors are independent, so the (m+1)-th smallest
-    # LLL norm bounds the (m+1)-th minimum whatever the snr.
-    radii = sorted(_dot(v, v) for v in lat.b)
-
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(w)):
-        coords, nodes = _enumerate_half_sphere(lat.mu, lat.bb, radii[m] * (1.0 + _RADIUS_SLACK), m, budget, nodes)
-        if not coords:
-            raise RuntimeError("search sphere missed a successive minimum")
-        if len(coords) == 1:  # the usual case: nothing to rank
-            c = coords[0]
-            vec = _signed(tuple(_dot(row, c) for row in w))  # a = W c
-            norm = _sq_norm(ch, vec)
-        else:
-            cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
-            norm, vec, c = min((_sq_norm(ch, a), a, c) for a, c in zip(cands, coords))
+        coords, nodes = _walk(lat.mu, lat.bb, m, budget, nodes)
+        best = None
+        for c in coords:  # ranked by (a^T G a, a) for a = W c, sign-normalized
+            a = _signed(tuple(_dot(row, c) for row in w))
+            key = (_sq_norm(ch, a), a, c)
+            best = key if best is None or key < best else best
+        norm, vec, c = best
         if m == 0 and norm >= ch.snr:
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)

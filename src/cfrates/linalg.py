@@ -127,8 +127,11 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
     bg = tuple(map(mul, b_sq, g))
     try:
         denom = 1.0 + snr * math.fsum(map(mul, g, bg))
-    except OverflowError:  # fsum's partial sums overflowed
-        denom = math.inf
+    except OverflowError:  # fsum's partial sums overflowed; with snr < 1 folded into each term they may not
+        try:
+            denom = 1.0 + math.fsum(snr * x for x in map(mul, g, bg))
+        except OverflowError:
+            denom = math.inf
     if not math.isfinite(denom):
         raise ValueError("1 + snr g^T B g overflows floating point; gains or snr are too large")
     return _Checked(g, b_sq, bg, denom, snr)

@@ -82,8 +82,8 @@ class TestRates:
         ids=["85", "90", "120", "300"],
     )
     def test_high_snr_never_shows_a_traceback(self, h, snr_db):
-        # past about 130 dB the float search may miss a minimum, and at 300 dB
-        # the exhaustive search overruns its budget; a failure must be a
+        # at 300 dB the second step's range at its radius holds more integers
+        # than the budget, so auto falls back to LLL; a failure must be a
         # computation failure (exit 1 with "error:"), not a crash
         proc = run_cli(["rates", f"--h={h}", "--snr-db", snr_db])
         assert "Traceback" not in proc.stderr
@@ -106,6 +106,19 @@ class TestRates:
         proc = run_cli(args, timeout=30)
         assert proc.returncode == 1
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--h", "1,2.5", "--snr-db", "25", "--method", "lll"], ["--h", "1e154,1e154", "--snr-db", "-10"]],
+        ids=["lll", "auto-fallback"],
+    )
+    def test_lll_transform_writes_nothing_to_stderr(self, args):
+        # sum_rate_bounds warns that an LLL lower bound is not guaranteed; the
+        # table says "search: lll".  The second channel's g^T B g overflows alone
+        # (den is 2e307), and its search exceeds the budget at once
+        proc = run_cli(["rates", *args])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "search: lll" in proc.stdout
 
     @pytest.mark.parametrize("weights", [[], ["--eff-b", "1"]])
     def test_effective_weights_mismatch_exits_2(self, weights):
@@ -356,14 +369,20 @@ class TestFoundByFuzzing:
         assert line.startswith("error: the log grid's end ")
 
 
-# Pools for the fuzz test: values that run, then edge values.  dB values stop at
-# 60 or overflow (10 ** (db / 10) leaves the float range at about 3083 dB):
-# between them the exhaustive search can take seconds (ROADMAP item 1).
+# Pools for the fuzz test: values that run, then edge values.  dB values that run
+# reach 160 dB, where a sweep point still takes milliseconds; the edge values above
+# that overflow (10 ** (db / 10) leaves the float range at about 3083 dB), since
+# past 160 dB the search's cost still grows about 10x per 10 dB (ROADMAP item 1).
+# Outage sets stop at 60 dB: they grow with snr.
 NUMBERS = (
     ["0.5", "1", "2", "2.5"],
     ["0", "-0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "1.7976931348623157e308", "x"],
 )
-DECIBELS = (["0", "15", "25", "40", "60"], ["-5000", "-400", "-3", "4000", "5000", "nan", "inf", "-inf", "1e300", "x"])
+DECIBELS = (
+    ["0", "15", "25", "40", "60", "100", "160"],
+    ["-5000", "-400", "-3", "4000", "5000", "nan", "inf", "-inf", "1e300", "x"],
+)
+OUTAGE_DECIBELS = (["0", "15", "25", "40", "60"], ["-5000", "4000", "nan", "inf", "-inf"])
 USERS = (["2", "3", "8"], ["-1", "0", "1", "x"])
 POINTS = (["2", "3", "5"], ["-1", "0", "1", "x"])
 
@@ -404,7 +423,7 @@ def cli_argvs(draw):
     elif command == "outage":
         opts = [("--regime", draw(st.sampled_from(["strong", "weak"])))]
         opts += [("--b", pick((["1", "2"], ["-1", "0", "x"]), 8))]
-        opts += [("--snr-db", pick((DECIBELS[0], ["-5000", "4000", "nan", "inf", "-inf"]))), ("--c", pick(NUMBERS))]
+        opts += [("--snr-db", pick(OUTAGE_DECIBELS)), ("--c", pick(NUMBERS))]
     else:
         opts = [("--alpha", draw(_values(NUMBERS, 3))), ("--k", pick(USERS, 8))]
     if draw(st.integers(0, 9)) == 0:

@@ -246,6 +246,15 @@ def test_overflowing_denominator_rejected_without_warning(entry, gains, snr, b_s
             call(gains, snr, b_sq)
 
 
+def test_denominator_in_range_though_g_b_g_overflows():
+    # g^T B g = 2e308 overflows fsum; with snr folded into each term den = 2e307
+    gains, snr = [1e154, 1e154], 0.1
+    exact = 1 + Fraction(snr) * sum(Fraction(g) ** 2 for g in gains)
+    assert abs(Fraction(_channel(gains, snr).denom) - exact) <= Fraction(6, 2**53) * exact
+    with pytest.raises(ValueError, match="overflows"):
+        _channel(gains, 0.95)  # 1.9e308 even so
+
+
 MAGNITUDES = st.floats(min_value=1e-50, max_value=1e50)
 
 

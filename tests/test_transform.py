@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrates import cli, linalg
-from cfrates.lattice import BudgetExceeded, _Basis, _dot, _enumerate_half_sphere, successive_minima
+from cfrates.lattice import BudgetExceeded, _Basis, _dot, successive_minima
 from cfrates.linalg import RationalMatrix, RationalSpan, _channel, exact_rank, sylvester_logdet
 from cfrates.rates import comp_rate
 from cfrates.transform import (
@@ -239,6 +240,22 @@ class TestTransform:
         with pytest.raises(BudgetExceeded, match="exceeded 0 nodes"):
             transform(ch, method="exhaustive", budget=0)
 
+    def test_200_db_near_ties_fit_a_small_budget(self):
+        # every (k, k+1) costs 5e19 + (2k+1)^2/4 in step 1; the walk ranks only
+        # the 1,688 within 64 eps of the least cost
+        t = transform(ChannelSpec.plain([1.0, 1.0], 1e20), "exhaustive", budget=10_000)
+        assert [r.a for r in t.results] == [(1, 1), (0, 1)]
+
+    def test_level_the_floats_cannot_resolve_exceeds_the_budget_at_once(self):
+        # bb spans 1e-308 to 0.05 and every cost rounds alike: the level's whole
+        # range, about 1e153 integers, is charged before any is tried
+        ch = ChannelSpec.plain([1e154, 1e154], 0.1)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            transform(ch, "exhaustive")
+        assert time.perf_counter() - start < 0.1
+        assert transform(ch).method == "lll"
+
 
 @st.composite
 def channels(draw):
@@ -312,20 +329,55 @@ def exact_norm(ch, a):
     return snr * (sum(w * y * y for w, y in zip(b, a)) - snr * cross * cross / den)
 
 
+def sphere_points(mu, bb, radius_sq, budget):
+    """Every integer c != 0 with ||R c||^2 <= radius_sq, one per {c, -c}; BudgetExceeded past ``budget`` integers tried.
+
+    A fixed-radius Fincke-Pohst walk on a ``_Basis``'s Gram-Schmidt data,
+    ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2, fixed from the
+    last coordinate down; while the fixed ones are zero the current one must
+    be nonnegative, and positive at coordinate 0.
+    """
+    k = len(bb)
+    a, found, nodes = [0] * k, [], 0
+
+    def descend(level, remaining, tail_zero):
+        nonlocal nodes
+        center = -sum(mu[j][level] * a[j] for j in range(level + 1, k))
+        half = math.sqrt(max(remaining, 0.0) / bb[level])
+        lo, hi = math.ceil(center - half), math.floor(center + half)
+        if tail_zero:
+            lo = max(lo, int(level == 0))
+        nodes += max(0, hi - lo + 1)
+        if nodes > budget:
+            raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+        for v in range(lo, hi + 1):
+            cost = bb[level] * (v - center) ** 2
+            if cost <= remaining:
+                a[level] = v
+                if level == 0:
+                    found.append(tuple(a))
+                else:
+                    descend(level - 1, remaining - cost, tail_zero and v == 0)
+        a[level] = 0
+
+    descend(k - 1, radius_sq, True)
+    return found
+
+
 def exact_minima(ch, radius_sq, budget=100_000):
     """Exact squared successive minima up to ``radius_sq``, or None past ``budget`` nodes.
 
     The candidates are every lattice point in the sphere, found on a freshly
-    LLL-reduced float basis of the embedding; ``radius_sq`` carries a slack far
-    wider than float rounding, so the sphere holds every point whose exact norm
-    is below the radius.  They are ranked by exact norm and kept greedily when
-    independent of those kept.
+    LLL-reduced float basis of the embedding; ``radius_sq`` carries a slack
+    wider than the walk's float rounding, so the sphere holds every point
+    whose exact norm is below the radius.  They are ranked by exact norm and
+    kept greedily when independent of those kept.
     """
     lat = _Basis(ch._checked.m[0])
     w = lat.lll(0.99)
     lat.refresh(0)
     try:
-        coords, _ = _enumerate_half_sphere(lat.mu, lat.bb, radius_sq, 0, budget)
+        coords = sphere_points(lat.mu, lat.bb, radius_sq, budget)
     except BudgetExceeded:
         return None
     span, minima = RationalSpan(ch.dim), []
@@ -336,12 +388,12 @@ def exact_minima(ch, radius_sq, budget=100_000):
 
 
 class TestHighSnrExactNorms:
-    """60-120 dB: each noise norm is a^T G a to 1e-12 and each vector a successive minimum."""
+    """60-160 dB: each noise norm is a^T G a to 1e-12 and each vector a successive minimum."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         k=st.integers(2, 5),
-        snr_db=st.floats(60.0, 120.0),
+        snr_db=st.floats(60.0, 160.0),
         seed=st.integers(0, 2**32 - 1),
         weighted=st.booleans(),
     )
@@ -355,7 +407,10 @@ class TestHighSnrExactNorms:
         exact = [exact_norm(ch, r.a) for r in t.results]
         for r, x in zip(t.results, exact):
             assert abs(Fraction(r.sigma2_eff) - x) <= 1e-12 * x, r
-        minima = exact_minima(ch, max(r.sigma2_eff for r in t.results) * 1.001)
+        # a float walk cost on M's columns is within 3 eps sqrt(den) of the exact norm,
+        # relative, to first order (den = 1 + snr g^T B g): the sphere allows 8
+        radius = max(r.sigma2_eff for r in t.results) * (1 + 1e-12 + 8 * 2**-52 * math.sqrt(ch._checked.denom))
+        minima = exact_minima(ch, radius)
         assume(minima is not None)
         assert len(minima) == k
         for x, m in zip(exact, minima):
