@@ -1,26 +1,38 @@
 """Shortest independent coefficient vectors for a channel's Gram matrix.
 
 The optimal coefficient set consists of integer vectors realizing the
-successive minima of the lattice whose Gram matrix is G, found one at a time:
-vector m is the smallest a^T G a outside the span of vectors 0..m-1.  Each
-step is a depth-first walk in the coordinates of a unimodular basis that
-starts LLL-reduced and whose leading columns span the vectors found so far,
-so a sign rule on the trailing coordinates skips the span and no
-independence test is needed.  The walk takes no radius: its first descent,
-nearest-first as in Schnorr-Euchner, sets one and each later leaf shrinks
-it.  LLL alone is the fast suboptimal fallback when a node budget runs out.
+successive minima of the lattice whose Gram matrix is G: vector m is the
+smallest a^T G a outside the span of vectors 0..m-1, ties broken by the
+sign-normalized a.
+
+For K <= 3, the dimensions of every interference-channel effective MAC, the
+search is exact at any snr: a greedy reduction (Lagrange for K = 2; Semaev,
+"A 3-dimensional lattice reduction algorithm", CaLC 2001, for K = 3) on the
+integer Gram ``ch.q``, an exact multiple of G, gives a Minkowski-reduced
+basis, whose {0, +-1} combinations hold every minimum (Nguyen & Stehle, "Low-
+dimensional lattice basis reduction revisited", ACM TALG 5(4), 2009).  The
+node budget, ``BudgetExceeded`` and the LLL fallback apply to K >= 4 only.
+
+For K >= 4 each step is a depth-first walk in the coordinates of a
+unimodular basis that starts LLL-reduced and whose leading columns span the
+vectors found so far, so a sign rule on the trailing coordinates skips the
+span and no independence test is needed.  The walk takes no radius: its
+first descent, nearest-first as in Schnorr-Euchner, sets one and each later
+leaf shrinks it.  LLL alone is the fast suboptimal fallback when a node
+budget runs out.
 
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
-checked record (``linalg._channel``): Python ints and floats over the columns
-of its M, ranking candidates by ``linalg._sq_norm``, the norm the rates use.
-LLL is classical floating LLL (Cohen, *A Course in Computational Algebraic
-Number Theory*, 1993, §2.6.3), updating its Gram-Schmidt rows in place; the
-search rebuilds them from b = q W once after LLL and then only after a
-``_fold`` that moved W.
+checked record (``linalg._channel``); the walk runs on Python ints and floats
+over the columns of its M, ranking candidates by ``linalg._sq_norm``, the
+norm the rates use, and both report that norm.  LLL is classical floating
+LLL (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
+§2.6.3), updating its Gram-Schmidt rows in place; the walk rebuilds them
+from b = q W once after LLL and then only after a ``_fold`` that moved W.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -254,12 +266,13 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     Vector m is the smallest lattice vector outside the span of vectors
     0..m-1, ranked by a^T G a with ties broken lexicographically on the
     canonicalized entries, on the channel record the Gram carries: vectors
-    and norms equal ``transform``'s rows.  Returns an empty set when even the
-    shortest vector has a^T G a >= snr (no positive rate).  Raises
-    BudgetExceeded when the K enumeration trees together grow past ``budget``
-    nodes; callers may fall back to ``lll_reduce``.  A negative ``budget``, or
-    a Gram with no channel record (built by hand or ``dataclasses.replace``),
-    is a ValueError.
+    and norms equal ``transform``'s rows.  For K <= 3 the ranking is by the
+    exact a^T G a and ``budget`` is not used; for K >= 4 it is by the float
+    norm, and BudgetExceeded is raised when the K enumeration trees together
+    grow past ``budget`` nodes; callers may fall back to ``lll_reduce``.
+    Returns an empty set when even the shortest vector has a^T G a >= snr (no
+    positive rate).  A negative ``budget``, or a Gram with no channel record
+    (built by hand or ``dataclasses.replace``), is a ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -268,8 +281,107 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     return _search(gram._checked, budget)
 
 
+def _lagrange(n0: int, n1: int, d01: int, u0: list, u1: list, d02: int = 0, d12: int = 0) -> tuple:
+    """Lagrange (Gauss) reduction of basis vectors u0, u1 with norms n0, n1 and inner product d01.
+
+    Returns the same seven values after it, when n0 <= n1 and |2 d01| <= n0;
+    d02 and d12 are the inner products with a third vector, kept up to date.
+    The quotient d01 / n0 is rounded exactly, as (2 d01 + n0) // (2 n0).
+    """
+    while True:
+        t = (2 * d01 + n0) // (2 * n0)
+        if t:
+            n1 += t * (t * n0 - 2 * d01)
+            d01 -= t * n0
+            d12 -= t * d02
+            u1 = [x - t * y for x, y in zip(u1, u0)]
+        if n1 >= n0:
+            return n0, n1, d01, u0, u1, d02, d12
+        n0, n1, u0, u1, d02, d12 = n1, n0, u1, u0, d12, d02
+
+
+def _greedy_basis(q: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """A greedy-reduced basis of Z^K (K <= 3) under the integer Gram ``q``, sorted by norm, and its Gram entries r_ij, i <= j.
+
+    K = 2 is Lagrange's reduction.  For K = 3 (Semaev 2001; Nguyen & Stehle
+    2009), until the last vector stops shrinking below the second:
+    Lagrange-reduce the first two, subtract from the last its closest vector
+    in their span, and sort by norm.  That closest vector is a corner of the
+    cell of the exact solution of the 2x2 Gram system, since a reduced planar
+    basis splits the plane into non-obtuse triangles.  In dimension <= 4 such
+    a basis is Minkowski-reduced: its norms are the successive minima.
+    """
+    k = len(q)
+    if k == 1:
+        return [[1]], [q[0][0]]
+    e = [[int(i == j) for j in range(k)] for i in range(k)]
+    if k == 2:
+        n0, n1, d01, u0, u1, _, _ = _lagrange(q[0][0], q[1][1], q[0][1], *e)
+        return [u0, u1], [n0, d01, n1]
+    (n0, d01, d02), (_, n1, d12), (_, _, n2) = q
+    u0, u1, u2 = e
+    while True:
+        n0, n1, d01, u0, u1, d02, d12 = _lagrange(n0, n1, d01, u0, u1, d02, d12)
+        det = n0 * n1 - d01 * d01
+        f0, f1 = (n1 * d02 - d01 * d12) // det, (n0 * d12 - d01 * d02) // det
+        change, y0, y1 = min(  # |u2 - y0 u0 - y1 u1|^2 - n2 at each corner
+            (y0 * (y0 * n0 + 2 * (y1 * d01 - d02)) + y1 * (y1 * n1 - 2 * d12), y0, y1)
+            for y0 in (f0, f0 + 1)
+            for y1 in (f1, f1 + 1)
+        )
+        n2 += change
+        d02, d12 = d02 - y0 * n0 - y1 * d01, d12 - y0 * d01 - y1 * n1
+        u2 = [x - y0 * a - y1 * b for x, a, b in zip(u2, u0, u1)]
+        if n2 >= n1:
+            return [u0, u1, u2], [n0, d01, d02, n1, d12, n2]
+        # the last vector moves before the second, or before the first
+        if n2 >= n0:
+            n1, n2, d01, d02, u1, u2 = n2, n1, d02, d01, u2, u1
+        else:
+            n0, n1, n2, d01, d02, d12, u0, u1, u2 = n2, n0, n1, d02, d12, d01, u2, u0, u1
+
+
+# Per dimension, the {0, +-1} combinations x with a positive first nonzero entry, each with its weights on
+# the Gram entries r_ij, i <= j: x^T r x is their sum of products
+_UNIT_COMBOS = {
+    k: [(x, [x[i] * x[j] * (2 - (i == j)) for i in range(k) for j in range(i, k)])
+        for x in itertools.product((0, 1, -1), repeat=k) if any(x) and _signed(x) == x]
+    for k in (1, 2, 3)
+}
+
+
+def _exact_search(ch: _Checked) -> OptimalSet:
+    """``_search`` for K <= 3: the successive minima from a greedy-reduced basis under the integer Gram ``ch.q``.
+
+    Every minimum lies among the {0, +-1} combinations of a Minkowski-reduced
+    basis in dimension <= 3, so they are ranked by (exact a^T Q a, signed a),
+    and each is kept when independent of those kept before it.  A vector
+    shorter than the last basis vector lies in the span of the earlier
+    minima, so only combinations up to its norm are ranked.
+    """
+    u, entries = _greedy_basis(ch.q)
+    k, cols, top, ranked = len(u), list(zip(*u)), entries[-1], []
+    for x, weights in _UNIT_COMBOS[k]:
+        norm = sum(map(mul, weights, entries))
+        if norm <= top:
+            ranked.append((norm, _signed(tuple(_dot(x, col) for col in cols)), x))
+    ranked.sort()
+    kept = ranked[:2]
+    if k == 3:  # the third is the first whose coefficients are independent of the first two's
+        (_, _, x), (_, _, y) = kept
+        normal = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+        kept.append(next(c for c in ranked[2:] if _dot(normal, c[2])))
+    vectors = tuple(a for _, a, _ in kept)
+    norms = tuple(_sq_norm(ch, a) for a in vectors)
+    if norms[0] >= ch.snr:
+        vectors = norms = ()
+    return OptimalSet(vectors=vectors, norms=norms, method="exhaustive")
+
+
 def _search(ch: _Checked, budget: int) -> OptimalSet:
-    """``successive_minima`` on a channel record: LLL and the walk on M's columns, ranking by ``_sq_norm``."""
+    """``successive_minima`` on a channel record: ``_exact_search`` for K <= 3, else LLL and the walk on M's columns."""
+    if len(ch.g) <= 3:
+        return _exact_search(ch)
     lat = _Basis(ch.m[0])
     w = lat.lll(0.99)
     lat.refresh(0)  # LLL updates b in place, a rounding away from q W, and leaves ortho stale

@@ -92,7 +92,8 @@ def _matrix(values, message: str, square: bool = False) -> list[list]:
 class _Checked:
     """One checked channel: g, b_sq and B g (tuples of floats), 1 + snr g^T B g and snr.
 
-    ``m``, M as ``_embedding``'s (basis, diag, pairs), is built on first read and kept.
+    ``m``, M as ``_embedding``'s (basis, diag, pairs), and ``q``, the integer
+    Gram ``_integer_gram``, are built on first read and kept.
     """
 
     def __init__(self, g: tuple[float, ...], b_sq: tuple[float, ...], bg: tuple[float, ...], denom: float, snr: float):
@@ -101,6 +102,10 @@ class _Checked:
     @cached_property
     def m(self) -> tuple[list[list[float]], tuple[float, ...], tuple[tuple, ...]]:
         return _embedding(self)
+
+    @cached_property
+    def q(self) -> list[list[int]]:
+        return _integer_gram(self)
 
 
 def _channel(gains, snr: float, b_sq=None) -> _Checked:
@@ -137,6 +142,11 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
     return _Checked(g, b_sq, bg, denom, snr)
 
 
+# Orthogonalizing M's columns (LLL's exchange) multiplies two squared lengths: each must lie in
+# [1 / _LENGTH_RANGE, _LENGTH_RANGE] for the product to stay a normal, finite float
+_LENGTH_RANGE = 2.0**511
+
+
 def _split(x: float) -> tuple[float, float]:
     """``(hi, lo)``, hi + lo = x, with 26 bits in hi: hi * n is exact for an integer |n| < 2^27."""
     m, e = math.frexp(x)
@@ -152,8 +162,10 @@ def _embedding(ch: _Checked) -> tuple[list[list[float]], tuple[float, ...], tupl
     a sum of squares.  Returns (basis, diag, pairs): M's columns on floats,
     the basis that LLL and the walk reduce; the squared diagonal rows; and per
     pair (i, j, c, x_j, x_i), each x as its ``_split`` halves.  Raises
-    ValueError when a squared column norm (a diagonal entry of G) overflows or
-    underflows to zero.
+    ValueError when a squared column norm (a diagonal entry of G) exceeds
+    2^511 or a squared diagonal row falls below 2^-511: the product of two
+    squared lengths met in orthogonalizing M's columns could then overflow or
+    underflow.
     """
     snr, den, g, b_sq = ch.snr, ch.denom, ch.g, ch.b_sq
     k = len(g)
@@ -168,12 +180,37 @@ def _embedding(ch: _Checked) -> tuple[list[list[float]], tuple[float, ...], tupl
             pairs.append((i, j, c, *parts[j], *parts[i]))
             col[r], basis[j][r] = c * g[j], -c * gi
             r += 1
-    norms = [sum(map(mul, col, col)) for col in basis]
-    if not all(map(math.isfinite, norms)):
-        raise ValueError("Gram matrix overflows floating point; gains or snr are too large")
-    if not all(norms):
-        raise ValueError("Gram matrix underflows floating point; snr is too small")
+    # the squared lengths met lie between G's least eigenvalue, at least min(diag), and the longest column's
+    if not max(sum(map(mul, col, col)) for col in basis) <= _LENGTH_RANGE:
+        raise ValueError("Gram matrix overflows floating point for its orthogonalization; gains or snr are too large")
+    if not min(diag) * _LENGTH_RANGE >= 1.0:
+        raise ValueError("Gram matrix underflows floating point for its orthogonalization; snr is too small or the gains too large")
     return basis, diag, tuple(pairs)
+
+
+def _mantissas(values: tuple[float, ...]) -> tuple[list[int], int]:
+    """``(n, d)`` with values[i] = n[i] / d exactly: integer mantissas over one power of two d."""
+    ratios = [x.as_integer_ratio() for x in values]  # each denominator is a power of two
+    d = max([r[1] for r in ratios])
+    return [n * (d // e) for n, e in ratios], d
+
+
+def _integer_gram(ch: _Checked) -> list[list[int]]:
+    """Q = D diag(B) - S (B G)(B G)^T, an exact positive multiple of the channel's Gram, over Python ints.
+
+    G, B and S are the integer mantissas of g, b_sq and snr over powers of two
+    (``_mantissas``): g = G / dg, b = B / db and snr = S / ds.  D = ds dg^2 db
+    + S sum G_i (B G)_i is ds dg^2 db times the exact den = 1 + snr g^T B g,
+    so by Woodbury the Gram snr (B - snr B g g^T B / den) is snr / (db D)
+    times Q, with no rounding from the float inputs.
+    """
+    (gm, dg), (bm, db), (s, ds) = _mantissas(ch.g), _mantissas(ch.b_sq), ch.snr.as_integer_ratio()
+    bgm = list(map(mul, bm, gm))
+    d = ds * dg * dg * db + s * sum(map(mul, gm, bgm))
+    q = [[-s * x * y for y in bgm] for x in bgm]
+    for i, row in enumerate(q):
+        row[i] += d * bm[i]
+    return q
 
 
 def _sq_norm(ch: _Checked, a) -> float:

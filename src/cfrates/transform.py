@@ -116,7 +116,9 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
 
     ``method='auto'`` tries exhaustive enumeration and falls back to LLL when
     the node budget is exhausted; 'exhaustive' propagates BudgetExceeded;
-    'lll' skips enumeration entirely.  Both searches run on the channel's
+    'lll' skips enumeration entirely.  The budget, and so BudgetExceeded and
+    the fallback, apply to K >= 4 only: for K <= 3 the exhaustive search is an
+    exact reduction with no enumeration.  Both searches run on the channel's
     checked record and its M; each row's result comes from the record and the
     row's search norm by the same ``rates._rate`` that ``comp_rate`` calls,
     and the rank check is ``exact_rank``'s elimination on the rows.

@@ -109,13 +109,13 @@ class TestRates:
 
     @pytest.mark.parametrize(
         "args",
-        [["--h", "1,2.5", "--snr-db", "25", "--method", "lll"], ["--h", "1e154,1e154", "--snr-db", "-10"]],
+        [["--h", "1,2.5", "--snr-db", "25", "--method", "lll"], ["--h", "1,1,1,1", "--snr-db", "300"]],
         ids=["lll", "auto-fallback"],
     )
     def test_lll_transform_writes_nothing_to_stderr(self, args):
         # sum_rate_bounds warns that an LLL lower bound is not guaranteed; the
-        # table says "search: lll".  The second channel's g^T B g overflows alone
-        # (den is 2e307), and its search exceeds the budget at once
+        # table says "search: lll".  The second channel's walk exceeds the
+        # budget at once (K = 4: K <= 3 searches have no budget)
         proc = run_cli(["rates", *args])
         assert proc.returncode == 0 and proc.stderr == ""
         assert "search: lll" in proc.stdout
@@ -329,6 +329,21 @@ class TestSnrDbOverflow:
         assert captured.err.splitlines() == ["error: snr of 4000.0 dB overflows floating point"]
 
 
+class TestFloatRange:
+    """A channel whose M floats cannot orthogonalize is a computation failure (exit 1), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "gains, method",
+        [("3.9e102,8.5e102,1.42e102,-6.42e102", "auto"), ("3.9e102,8.5e102,1.42e102", "auto"), ("3.9e102,8.5e102", "lll")],
+        ids=["K=4", "K=3", "K=2-lll"],
+    )
+    def test_exits_1_with_one_error_line(self, gains, method):
+        proc = run_cli(["rates", "--h", gains, "--snr-db", "-1821", "--method", method])
+        assert proc.returncode == 1 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: Gram matrix underflows floating point")
+
+
 class TestOutageSizeCap:
     def test_oversized_set_exits_1_with_one_error_line(self, capsys):
         # about 4e8 intervals: refused from q_max before any is built
@@ -369,10 +384,12 @@ class TestFoundByFuzzing:
         assert line.startswith("error: the log grid's end ")
 
 
-# Pools for the fuzz test: values that run, then edge values.  dB values that run
-# reach 160 dB, where a sweep point still takes milliseconds; the edge values above
-# that overflow (10 ** (db / 10) leaves the float range at about 3083 dB), since
-# past 160 dB the search's cost still grows about 10x per 10 dB (ROADMAP item 1).
+# Pools for the fuzz test: values that run, then edge values; the edge dB values
+# overflow (10 ** (db / 10) leaves the float range at about 3083 dB).  rates reaches
+# K = 4, where the walk's cost still grows about 10x per 10 dB past 160 dB, so its
+# dB values that run stop there.  report and sweep search only 2- and 3-dimensional
+# effective MACs, by exact reduction at a cost flat in snr, so theirs reach 3000 dB,
+# where M's squared column norms leave the range it can be orthogonalized in.
 # Outage sets stop at 60 dB: they grow with snr.
 NUMBERS = (
     ["0.5", "1", "2", "2.5"],
@@ -382,6 +399,7 @@ DECIBELS = (
     ["0", "15", "25", "40", "60", "100", "160"],
     ["-5000", "-400", "-3", "4000", "5000", "nan", "inf", "-inf", "1e300", "x"],
 )
+IC_DECIBELS = (DECIBELS[0] + ["200", "300", "1000", "3000"], DECIBELS[1])
 OUTAGE_DECIBELS = (["0", "15", "25", "40", "60"], ["-5000", "4000", "nan", "inf", "-inf"])
 USERS = (["2", "3", "8"], ["-1", "0", "1", "x"])
 POINTS = (["2", "3", "5"], ["-1", "0", "1", "x"])
@@ -414,10 +432,10 @@ def cli_argvs(draw):
             opts = [("--eff-g", draw(_values(NUMBERS, 4))), ("--eff-b", draw(_values(NUMBERS, 4)))]
         opts += [("--snr-db", pick(DECIBELS)), ("--method", draw(st.sampled_from(["auto", "exhaustive", "lll"])))]
     elif command == "report":
-        opts = [("--k", pick(USERS, 8)), ("--g", pick(NUMBERS)), ("--snr-db", pick(DECIBELS)), ("--gap", pick(NUMBERS))]
+        opts = [("--k", pick(USERS, 8)), ("--g", pick(NUMBERS)), ("--snr-db", pick(IC_DECIBELS)), ("--gap", pick(NUMBERS))]
     elif command == "sweep":
         g_min, g_max = sorted([pick(NUMBERS), pick(NUMBERS)], key=lambda x: (x == "x", float(x) if x != "x" else 0))
-        opts = [("--k", pick(USERS, 8)), ("--snr-db", draw(_values(DECIBELS, 2))), ("--g-min", g_min), ("--g-max", g_max)]
+        opts = [("--k", pick(USERS, 8)), ("--snr-db", draw(_values(IC_DECIBELS, 2))), ("--g-min", g_min), ("--g-max", g_max)]
         opts += [("--points", pick(POINTS, 8)), ("--gap", pick(NUMBERS))]
         opts += [("--scale", draw(st.sampled_from(["linear", "log"]))), ("--format", draw(st.sampled_from(["csv", "json"])))]
     elif command == "outage":

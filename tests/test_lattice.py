@@ -36,7 +36,7 @@ from cfrates.linalg import (
     gram_effective,
     gram_plain,
 )
-from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel
+from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel, effective_two_user
 from cfrates.transform import ChannelSpec, transform
 
 
@@ -423,12 +423,12 @@ class TestSuccessiveMinima:
         assert successive_minima(gram).vectors == greedy_minima(gram)[0]
 
     def test_budget_exceeded(self):
-        gram = gram_plain([1.0, 0.62, 0.34], 1e3)
-        with pytest.raises(BudgetExceeded):
+        gram = gram_plain([1.0, 0.62, 0.34, 0.21], 1e3)
+        with pytest.raises(BudgetExceeded, match="exceeded 3 nodes"):
             successive_minima(gram, budget=3)
 
     def test_negative_budget_rejected(self):
-        gram = gram_plain([1.0, 0.62, 0.34], 1e3)
+        gram = gram_plain([1.0, 0.62, 0.34, 0.21], 1e3)
         for budget in (-1, -5):
             with pytest.raises(ValueError, match="budget must be nonnegative"):
                 successive_minima(gram, budget=budget)
@@ -492,13 +492,13 @@ class TestOneSearchPath:
 
 
 def search_cases():
-    """(label, channel record, budget) for seeded channels at 0-140 dB, K=2..8.
+    """(label, channel record, budget) for seeded channels at 0-140 dB, K=4..8, the dimensions the walk searches.
 
     The "gram" cases search the records that ``random_grams``' Grams
     carry.  Every third case gets a budget of 4K nodes, so some searches
     raise BudgetExceeded part way.
     """
-    for k in range(2, 9):
+    for k in range(4, 9):
         for i, gram in enumerate(random_grams(80 + k, 60, (k, k), 140.0)):
             yield f"gram K={k} #{i}", gram._checked, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
         rng = np.random.default_rng(100 + k)
@@ -558,6 +558,115 @@ class TestRefreshAfterMovingFold:
             w = [[int(i == j) for j in range(k)] for i in range(k)]
             before = copy.deepcopy(w)
             assert _fold(w, m, c) == (w != before)
+
+
+def exact_gram(ch):
+    """snr (B - snr B g g^T B / den) over Fractions, from a channel record's float inputs."""
+    snr, g, b = Fraction(ch.snr), [Fraction(x) for x in ch.g], [Fraction(x) for x in ch.b_sq]
+    bg = [x * y for x, y in zip(b, g)]
+    den = 1 + snr * sum(x * y for x, y in zip(g, bg))
+    return [[snr * (b[i] * (i == j) - snr * bg[i] * bg[j] / den) for j in range(len(g))] for i in range(len(g))]
+
+
+def least_outside(ch, rows, m, limit):
+    """The least (exact a^T G a, signed a) of norm <= ``limit`` outside the span of ``rows[:m]``, or None.
+
+    ``rows`` must span Z^K (|det| = 1), so in their coordinates c the vectors
+    outside that span are those with some c_j != 0, j >= m.  They are
+    enumerated level by level from the last coordinate on the exact
+    Gram-Schmidt data of R = A G A^T, each level's range widened by one and
+    each cost checked exactly: independent of the search under test.
+    """
+    k = len(rows)
+    assert abs(exact_det(rows)) == 1
+    g = exact_gram(ch)
+    r = [[sum(u[i] * g[i][j] * v[j] for i in range(k) for j in range(k)) for v in rows] for u in rows]
+    mu, d = [[Fraction(0)] * k for _ in range(k)], []
+    for i in range(k):
+        for j in range(i):
+            mu[i][j] = (r[i][j] - sum(mu[i][l] * mu[j][l] * d[l] for l in range(j))) / d[j]
+        d.append(r[i][i] - sum(mu[i][l] ** 2 * d[l] for l in range(i)))
+    c, found = [0] * k, []
+
+    def descend(level, partial):
+        if level < m and not any(c[m:]):
+            return  # in the span of rows[:m]
+        if level < 0:
+            found.append((partial, _signed(tuple(_dot(c, col) for col in zip(*rows)))))
+            return
+        center = -sum(mu[j][level] * c[j] for j in range(level + 1, k))
+        half = math.isqrt(math.floor((limit - partial) / d[level])) + 1
+        for v in range(math.floor(center) - half, math.ceil(center) + half + 1):
+            cost = partial + d[level] * (v - center) ** 2
+            if cost <= limit:
+                c[level] = v
+                descend(level - 1, cost)
+        c[level] = 0
+
+    descend(k - 1, Fraction(0))
+    return min(found, default=None)
+
+
+def exact_search_cases():
+    """Channel records with K <= 3, 25-300 dB: interference-channel effective MACs, random MACs and exact ties.
+
+    The single-layer and layered MACs take log-uniform gains over
+    [snr^-1/4 / 4, 2 sqrt(snr)) and K in {2, 3, 5}; the random ones are
+    weighted, K = 2, 3; the plain [1, 1], [1, 2], [2, 1, 1], [1, 1, 1] and
+    [sqrt 5, 1] tie exactly, here also at 10 dB.  Last come the K <= 3
+    channels of the seeded walk cases at 0-140 dB.
+    """
+    rng = np.random.default_rng(7)
+    for db in (25, 45, 60, 100, 140, 160, 200, 250, 300):
+        snr = 10 ** (db / 10)
+        for g in np.exp(rng.uniform(math.log(snr**-0.25 / 4), math.log(2 * math.sqrt(snr)), 5)):
+            spec = SymmetricIcSpec(int(rng.choice([2, 3, 5])), float(g), snr)
+            yield effective_two_user(spec)._checked
+            if spec.inr > 1:
+                yield _hk_channel(spec, math.sqrt(1 / spec.inr))._checked
+        for k in (2, 3):
+            yield _channel(rng.normal(size=k), snr, rng.uniform(0.25, 4, size=k))
+    for h in ([1, 1], [1, 2], [2, 1, 1], [1, 1, 1], [math.sqrt(5), 1]):
+        for db in (10, 25, 40, 80, 160, 300):
+            yield _channel(h, 10 ** (db / 10))
+    for k in (2, 3):
+        for gram in random_grams(80 + k, 30, (k, k), 140.0):
+            yield gram._checked
+
+
+class TestExactSearch:
+    """K <= 3: the greedy-reduced basis gives the exact successive minima, ties included, at any snr."""
+
+    def test_equals_the_exact_minima(self):
+        """Vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1; its norm is ``_sq_norm``'s."""
+        empty = 0
+        for ch in exact_search_cases():
+            opt = _search(ch, DEFAULT_BUDGET)
+            assert opt.method == "exhaustive"
+            rows = opt.vectors
+            if not rows:  # no vector has a^T G a below snr, to the float rounding of the norms
+                unit = [tuple(int(i == j) for j in range(len(ch.g))) for i in range(len(ch.g))]
+                least = least_outside(ch, unit, 0, Fraction(ch.snr))
+                assert least is None or least[0] >= Fraction(ch.snr) * (1 - Fraction(1, 10**12))
+                empty += 1
+                continue
+            assert opt.norms == tuple(_sq_norm(ch, a) for a in rows)
+            exact = exact_gram(ch)
+            for m, a in enumerate(rows):
+                norm = sum(x * exact[i][j] * y for i, x in enumerate(a) for j, y in enumerate(a))
+                assert least_outside(ch, rows, m, norm) == (norm, a), (ch.g, ch.b_sq, ch.snr, m)
+        assert empty < 5
+
+    def test_high_snr_ties(self):
+        # thousands of (k, k + 1) tie (1, 1) to within a few ulps here; only exact norms rank them
+        for snr in (1e20, 1e30):
+            assert _search(_channel([1.0, 1.0], snr), 0).vectors == ((1, 1), (0, 1))
+
+    def test_needs_no_budget(self):
+        # a walk exceeds a small budget on these; K <= 3 searches use none
+        for ch in (_channel([1.0, 0.62, 0.34], 1e3), _channel([1.0, 1.0], 1e30)):
+            assert _search(ch, 0) == _search(ch, DEFAULT_BUDGET)
+            assert transform(ChannelSpec.plain(ch.g, ch.snr), "exhaustive", budget=0).method == "exhaustive"
 
 
 class TestLll:

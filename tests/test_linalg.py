@@ -300,6 +300,26 @@ def test_underflowing_gram_entry_rejected():
         channel.gram()
 
 
+@pytest.mark.parametrize("method", ["auto", "exhaustive", "lll"])
+@pytest.mark.parametrize(
+    "gains, snr, message",
+    [
+        # LLL's exchange multiplied two squared lengths of about 1e-183 and divided by zero here
+        ((3.9e102, 8.5e102), 10**-182.1, "underflows"),
+        ((3.9e102, 8.5e102, 1.42e102), 10**-182.1, "underflows"),
+        ((3.9e102, 8.5e102, 1.42e102, -6.42e102), 10**-182.1, "underflows"),
+        # the squared diagonal rows are 2.5e-309, below the normal floats
+        ((1e154,) * 4, 0.1, "underflows"),
+        # LLL's exchange overflowed to inf here and never stopped
+        ((1.0, 2.5, 0.7, 1.3), 1e160, "overflows"),
+    ],
+    ids=["K=2", "K=3", "K=4", "1e154", "1600dB"],
+)
+def test_gram_floats_cannot_orthogonalize_is_refused(gains, snr, message, method):
+    with pytest.raises(ValueError, match=f"Gram matrix {message} floating point for its orthogonalization"):
+        transform(ChannelSpec.plain(gains, snr), method)
+
+
 def test_sq_norm_is_the_lagrange_form_exactly_rounded():
     """``_sq_norm`` of a channel record is a^T G a to a few eps, from 0 to 150 dB."""
     rng = np.random.default_rng(12)

@@ -214,7 +214,7 @@ class TestTransform:
         assert t.matrix.tolist() == [[2, 1], [3, 1]]
 
     def test_auto_falls_back_on_budget(self):
-        ch = ChannelSpec.plain([1.0, 0.62, 0.34], 1e3)
+        ch = ChannelSpec.plain([1.0, 0.62, 0.34, 0.21], 1e3)
         t = transform(ch, method="auto", budget=3)
         assert t.method == "lll"
         with pytest.raises(BudgetExceeded):
@@ -230,12 +230,12 @@ class TestTransform:
 
     @pytest.mark.parametrize("method", ["auto", "exhaustive", "lll"])
     def test_negative_budget_rejected(self, method):
-        ch = ChannelSpec.plain([1.0, 0.62, 0.34], 1e3)
+        ch = ChannelSpec.plain([1.0, 0.62, 0.34, 0.21], 1e3)
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             transform(ch, method=method, budget=-5)
 
     def test_zero_budget(self):
-        ch = ChannelSpec.plain([1.0, 0.62, 0.34], 1e3)
+        ch = ChannelSpec.plain([1.0, 0.62, 0.34, 0.21], 1e3)
         assert transform(ch, budget=0).method == "lll"
         with pytest.raises(BudgetExceeded, match="exceeded 0 nodes"):
             transform(ch, method="exhaustive", budget=0)
@@ -247,14 +247,34 @@ class TestTransform:
         assert [r.a for r in t.results] == [(1, 1), (0, 1)]
 
     def test_level_the_floats_cannot_resolve_exceeds_the_budget_at_once(self):
-        # bb spans 1e-308 to 0.05 and every cost rounds alike: the level's whole
-        # range, about 1e153 integers, is charged before any is tried
-        ch = ChannelSpec.plain([1e154, 1e154], 0.1)
+        # the first minimum (1, 1, 1, 1) has norm about 1 and the others about
+        # snr = 1e30, where the costs' ulp is about 1e14: at step 2 the level
+        # along it, about 1e15 integers, is charged before any is tried
+        ch = ChannelSpec.plain([1.0] * 4, 1e30)
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
             transform(ch, "exhaustive")
         assert time.perf_counter() - start < 0.1
         assert transform(ch).method == "lll"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 5),
+    gain_exp=st.floats(-300.0, 300.0),
+    snr_exp=st.floats(-330.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+    weighted=st.booleans(),
+    method=st.sampled_from(["auto", "exhaustive", "lll"]),
+)
+def test_returns_or_refuses_across_the_float_range(k, gain_exp, snr_exp, seed, weighted, method):
+    """Gains of 1e-300 to 1e300 and snr of 1e-330 to 1e300: a transform, ValueError or BudgetExceeded, nothing else."""
+    rng = np.random.default_rng(seed)
+    b_sq = 10 ** rng.uniform(-20.0, 20.0, size=k) if weighted else np.ones(k)
+    try:
+        transform(ChannelSpec.effective(rng.normal(size=k) * 10**gain_exp, b_sq, 10**snr_exp), method, budget=10_000)
+    except (ValueError, BudgetExceeded):
+        pass
 
 
 @st.composite
