@@ -24,10 +24,11 @@ budget runs out.
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
 checked record (``linalg._channel``); the walk runs on Python ints and floats
 over the columns of its M, ranking candidates by ``linalg._sq_norm``, the
-norm the rates use, and both report that norm.  LLL is classical floating
-LLL (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
-§2.6.3), updating its Gram-Schmidt rows in place; the walk rebuilds them
-from b = q W once after LLL and then only after a ``_fold`` that moved W.
+norm the rates use, and both report that norm: for K <= 3 the exact a^T Q a
+rounded once, with no M.  LLL is classical floating LLL (Cohen, *A Course in
+Computational Algebraic Number Theory*, 1993, §2.6.3), updating its
+Gram-Schmidt rows in place; the walk rebuilds them from b = q W once after
+LLL and then only after a ``_fold`` that moved W.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import GramMatrix, _channel, _Checked, _matrix, _sq_norm
+from .linalg import _EXACT_K, GramMatrix, _channel, _Checked, _exact_norm, _matrix, _sq_norm
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
@@ -346,7 +347,7 @@ def _greedy_basis(q: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 _UNIT_COMBOS = {
     k: [(x, [x[i] * x[j] * (2 - (i == j)) for i in range(k) for j in range(i, k)])
         for x in itertools.product((0, 1, -1), repeat=k) if any(x) and _signed(x) == x]
-    for k in (1, 2, 3)
+    for k in range(1, _EXACT_K + 1)
 }
 
 
@@ -357,9 +358,12 @@ def _exact_search(ch: _Checked) -> OptimalSet:
     basis in dimension <= 3, so they are ranked by (exact a^T Q a, signed a),
     and each is kept when independent of those kept before it.  A vector
     shorter than the last basis vector lies in the span of the earlier
-    minima, so only combinations up to its norm are ranked.
+    minima, so only combinations up to its norm are ranked.  Norms are
+    ``_exact_norm``'s; the set is empty when the first a^T Q a reaches U
+    (a^T G a >= snr, exactly), so a kept norm may round to snr (rate 0.0).
     """
-    u, entries = _greedy_basis(ch.q)
+    q, unit, _, _ = ch.q
+    u, entries = _greedy_basis(q)
     k, cols, top, ranked = len(u), list(zip(*u)), entries[-1], []
     for x, weights in _UNIT_COMBOS[k]:
         norm = sum(map(mul, weights, entries))
@@ -371,16 +375,13 @@ def _exact_search(ch: _Checked) -> OptimalSet:
         (_, _, x), (_, _, y) = kept
         normal = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
         kept.append(next(c for c in ranked[2:] if _dot(normal, c[2])))
-    vectors = tuple(a for _, a, _ in kept)
-    norms = tuple(_sq_norm(ch, a) for a in vectors)
-    if norms[0] >= ch.snr:
-        vectors = norms = ()
-    return OptimalSet(vectors=vectors, norms=norms, method="exhaustive")
+    kept = kept if kept[0][0] < unit else []
+    return OptimalSet(tuple(a for _, a, _ in kept), tuple(_exact_norm(ch, n) for n, _, _ in kept), "exhaustive")
 
 
 def _search(ch: _Checked, budget: int) -> OptimalSet:
     """``successive_minima`` on a channel record: ``_exact_search`` for K <= 3, else LLL and the walk on M's columns."""
-    if len(ch.g) <= 3:
+    if len(ch.g) <= _EXACT_K:
         return _exact_search(ch)
     lat = _Basis(ch.m[0])
     w = lat.lll(0.99)

@@ -3,12 +3,13 @@
 Vector and matrix inputs are read by ``_vector`` and ``_matrix`` (arrays through
 ``tolist()``), so the kernels run on Python floats and ints and numpy loads only
 in views that return arrays.  Every channel input is checked in ``_channel``,
-whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the channel's M on
-first read; a ``ChannelSpec`` and its Grams share one record, and each public
-function of a raw channel is a view over its record.  Every noise norm a^T G a
-is ``_sq_norm`` of the record, ||M a||^2, a sum of squares by Lagrange's
-identity, so nothing cancels at any snr; the Gram matrix is M^T M and the
-search reduces M's columns.  Exact paths (rank, span solve, span membership)
+whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the channel's M and
+integer Gram Q on first read; a ``ChannelSpec`` and its Grams share one
+record, and each public function of a raw channel is a view over its record.
+Every noise norm a^T G a is ``_sq_norm`` of the record: for K <= 3 the exact
+a^T Q a rounded once, else ||M a||^2, a sum of squares by Lagrange's identity,
+so nothing cancels at any snr.  The Gram matrix is M^T M; LLL and the K >= 4
+walk reduce M's columns.  Exact paths (rank, span solve, span membership)
 take integer matrices and share one fraction-free (Bareiss) elimination over
 Python ints; rationals appear only in their solutions and in ``RationalMatrix``.
 
@@ -93,7 +94,7 @@ class _Checked:
     """One checked channel: g, b_sq and B g (tuples of floats), 1 + snr g^T B g and snr.
 
     ``m``, M as ``_embedding``'s (basis, diag, pairs), and ``q``, the integer
-    Gram ``_integer_gram``, are built on first read and kept.
+    Gram and its scales ``_integer_gram``, are built on first read and kept.
     """
 
     def __init__(self, g: tuple[float, ...], b_sq: tuple[float, ...], bg: tuple[float, ...], denom: float, snr: float):
@@ -104,7 +105,7 @@ class _Checked:
         return _embedding(self)
 
     @cached_property
-    def q(self) -> list[list[int]]:
+    def q(self) -> tuple[list[list[int]], int, int, int]:
         return _integer_gram(self)
 
 
@@ -145,6 +146,8 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
 # Orthogonalizing M's columns (LLL's exchange) multiplies two squared lengths: each must lie in
 # [1 / _LENGTH_RANGE, _LENGTH_RANGE] for the product to stay a normal, finite float
 _LENGTH_RANGE = 2.0**511
+# Channels of at most this many gains are searched and normed exactly on their integer Gram, with no M
+_EXACT_K = 3
 
 
 def _split(x: float) -> tuple[float, float]:
@@ -161,11 +164,11 @@ def _embedding(ch: _Checked) -> tuple[list[list[float]], tuple[float, ...], tupl
     snr (a^T B a + snr sum_{i<j} b_i b_j (a_i g_j - a_j g_i)^2) / den = a^T G a,
     a sum of squares.  Returns (basis, diag, pairs): M's columns on floats,
     the basis that LLL and the walk reduce; the squared diagonal rows; and per
-    pair (i, j, c, x_j, x_i), each x as its ``_split`` halves.  Raises
-    ValueError when a squared column norm (a diagonal entry of G) exceeds
-    2^511 or a squared diagonal row falls below 2^-511: the product of two
-    squared lengths met in orthogonalizing M's columns could then overflow or
-    underflow.
+    pair (i, j, c, x_j, x_i), each x as its ``_split`` halves.  Only ``gram()``,
+    LLL and K >= 4 read M, so only they meet its range rule: ValueError when
+    a squared column norm (a diagonal entry of G) exceeds 2^511 or a squared
+    diagonal row falls below 2^-511, as the product of two squared lengths met
+    in orthogonalizing M's columns could then overflow or underflow.
     """
     snr, den, g, b_sq = ch.snr, ch.denom, ch.g, ch.b_sq
     k = len(g)
@@ -195,14 +198,15 @@ def _mantissas(values: tuple[float, ...]) -> tuple[list[int], int]:
     return [n * (d // e) for n, e in ratios], d
 
 
-def _integer_gram(ch: _Checked) -> list[list[int]]:
-    """Q = D diag(B) - S (B G)(B G)^T, an exact positive multiple of the channel's Gram, over Python ints.
+def _integer_gram(ch: _Checked) -> tuple[list[list[int]], int, int, int]:
+    """(Q, U, S, ds): Q = D diag(B) - S (B G)(B G)^T, an exact positive multiple of the channel's Gram, over Python ints.
 
     G, B and S are the integer mantissas of g, b_sq and snr over powers of two
     (``_mantissas``): g = G / dg, b = B / db and snr = S / ds.  D = ds dg^2 db
     + S sum G_i (B G)_i is ds dg^2 db times the exact den = 1 + snr g^T B g,
     so by Woodbury the Gram snr (B - snr B g g^T B / den) is snr / (db D)
-    times Q, with no rounding from the float inputs.
+    times Q, with no rounding from the float inputs: for n = a^T Q a, a^T G a
+    = S n / (ds U), and U = db D is the n at which a^T G a = snr.
     """
     (gm, dg), (bm, db), (s, ds) = _mantissas(ch.g), _mantissas(ch.b_sq), ch.snr.as_integer_ratio()
     bgm = list(map(mul, bm, gm))
@@ -210,16 +214,31 @@ def _integer_gram(ch: _Checked) -> list[list[int]]:
     q = [[-s * x * y for y in bgm] for x in bgm]
     for i, row in enumerate(q):
         row[i] += d * bm[i]
-    return q
+    return q, db * d, s, ds
+
+
+def _exact_norm(ch: _Checked, n: int) -> float:
+    """a^T G a for n = a^T Q a: S n / (ds U), an int / int true division, which Python rounds correctly; ValueError past the float range."""
+    _, u, s, ds = ch.q
+    try:
+        norm = s * n / (ds * u)
+    except OverflowError:
+        raise ValueError("noise norm a^T G a overflows floating point; gains, weights or snr are too large") from None
+    if not norm:
+        raise ValueError("noise norm a^T G a underflows floating point; snr or the weights are too small")
+    return norm
 
 
 def _sq_norm(ch: _Checked, a) -> float:
-    """||M a||^2 = a^T G a for an integer ``a``: every noise norm, searched or reported.
+    """a^T G a for an integer ``a``: every noise norm, searched or reported.
 
-    Each term is a square and a_i g_j - a_j g_i sums exact products of
-    ``_split`` halves, so for |a_i| < 2^27 the result is within (K^2 + 10)
-    eps of a^T G a (from the float inputs), relative, at any snr.
+    For K <= 3, ``_exact_norm`` of a^T Q a.  Else ||M a||^2: each term is a
+    square and a_i g_j - a_j g_i sums exact products of ``_split`` halves, so
+    for |a_i| < 2^27 it is within (K^2 + 10) eps of a^T G a (from the float
+    inputs), relative, at any snr.
     """
+    if len(a) <= _EXACT_K:
+        return _exact_norm(ch, sum(x * sum(map(mul, row, a)) for x, row in zip(a, ch.q[0])))
     _, diag, pairs = ch.m
     total = sum(map(mul, diag, [x * x for x in a]))
     for i, j, c, hj, lj, hi, li in pairs:

@@ -7,7 +7,7 @@ an optional ``b_sq`` vector of squared effective weights.  The channel is
 checked, and 1 + snr g^T B g computed, by ``linalg._channel``, and each
 public function here is a view over that record; only the coefficient vector
 is checked here.  The noise variance is ``linalg._sq_norm`` of the record, the
-norm the search ranks by: ``comp_rate`` reads the record's M, and
+norm the search ranks by (exact for K <= 3): ``comp_rate`` computes it, and
 ``transform`` passes each row's norm from its search to ``_rate``.
 """
 
@@ -59,18 +59,24 @@ def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
 
 def optimal_beta(gains, a, snr: float, b_sq=None) -> float:
     """MMSE scaling coefficient: snr * g^T B a / (1 + snr * g^T B g)."""
-    ch, a = _prepare(gains, a, snr, b_sq)
-    return ch.snr * sum(map(mul, ch.bg, a)) / ch.denom
+    return _beta(*_prepare(gains, a, snr, b_sq))
+
+
+def _beta(ch: _Checked, a) -> float:
+    """``optimal_beta`` of a checked record; (snr / den) g^T B a where snr g^T B a overflows, as snr / den < 1 / g^T B g."""
+    dot = sum(map(mul, ch.bg, a))
+    beta = ch.snr * dot / ch.denom
+    return ch.snr / ch.denom * dot if math.isinf(beta) else beta
 
 
 def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
     """Best achievable rate for decoding combination ``a``.
 
     The minimal variance is a^T G a, the Woodbury closed form
-    snr * (a^T B a - snr*(g^T B a)^2 / (1 + snr * g^T B g)), evaluated as the
-    Lagrange sum of squares ``linalg._sq_norm``.  Raises ValueError unless
-    ``a`` is a nonzero integer vector, and RuntimeError when that variance
-    underflows to zero.
+    snr * (a^T B a - snr*(g^T B a)^2 / (1 + snr * g^T B g)), evaluated by
+    ``linalg._sq_norm``.  Raises ValueError unless ``a`` is a nonzero integer
+    vector or when, for K <= 3, the variance leaves the float range; for
+    K >= 4, RuntimeError when it underflows to zero.
     """
     ch, coeffs = _prepare(gains, a, snr, b_sq)
     if not all(x.is_integer() for x in coeffs):
@@ -85,6 +91,6 @@ def _rate(ch: _Checked, a: tuple[int, ...], sigma2: float) -> ComputationResult:
     """``comp_rate`` for a checked channel record, a nonzero integer ``a`` and its ``_sq_norm`` ``sigma2``."""
     if not sigma2 > 0:
         raise RuntimeError(f"effective noise variance underflowed to {sigma2!r}; snr is too small for float arithmetic")
-    beta = ch.snr * sum(map(mul, ch.bg, a)) / ch.denom
-    rate = 0.5 * math.log2(ch.snr / sigma2)
-    return ComputationResult(a=a, beta=beta, sigma2_eff=sigma2, r_comp=rate)
+    ratio = ch.snr / sigma2  # past the float range, its log is a difference of logs
+    rate = 0.5 * (math.log2(ratio) if 0 < ratio < math.inf else math.log2(ch.snr) - math.log2(sigma2))
+    return ComputationResult(a=a, beta=_beta(ch, a), sigma2_eff=sigma2, r_comp=rate)

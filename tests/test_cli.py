@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrates.cli import SWEEP_COLUMNS, main
+from cfrates.transform import ChannelSpec, transform
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -228,8 +230,8 @@ class TestSweep:
     # math.fsum, the grid points 10.0 ** y), so they depend on CPython's float
     # operations and the C library's pow, log and sqrt, not on numpy.
     SWEEP_DIGESTS = {
-        25: "5054317c7d5b5a09134a17160b469aa80e1435992c4c4b86b5a606a1d4b461fa",
-        45: "c53fadd0d77de489ff7f1e20f152c14be5c0ba6ab90a24d2d18ab8f780732622",
+        25: "0105563c2f645813eb73a9a6ec4e025d4981b3116e62b6e670ab95a32141d8b5",
+        45: "b2bcf3c493d1808d5c72d24b7ae88bc6e1366590c415fbb8a04a58a7c82260ab",
     }
 
     def test_high_snr_sweep_keeps_the_report_checks(self, capsys):
@@ -330,18 +332,42 @@ class TestSnrDbOverflow:
 
 
 class TestFloatRange:
-    """A channel whose M floats cannot orthogonalize is a computation failure (exit 1), not a traceback."""
+    """A transform that reads M floats that cannot orthogonalize is a computation failure (exit 1), not a traceback.
+
+    K <= 3 exhaustive searches read no M, so they answer there.
+    """
 
     @pytest.mark.parametrize(
         "gains, method",
-        [("3.9e102,8.5e102,1.42e102,-6.42e102", "auto"), ("3.9e102,8.5e102,1.42e102", "auto"), ("3.9e102,8.5e102", "lll")],
-        ids=["K=4", "K=3", "K=2-lll"],
+        [("3.9e102,8.5e102,1.42e102,-6.42e102", "auto"), ("3.9e102,8.5e102", "lll")],
+        ids=["K=4", "K=2-lll"],
     )
     def test_exits_1_with_one_error_line(self, gains, method):
         proc = run_cli(["rates", "--h", gains, "--snr-db", "-1821", "--method", method])
         assert proc.returncode == 1 and proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: Gram matrix underflows floating point")
+
+    def test_k3_is_answered_with_exactly_rounded_norms(self, capsys):
+        h, snr = (3.9e102, 8.5e102, 1.42e102), 10 ** (-1821 / 10)
+        assert main(["rates", "--h", ",".join(map(repr, h)), "--snr-db", "-1821", "--method", "auto"]) == 0
+        assert capsys.readouterr().err == ""
+        s, g = Fraction(snr), [Fraction(x) for x in h]
+        for r in transform(ChannelSpec.plain(h, snr)).results:
+            cross = sum(x * y for x, y in zip(g, r.a))
+            assert r.sigma2_eff == float(s * (sum(y * y for y in r.a) - s * cross * cross / (1 + s * sum(x * x for x in g))))
+
+
+    @pytest.mark.parametrize(
+        "channel",
+        [["--h", "1,1.1", "--snr-db", "3000"], ["--eff-g", "1e155", "--eff-b", "1e-20", "--snr-db", "0"]],
+        ids=["beta-numerator", "subnormal-sigma2"],
+    )
+    def test_k_le_3_rows_past_the_float_range_stay_finite(self, channel, capsys):
+        # snr g^T B a (about 5e315) and snr / sigma2 (1e310) leave the floats; beta and the rate do not
+        assert main(["rates", *channel]) == 0
+        rows = re.findall(r"beta=(\S+)  sigma2_eff=\S+  r_comp=(\S+)", capsys.readouterr().out)
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row)
 
 
 class TestOutageSizeCap:
@@ -388,8 +414,8 @@ class TestFoundByFuzzing:
 # overflow (10 ** (db / 10) leaves the float range at about 3083 dB).  rates reaches
 # K = 4, where the walk's cost still grows about 10x per 10 dB past 160 dB, so its
 # dB values that run stop there.  report and sweep search only 2- and 3-dimensional
-# effective MACs, by exact reduction at a cost flat in snr, so theirs reach 3000 dB,
-# where M's squared column norms leave the range it can be orthogonalized in.
+# effective MACs, by exact reduction at a cost flat in snr and with no M, so theirs
+# reach 3000 dB, where only a large gain is refused (1 + snr g^T B g overflows).
 # Outage sets stop at 60 dB: they grow with snr.
 NUMBERS = (
     ["0.5", "1", "2", "2.5"],

@@ -638,22 +638,22 @@ class TestExactSearch:
     """K <= 3: the greedy-reduced basis gives the exact successive minima, ties included, at any snr."""
 
     def test_equals_the_exact_minima(self):
-        """Vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1; its norm is ``_sq_norm``'s."""
+        """Vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1; its norm is the exact one rounded once."""
         empty = 0
         for ch in exact_search_cases():
             opt = _search(ch, DEFAULT_BUDGET)
             assert opt.method == "exhaustive"
             rows = opt.vectors
-            if not rows:  # no vector has a^T G a below snr, to the float rounding of the norms
+            if not rows:  # no vector has a^T G a below snr
                 unit = [tuple(int(i == j) for j in range(len(ch.g))) for i in range(len(ch.g))]
                 least = least_outside(ch, unit, 0, Fraction(ch.snr))
-                assert least is None or least[0] >= Fraction(ch.snr) * (1 - Fraction(1, 10**12))
+                assert least is None or least[0] >= Fraction(ch.snr)
                 empty += 1
                 continue
-            assert opt.norms == tuple(_sq_norm(ch, a) for a in rows)
             exact = exact_gram(ch)
-            for m, a in enumerate(rows):
-                norm = sum(x * exact[i][j] * y for i, x in enumerate(a) for j, y in enumerate(a))
+            norms = [sum(x * exact[i][j] * y for i, x in enumerate(a) for j, y in enumerate(a)) for a in rows]
+            assert opt.norms == tuple(map(float, norms))
+            for m, (a, norm) in enumerate(zip(rows, norms)):
                 assert least_outside(ch, rows, m, norm) == (norm, a), (ch.g, ch.b_sq, ch.snr, m)
         assert empty < 5
 

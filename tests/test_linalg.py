@@ -280,24 +280,46 @@ def test_denominator_within_6_eps_of_the_exact_value(channel):
     assert abs(Fraction(_channel(gains, snr, b_sq).denom) - exact) <= Fraction(6, 2**53) * exact
 
 
+def exact_sq_norm(g, b_sq, snr, a) -> Fraction:
+    """a^T G a in rationals from the float inputs: snr (a^T B a - snr (g^T B a)^2 / (1 + snr g^T B g))."""
+    s, gf, bf = Fraction(snr), [Fraction(x) for x in g], [Fraction(x) for x in b_sq]
+    den = 1 + s * sum(b * x * x for b, x in zip(bf, gf))
+    cross = sum(b * x * y for b, x, y in zip(bf, gf, a))
+    return s * (sum(b * y * y for b, y in zip(bf, a)) - s * cross * cross / den)
+
+
 def test_overflowing_gram_entry_rejected_by_transform():
-    # g^T B g underflows, so the denominator is 1, but snr * b_sq overflows
+    # g^T B g underflows, so the denominator is 1, but snr * b_sq overflows: the one
+    # norm, 1e400, is past snr (exactly, on Q), and M's column is past the float range
     channel = ChannelSpec.effective([1e-300], [1e200], 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="Gram matrix overflows"):
+        with pytest.raises(ValueError, match="no full positive-rate coefficient set"):
             transform(channel)
         with pytest.raises(ValueError, match="Gram matrix overflows"):
             channel.gram()
 
 
 def test_underflowing_gram_entry_rejected():
-    # snr * b_sq / den underflows to zero, so the search basis would lose a column
+    # snr * b_sq / den underflows to zero: the least norm rounds to 0, and M's basis would lose a column
     channel = ChannelSpec.effective([1.0, 2.0], [1e-300, 1.0], 1e-300)
-    with pytest.raises(ValueError, match="Gram matrix underflows"):
+    with pytest.raises(ValueError, match=r"noise norm a\^T G a underflows floating point"):
         transform(channel)
     with pytest.raises(ValueError, match="Gram matrix underflows"):
         channel.gram()
+
+
+def test_norm_past_the_float_range_is_refused():
+    """A K <= 3 norm the floats cannot hold is a ValueError naming the overflow, from ``transform`` and ``comp_rate``.
+
+    The first norm, about 1, has positive rate; the second is snr b_2 = 1e400.
+    """
+    gains, b_sq, snr = (1.0, 1e-300), (1.0, 1e200), 1e200
+    with pytest.raises(ValueError, match=r"noise norm a\^T G a overflows floating point"):
+        transform(ChannelSpec.effective(gains, b_sq, snr))
+    with pytest.raises(ValueError, match=r"noise norm a\^T G a overflows floating point"):
+        comp_rate(gains, [0, 1], snr, b_sq)
+    assert comp_rate(gains, [1, 0], snr, b_sq).sigma2_eff == float(exact_sq_norm(gains, b_sq, snr, [1, 0]))
 
 
 @pytest.mark.parametrize("method", ["auto", "exhaustive", "lll"])
@@ -316,23 +338,36 @@ def test_underflowing_gram_entry_rejected():
     ids=["K=2", "K=3", "K=4", "1e154", "1600dB"],
 )
 def test_gram_floats_cannot_orthogonalize_is_refused(gains, snr, message, method):
+    """M's floats cannot orthogonalize these channels, so what reads M refuses them: ``gram()``, LLL and K >= 4.
+
+    A K <= 3 exhaustive search reads no M: it answers, each norm the exact
+    a^T G a rounded once.
+    """
+    channel = ChannelSpec.plain(gains, snr)
+    if len(gains) <= 3 and method != "lll":
+        t = transform(channel, method)
+        assert [r.sigma2_eff for r in t.results] == [float(exact_sq_norm(gains, channel.weights_sq, snr, r.a)) for r in t.results]
+        assert "m" not in channel._checked.__dict__
+        with pytest.raises(ValueError, match=f"Gram matrix {message} floating point for its orthogonalization"):
+            channel.gram()
+        return
     with pytest.raises(ValueError, match=f"Gram matrix {message} floating point for its orthogonalization"):
-        transform(ChannelSpec.plain(gains, snr), method)
+        transform(channel, method)
 
 
 def test_sq_norm_is_the_lagrange_form_exactly_rounded():
-    """``_sq_norm`` of a channel record is a^T G a to a few eps, from 0 to 150 dB."""
+    """``_sq_norm`` of a channel record is a^T G a rounded once for K <= 3, without M, and to a few eps for K >= 4, from 0 to 150 dB."""
     rng = np.random.default_rng(12)
     for _ in range(200):
         k = int(rng.integers(1, 6))
         g, b_sq, snr = rng.normal(size=k), rng.uniform(0.25, 4, size=k), 10 ** rng.uniform(0, 15)
         ch = _channel(g, snr, b_sq)
-        s, gf, bf = Fraction(snr), [Fraction(x) for x in g], [Fraction(x) for x in b_sq]
-        den = 1 + s * sum(b * x * x for b, x in zip(bf, gf))
         a = [int(x) for x in rng.integers(-10**6, 10**6, size=k)]
-        cross = sum(b * x * y for b, x, y in zip(bf, gf, a))
-        exact = s * (sum(b * y * y for b, y in zip(bf, a)) - s * cross * cross / den)
-        assert abs(Fraction(_sq_norm(ch, a)) - exact) <= (k * k + 10) * np.finfo(float).eps * exact
+        exact = exact_sq_norm(g.tolist(), b_sq.tolist(), snr, a)
+        if k <= 3:
+            assert _sq_norm(ch, a) == float(exact) and "m" not in ch.__dict__
+        else:
+            assert abs(Fraction(_sq_norm(ch, a)) - exact) <= (k * k + 10) * np.finfo(float).eps * exact
         # the float basis is M's columns: its Gram is M^T M
         basis = ch.m[0]
         assert len(basis) == k and all(len(col) == k + k * (k - 1) // 2 for col in basis)

@@ -1,6 +1,7 @@
 """Closed-form rate machinery: variance, MMSE scale, computation rate."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ class TestEffectiveVariance:
 
 
 class TestOptimalBeta:
+    def test_numerator_past_the_float_range(self):
+        # snr * g^T B a is about 5e315, past the floats, though beta is about 2.2e15
+        g, a, snr = [1.0, 1.1], [2**51, 2476979795053773], 1e300
+        exact = Fraction(snr) * sum(Fraction(x) * y for x, y in zip(g, a)) / (1 + Fraction(snr) * sum(Fraction(x) ** 2 for x in g))
+        assert optimal_beta(g, a, snr) == pytest.approx(float(exact), rel=1e-15)
+        assert comp_rate(g, a, snr).beta == optimal_beta(g, a, snr)
+
     def test_parallel_closed_form(self):
         h = np.array([1.0, 2.0, -1.0])
         snr = 25.0
@@ -174,3 +182,9 @@ class TestCompRate:
             base = comp_rate(h, a, snr).r_comp
             for m in (2, 3, 5):
                 assert comp_rate(h, m * a, snr).r_comp <= base + 1e-12
+
+    def test_snr_over_sigma2_past_the_float_range(self):
+        # sigma2 = snr b g^2 / den is 1e-310, subnormal, so snr / sigma2 overflows; the rate is 0.5 log2(1e310)
+        res = comp_rate([1e155], [1], 1.0, [1e-20])
+        assert res.sigma2_eff == pytest.approx(1e-310, rel=1e-12)
+        assert res.r_comp == pytest.approx(0.5 * 310 * math.log2(10), rel=1e-14)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfrates import cli, linalg
+from cfrates import cli, linalg, symmetric_ic
 from cfrates.lattice import BudgetExceeded, _Basis, _dot, successive_minima
 from cfrates.linalg import RationalMatrix, RationalSpan, _channel, exact_rank, sylvester_logdet
 from cfrates.rates import comp_rate
@@ -176,7 +176,7 @@ DENSE_K8_DIGEST = "d61143e94e6294c54626d432452e2c28314ff74d5eb3c73f0869d1f3b771d
 # MACs, 8 per K for K=2..6 at 10-40 dB: the transform rows with 17-digit beta,
 # sigma2 and rate, the sum-rate bounds, and for every order its pi, L, p, both
 # lifted row sets and its allocation
-PIPELINE_DIGEST = "a8decf7a8221df0ffcc74e5327540cc7df03e3b7617313bb1d7110ee234aeace"
+PIPELINE_DIGEST = "93bddce4ccf9e386c1a15d8c001fcf95ae9b024f00a6ad11cbc7575fa121cd1f"
 
 
 @st.composite
@@ -322,7 +322,10 @@ class TestCheckedChannel:
             dataclasses.replace(ch, snr=-1.0)
 
     def test_m_is_built_once_per_channel(self, monkeypatch):
-        """``transform``, two ``gram()`` calls, the bounds and the Gram search share one record and one M."""
+        """``transform``, two ``gram()`` calls, the bounds and the Gram search share one record and one M.
+
+        A K = 3 transform builds none: M is built by the first ``gram()``.
+        """
         calls = []
         build = linalg._embedding
 
@@ -333,6 +336,7 @@ class TestCheckedChannel:
         monkeypatch.setattr(linalg, "_embedding", counting_build)
         ch = ChannelSpec.effective((0.7, -1.3, 0.4), (1.0, 2.5, 0.6), 10**2.5)
         t = transform(ch)
+        assert calls == []
         grams = ch.gram(), ch.gram()
         assert len(calls) == 1 and calls[0] is ch._checked
         assert all(gram._checked is ch._checked for gram in grams)
@@ -347,6 +351,33 @@ def exact_norm(ch, a):
     cross = sum(w * x * y for w, x, y in zip(b, g, a))
     den = 1 + snr * sum(w * x * x for w, x in zip(b, g))
     return snr * (sum(w * y * y for w, y in zip(b, a)) - snr * cross * cross / den)
+
+
+@pytest.mark.parametrize("snr_db", [25, 45, 100, 300, 1000, 3000])
+def test_k_le_3_builds_no_m_and_rounds_each_norm_once(monkeypatch, snr_db):
+    """K <= 3 ``transform`` and ``report`` never read M, and each row's sigma2 is the exact a^T G a rounded once."""
+    seen = []
+
+    def recording(channel, *args, **kwargs):
+        seen.append((channel, transform(channel, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(symmetric_ic, "transform", recording)
+    snr = 10 ** (snr_db / 10)
+    for k, g in itertools.product((2, 3, 5), (snr**-0.25 / 2, 0.7, 2.0, 1e3)):
+        symmetric_ic.report(symmetric_ic.SymmetricIcSpec(k, g, snr))
+    for h in ([1.0], [1.0, 2.5], [0.9, -1.3, 0.4]):
+        recording(ChannelSpec.plain(h, snr))
+    assert len(seen) >= 12 + 3
+    for channel, t in seen:
+        assert "m" not in channel._checked.__dict__
+        assert [r.sigma2_eff for r in t.results] == [float(exact_norm(channel, r.a)) for r in t.results]
+
+
+def test_k_le_3_norm_that_rounds_to_snr_is_kept_at_rate_0():
+    # a^T G a = 1 - 1e-20 / (1 + 1e-20) < snr = 1 exactly, so the row is kept, though its norm rounds to 1.0
+    (row,) = transform(ChannelSpec.plain([1e-10], 1.0)).results
+    assert row.a == (1,) and row.sigma2_eff == 1.0 and row.r_comp == 0.0
 
 
 def sphere_points(mu, bb, radius_sq, budget):
