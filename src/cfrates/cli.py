@@ -102,10 +102,8 @@ def cmd_rates(args) -> int:
         print(
             f"  m={m}  a={list(r.a)}  beta={r.beta:.10g}  sigma2_eff={r.sigma2_eff:.10g}  r_comp={r.r_comp:.6f}"
         )
-    print(
-        f"sum rate: {bounds.total:.6f}   sandwich: {bounds.lower:.6f} <= sum <= {bounds.upper:.6f}"
-        f"   (sum/upper = {bounds.total / bounds.upper:.6f})"
-    )
+    ratio = f"{bounds.total / bounds.upper:.6f}" if bounds.upper else "n/a"  # a capacity that rounds to 0
+    print(f"sum rate: {bounds.total:.6f}   sandwich: {bounds.lower:.6f} <= sum <= {bounds.upper:.6f}   (sum/upper = {ratio})")
     pts = pseudo_triangularize([r.a for r in t.results])
     print(f"feasible cancellation orders: {len(pts)}")
     for pt in pts:

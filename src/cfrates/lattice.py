@@ -23,12 +23,13 @@ budget runs out.
 
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
 checked record (``linalg._channel``); the walk runs on Python ints and floats
-over the columns of its M, ranking candidates by ``linalg._sq_norm``, the
-norm the rates use, and both report that norm: for K <= 3 the exact a^T Q a
-rounded once, with no M.  LLL is classical floating LLL (Cohen, *A Course in
-Computational Algebraic Number Theory*, 1993, §2.6.3), updating its
-Gram-Schmidt rows in place; the walk rebuilds them from b = q W once after
-LLL and then only after a ``_fold`` that moved W.
+over the columns of its M.  At every K candidates are ranked by the exact
+integer a^T Q a (``linalg._q_norm``), the set is empty when the first reaches
+U (a^T G a >= snr, exactly), and each norm reported is that a^T Q a rounded
+once (``linalg._exact_norm``), the norm the rates use.  LLL is classical
+floating LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
+1993, §2.6.3), updating its Gram-Schmidt rows in place; the walk rebuilds
+them from b = q W once after LLL and then only after a ``_fold`` that moved W.
 """
 
 from __future__ import annotations
@@ -38,14 +39,17 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import _EXACT_K, GramMatrix, _channel, _Checked, _exact_norm, _matrix, _sq_norm
+from .linalg import GramMatrix, _channel, _Checked, _exact_norm, _matrix, _q_norm, _sq_norm
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
 DEFAULT_BUDGET = 10_000_000
 
+# Channels of at most this many gains are searched exactly on their integer Gram, with no M
+_EXACT_K = 3
+
 # The walk keeps the leaves whose cost is within this factor of the least one,
-# for ``_search`` to rank by ``_sq_norm``: costs equal on the walk's own mu and
+# for ``_search`` to rank by exact a^T Q a: costs equal on the walk's own mu and
 # bb differ in floats by the rounding of its sums, a few ulps per level (a
 # center, a square, a product, a running sum), which 64 eps covers at these K.
 _WINDOW = 1.0 + 64 * 2.0**-52
@@ -267,13 +271,13 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     Vector m is the smallest lattice vector outside the span of vectors
     0..m-1, ranked by a^T G a with ties broken lexicographically on the
     canonicalized entries, on the channel record the Gram carries: vectors
-    and norms equal ``transform``'s rows.  For K <= 3 the ranking is by the
-    exact a^T G a and ``budget`` is not used; for K >= 4 it is by the float
-    norm, and BudgetExceeded is raised when the K enumeration trees together
+    and norms equal ``transform``'s rows.  The ranking is by the exact
+    a^T G a (for K >= 4, of the walk's leaves within its float window).  For
+    K >= 4 BudgetExceeded is raised when the K enumeration trees together
     grow past ``budget`` nodes; callers may fall back to ``lll_reduce``.
-    Returns an empty set when even the shortest vector has a^T G a >= snr (no
-    positive rate).  A negative ``budget``, or a Gram with no channel record
-    (built by hand or ``dataclasses.replace``), is a ValueError.
+    Returns an empty set when even the shortest vector has a^T G a >= snr
+    exactly (no positive rate).  A negative ``budget``, or a Gram with no
+    channel record (built by hand or ``dataclasses.replace``), is a ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -352,7 +356,7 @@ _UNIT_COMBOS = {
 
 
 def _exact_search(ch: _Checked) -> OptimalSet:
-    """``_search`` for K <= 3: the successive minima from a greedy-reduced basis under the integer Gram ``ch.q``.
+    """``_search`` for K <= 3: the successive minima from a greedy-reduced basis under the integer Gram Q.
 
     Every minimum lies among the {0, +-1} combinations of a Minkowski-reduced
     basis in dimension <= 3, so they are ranked by (exact a^T Q a, signed a),
@@ -362,7 +366,10 @@ def _exact_search(ch: _Checked) -> OptimalSet:
     ``_exact_norm``'s; the set is empty when the first a^T Q a reaches U
     (a^T G a >= snr, exactly), so a kept norm may round to snr (rate 0.0).
     """
-    q, unit, _, _ = ch.q
+    bm, bgm, d, s, _, unit = ch.q
+    q = [[-s * x * y for y in bgm] for x in bgm]
+    for i, row in enumerate(q):
+        row[i] += d * bm[i]
     u, entries = _greedy_basis(q)
     k, cols, top, ranked = len(u), list(zip(*u)), entries[-1], []
     for x, weights in _UNIT_COMBOS[k]:
@@ -383,22 +390,22 @@ def _search(ch: _Checked, budget: int) -> OptimalSet:
     """``successive_minima`` on a channel record: ``_exact_search`` for K <= 3, else LLL and the walk on M's columns."""
     if len(ch.g) <= _EXACT_K:
         return _exact_search(ch)
-    lat = _Basis(ch.m[0])
+    lat = _Basis(ch.m)
     w = lat.lll(0.99)
     lat.refresh(0)  # LLL updates b in place, a rounding away from q W, and leaves ortho stale
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(w)):
         coords, nodes = _walk(lat.mu, lat.bb, m, budget, nodes)
         best = None
-        for c in coords:  # ranked by (a^T G a, a) for a = W c, sign-normalized
+        for c in coords:  # ranked by (a^T Q a, a) for a = W c, sign-normalized
             a = _signed(tuple(_dot(row, c) for row in w))
-            key = (_sq_norm(ch, a), a, c)
+            key = (_q_norm(ch, a), a, c)
             best = key if best is None or key < best else best
-        norm, vec, c = best
-        if m == 0 and norm >= ch.snr:
+        n, vec, c = best
+        if m == 0 and n >= ch.q[-1]:  # the positive-rate rule of ``_exact_search``
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
-        out_norms.append(norm)
+        out_norms.append(_exact_norm(ch, n))
         if m + 1 < len(w) and _fold(w, m, c):  # w is not read after the last step
             lat.refresh(m)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
@@ -432,5 +439,5 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
 
 def _lll_set(ch: _Checked, delta: float = 0.99) -> OptimalSet:
     """``lll_reduce`` on M's float columns for a channel record, with ``_sq_norm`` norms."""
-    scored = sorted((_sq_norm(ch, col), _signed(col)) for col in zip(*_Basis(ch.m[0]).lll(delta)))
+    scored = sorted((_sq_norm(ch, col), _signed(col)) for col in zip(*_Basis(ch.m).lll(delta)))
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")

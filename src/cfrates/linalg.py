@@ -4,12 +4,12 @@ Vector and matrix inputs are read by ``_vector`` and ``_matrix`` (arrays through
 ``tolist()``), so the kernels run on Python floats and ints and numpy loads only
 in views that return arrays.  Every channel input is checked in ``_channel``,
 whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the channel's M and
-integer Gram Q on first read; a ``ChannelSpec`` and its Grams share one
-record, and each public function of a raw channel is a view over its record.
-Every noise norm a^T G a is ``_sq_norm`` of the record: for K <= 3 the exact
-a^T Q a rounded once, else ||M a||^2, a sum of squares by Lagrange's identity,
-so nothing cancels at any snr.  The Gram matrix is M^T M; LLL and the K >= 4
-walk reduce M's columns.  Exact paths (rank, span solve, span membership)
+the integer factors of its Gram on first read; a ``ChannelSpec`` and its
+Grams share one record, and each public function of a raw channel is a view
+over its record.  Every noise norm a^T G a is ``_sq_norm`` of the record, the
+exact a^T Q a from two integer dot products, rounded once, so nothing cancels
+at any snr or K.  The Gram matrix is M^T M; LLL and the K >= 4 walk reduce
+M's columns.  Exact paths (rank, span solve, span membership)
 take integer matrices and share one fraction-free (Bareiss) elimination over
 Python ints; rationals appear only in their solutions and in ``RationalMatrix``.
 
@@ -93,19 +93,18 @@ def _matrix(values, message: str, square: bool = False) -> list[list]:
 class _Checked:
     """One checked channel: g, b_sq and B g (tuples of floats), 1 + snr g^T B g and snr.
 
-    ``m``, M as ``_embedding``'s (basis, diag, pairs), and ``q``, the integer
-    Gram and its scales ``_integer_gram``, are built on first read and kept.
+    ``m``, M's columns (``_embedding``), and ``q`` (``_integer_gram``) are built on first read and kept.
     """
 
     def __init__(self, g: tuple[float, ...], b_sq: tuple[float, ...], bg: tuple[float, ...], denom: float, snr: float):
         self.g, self.b_sq, self.bg, self.denom, self.snr = g, b_sq, bg, denom, snr
 
     @cached_property
-    def m(self) -> tuple[list[list[float]], tuple[float, ...], tuple[tuple, ...]]:
+    def m(self) -> list[list[float]]:
         return _embedding(self)
 
     @cached_property
-    def q(self) -> tuple[list[list[int]], int, int, int]:
+    def q(self) -> tuple[list[int], list[int], int, int, int, int]:
         return _integer_gram(self)
 
 
@@ -146,41 +145,29 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
 # Orthogonalizing M's columns (LLL's exchange) multiplies two squared lengths: each must lie in
 # [1 / _LENGTH_RANGE, _LENGTH_RANGE] for the product to stay a normal, finite float
 _LENGTH_RANGE = 2.0**511
-# Channels of at most this many gains are searched and normed exactly on their integer Gram, with no M
-_EXACT_K = 3
 
 
-def _split(x: float) -> tuple[float, float]:
-    """``(hi, lo)``, hi + lo = x, with 26 bits in hi: hi * n is exact for an integer |n| < 2^27."""
-    m, e = math.frexp(x)
-    hi = math.ldexp(math.trunc(m * 67108864.0), e - 26)
-    return hi, x - hi
-
-
-def _embedding(ch: _Checked) -> tuple[list[list[float]], tuple[float, ...], tuple[tuple, ...]]:
-    """The channel's M: rows sqrt(snr b_i / den) e_i and snr sqrt(b_i b_j / den) (g_j e_i - g_i e_j), i < j.
+def _embedding(ch: _Checked) -> list[list[float]]:
+    """The columns of the channel's M: rows sqrt(snr b_i / den) e_i and snr sqrt(b_i b_j / den) (g_j e_i - g_i e_j), i < j.
 
     With den = 1 + snr g^T B g, Lagrange's identity makes ||M a||^2 =
     snr (a^T B a + snr sum_{i<j} b_i b_j (a_i g_j - a_j g_i)^2) / den = a^T G a,
-    a sum of squares.  Returns (basis, diag, pairs): M's columns on floats,
-    the basis that LLL and the walk reduce; the squared diagonal rows; and per
-    pair (i, j, c, x_j, x_i), each x as its ``_split`` halves.  Only ``gram()``,
-    LLL and K >= 4 read M, so only they meet its range rule: ValueError when
-    a squared column norm (a diagonal entry of G) exceeds 2^511 or a squared
-    diagonal row falls below 2^-511, as the product of two squared lengths met
-    in orthogonalizing M's columns could then overflow or underflow.
+    a sum of squares: the basis that LLL and the walk reduce.  Only ``gram()``,
+    LLL and the K >= 4 walk read M, so only they meet its range rule:
+    ValueError when a squared column norm (a diagonal entry of G) exceeds
+    2^511 or a squared diagonal row falls below 2^-511, as the product of two
+    squared lengths met in orthogonalizing M's columns could then overflow or
+    underflow.
     """
     snr, den, g, b_sq = ch.snr, ch.denom, ch.g, ch.b_sq
     k = len(g)
-    diag = tuple([snr * b / den for b in b_sq])
+    diag = [snr * b / den for b in b_sq]
     basis = [[0.0] * (k * (k + 1) // 2) for _ in g]
-    root, scale, parts = [math.sqrt(b) for b in b_sq], snr / math.sqrt(den), [_split(x) for x in g]
-    pairs, r = [], k
+    root, scale, r = [math.sqrt(b) for b in b_sq], snr / math.sqrt(den), k
     for i, (col, d, gi) in enumerate(zip(basis, diag, g)):
         col[i] = math.sqrt(d)
         for j in range(i + 1, k):
             c = scale * root[i] * root[j]
-            pairs.append((i, j, c, *parts[j], *parts[i]))
             col[r], basis[j][r] = c * g[j], -c * gi
             r += 1
     # the squared lengths met lie between G's least eigenvalue, at least min(diag), and the longest column's
@@ -188,7 +175,7 @@ def _embedding(ch: _Checked) -> tuple[list[list[float]], tuple[float, ...], tupl
         raise ValueError("Gram matrix overflows floating point for its orthogonalization; gains or snr are too large")
     if not min(diag) * _LENGTH_RANGE >= 1.0:
         raise ValueError("Gram matrix underflows floating point for its orthogonalization; snr is too small or the gains too large")
-    return basis, diag, tuple(pairs)
+    return basis
 
 
 def _mantissas(values: tuple[float, ...]) -> tuple[list[int], int]:
@@ -198,28 +185,32 @@ def _mantissas(values: tuple[float, ...]) -> tuple[list[int], int]:
     return [n * (d // e) for n, e in ratios], d
 
 
-def _integer_gram(ch: _Checked) -> tuple[list[list[int]], int, int, int]:
-    """(Q, U, S, ds): Q = D diag(B) - S (B G)(B G)^T, an exact positive multiple of the channel's Gram, over Python ints.
+def _integer_gram(ch: _Checked) -> tuple[list[int], list[int], int, int, int, int]:
+    """(B, BG, D, S, ds, U): the factors of Q = D diag(B) - S (BG)(BG)^T, an exact positive multiple of the channel's Gram.
 
     G, B and S are the integer mantissas of g, b_sq and snr over powers of two
-    (``_mantissas``): g = G / dg, b = B / db and snr = S / ds.  D = ds dg^2 db
-    + S sum G_i (B G)_i is ds dg^2 db times the exact den = 1 + snr g^T B g,
-    so by Woodbury the Gram snr (B - snr B g g^T B / den) is snr / (db D)
-    times Q, with no rounding from the float inputs: for n = a^T Q a, a^T G a
-    = S n / (ds U), and U = db D is the n at which a^T G a = snr.
+    (``_mantissas``): g = G / dg, b = B / db and snr = S / ds, and BG is their
+    elementwise product B_i G_i.  D = ds dg^2 db + S sum G_i (BG)_i is
+    ds dg^2 db times the exact den = 1 + snr g^T B g, so by Woodbury the Gram
+    snr (B - snr B g g^T B / den) is snr / (db D) times Q, with no rounding
+    from the float inputs: for n = a^T Q a, a^T G a = S n / (ds U), and
+    U = db D is the n at which a^T G a = snr.
     """
     (gm, dg), (bm, db), (s, ds) = _mantissas(ch.g), _mantissas(ch.b_sq), ch.snr.as_integer_ratio()
     bgm = list(map(mul, bm, gm))
     d = ds * dg * dg * db + s * sum(map(mul, gm, bgm))
-    q = [[-s * x * y for y in bgm] for x in bgm]
-    for i, row in enumerate(q):
-        row[i] += d * bm[i]
-    return q, db * d, s, ds
+    return bm, bgm, d, s, ds, db * d
+
+
+def _q_norm(ch: _Checked, a) -> int:
+    """a^T Q a for an integer ``a``: D sum B_i a_i^2 - S (BG . a)^2, over Python ints."""
+    bm, bgm, d, s, _, _ = ch.q
+    return d * sum(map(mul, bm, [x * x for x in a])) - s * sum(map(mul, bgm, a)) ** 2
 
 
 def _exact_norm(ch: _Checked, n: int) -> float:
     """a^T G a for n = a^T Q a: S n / (ds U), an int / int true division, which Python rounds correctly; ValueError past the float range."""
-    _, u, s, ds = ch.q
+    _, _, _, s, ds, u = ch.q
     try:
         norm = s * n / (ds * u)
     except OverflowError:
@@ -230,22 +221,8 @@ def _exact_norm(ch: _Checked, n: int) -> float:
 
 
 def _sq_norm(ch: _Checked, a) -> float:
-    """a^T G a for an integer ``a``: every noise norm, searched or reported.
-
-    For K <= 3, ``_exact_norm`` of a^T Q a.  Else ||M a||^2: each term is a
-    square and a_i g_j - a_j g_i sums exact products of ``_split`` halves, so
-    for |a_i| < 2^27 it is within (K^2 + 10) eps of a^T G a (from the float
-    inputs), relative, at any snr.
-    """
-    if len(a) <= _EXACT_K:
-        return _exact_norm(ch, sum(x * sum(map(mul, row, a)) for x, row in zip(a, ch.q[0])))
-    _, diag, pairs = ch.m
-    total = sum(map(mul, diag, [x * x for x in a]))
-    for i, j, c, hj, lj, hi, li in pairs:
-        ai, aj = a[i], a[j]
-        v = c * ((hj * ai - hi * aj) + (lj * ai - li * aj))
-        total += v * v
-    return total
+    """a^T G a for an integer ``a``, every noise norm reported: ``_exact_norm`` of ``_q_norm``, at any K and snr."""
+    return _exact_norm(ch, _q_norm(ch, a))
 
 
 def gram_plain(h, snr: float) -> GramMatrix:
@@ -274,7 +251,7 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
 def _gram(ch: _Checked) -> GramMatrix:
     """``gram_effective`` of a checked channel record, keeping the record."""
     import numpy as np
-    cols = ch.m[0]
+    cols = ch.m
     gram = GramMatrix(entries=np.array([[sum(map(mul, u, v)) for v in cols] for u in cols]), snr=ch.snr)
     object.__setattr__(gram, "_checked", ch)
     return gram

@@ -6,9 +6,9 @@ the special case of an effective MAC with unit weights, so each function takes
 an optional ``b_sq`` vector of squared effective weights.  The channel is
 checked, and 1 + snr g^T B g computed, by ``linalg._channel``, and each
 public function here is a view over that record; only the coefficient vector
-is checked here.  The noise variance is ``linalg._sq_norm`` of the record, the
-norm the search ranks by (exact for K <= 3): ``comp_rate`` computes it, and
-``transform`` passes each row's norm from its search to ``_rate``.
+is checked here.  The noise variance is ``linalg._sq_norm`` of the record,
+the exact a^T G a rounded once, as the search reports it: ``comp_rate``
+computes it, and ``transform`` passes each row's search norm to ``_rate``.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
 
     The minimal variance is a^T G a, the Woodbury closed form
     snr * (a^T B a - snr*(g^T B a)^2 / (1 + snr * g^T B g)), evaluated by
-    ``linalg._sq_norm``.  Raises ValueError unless ``a`` is a nonzero integer
-    vector or when, for K <= 3, the variance leaves the float range; for
-    K >= 4, RuntimeError when it underflows to zero.
+    ``linalg._sq_norm`` exactly and rounded once.  Raises ValueError unless
+    ``a`` is a nonzero integer vector, or when the variance overflows or
+    underflows the floats.
     """
     ch, coeffs = _prepare(gains, a, snr, b_sq)
     if not all(x.is_integer() for x in coeffs):
@@ -88,9 +88,7 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
 
 
 def _rate(ch: _Checked, a: tuple[int, ...], sigma2: float) -> ComputationResult:
-    """``comp_rate`` for a checked channel record, a nonzero integer ``a`` and its ``_sq_norm`` ``sigma2``."""
-    if not sigma2 > 0:
-        raise RuntimeError(f"effective noise variance underflowed to {sigma2!r}; snr is too small for float arithmetic")
+    """``comp_rate`` for a checked channel record, a nonzero integer ``a`` and its ``_sq_norm`` ``sigma2`` (positive, finite)."""
     ratio = ch.snr / sigma2  # past the float range, its log is a difference of logs
     rate = 0.5 * (math.log2(ratio) if 0 < ratio < math.inf else math.log2(ch.snr) - math.log2(sigma2))
     return ComputationResult(a=a, beta=_beta(ch, a), sigma2_eff=sigma2, r_comp=rate)

@@ -119,11 +119,11 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     'lll' skips enumeration entirely.  The budget, and so BudgetExceeded and
     the fallback, apply to K >= 4 only: for K <= 3 the exhaustive search is an
     exact reduction with no enumeration, which reads the record's integer Gram,
-    not M; the others read M.  Each row's result comes from the record and the
-    row's search norm by the same ``rates._rate`` that ``comp_rate`` calls,
-    and the rank check is ``exact_rank``'s elimination on the rows.  A K <= 3
-    row whose exact norm is below snr but rounds to it has rate 0.0.
-    ValueError for an unknown method or a negative ``budget``.
+    not M; LLL and the K >= 4 walk read M.  Each row's result comes from the
+    record and the row's search norm by the same ``rates._rate`` that
+    ``comp_rate`` calls, and the rank check is ``exact_rank``'s elimination
+    on the rows.  A row whose exact norm is below snr but rounds to it has
+    rate 0.0.  ValueError for an unknown method or a negative ``budget``.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")

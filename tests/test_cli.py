@@ -91,6 +91,13 @@ class TestRates:
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 0 or (proc.returncode == 1 and "error:" in proc.stderr)
 
+    @pytest.mark.parametrize("h", ["1e-10", "1e-10,1e-10,1e-10,1e-10"], ids=["K=1", "K=4"])
+    def test_capacity_that_rounds_to_0(self, h, capsys):
+        # each norm is below snr but rounds to it, so every rate and the capacity read 0.0; sum/upper divided by 0
+        assert main(["rates", "--h", h, "--snr-db", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "r_comp=0.000000" in captured.out and "(sum/upper = n/a)" in captured.out
+
     def test_150_db_rate_sum_below_capacity(self, capsys):
         # the float Woodbury form printed sum/upper = 1.004380 here
         assert main(["rates", "--h", "0.3,-0.7,1.1", "--snr-db", "150"]) == 0

@@ -30,6 +30,7 @@ from cfrates.linalg import (
     GramMatrix,
     RationalSpan,
     _channel,
+    _q_norm,
     _sq_norm,
     cholesky,
     exact_rank,
@@ -230,7 +231,7 @@ def refresh_every_step_search(ch, budget):
     step, the last one included.  The walk is looked up on the module, as
     ``_search`` does, so a test can record what each step walks.
     """
-    lat = _Basis(ch.m[0])
+    lat = _Basis(ch.m)
     w = lat.lll(0.99)
     lat.refresh(0)
     vectors, out_norms, nodes = [], [], 0
@@ -239,11 +240,11 @@ def refresh_every_step_search(ch, budget):
             lat.refresh(m - 1)
         coords, nodes = cfrates.lattice._walk(lat.mu, lat.bb, m, budget, nodes)
         cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
-        norm, vec, c = min((_sq_norm(ch, a), a, c) for a, c in zip(cands, coords))
-        if m == 0 and norm >= ch.snr:
+        n, vec, c = min((_q_norm(ch, a), a, c) for a, c in zip(cands, coords))
+        if m == 0 and n >= ch.q[-1]:  # a^T G a >= snr, exactly
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
-        out_norms.append(norm)
+        out_norms.append(_sq_norm(ch, vec))
         _fold(w, m, c)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 

@@ -355,22 +355,35 @@ def test_gram_floats_cannot_orthogonalize_is_refused(gains, snr, message, method
         transform(channel, method)
 
 
+def test_k_ge_4_comp_rate_needs_no_m():
+    """``comp_rate`` reads no M at any K: it answers a K = 4 channel whose M cannot orthogonalize (refused above)."""
+    gains, snr = (1.0, 2.5, 0.7, 1.3), 1e160
+    assert comp_rate(gains, [1, 0, 0, 0], snr).sigma2_eff == 8.939554612937433e159
+    assert 8.939554612937433e159 == float(exact_sq_norm(gains, (1.0,) * 4, snr, [1, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("method", ["lll", "auto"])
+def test_lll_rows_at_high_snr_are_exactly_rounded(method):
+    """LLL rows at 300 dB have entries near 1e14; each row's norm is still the exact a^T G a rounded once."""
+    channel = ChannelSpec.plain([1, 1, 1, 1], 1e30)
+    t = transform(channel, method)
+    assert t.method == "lll" and max(abs(x) for r in t.results for x in r.a) > 2**27
+    assert [r.sigma2_eff for r in t.results] == [float(exact_sq_norm(channel.gains, channel.weights_sq, 1e30, r.a)) for r in t.results]
+
+
 def test_sq_norm_is_the_lagrange_form_exactly_rounded():
-    """``_sq_norm`` of a channel record is a^T G a rounded once for K <= 3, without M, and to a few eps for K >= 4, from 0 to 150 dB."""
+    """``_sq_norm`` of a channel record is a^T G a rounded once at every K, without M, from 0 to 300 dB, |a_i| up to 2^40."""
     rng = np.random.default_rng(12)
-    for _ in range(200):
-        k = int(rng.integers(1, 6))
-        g, b_sq, snr = rng.normal(size=k), rng.uniform(0.25, 4, size=k), 10 ** rng.uniform(0, 15)
-        ch = _channel(g, snr, b_sq)
-        a = [int(x) for x in rng.integers(-10**6, 10**6, size=k)]
-        exact = exact_sq_norm(g.tolist(), b_sq.tolist(), snr, a)
-        if k <= 3:
-            assert _sq_norm(ch, a) == float(exact) and "m" not in ch.__dict__
-        else:
-            assert abs(Fraction(_sq_norm(ch, a)) - exact) <= (k * k + 10) * np.finfo(float).eps * exact
-        # the float basis is M's columns: its Gram is M^T M
-        basis = ch.m[0]
-        assert len(basis) == k and all(len(col) == k + k * (k - 1) // 2 for col in basis)
+    for k in range(1, 9):
+        for _ in range(25):
+            g, b_sq, snr = rng.normal(size=k), rng.uniform(0.25, 4, size=k), 10 ** rng.uniform(0, 30)
+            ch = _channel(g, snr, b_sq)
+            bound = 2 ** int(rng.integers(1, 41))
+            a = [int(x) for x in rng.integers(-bound, bound + 1, size=k)]
+            a[0] = a[0] or 1
+            assert _sq_norm(ch, a) == float(exact_sq_norm(g.tolist(), b_sq.tolist(), snr, a)) and "m" not in ch.__dict__
+            # the float basis is M's columns: its Gram is M^T M
+            assert len(ch.m) == k and all(len(col) == k + k * (k - 1) // 2 for col in ch.m)
 
 
 def spd_matrices(seed, n):

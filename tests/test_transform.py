@@ -176,7 +176,7 @@ DENSE_K8_DIGEST = "d61143e94e6294c54626d432452e2c28314ff74d5eb3c73f0869d1f3b771d
 # MACs, 8 per K for K=2..6 at 10-40 dB: the transform rows with 17-digit beta,
 # sigma2 and rate, the sum-rate bounds, and for every order its pi, L, p, both
 # lifted row sets and its allocation
-PIPELINE_DIGEST = "93bddce4ccf9e386c1a15d8c001fcf95ae9b024f00a6ad11cbc7575fa121cd1f"
+PIPELINE_DIGEST = "f9d076c3e88759186397574ecd69c5885971b3583fa553af2a2e606059ee7764"
 
 
 @st.composite
@@ -374,10 +374,13 @@ def test_k_le_3_builds_no_m_and_rounds_each_norm_once(monkeypatch, snr_db):
         assert [r.sigma2_eff for r in t.results] == [float(exact_norm(channel, r.a)) for r in t.results]
 
 
-def test_k_le_3_norm_that_rounds_to_snr_is_kept_at_rate_0():
-    # a^T G a = 1 - 1e-20 / (1 + 1e-20) < snr = 1 exactly, so the row is kept, though its norm rounds to 1.0
-    (row,) = transform(ChannelSpec.plain([1e-10], 1.0)).results
-    assert row.a == (1,) and row.sigma2_eff == 1.0 and row.r_comp == 0.0
+@pytest.mark.parametrize("k", [1, 4], ids=["K=1", "K=4"])
+def test_norm_that_rounds_to_snr_is_kept_at_rate_0(k):
+    # a^T G a = 1 - 1e-20 / (1 + k 1e-20) < snr = 1 exactly, so each row is kept, though its norm rounds to 1.0;
+    # K = 4 searches by the walk, with the same integer positive-rate test as K = 1
+    rows = transform(ChannelSpec.plain([1e-10] * k, 1.0)).results
+    assert {row.a for row in rows} == {tuple(int(i == j) for j in range(k)) for i in range(k)} and len(rows) == k
+    assert all(row.sigma2_eff == 1.0 and row.r_comp == 0.0 for row in rows)
 
 
 def sphere_points(mu, bb, radius_sq, budget):
@@ -424,7 +427,7 @@ def exact_minima(ch, radius_sq, budget=100_000):
     whose exact norm is below the radius.  They are ranked by exact norm and
     kept greedily when independent of those kept.
     """
-    lat = _Basis(ch._checked.m[0])
+    lat = _Basis(ch._checked.m)
     w = lat.lll(0.99)
     lat.refresh(0)
     try:
