@@ -16,20 +16,18 @@ node budget, ``BudgetExceeded`` and the LLL fallback apply to K >= 4 only.
 For K >= 4 each step is a depth-first walk in the coordinates of a
 unimodular basis that starts LLL-reduced and whose leading columns span the
 vectors found so far, so a sign rule on the trailing coordinates skips the
-span and no independence test is needed.  The walk takes no radius: its
-first descent, nearest-first as in Schnorr-Euchner, sets one and each later
-leaf shrinks it.  LLL alone is the fast suboptimal fallback when a node
-budget runs out.
+span and no independence test is needed.  LLL is integral LLL on the integer
+Gram Q (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
+§2.6.7), exact in Python ints, and alone the fast suboptimal fallback when a
+node budget runs out.  The walk reads the basis's Gram-Schmidt data rounded
+once and takes no radius: its first descent, nearest-first as in
+Schnorr-Euchner, sets one and each later leaf shrinks it.
 
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
-checked record (``linalg._channel``); the walk runs on Python ints and floats
-over the columns of its M.  At every K candidates are ranked by the exact
-integer a^T Q a (``linalg._q_norm``), the set is empty when the first reaches
-U (a^T G a >= snr, exactly), and each norm reported is that a^T Q a rounded
-once (``linalg._exact_norm``), the norm the rates use.  LLL is classical
-floating LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
-1993, §2.6.3), updating its Gram-Schmidt rows in place; the walk rebuilds
-them from b = q W once after LLL and then only after a ``_fold`` that moved W.
+checked record (``linalg._channel``).  At every K candidates are ranked by the
+exact integer a^T Q a (``linalg._q_norm``), the set is empty when the first
+reaches U (a^T G a >= snr, exactly), and each norm reported is that a^T Q a
+rounded once (``linalg._exact_norm``), the norm the rates use.
 """
 
 from __future__ import annotations
@@ -39,13 +37,13 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import GramMatrix, _channel, _Checked, _exact_norm, _matrix, _q_norm, _sq_norm
+from .linalg import GramMatrix, _channel, _Checked, _echelon, _exact_norm, _mantissas, _matrix, _q_matrix, _q_norm
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
 
 DEFAULT_BUDGET = 10_000_000
 
-# Channels of at most this many gains are searched exactly on their integer Gram, with no M
+# Channels of at most this many gains are searched by greedy reduction, with no LLL or walk
 _EXACT_K = 3
 
 # The walk keeps the leaves whose cost is within this factor of the least one,
@@ -116,100 +114,94 @@ def _signed(a: tuple[int, ...]) -> tuple[int, ...]:
     return a if next(x for x in a if x) > 0 else tuple(-x for x in a)
 
 
-class _Basis:
-    """Lattice vectors b_i = q w_i and their Gram-Schmidt data, on Python floats.
+def _gso(g: list[list[int]], lam: list[list[int]], dd: list[int], start: int) -> None:
+    """Integral Gram-Schmidt data (Cohen 1993, 2.6.7) of the basis with integer Gram ``g``, from vector ``start`` on, in place.
 
-    Built from the basis vectors (rows), the columns of ``q``; ``q`` and the
-    unimodular ``w`` are lists of rows.  ``ortho[i]`` is b*_i, ``mu[i][j] =
-    <b_i, b*_j> / |b*_j|^2`` (j < i) and ``bb[i] = |b*_i|^2``.  ``lll`` keeps
-    ``mu`` and ``bb`` but not ``ortho``; ``refresh`` rebuilds all three.
+    dd[i + 1] is the determinant of g's leading (i + 1) x (i + 1) block (dd[0] = 1), so
+    |b*_i|^2 = dd[i + 1] / dd[i]; lam[i][j] = dd[j + 1] mu_ij for j < i.  Every division is exact.
     """
+    for i in range(start, len(g)):
+        row = lam[i]
+        for j in range(i + 1):
+            u = g[i][j]
+            for m in range(j):
+                u = (dd[m + 1] * u - row[m] * lam[j][m]) // dd[m]
+            if j < i:
+                row[j] = u
+            else:
+                dd[i + 1] = u
 
-    def __init__(self, rows: list[list[float]]):
-        k = len(rows)
-        self.q, self.w = list(zip(*rows)), [[int(i == j) for j in range(k)] for i in range(k)]
-        self.b = [list(row) for row in rows]
-        self.ortho, self.mu, self.bb = [None] * k, [[0.0] * k for _ in range(k)], [0.0] * k
 
-    def _row(self, i: int) -> None:
-        """Gram-Schmidt data of vector i, from b_i and b*_0..b*_{i-1}."""
-        bi = oi = self.b[i]
-        mu_i, bb = self.mu[i], self.bb
-        for j, oj in enumerate(self.ortho[:i]):
-            mu_i[j] = c = _dot(bi, oj) / bb[j] if bb[j] > 0 else 0.0
-            oi = [x - c * y for x, y in zip(oi, oj)]
-        self.ortho[i] = oi
-        bb[i] = _dot(oi, oi)
+def _lll(g: list[list[int]], delta: float) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Integral LLL (Cohen 1993, 2.6.7) of the basis with integer Gram ``g``: the reduced vectors' coordinates u, lam and dd.
 
-    def refresh(self, start: int) -> None:
-        """Recompute b_i = q w_i and the Gram-Schmidt data after columns ``start``.. of w changed."""
-        self.b[start:] = [[_dot(row, col) for row in self.q] for col in list(zip(*self.w))[start:]]
-        for i in range(start, len(self.b)):
-            self._row(i)
+    Vector i is size-reduced against i - 1 down to 0, an exact half rounding
+    to even as ``round`` does, then exchanged with vector i - 1 unless the
+    exact Lovasz test at ``delta`` passes; the vectors u (the columns of a
+    unimodular W) keep ``_gso``'s data lam and dd through each step.
+    """
+    k = len(g)
+    num, den = delta.as_integer_ratio()
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    lam, dd = [[0] * i for i in range(k)], [1] + [0] * k
+    _gso(g, lam, dd, 0)
+    i = 1
+    while i < k:
+        row = lam[i]
+        for j in range(i - 1, -1, -1):
+            d = dd[j + 1]
+            if 2 * abs(row[j]) > d:  # |mu_ij| > 1/2
+                r, rest = divmod(2 * row[j] + d, 2 * d)
+                if not rest and r % 2:
+                    r -= 1
+                u[i] = [x - r * y for x, y in zip(u[i], u[j])]
+                row[:j] = [x - r * y for x, y in zip(row, lam[j])]
+                row[j] -= r * d
+        c = row[i - 1]
+        if den * (dd[i + 1] * dd[i - 1] + c * c) >= num * dd[i] * dd[i]:
+            i += 1
+            continue
+        # exchange vectors i - 1 and i; lam[i][i - 1] and the other dd do not change
+        u[i - 1], u[i] = u[i], u[i - 1]
+        lam[i - 1], lam[i] = row[: i - 1], [*lam[i - 1], c]
+        new = (dd[i - 1] * dd[i + 1] + c * c) // dd[i]
+        for lam_l in lam[i + 1 :]:
+            t = lam_l[i]
+            lam_l[i] = (dd[i + 1] * lam_l[i - 1] - c * t) // dd[i]
+            lam_l[i - 1] = (new * t + c * lam_l[i]) // dd[i + 1]
+        dd[i] = new
+        i = max(i - 1, 1)
+    return u, lam, dd
 
-    def lll(self, delta: float) -> list[list[int]]:
-        """LLL-reduce the vectors in place (Lovasz parameter ``delta``); return ``w``.
 
-        A size reduction updates row i of ``mu`` in place and an exchange
-        applies the swap formulas to ``mu`` and ``bb`` (Cohen 1993, 2.6.3).
-        Row i is computed when the loop first reaches it, against b*_0..b*_{i-1}
-        rebuilt from b and ``mu``: orthogonalizing vectors, not inner products,
-        keeps ``bb`` accurate on ill-conditioned bases.
-        """
-        b, w, mu, bb, ortho = self.b, self.w, self.mu, self.bb, self.ortho
-        k, top = len(b), 0
-        if b:
-            self._row(0)
-        i = 1
-        while i < k:
-            mu_i = mu[i]
-            if i > top:
-                top = i
-                for j in range(i):  # b*_j = b_j - sum_{m<j} mu_jm b*_m
-                    oj = b[j]
-                    for c, om in zip(mu[j], ortho[:j]):
-                        oj = [x - c * y for x, y in zip(oj, om)]
-                    ortho[j] = oj
-                self._row(i)
-            for j in range(i - 1, -1, -1):
-                if abs(mu_i[j]) > 0.5:
-                    r = round(mu_i[j])
-                    b[i] = [x - r * y for x, y in zip(b[i], b[j])]
-                    for row in w:
-                        row[i] -= r * row[j]
-                    mu_i[:j] = [x - r * y for x, y in zip(mu_i, mu[j][:j])]
-                    mu_i[j] -= r
-            c = mu_i[i - 1]
-            if bb[i] >= (delta - c * c) * bb[i - 1]:
-                i += 1
-                continue
-            # exchange b_{i-1} and b_i; rows of mu above i-1 and the other bb do not change
-            bb_new = bb[i] + c * c * bb[i - 1]  # |b*_{i-1}|^2 after the exchange
-            mu_i[i - 1] = c * bb[i - 1] / bb_new
-            bb[i - 1], bb[i] = bb_new, bb[i - 1] * bb[i] / bb_new
-            b[i - 1], b[i] = b[i], b[i - 1]
-            for row in w:
-                row[i - 1], row[i] = row[i], row[i - 1]
-            mu[i - 1][: i - 1], mu_i[: i - 1] = mu_i[: i - 1], mu[i - 1][: i - 1]
-            for mu_l in mu[i + 1 : top + 1]:
-                t = mu_l[i]
-                mu_l[i] = mu_l[i - 1] - c * t
-                mu_l[i - 1] = t + mu_i[i - 1] * mu_l[i]
-            i = max(i - 1, 1)
-        return w
+def _walk_floats(lam: list[list[int]], dd: list[int]) -> tuple[list[list[float]], list[float]]:
+    """The walk's mu[i][j] = lam[i][j] / dd[j + 1] and bb[i] = dd[i + 1] / dd[i], each an int / int division rounded once.
+
+    The walk is the same at every scale: bb is scaled by the power of two that puts the largest in
+    (1/2, 2).  ValueError when a mu overflows or the least bb is then not a normal float.
+    """
+    e = max(b.bit_length() - a.bit_length() for a, b in zip(dd, dd[1:]))
+    bb = [(b << max(-e, 0)) / (a << max(e, 0)) for a, b in zip(dd, dd[1:])]
+    try:
+        mu = [[x / d for x, d in zip(row, dd[1:])] for row in lam]
+        if min(bb) >= 2.0**-1022:  # the least normal float
+            return mu, bb
+    except OverflowError:
+        pass
+    raise ValueError("the lattice's Gram-Schmidt lengths span more than the floats hold; gains, weights or snr are too far apart")
 
 
 def _walk(mu, bb, floor: int, budget: int, nodes: int = 0) -> tuple[list, int]:
     """The c with c[floor:] nonzero, one per {c, -c}, of least ||R c||^2 to within ``_WINDOW``.
 
-    ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2 for a ``_Basis``'s
-    Gram-Schmidt data, fixed from the last coordinate down; while the fixed
-    ones are zero the current one must be nonnegative, and positive at
-    ``floor``, which keeps the representative whose last nonzero entry is
-    positive.  The first descent takes the integer nearest each center
-    (Schnorr-Euchner), reaching Babai's point; each leaf shrinks the radius,
-    and each level's range at the radius counts against ``budget`` from
-    ``nodes``.  Returns the leaves and the new node count.
+    ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2 (``_walk_floats``),
+    fixed from the last coordinate down; while the fixed ones are zero the
+    current one must be nonnegative, and positive at ``floor``, which keeps
+    the representative whose last nonzero entry is positive.  The first
+    descent takes the integer nearest each center (Schnorr-Euchner), reaching
+    Babai's point; each leaf shrinks the radius, and each level's range at the
+    radius counts against ``budget`` from ``nodes``.  Returns the leaves and
+    the new node count.
     """
     k = len(bb)
     a, leaves, limit = [0] * k, [], math.inf
@@ -366,11 +358,7 @@ def _exact_search(ch: _Checked) -> OptimalSet:
     ``_exact_norm``'s; the set is empty when the first a^T Q a reaches U
     (a^T G a >= snr, exactly), so a kept norm may round to snr (rate 0.0).
     """
-    bm, bgm, d, s, _, unit = ch.q
-    q = [[-s * x * y for y in bgm] for x in bgm]
-    for i, row in enumerate(q):
-        row[i] += d * bm[i]
-    u, entries = _greedy_basis(q)
+    u, entries = _greedy_basis(_q_matrix(ch))
     k, cols, top, ranked = len(u), list(zip(*u)), entries[-1], []
     for x, weights in _UNIT_COMBOS[k]:
         norm = sum(map(mul, weights, entries))
@@ -382,20 +370,21 @@ def _exact_search(ch: _Checked) -> OptimalSet:
         (_, _, x), (_, _, y) = kept
         normal = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
         kept.append(next(c for c in ranked[2:] if _dot(normal, c[2])))
-    kept = kept if kept[0][0] < unit else []
+    kept = kept if kept[0][0] < ch.q[-1] else []
     return OptimalSet(tuple(a for _, a, _ in kept), tuple(_exact_norm(ch, n) for n, _, _ in kept), "exhaustive")
 
 
 def _search(ch: _Checked, budget: int) -> OptimalSet:
-    """``successive_minima`` on a channel record: ``_exact_search`` for K <= 3, else LLL and the walk on M's columns."""
+    """``successive_minima`` on a channel record: ``_exact_search`` for K <= 3, else LLL on Q and the walk."""
     if len(ch.g) <= _EXACT_K:
         return _exact_search(ch)
-    lat = _Basis(ch.m)
-    w = lat.lll(0.99)
-    lat.refresh(0)  # LLL updates b in place, a rounding away from q W, and leaves ortho stale
+    q = _q_matrix(ch)
+    u, lam, dd = _lll(q, 0.99)
+    w = [list(row) for row in zip(*u)]
+    mu, bb = _walk_floats(lam, dd)
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(w)):
-        coords, nodes = _walk(lat.mu, lat.bb, m, budget, nodes)
+        coords, nodes = _walk(mu, bb, m, budget, nodes)
         best = None
         for c in coords:  # ranked by (a^T Q a, a) for a = W c, sign-normalized
             a = _signed(tuple(_dot(row, c) for row in w))
@@ -407,7 +396,10 @@ def _search(ch: _Checked, budget: int) -> OptimalSet:
         vectors.append(vec)
         out_norms.append(_exact_norm(ch, n))
         if m + 1 < len(w) and _fold(w, m, c):  # w is not read after the last step
-            lat.refresh(m)
+            cols = list(zip(*w))
+            qw = [[_dot(row, v) for row in q] for v in cols]  # the columns Q w_j
+            _gso([[_dot(col, x) for x in qw] for col in cols], lam, dd, m)  # of the Gram W^T Q W, from vector m on
+            mu, bb = _walk_floats(lam, dd)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 
 
@@ -415,29 +407,33 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
     """Suboptimal coefficient set from an LLL reduction of ``basis``.
 
     The rows of ``basis`` (for a Gram G, the Cholesky factor from
-    ``cholesky``) span the lattice, and a's norm is |B^T a|^2.  The returned
+    ``cholesky``) span the lattice; ``_lll`` runs on the integer Gram of
+    their mantissas, and a's norm |B^T a|^2 is exact, rounded once.  The
     norms upper bound the squared successive minima, hence the rates derived
-    from them lower bound the optimal computation rates.  Raises ValueError
-    unless ``basis`` is a finite, full-rank square matrix.
+    from them lower bound the optimal computation rates.  ValueError unless
+    ``basis`` is a finite, full-rank square matrix, or when a norm overflows.
     """
-    try:
+    try:  # as_integer_ratio, in _mantissas, refuses inf and nan
         rows = [list(map(float, row)) for row in _matrix(basis, "basis must be a finite square matrix", square=True)]
-    except (TypeError, ValueError) as exc:
+        flat, scale = _mantissas(tuple(itertools.chain(*rows)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("basis must be a finite square matrix") from exc
-    if not all(all(map(math.isfinite, row)) for row in rows):
-        raise ValueError("basis must be a finite square matrix")
-    import numpy as np
-    if np.linalg.matrix_rank(rows) != len(rows):
+    k = len(rows)
+    ints = [flat[i : i + k] for i in range(0, k * k, k)]
+    if len(_echelon([row[:] for row in ints], k)) != k:
         raise ValueError("basis must be full rank")
     if not (0.25 < delta <= 1.0):
         raise ValueError("delta must lie in (1/4, 1]")
 
-    cols = list(zip(*rows))
-    scored = sorted((sum(v * v for v in (_dot(c, a) for c in cols)), _signed(a)) for a in zip(*_Basis(rows).lll(delta)))
-    return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")
+    g = [[_dot(u, v) for v in ints] for u in ints]
+    scored = sorted((_dot(a, [_dot(row, a) for row in g]), _signed(tuple(a))) for a in _lll(g, delta)[0])
+    try:
+        return OptimalSet(tuple(v for _, v in scored), tuple(n / (scale * scale) for n, _ in scored), "lll")
+    except OverflowError:
+        raise ValueError("LLL norm |B^T a|^2 overflows floating point") from None
 
 
 def _lll_set(ch: _Checked, delta: float = 0.99) -> OptimalSet:
-    """``lll_reduce`` on M's float columns for a channel record, with ``_sq_norm`` norms."""
-    scored = sorted((_sq_norm(ch, col), _signed(col)) for col in zip(*_Basis(ch.m).lll(delta)))
-    return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(n for n, _ in scored), method="lll")
+    """``lll_reduce`` on the integer Gram Q of a channel record, ranked by exact a^T Q a, with ``_exact_norm`` norms."""
+    scored = sorted((_q_norm(ch, a), _signed(tuple(a))) for a in _lll(_q_matrix(ch), delta)[0])
+    return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(_exact_norm(ch, n) for n, _ in scored), method="lll")

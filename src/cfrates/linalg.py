@@ -3,15 +3,15 @@
 Vector and matrix inputs are read by ``_vector`` and ``_matrix`` (arrays through
 ``tolist()``), so the kernels run on Python floats and ints and numpy loads only
 in views that return arrays.  Every channel input is checked in ``_channel``,
-whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the channel's M and
-the integer factors of its Gram on first read; a ``ChannelSpec`` and its
-Grams share one record, and each public function of a raw channel is a view
-over its record.  Every noise norm a^T G a is ``_sq_norm`` of the record, the
-exact a^T Q a from two integer dot products, rounded once, so nothing cancels
-at any snr or K.  The Gram matrix is M^T M; LLL and the K >= 4 walk reduce
-M's columns.  Exact paths (rank, span solve, span membership)
-take integer matrices and share one fraction-free (Bareiss) elimination over
-Python ints; rationals appear only in their solutions and in ``RationalMatrix``.
+whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the integer factors of
+its Gram on first read; a ``ChannelSpec`` and its Grams share one record, and
+each public function of a raw channel is a view over its record.  LLL, the
+searches and ``gram()`` read the integer Gram Q (``_q_matrix``), an exact
+multiple of G; every noise norm a^T G a is ``_sq_norm`` of the record, the exact
+a^T Q a from two integer dot products, rounded once, so nothing cancels at any
+snr or K.  Exact paths (rank, span solve, span membership) take integer matrices
+and share one fraction-free (Bareiss) elimination over Python ints; rationals
+appear only in their solutions and in ``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -41,8 +41,8 @@ class GramMatrix:
     both the positive-rate sphere and the rate formula are relative to it.
     Equality and hashing compare the entries, as nested tuples, and snr.
     ``_checked``, outside init, repr, equality and hash, keeps the channel's
-    record, and so its M, for ``successive_minima``; a Gram built by hand or
-    ``dataclasses.replace`` has none.
+    record, and so its integer Gram, for ``successive_minima``; a Gram built
+    by hand or ``dataclasses.replace`` has none.
     """
 
     entries: np.ndarray
@@ -93,15 +93,11 @@ def _matrix(values, message: str, square: bool = False) -> list[list]:
 class _Checked:
     """One checked channel: g, b_sq and B g (tuples of floats), 1 + snr g^T B g and snr.
 
-    ``m``, M's columns (``_embedding``), and ``q`` (``_integer_gram``) are built on first read and kept.
+    ``q``, the integer factors of its Gram (``_integer_gram``), is built on first read and kept.
     """
 
     def __init__(self, g: tuple[float, ...], b_sq: tuple[float, ...], bg: tuple[float, ...], denom: float, snr: float):
         self.g, self.b_sq, self.bg, self.denom, self.snr = g, b_sq, bg, denom, snr
-
-    @cached_property
-    def m(self) -> list[list[float]]:
-        return _embedding(self)
 
     @cached_property
     def q(self) -> tuple[list[int], list[int], int, int, int, int]:
@@ -142,42 +138,6 @@ def _channel(gains, snr: float, b_sq=None) -> _Checked:
     return _Checked(g, b_sq, bg, denom, snr)
 
 
-# Orthogonalizing M's columns (LLL's exchange) multiplies two squared lengths: each must lie in
-# [1 / _LENGTH_RANGE, _LENGTH_RANGE] for the product to stay a normal, finite float
-_LENGTH_RANGE = 2.0**511
-
-
-def _embedding(ch: _Checked) -> list[list[float]]:
-    """The columns of the channel's M: rows sqrt(snr b_i / den) e_i and snr sqrt(b_i b_j / den) (g_j e_i - g_i e_j), i < j.
-
-    With den = 1 + snr g^T B g, Lagrange's identity makes ||M a||^2 =
-    snr (a^T B a + snr sum_{i<j} b_i b_j (a_i g_j - a_j g_i)^2) / den = a^T G a,
-    a sum of squares: the basis that LLL and the walk reduce.  Only ``gram()``,
-    LLL and the K >= 4 walk read M, so only they meet its range rule:
-    ValueError when a squared column norm (a diagonal entry of G) exceeds
-    2^511 or a squared diagonal row falls below 2^-511, as the product of two
-    squared lengths met in orthogonalizing M's columns could then overflow or
-    underflow.
-    """
-    snr, den, g, b_sq = ch.snr, ch.denom, ch.g, ch.b_sq
-    k = len(g)
-    diag = [snr * b / den for b in b_sq]
-    basis = [[0.0] * (k * (k + 1) // 2) for _ in g]
-    root, scale, r = [math.sqrt(b) for b in b_sq], snr / math.sqrt(den), k
-    for i, (col, d, gi) in enumerate(zip(basis, diag, g)):
-        col[i] = math.sqrt(d)
-        for j in range(i + 1, k):
-            c = scale * root[i] * root[j]
-            col[r], basis[j][r] = c * g[j], -c * gi
-            r += 1
-    # the squared lengths met lie between G's least eigenvalue, at least min(diag), and the longest column's
-    if not max(sum(map(mul, col, col)) for col in basis) <= _LENGTH_RANGE:
-        raise ValueError("Gram matrix overflows floating point for its orthogonalization; gains or snr are too large")
-    if not min(diag) * _LENGTH_RANGE >= 1.0:
-        raise ValueError("Gram matrix underflows floating point for its orthogonalization; snr is too small or the gains too large")
-    return basis
-
-
 def _mantissas(values: tuple[float, ...]) -> tuple[list[int], int]:
     """``(n, d)`` with values[i] = n[i] / d exactly: integer mantissas over one power of two d."""
     ratios = [x.as_integer_ratio() for x in values]  # each denominator is a power of two
@@ -200,6 +160,15 @@ def _integer_gram(ch: _Checked) -> tuple[list[int], list[int], int, int, int, in
     bgm = list(map(mul, bm, gm))
     d = ds * dg * dg * db + s * sum(map(mul, gm, bgm))
     return bm, bgm, d, s, ds, db * d
+
+
+def _q_matrix(ch: _Checked) -> list[list[int]]:
+    """Q = D diag(B) - S (BG)(BG)^T as a list of rows, the integer Gram that LLL, the searches and ``gram()`` read."""
+    bm, bgm, d, s, _, _ = ch.q
+    q = [[-s * x * y for y in bgm] for x in bgm]
+    for i, row in enumerate(q):
+        row[i] += d * bm[i]
+    return q
 
 
 def _q_norm(ch: _Checked, a) -> int:
@@ -242,8 +211,8 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
 
         G = snr * (B - snr * B g g^T B / (1 + snr * g^T B g))
 
-    Evaluated as M^T M (``_embedding``), whose entries sum products of one
-    sign, so nothing cancels.  Raises ValueError when G overflows.
+    Each entry is S Q_ij / (ds U) (``_integer_gram``), exact and rounded once;
+    ValueError when one overflows or a nonzero one rounds to 0.
     """
     return _gram(_channel(g, snr, b_sq))
 
@@ -251,8 +220,15 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
 def _gram(ch: _Checked) -> GramMatrix:
     """``gram_effective`` of a checked channel record, keeping the record."""
     import numpy as np
-    cols = ch.m
-    gram = GramMatrix(entries=np.array([[sum(map(mul, u, v)) for v in cols] for u in cols]), snr=ch.snr)
+    _, _, _, s, ds, u = ch.q
+    q = _q_matrix(ch)
+    try:
+        entries = [[s * x / (ds * u) for x in row] for row in q]
+    except OverflowError:
+        raise ValueError("Gram matrix overflows floating point; gains, weights or snr are too large") from None
+    if any(x and not y for q_row, row in zip(q, entries) for x, y in zip(q_row, row)):
+        raise ValueError("Gram matrix underflows floating point; snr or the weights are too small")
+    gram = GramMatrix(entries=np.array(entries), snr=ch.snr)
     object.__setattr__(gram, "_checked", ch)
     return gram
 

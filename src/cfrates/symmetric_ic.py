@@ -158,7 +158,9 @@ def hk_rate_default(spec: SymmetricIcSpec, method: str = "auto") -> float:
 
 
 def hk_rate_optimized(spec: SymmetricIcSpec, n_gamma: int = 64, method: str = "auto") -> float:
-    """Layered rate maximized over a log-spaced gamma grid (plus the default)."""
+    """Layered rate maximized over a log-spaced gamma grid of ``n_gamma`` >= 2 points (plus the default)."""
+    if not n_gamma >= 2:
+        raise ValueError(f"n_gamma must be at least 2, got {n_gamma!r}")
     lo, hi = 1e-3, 1.0 - 1e-6
     step = (hi / lo) ** (1.0 / (n_gamma - 1))
     gammas = [lo * step**i for i in range(n_gamma)]
@@ -200,7 +202,7 @@ def closed_form_lower(spec: SymmetricIcSpec, c: float) -> float:
     moderately-weak expressions trade the constant gap against the outage
     measure through ``c``.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("gap parameter c must be positive")
     k, snr, inr, a = spec.users, spec.snr, spec.inr, spec.alpha
     if a < 0.5:
@@ -251,6 +253,8 @@ def tdma_rate(spec_or_users, snr: float | None = None) -> float:
             raise ValueError("snr required when passing a user count")
     if users < 1:
         raise ValueError("need at least one user")
+    if not 0 < snr < math.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
     return 0.5 * math.log2(1.0 + users * snr) / users
 
 

@@ -11,7 +11,7 @@ with an integer L, as a mod-p decoder would.  Orders and lifts hold only
 integer rows, and their ``Fraction`` matrices and int64 arrays are cached
 views, as are a transform's matrix, rates and integer columns.  A
 ``ChannelSpec`` keeps one checked channel record (``linalg._channel``) that
-``transform``, ``gram()`` and ``sum_rate_bounds`` share: M is built at most once.
+``transform``, ``gram()`` and ``sum_rate_bounds`` share.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ class ChannelSpec:
     ``linalg._channel``, so an invalid spec raises ValueError; the record,
     snr included, is kept in ``_checked``, outside init, repr, equality and
     hash.  ``transform``, ``gram()`` and ``sum_rate_bounds`` all read it, so
-    the channel's M is built once, on first use by ``gram()``, LLL or a K >= 4
-    search: an M out of the float range raises there, not here.
+    the integer factors of its Gram are built once, on first use.
     """
 
     gains: tuple[float, ...]
@@ -118,12 +117,13 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     the node budget is exhausted; 'exhaustive' propagates BudgetExceeded;
     'lll' skips enumeration entirely.  The budget, and so BudgetExceeded and
     the fallback, apply to K >= 4 only: for K <= 3 the exhaustive search is an
-    exact reduction with no enumeration, which reads the record's integer Gram,
-    not M; LLL and the K >= 4 walk read M.  Each row's result comes from the
-    record and the row's search norm by the same ``rates._rate`` that
-    ``comp_rate`` calls, and the rank check is ``exact_rank``'s elimination
-    on the rows.  A row whose exact norm is below snr but rounds to it has
-    rate 0.0.  ValueError for an unknown method or a negative ``budget``.
+    exact reduction with no enumeration; the K >= 4 walk raises ValueError when
+    the lattice's Gram-Schmidt lengths span more than the floats hold.  Each
+    row's result comes from the record and the row's search norm by the same
+    ``rates._rate`` that ``comp_rate`` calls, and the rank check is
+    ``exact_rank``'s elimination on the rows.  A row whose exact norm is below
+    snr but rounds to it has rate 0.0.  ValueError for an unknown method or a
+    negative ``budget``.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")

@@ -15,12 +15,14 @@ from cfrates.lattice import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     OptimalSet,
-    _Basis,
     _dot,
     _fold,
+    _gso,
+    _lll,
     _search,
     _signed,
     _walk,
+    _walk_floats,
     canonicalize,
     candidate_bound,
     lll_reduce,
@@ -30,6 +32,8 @@ from cfrates.linalg import (
     GramMatrix,
     RationalSpan,
     _channel,
+    _mantissas,
+    _q_matrix,
     _q_norm,
     _sq_norm,
     cholesky,
@@ -224,21 +228,20 @@ def numpy_search(gram):
 
 
 def refresh_every_step_search(ch, budget):
-    """Reference: ``_search`` refreshing its basis at every step.
+    """Reference: ``_search`` rebuilding its Gram-Schmidt data at every step.
 
-    It recomputes the basis and its Gram-Schmidt data before step 0, then
-    refreshes from column m-1 at every step m >= 1, and folds after every
-    step, the last one included.  The walk is looked up on the module, as
-    ``_search`` does, so a test can record what each step walks.
+    It reruns ``_gso`` on W^T Q W from vector m-1 at every step m >= 1, and
+    folds after every step, the last one included.  The walk is looked up on
+    the module, as ``_search`` does, so a test can record what each step walks.
     """
-    lat = _Basis(ch.m)
-    w = lat.lll(0.99)
-    lat.refresh(0)
+    q = _q_matrix(ch)
+    u, lam, dd = _lll(q, 0.99)
+    w = [list(row) for row in zip(*u)]
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(w)):
         if m:
-            lat.refresh(m - 1)
-        coords, nodes = cfrates.lattice._walk(lat.mu, lat.bb, m, budget, nodes)
+            _gso(gram_of(q, zip(*w)), lam, dd, m - 1)
+        coords, nodes = cfrates.lattice._walk(*_walk_floats(lam, dd), m, budget, nodes)
         cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
         n, vec, c = min((_q_norm(ch, a), a, c) for a, c in zip(cands, coords))
         if m == 0 and n >= ch.q[-1]:  # a^T G a >= snr, exactly
@@ -247,6 +250,34 @@ def refresh_every_step_search(ch, budget):
         out_norms.append(_sq_norm(ch, vec))
         _fold(w, m, c)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
+
+
+def gram_of(g, vectors):
+    """The Gram of integer coordinate ``vectors`` under the integer Gram ``g``: W^T g W for W with those columns."""
+    vectors = [list(v) for v in vectors]
+    return [[_dot(u, [_dot(row, v) for row in g]) for v in vectors] for u in vectors]
+
+
+def mantissa_gram(rows):
+    """The integer Gram of float rows' mantissas over one power of two, as ``lll_reduce`` builds it."""
+    flat, _ = _mantissas(tuple(x for row in rows for x in row))
+    k = len(rows)
+    ints = [flat[i * k : (i + 1) * k] for i in range(k)]
+    return [[_dot(u, v) for v in ints] for u in ints]
+
+
+def assert_lll_reduced(g, u, delta=Fraction(99, 100)):
+    """The coordinate vectors ``u`` form a unimodular W, and the basis with Gram W^T g W is size-reduced and meets Lovasz at ``delta``, in Fractions."""
+    assert all(type(x) is int for vec in u for x in vec)
+    assert abs(exact_det(u)) == 1
+    k, gw = len(u), [[Fraction(x) for x in row] for row in gram_of(g, u)]
+    mu, bb = [[Fraction(0)] * k for _ in range(k)], []
+    for i in range(k):
+        for j in range(i):
+            mu[i][j] = (gw[i][j] - sum(mu[j][m] * mu[i][m] * bb[m] for m in range(j))) / bb[j]
+        bb.append(gw[i][i] - sum(mu[i][m] ** 2 * bb[m] for m in range(i)))
+    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(k) for j in range(i))
+    assert all(bb[i] >= (delta - mu[i][i - 1] ** 2) * bb[i - 1] for i in range(1, k))
 
 
 def assert_norms_close(got, ref, vectors, gram_entries):
@@ -684,24 +715,11 @@ class TestLll:
         assert reduced.norms == pytest.approx(exact.norms, rel=1e-12)
 
     def test_lovasz_condition_holds(self):
+        # LLL on each channel's integer Gram Q, as transform's LLL runs it
         rng = np.random.default_rng(20)
-        delta = 0.99
         for _ in range(50):
-            gram = gram_plain(rng.normal(size=4), 10 ** rng.uniform(0, 3))
-            chol = cholesky(gram)
-            coords = _Basis(chol.tolist()).lll(delta)
-            basis = chol.T @ coords
-            ortho = np.zeros_like(basis)
-            mu = np.zeros((4, 4))
-            for i in range(4):
-                ortho[:, i] = basis[:, i]
-                for j in range(i):
-                    mu[i, j] = float(basis[:, i] @ ortho[:, j]) / float(ortho[:, j] @ ortho[:, j])
-                    ortho[:, i] -= mu[i, j] * ortho[:, j]
-            for i in range(1, 4):
-                lhs = float(ortho[:, i] @ ortho[:, i])
-                rhs = (delta - mu[i, i - 1] ** 2) * float(ortho[:, i - 1] @ ortho[:, i - 1])
-                assert lhs >= rhs - 1e-9 * abs(rhs)
+            q = _q_matrix(gram_plain(rng.normal(size=4), 10 ** rng.uniform(0, 3))._checked)
+            assert_lll_reduced(q, _lll(q, 0.99)[0])
 
     @pytest.mark.parametrize("seed, n, k_range", [(41, 300, (2, 5)), (42, 30, (6, 8))])
     def test_matches_numpy_lll(self, seed, n, k_range):
@@ -714,18 +732,10 @@ class TestLll:
 
     @pytest.mark.parametrize("seed, n, k_range", [(43, 100, (2, 5)), (44, 30, (6, 8))])
     def test_unimodular_size_reduced_lovasz(self, seed, n, k_range):
-        delta = 0.99
+        # LLL on the integer Gram of the Cholesky rows' mantissas, as lll_reduce runs it
         for gram in random_grams(seed, n, k_range, 60.0):
-            basis = cholesky(gram).T
-            u = _Basis(basis.T.tolist()).lll(delta)
-            assert all(type(x) is int for row in u for x in row)
-            assert abs(exact_det(u)) == 1
-            r = np.linalg.qr(basis @ np.array(u, dtype=float), mode="r")
-            mu = r / np.diag(r)[:, None]  # mu[j, i] = <b_i, b*_j> / |b*_j|^2 for j < i
-            assert np.all(np.abs(np.triu(mu, 1)) <= 0.5 + 1e-6)
-            sq = np.diag(r) ** 2
-            for i in range(1, gram.dim):
-                assert sq[i] >= (delta - mu[i - 1, i] ** 2) * sq[i - 1] * (1 - 1e-9)
+            g = mantissa_gram(cholesky(gram).tolist())
+            assert_lll_reduced(g, _lll(g, 0.99)[0])
 
     def test_exhaustive_dominates(self):
         rng = np.random.default_rng(21)
@@ -775,54 +785,35 @@ class TestLll:
 
 
 class TestLazyGramSchmidt:
-    """LLL computes each Gram-Schmidt row when it first reaches it and then updates it in place.
+    """``_lll`` keeps its integral Gram-Schmidt data exact through every size reduction and exchange.
 
-    What must hold is the result: W is unimodular, and the Gram-Schmidt data
-    of q W that ``refresh(0)`` rebuilds are size-reduced and meet the Lovasz
-    condition at delta = 0.99.
+    What must hold is the result, checked in Fractions from the Gram and W:
+    W is unimodular, and the reduced basis is size-reduced and meets the
+    Lovasz condition at delta = 99/100; the data ``_lll`` returns are those
+    that ``_gso`` computes afresh from the reduced vectors' Gram W^T g W.
     """
 
-    DELTA = 0.99
-
-    def reduced_basis(self, rows):
-        lat = _Basis(rows)
-        w = lat.lll(self.DELTA)
-        assert all(type(x) is int for row in w for x in row)
-        assert abs(exact_det(w)) == 1
-        lat.refresh(0)
-        k = len(rows)
-        assert all(abs(lat.mu[i][j]) <= 0.5 + 1e-9 for i in range(k) for j in range(i))
-        for i in range(1, k):
-            c = lat.mu[i][i - 1]
-            assert lat.bb[i] >= (self.DELTA - c * c) * lat.bb[i - 1] * (1 - 1e-9)
-        return w
+    def reduced_basis(self, g):
+        u, lam, dd = _lll(g, 0.99)
+        assert_lll_reduced(g, u)
+        fresh_lam, fresh_dd = [[0] * i for i in range(len(g))], [1] + [0] * len(g)
+        _gso(gram_of(g, u), fresh_lam, fresh_dd, 0)
+        assert (lam, dd) == (fresh_lam, fresh_dd)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_channel_bases(self, k):
         for gram in random_grams(60 + k, 40, (k, k), 60.0):
-            self.reduced_basis(cholesky(gram).tolist())
+            self.reduced_basis(mantissa_gram(cholesky(gram).tolist()))
+            self.reduced_basis(_q_matrix(gram._checked))
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_integer_bases(self, k):
-        """On integer bases both conditions are checked exactly, in Fractions from the basis and W."""
         rng = np.random.default_rng(70 + k)
         done = 0
         while done < 40:
             basis = rng.integers(-20, 21, size=(k, k))
             if exact_rank(basis) != k:
                 continue
-            w = self.reduced_basis(basis.astype(float).tolist())
             rows = basis.tolist()
-            vecs = [[Fraction(_dot(col, column)) for column in zip(*rows)] for col in zip(*w)]  # q W, exactly
-            ortho, bb = [], []
-            for i, v in enumerate(vecs):
-                mu = [_dot(v, o) / n for o, n in zip(ortho, bb)]
-                assert all(abs(x) <= Fraction(1, 2) for x in mu)
-                o = v
-                for x, oj in zip(mu, ortho):
-                    o = [a - x * b for a, b in zip(o, oj)]
-                ortho.append(o)
-                bb.append(_dot(o, o))
-                if i:
-                    assert bb[i] >= (Fraction(99, 100) - mu[i - 1] ** 2) * bb[i - 1]
+            self.reduced_basis([[_dot(u, v) for v in rows] for u in rows])
             done += 1

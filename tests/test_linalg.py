@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfrates.lattice import candidate_bound
+from cfrates.lattice import BudgetExceeded, candidate_bound
 from cfrates.linalg import (
     GramMatrix,
     RationalMatrix,
@@ -322,41 +322,48 @@ def test_norm_past_the_float_range_is_refused():
     assert comp_rate(gains, [1, 0], snr, b_sq).sigma2_eff == float(exact_sq_norm(gains, b_sq, snr, [1, 0]))
 
 
+def exact_gram(g, b_sq, snr) -> list[list[Fraction]]:
+    """G = snr (B - snr B g g^T B / (1 + snr g^T B g)) in rationals from the float inputs."""
+    s, gf, bf = Fraction(snr), [Fraction(x) for x in g], [Fraction(x) for x in b_sq]
+    den = 1 + s * sum(b * x * x for b, x in zip(bf, gf))
+    bg = [b * x for b, x in zip(bf, gf)]
+    return [[s * (bf[i] * (i == j) - s * bg[i] * bg[j] / den) for j in range(len(gf))] for i in range(len(gf))]
+
+
 @pytest.mark.parametrize("method", ["auto", "exhaustive", "lll"])
 @pytest.mark.parametrize(
-    "gains, snr, message",
+    "gains, snr",
     [
-        # LLL's exchange multiplied two squared lengths of about 1e-183 and divided by zero here
-        ((3.9e102, 8.5e102), 10**-182.1, "underflows"),
-        ((3.9e102, 8.5e102, 1.42e102), 10**-182.1, "underflows"),
-        ((3.9e102, 8.5e102, 1.42e102, -6.42e102), 10**-182.1, "underflows"),
-        # the squared diagonal rows are 2.5e-309, below the normal floats
-        ((1e154,) * 4, 0.1, "underflows"),
-        # LLL's exchange overflowed to inf here and never stopped
-        ((1.0, 2.5, 0.7, 1.3), 1e160, "overflows"),
+        # a float LLL's exchange multiplied two squared lengths of about 1e-183 and divided by zero here
+        ((3.9e102, 8.5e102), 10**-182.1),
+        ((3.9e102, 8.5e102, 1.42e102), 10**-182.1),
+        ((3.9e102, 8.5e102, 1.42e102, -6.42e102), 10**-182.1),
+        # squared lengths of 2.5e-309, below the normal floats
+        ((1e154,) * 4, 0.1),
+        # a float LLL's exchange overflowed to inf here and never stopped
+        ((1.0, 2.5, 0.7, 1.3), 1e160),
     ],
     ids=["K=2", "K=3", "K=4", "1e154", "1600dB"],
 )
-def test_gram_floats_cannot_orthogonalize_is_refused(gains, snr, message, method):
-    """M's floats cannot orthogonalize these channels, so what reads M refuses them: ``gram()``, LLL and K >= 4.
+def test_gram_floats_cannot_orthogonalize_is_refused(gains, snr, method):
+    """Channels whose Gram a float orthogonalization could not handle are answered exactly.
 
-    A K <= 3 exhaustive search reads no M: it answers, each norm the exact
-    a^T G a rounded once.
+    LLL and the searches run on the integer Gram Q, so every norm is the
+    exact a^T G a rounded once and every ``gram()`` entry the exact G_ij
+    rounded once; an exhaustive K >= 4 walk may instead exceed its budget.
     """
     channel = ChannelSpec.plain(gains, snr)
-    if len(gains) <= 3 and method != "lll":
-        t = transform(channel, method)
+    try:
+        t = transform(channel, method, budget=100_000)
+    except BudgetExceeded:
+        assert method == "exhaustive" and len(gains) >= 4
+    else:
         assert [r.sigma2_eff for r in t.results] == [float(exact_sq_norm(gains, channel.weights_sq, snr, r.a)) for r in t.results]
-        assert "m" not in channel._checked.__dict__
-        with pytest.raises(ValueError, match=f"Gram matrix {message} floating point for its orthogonalization"):
-            channel.gram()
-        return
-    with pytest.raises(ValueError, match=f"Gram matrix {message} floating point for its orthogonalization"):
-        transform(channel, method)
+    assert channel.gram().entries.tolist() == [[float(x) for x in row] for row in exact_gram(gains, channel.weights_sq, snr)]
 
 
 def test_k_ge_4_comp_rate_needs_no_m():
-    """``comp_rate`` reads no M at any K: it answers a K = 4 channel whose M cannot orthogonalize (refused above)."""
+    """``comp_rate`` reads only the integer factors of Q at any K, here on a K = 4 channel at 1600 dB."""
     gains, snr = (1.0, 2.5, 0.7, 1.3), 1e160
     assert comp_rate(gains, [1, 0, 0, 0], snr).sigma2_eff == 8.939554612937433e159
     assert 8.939554612937433e159 == float(exact_sq_norm(gains, (1.0,) * 4, snr, [1, 0, 0, 0]))
@@ -364,11 +371,21 @@ def test_k_ge_4_comp_rate_needs_no_m():
 
 @pytest.mark.parametrize("method", ["lll", "auto"])
 def test_lll_rows_at_high_snr_are_exactly_rounded(method):
-    """LLL rows at 300 dB have entries near 1e14; each row's norm is still the exact a^T G a rounded once."""
-    channel = ChannelSpec.plain([1, 1, 1, 1], 1e30)
-    t = transform(channel, method)
-    assert t.method == "lll" and max(abs(x) for r in t.results for x in r.a) > 2**27
-    assert [r.sigma2_eff for r in t.results] == [float(exact_sq_norm(channel.gains, channel.weights_sq, 1e30, r.a)) for r in t.results]
+    """LLL rows on the integer Gram, each norm the exact a^T G a rounded once.
+
+    At 300 dB the equal gains give (1, 1, 1, 1) and three unit vectors, where
+    a float LLL returned entries near 1e14 (``auto`` falls back to LLL there);
+    at 1600 dB unequal gains give rows with entries past 2^27.
+    """
+    equal, unequal = ChannelSpec.plain([1, 1, 1, 1], 1e30), ChannelSpec.plain([1, 2.5, 0.7, 1.3], 1e160)
+    t = transform(equal, method)
+    assert t.method == "lll" and t.results[0].a == (1, 1, 1, 1)
+    assert all(sorted(r.a) == [0, 0, 0, 1] for r in t.results[1:])
+    far = transform(unequal, method, budget=10_000)
+    assert max(abs(x) for r in far.results for x in r.a) > 2**27
+    for channel, rows in ((equal, t), (unequal, far)):
+        exact = [float(exact_sq_norm(channel.gains, channel.weights_sq, channel.snr, r.a)) for r in rows.results]
+        assert [r.sigma2_eff for r in rows.results] == exact
 
 
 def test_sq_norm_is_the_lagrange_form_exactly_rounded():
@@ -382,8 +399,6 @@ def test_sq_norm_is_the_lagrange_form_exactly_rounded():
             a = [int(x) for x in rng.integers(-bound, bound + 1, size=k)]
             a[0] = a[0] or 1
             assert _sq_norm(ch, a) == float(exact_sq_norm(g.tolist(), b_sq.tolist(), snr, a)) and "m" not in ch.__dict__
-            # the float basis is M's columns: its Gram is M^T M
-            assert len(ch.m) == k and all(len(col) == k + k * (k - 1) // 2 for col in ch.m)
 
 
 def spd_matrices(seed, n):

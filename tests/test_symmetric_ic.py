@@ -172,6 +172,12 @@ class TestLayeredScheme:
         spec = SymmetricIcSpec(3, 0.3, 10**2.5)
         assert hk_rate_optimized(spec, n_gamma=16) >= hk_rate_default(spec) - 1e-12
 
+    @pytest.mark.parametrize("n_gamma", [1, 0, -3])
+    def test_grid_of_fewer_than_two_points_rejected(self, n_gamma):
+        # one point divided by zero for the grid step; none silently searched the default alone
+        with pytest.raises(ValueError, match="n_gamma must be at least 2"):
+            hk_rate_optimized(SymmetricIcSpec(3, 0.3, 10**2.5), n_gamma=n_gamma)
+
 
 class TestUpperBounds:
     def test_very_strong_branch(self):
@@ -218,6 +224,11 @@ class TestClosedFormLower:
         with pytest.raises(ValueError):
             closed_form_lower(SymmetricIcSpec(3, 1.0, 100.0), 0.0)
 
+    def test_rejects_nan_gap(self):
+        # every comparison with NaN is false: c <= 0 let it through to a NaN rate
+        with pytest.raises(ValueError, match="gap parameter c must be positive"):
+            closed_form_lower(SymmetricIcSpec(3, 1.0, 100.0), math.nan)
+
 
 class TestGdof:
     def test_table_exact(self):
@@ -255,6 +266,12 @@ class TestTdma:
         snr = 31.6227766
         rates = [tdma_rate(k, snr) for k in range(1, 9)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("snr", [-0.4, 0.0, math.inf, math.nan])
+    def test_rejects_snr_outside_the_positive_floats(self, snr):
+        # -0.4 gave a rate of -0.58, and nan and inf passed through
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            tdma_rate(2, snr)
 
 
 class TestReport:

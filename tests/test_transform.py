@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrates import cli, linalg, symmetric_ic
-from cfrates.lattice import BudgetExceeded, _Basis, _dot, successive_minima
+from cfrates.lattice import BudgetExceeded, _dot, _lll, successive_minima
 from cfrates.linalg import RationalMatrix, RationalSpan, _channel, exact_rank, sylvester_logdet
 from cfrates.rates import comp_rate
 from cfrates.transform import (
@@ -277,6 +277,13 @@ def test_returns_or_refuses_across_the_float_range(k, gain_exp, snr_exp, seed, w
         pass
 
 
+def test_lengths_past_the_float_range_are_refused_by_the_walk():
+    # the Gram-Schmidt lengths span about 2^2000: LLL on Q is exact, but the walk's bb cannot hold them
+    channel = ChannelSpec.effective((1e-300, 1, 1, 1), (1e300, 1e-300, 1, 1), 1e10)
+    with pytest.raises(ValueError, match="Gram-Schmidt lengths span more than the floats hold"):
+        transform(channel, "auto")
+
+
 @st.composite
 def channels(draw):
     """Plain and weighted channels, K=1..6, -10..60 dB, every gain away from zero."""
@@ -322,27 +329,24 @@ class TestCheckedChannel:
             dataclasses.replace(ch, snr=-1.0)
 
     def test_m_is_built_once_per_channel(self, monkeypatch):
-        """``transform``, two ``gram()`` calls, the bounds and the Gram search share one record and one M.
-
-        A K = 3 transform builds none: M is built by the first ``gram()``.
-        """
+        """``transform``, two ``gram()`` calls, the bounds and the Gram search share one record and one integer Gram."""
         calls = []
-        build = linalg._embedding
+        build = linalg._integer_gram
 
         def counting_build(ch):
             calls.append(ch)
             return build(ch)
 
-        monkeypatch.setattr(linalg, "_embedding", counting_build)
-        ch = ChannelSpec.effective((0.7, -1.3, 0.4), (1.0, 2.5, 0.6), 10**2.5)
-        t = transform(ch)
-        assert calls == []
-        grams = ch.gram(), ch.gram()
-        assert len(calls) == 1 and calls[0] is ch._checked
-        assert all(gram._checked is ch._checked for gram in grams)
-        assert successive_minima(grams[0]).vectors == tuple(r.a for r in t.results)
-        sum_rate_bounds(t)
-        assert len(calls) == 1
+        monkeypatch.setattr(linalg, "_integer_gram", counting_build)
+        for ch in (ChannelSpec.effective((0.7, -1.3, 0.4), (1.0, 2.5, 0.6), 10**2.5), ChannelSpec.plain((1.0, 0.62, 0.34, 0.21), 1e3)):
+            calls.clear()
+            t = transform(ch)
+            grams = ch.gram(), ch.gram()
+            assert all(gram._checked is ch._checked for gram in grams)
+            assert successive_minima(grams[0]).vectors == tuple(r.a for r in t.results)
+            sum_rate_bounds(t)
+            transform(ch, "lll")
+            assert calls == [ch._checked]
 
 
 def exact_norm(ch, a):
@@ -355,7 +359,7 @@ def exact_norm(ch, a):
 
 @pytest.mark.parametrize("snr_db", [25, 45, 100, 300, 1000, 3000])
 def test_k_le_3_builds_no_m_and_rounds_each_norm_once(monkeypatch, snr_db):
-    """K <= 3 ``transform`` and ``report`` never read M, and each row's sigma2 is the exact a^T G a rounded once."""
+    """Each row's sigma2 in K <= 3 ``transform`` and ``report`` is the exact a^T G a rounded once, from 25 to 3000 dB."""
     seen = []
 
     def recording(channel, *args, **kwargs):
@@ -370,7 +374,6 @@ def test_k_le_3_builds_no_m_and_rounds_each_norm_once(monkeypatch, snr_db):
         recording(ChannelSpec.plain(h, snr))
     assert len(seen) >= 12 + 3
     for channel, t in seen:
-        assert "m" not in channel._checked.__dict__
         assert [r.sigma2_eff for r in t.results] == [float(exact_norm(channel, r.a)) for r in t.results]
 
 
@@ -386,7 +389,7 @@ def test_norm_that_rounds_to_snr_is_kept_at_rate_0(k):
 def sphere_points(mu, bb, radius_sq, budget):
     """Every integer c != 0 with ||R c||^2 <= radius_sq, one per {c, -c}; BudgetExceeded past ``budget`` integers tried.
 
-    A fixed-radius Fincke-Pohst walk on a ``_Basis``'s Gram-Schmidt data,
+    A fixed-radius Fincke-Pohst walk on Gram-Schmidt data (mu, bb),
     ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2, fixed from the
     last coordinate down; while the fixed ones are zero the current one must
     be nonnegative, and positive at coordinate 0.
@@ -421,17 +424,21 @@ def sphere_points(mu, bb, radius_sq, budget):
 def exact_minima(ch, radius_sq, budget=100_000):
     """Exact squared successive minima up to ``radius_sq``, or None past ``budget`` nodes.
 
-    The candidates are every lattice point in the sphere, found on a freshly
-    LLL-reduced float basis of the embedding; ``radius_sq`` carries a slack
-    wider than the walk's float rounding, so the sphere holds every point
-    whose exact norm is below the radius.  They are ranked by exact norm and
-    kept greedily when independent of those kept.
+    The candidates are every lattice point in the sphere, found on the basis
+    that ``_lll`` reduces exactly on the channel's integer Gram Q, whose
+    Gram-Schmidt data are turned into G's units, each rounded once;
+    ``radius_sq`` carries a slack wider than the sphere walk's float
+    rounding, so the sphere holds every point whose exact norm is below the
+    radius.  They are ranked by exact norm and kept greedily when
+    independent of those kept.
     """
-    lat = _Basis(ch._checked.m)
-    w = lat.lll(0.99)
-    lat.refresh(0)
+    u, lam, dd = _lll(linalg._q_matrix(ch._checked), 0.99)
+    w = list(zip(*u))
+    _, _, _, s, ds, u = ch._checked.q
+    mu = [[x / d for x, d in zip(row, dd[1:])] for row in lam]
+    bb = [s * b / (ds * u * a) for a, b in zip(dd, dd[1:])]  # |b*_i|^2 = S (dd[i+1] / dd[i]) / (ds U) in G's units
     try:
-        coords = sphere_points(lat.mu, lat.bb, radius_sq, budget)
+        coords = sphere_points(mu, bb, radius_sq, budget)
     except BudgetExceeded:
         return None
     span, minima = RationalSpan(ch.dim), []
@@ -461,8 +468,8 @@ class TestHighSnrExactNorms:
         exact = [exact_norm(ch, r.a) for r in t.results]
         for r, x in zip(t.results, exact):
             assert abs(Fraction(r.sigma2_eff) - x) <= 1e-12 * x, r
-        # a float walk cost on M's columns is within 3 eps sqrt(den) of the exact norm,
-        # relative, to first order (den = 1 + snr g^T B g): the sphere allows 8
+        # the sphere allows 8 eps sqrt(den) relative (den = 1 + snr g^T B g), far wider
+        # than the rounding of a walk on mu and bb that are each rounded once
         radius = max(r.sigma2_eff for r in t.results) * (1 + 1e-12 + 8 * 2**-52 * math.sqrt(ch._checked.denom))
         minima = exact_minima(ch, radius)
         assume(minima is not None)
