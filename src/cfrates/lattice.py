@@ -6,12 +6,16 @@ smallest a^T G a outside the span of vectors 0..m-1, ties broken by the
 sign-normalized a.
 
 For K <= 3, the dimensions of every interference-channel effective MAC, the
-search is exact at any snr: a greedy reduction (Lagrange for K = 2; Semaev,
-"A 3-dimensional lattice reduction algorithm", CaLC 2001, for K = 3) on the
-integer Gram ``ch.q``, an exact multiple of G, gives a Minkowski-reduced
-basis, whose {0, +-1} combinations hold every minimum (Nguyen & Stehle, "Low-
-dimensional lattice basis reduction revisited", ACM TALG 5(4), 2009).  The
-node budget, ``BudgetExceeded`` and the LLL fallback apply to K >= 4 only.
+search is exact at any snr and is one integer kernel, ``_exact_search``: a
+greedy reduction (Lagrange for K = 2; Semaev, "A 3-dimensional lattice
+reduction algorithm", CaLC 2001, for K = 3) on the entries of the integer
+Gram Q, an exact multiple of G, read from its diagonal-plus-rank-one factors
+``ch.q`` without building the K x K matrix, gives a Minkowski-reduced basis,
+whose {0, +-1} combinations hold every minimum (Nguyen & Stehle, "Low-
+dimensional lattice basis reduction revisited", ACM TALG 5(4), 2009).  They
+are ranked by exact norms summed from the reduced Gram entries; a vector is
+built only for the rows kept and for exact ties.  The node budget,
+``BudgetExceeded`` and the LLL fallback apply to K >= 4 only.
 
 For K >= 4 each step is a depth-first walk in the coordinates of a
 unimodular basis that starts LLL-reduced and whose leading columns span the
@@ -111,7 +115,7 @@ def _dot(u, v):
 
 def _signed(a: tuple[int, ...]) -> tuple[int, ...]:
     """``a`` or ``-a``, whichever has a positive first nonzero entry."""
-    return a if next(x for x in a if x) > 0 else tuple(-x for x in a)
+    return a if a > (0,) * len(a) else tuple(-x for x in a)  # tuples compare at their first nonzero entry
 
 
 def _gso(g: list[list[int]], lam: list[list[int]], dd: list[int], start: int) -> None:
@@ -278,100 +282,88 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     return _search(gram._checked, budget)
 
 
-def _lagrange(n0: int, n1: int, d01: int, u0: list, u1: list, d02: int = 0, d12: int = 0) -> tuple:
-    """Lagrange (Gauss) reduction of basis vectors u0, u1 with norms n0, n1 and inner product d01.
+# The {0, +-1} combinations x of three basis vectors with a positive first nonzero entry, the last entry
+# varying slowest, so that the first (3^k - 1) / 2 are those of the first k vectors
+_COMBOS = [x[::-1] for x in itertools.product((0, 1, -1), repeat=3) if x[::-1] > (0, 0, 0)]
 
-    Returns the same seven values after it, when n0 <= n1 and |2 d01| <= n0;
-    d02 and d12 are the inner products with a third vector, kept up to date.
-    The quotient d01 / n0 is rounded exactly, as (2 d01 + n0) // (2 n0).
+
+def _exact_search(ch: _Checked) -> OptimalSet:
+    """``_search`` for K <= 3: the successive minima from a greedy reduction of Z^K under the integer Gram Q.
+
+    The reduction reads Q's entries from its factors (``ch.q``): n_i = D B_i
+    - S BG_i^2 and d_ij = -S BG_i BG_j.  K = 2 is Lagrange's reduction.  For
+    K = 3 (Semaev 2001; Nguyen & Stehle 2009), until the last vector stops
+    shrinking below the second: Lagrange-reduce the first two, subtract from
+    the last its closest vector in their span, and sort by norm.  That closest
+    vector is a corner of the cell of the exact solution of the 2x2 Gram
+    system, since a reduced planar basis splits the plane into non-obtuse
+    triangles.  In dimension <= 4 such a basis is Minkowski-reduced, and
+    every minimum lies among its {0, +-1} combinations.  Those up to the
+    last basis norm are ranked by exact a^T Q a, summed from the reduced
+    Gram entries, and exact ties by the signed a = x U, built only for them
+    and for the rows kept; each is kept when independent of those kept
+    before it.  Norms are ``_exact_norm``'s; the set is empty when the first
+    a^T Q a reaches U (a^T G a >= snr, exactly), so a kept norm may round to
+    snr (rate 0.0).
     """
-    while True:
-        t = (2 * d01 + n0) // (2 * n0)
-        if t:
-            n1 += t * (t * n0 - 2 * d01)
-            d01 -= t * n0
-            d12 -= t * d02
-            u1 = [x - t * y for x, y in zip(u1, u0)]
-        if n1 >= n0:
-            return n0, n1, d01, u0, u1, d02, d12
-        n0, n1, u0, u1, d02, d12 = n1, n0, u1, u0, d12, d02
-
-
-def _greedy_basis(q: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """A greedy-reduced basis of Z^K (K <= 3) under the integer Gram ``q``, sorted by norm, and its Gram entries r_ij, i <= j.
-
-    K = 2 is Lagrange's reduction.  For K = 3 (Semaev 2001; Nguyen & Stehle
-    2009), until the last vector stops shrinking below the second:
-    Lagrange-reduce the first two, subtract from the last its closest vector
-    in their span, and sort by norm.  That closest vector is a corner of the
-    cell of the exact solution of the 2x2 Gram system, since a reduced planar
-    basis splits the plane into non-obtuse triangles.  In dimension <= 4 such
-    a basis is Minkowski-reduced: its norms are the successive minima.
-    """
-    k = len(q)
-    if k == 1:
-        return [[1]], [q[0][0]]
-    e = [[int(i == j) for j in range(k)] for i in range(k)]
-    if k == 2:
-        n0, n1, d01, u0, u1, _, _ = _lagrange(q[0][0], q[1][1], q[0][1], *e)
-        return [u0, u1], [n0, d01, n1]
-    (n0, d01, d02), (_, n1, d12), (_, _, n2) = q
-    u0, u1, u2 = e
-    while True:
-        n0, n1, d01, u0, u1, d02, d12 = _lagrange(n0, n1, d01, u0, u1, d02, d12)
+    bm, bgm, d, s, _, limit = ch.q
+    k, pad = len(bm), [0] * (3 - len(bm))  # a missing vector has zero entries
+    n0, n1, n2 = [d * b - s * x * x for b, x in zip(bm, bgm)] + pad
+    g0, g1, g2 = bgm + pad
+    d01, d02, d12 = -s * g0 * g1, -s * g0 * g2, -s * g1 * g2
+    u0, u1, u2 = [e[:k] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    while k > 1:
+        while True:  # Lagrange: reduce u1 by the rounded d01 / n0, then swap while it is the shorter
+            t = (2 * d01 + n0) // (2 * n0)
+            if t:
+                n1 += t * (t * n0 - 2 * d01)
+                d01 -= t * n0
+                d12 -= t * d02
+                u1 = [x - t * y for x, y in zip(u1, u0)]
+            if n1 >= n0:
+                break
+            n0, n1, u0, u1, d02, d12 = n1, n0, u1, u0, d12, d02
+        if k == 2:
+            break
         det = n0 * n1 - d01 * d01
         f0, f1 = (n1 * d02 - d01 * d12) // det, (n0 * d12 - d01 * d02) // det
-        change, y0, y1 = min(  # |u2 - y0 u0 - y1 u1|^2 - n2 at each corner
-            (y0 * (y0 * n0 + 2 * (y1 * d01 - d02)) + y1 * (y1 * n1 - 2 * d12), y0, y1)
-            for y0 in (f0, f0 + 1)
-            for y1 in (f1, f1 + 1)
-        )
+        change = None
+        for y0 in (f0, f0 + 1):  # |u2 - y0 u0 - y1 u1|^2 - n2 at each corner, the least (change, y0, y1)
+            for y1 in (f1, f1 + 1):
+                c = y0 * (y0 * n0 + 2 * (y1 * d01 - d02)) + y1 * (y1 * n1 - 2 * d12)
+                if change is None or c < change:
+                    change, z0, z1 = c, y0, y1
         n2 += change
-        d02, d12 = d02 - y0 * n0 - y1 * d01, d12 - y0 * d01 - y1 * n1
-        u2 = [x - y0 * a - y1 * b for x, a, b in zip(u2, u0, u1)]
+        d02, d12 = d02 - z0 * n0 - z1 * d01, d12 - z0 * d01 - z1 * n1
+        u2 = [x - z0 * a - z1 * b for x, a, b in zip(u2, u0, u1)]
         if n2 >= n1:
-            return [u0, u1, u2], [n0, d01, d02, n1, d12, n2]
+            break
         # the last vector moves before the second, or before the first
         if n2 >= n0:
             n1, n2, d01, d02, u1, u2 = n2, n1, d02, d01, u2, u1
         else:
             n0, n1, n2, d01, d02, d12, u0, u1, u2 = n2, n0, n1, d02, d12, d01, u2, u0, u1
-
-
-# Per dimension, the {0, +-1} combinations x with a positive first nonzero entry, each with its weights on
-# the Gram entries r_ij, i <= j: x^T r x is their sum of products
-_UNIT_COMBOS = {
-    k: [(x, [x[i] * x[j] * (2 - (i == j)) for i in range(k) for j in range(i, k)])
-        for x in itertools.product((0, 1, -1), repeat=k) if any(x) and _signed(x) == x]
-    for k in range(1, _EXACT_K + 1)
-}
-
-
-def _exact_search(ch: _Checked) -> OptimalSet:
-    """``_search`` for K <= 3: the successive minima from a greedy-reduced basis under the integer Gram Q.
-
-    Every minimum lies among the {0, +-1} combinations of a Minkowski-reduced
-    basis in dimension <= 3, so they are ranked by (exact a^T Q a, signed a),
-    and each is kept when independent of those kept before it.  A vector
-    shorter than the last basis vector lies in the span of the earlier
-    minima, so only combinations up to its norm are ranked.  Norms are
-    ``_exact_norm``'s; the set is empty when the first a^T Q a reaches U
-    (a^T G a >= snr, exactly), so a kept norm may round to snr (rate 0.0).
-    """
-    u, entries = _greedy_basis(_q_matrix(ch))
-    k, cols, top, ranked = len(u), list(zip(*u)), entries[-1], []
-    for x, weights in _UNIT_COMBOS[k]:
-        norm = sum(map(mul, weights, entries))
-        if norm <= top:
-            ranked.append((norm, _signed(tuple(_dot(x, col) for col in cols)), x))
+    if n0 >= limit:  # a^T G a >= snr for every a
+        return OptimalSet(vectors=(), norms=(), method="exhaustive")
+    e01, e02, e12 = 2 * d01, 2 * d02, 2 * d12
+    p, m, top = n0 + n1 + e01, n0 + n1 - e01, (n0, n1, n2)[k - 1]
+    norms = (n0, n1, p, m, n2, n0 + n2 + e02, n1 + n2 + e12, p + n2 + e02 + e12, m + n2 + e02 - e12,
+             n0 + n2 - e02, n1 + n2 - e12, p + n2 - e02 - e12, m + n2 - e02 + e12)  # in _COMBOS' order
+    ranked = [c for c in zip(norms, _COMBOS[: (3**k - 1) // 2]) if c[0] <= top]
     ranked.sort()
+
+    def signed(x):  # a = x U, sign-normalized
+        return _signed(tuple([x[0] * a + x[1] * b + x[2] * c for a, b, c in zip(u0, u1, u2)]))
+
+    tied = {c[0] for c, next_c in zip(ranked, ranked[1:]) if c[0] == next_c[0]}
+    if tied:  # exact ties are ranked by signed a, built only for them
+        ranked.sort(key=lambda c: (c[0], signed(c[1]) if c[0] in tied else ()))
     kept = ranked[:2]
     if k == 3:  # the third is the first whose coefficients are independent of the first two's
-        (_, _, x), (_, _, y) = kept
-        normal = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
-        kept.append(next(c for c in ranked[2:] if _dot(normal, c[2])))
-    kept = kept if kept[0][0] < ch.q[-1] else []
-    return OptimalSet(tuple(a for _, a, _ in kept), tuple(_exact_norm(ch, n) for n, _, _ in kept), "exhaustive")
+        (_, y), (_, z) = kept
+        normal = (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0])
+        kept.append(next(c for c in ranked[2:] if _dot(normal, c[1])))
+    return OptimalSet(tuple([signed(x) for _, x in kept]), tuple([_exact_norm(ch, n) for n, _ in kept]), "exhaustive")
 
 
 def _search(ch: _Checked, budget: int) -> OptimalSet:

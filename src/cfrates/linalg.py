@@ -6,12 +6,13 @@ in views that return arrays.  Every channel input is checked in ``_channel``,
 whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the integer factors of
 its Gram on first read; a ``ChannelSpec`` and its Grams share one record, and
 each public function of a raw channel is a view over its record.  LLL, the
-searches and ``gram()`` read the integer Gram Q (``_q_matrix``), an exact
-multiple of G; every noise norm a^T G a is ``_sq_norm`` of the record, the exact
-a^T Q a from two integer dot products, rounded once, so nothing cancels at any
-snr or K.  Exact paths (rank, span solve, span membership) take integer matrices
-and share one fraction-free (Bareiss) elimination over Python ints; rationals
-appear only in their solutions and in ``RationalMatrix``.
+K >= 4 walk and ``gram()`` read the integer Gram Q (``_q_matrix``), an exact
+multiple of G; the K <= 3 search reads its entries from the factors.  Every
+noise norm a^T G a is ``_sq_norm`` of the record, the exact a^T Q a from two
+integer dot products, rounded once, so nothing cancels at any snr or K.  Exact
+paths (rank, span solve, span membership) take integer matrices and share one
+fraction-free (Bareiss) elimination over Python ints; rationals appear only in
+their solutions and in ``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -163,7 +164,7 @@ def _integer_gram(ch: _Checked) -> tuple[list[int], list[int], int, int, int, in
 
 
 def _q_matrix(ch: _Checked) -> list[list[int]]:
-    """Q = D diag(B) - S (BG)(BG)^T as a list of rows, the integer Gram that LLL, the searches and ``gram()`` read."""
+    """Q = D diag(B) - S (BG)(BG)^T as a list of rows, the integer Gram that LLL, the K >= 4 walk and ``gram()`` read."""
     bm, bgm, d, s, _, _ = ch.q
     q = [[-s * x * y for y in bgm] for x in bgm]
     for i, row in enumerate(q):
@@ -274,9 +275,12 @@ def _logdet(ch: _Checked) -> float:
 
 
 def _int_rows(mat) -> list[list[int]]:
-    """Rows of ``mat`` as Python ints; ``[]`` is the matrix with no rows.  ValueError unless 2-D."""
+    """Rows of ``mat`` as Python ints; ``[]`` is the matrix with no rows.  ValueError unless 2-D with integer entries."""
     entries = _matrix(mat, "expected a 2-D matrix")
-    rows = [list(map(int, row)) for row in entries]
+    try:  # int() refuses nan and +-inf
+        rows = [list(map(int, row)) for row in entries]
+    except (ValueError, OverflowError):
+        rows = None
     if rows != entries:
         raise ValueError("exact routines require integer entries")
     return rows

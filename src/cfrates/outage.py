@@ -181,8 +181,8 @@ def in_outage(g: float, snr: float, c: float) -> bool:
     regimes return False.  The sets do not depend on the number of users, and
     none is built: g's continued fraction decides membership exactly.
     """
-    if g <= 0:
-        raise ValueError("cross gain must be positive")
+    if not 0 < g < math.inf:
+        raise ValueError("cross gain must be positive and finite")
     if not snr > 1:
         raise ValueError("outage sets are defined for snr > 1")
     if c <= 0:

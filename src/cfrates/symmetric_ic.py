@@ -20,6 +20,7 @@ out the toolkit.  ``report`` bundles all of it for one channel point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .outage import in_outage
@@ -65,8 +66,8 @@ class SymmetricIcSpec:
     snr: float
 
     def __post_init__(self):
-        if self.users < 2:
-            raise ValueError("need at least two users")
+        if not (isinstance(self.users, numbers.Integral) and self.users >= 2):
+            raise ValueError("need an integer number of users, at least two")
         if not (math.isfinite(self.cross_gain) and self.cross_gain >= 0):
             raise ValueError("cross gain must be nonnegative and finite")
         if not (math.isfinite(self.snr) and self.snr > 0):

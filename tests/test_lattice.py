@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfrates.lattice
+import cfrates.linalg
 from cfrates.lattice import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -41,7 +42,7 @@ from cfrates.linalg import (
     gram_effective,
     gram_plain,
 )
-from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel, effective_two_user
+from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel, effective_two_user, report
 from cfrates.transform import ChannelSpec, transform
 
 
@@ -645,8 +646,12 @@ def exact_search_cases():
     The single-layer and layered MACs take log-uniform gains over
     [snr^-1/4 / 4, 2 sqrt(snr)) and K in {2, 3, 5}; the random ones are
     weighted, K = 2, 3; the plain [1, 1], [1, 2], [2, 1, 1], [1, 1, 1] and
-    [sqrt 5, 1] tie exactly, here also at 10 dB.  Last come the K <= 3
-    channels of the seeded walk cases at 0-140 dB.
+    [sqrt 5, 1] tie exactly, here also at 10 dB.  Then come weighted integer
+    channels, K = 2, 3, gains in {-2..2}, weights in {1..4}, integer snr or
+    10/25/80/300 dB, whose {0, +-1} combinations tie exactly: two- and
+    three-way, at the first minimum and at later ones, and with candidates
+    that are skipped as dependent.  Last come the K <= 3 channels of the
+    seeded walk cases at 0-140 dB.
     """
     rng = np.random.default_rng(7)
     for db in (25, 45, 60, 100, 140, 160, 200, 250, 300):
@@ -661,6 +666,13 @@ def exact_search_cases():
     for h in ([1, 1], [1, 2], [2, 1, 1], [1, 1, 1], [math.sqrt(5), 1]):
         for db in (10, 25, 40, 80, 160, 300):
             yield _channel(h, 10 ** (db / 10))
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        k = int(rng.integers(2, 4))
+        g, b = rng.integers(-2, 3, size=k), rng.integers(1, 5, size=k)
+        snr = float(rng.integers(1, 21)) if rng.integers(0, 2) else 10 ** (int(rng.choice([10, 25, 80, 300])) / 10)
+        if g.any():
+            yield _channel(g.tolist(), snr, b.tolist())
     for k in (2, 3):
         for gram in random_grams(80 + k, 30, (k, k), 140.0):
             yield gram._checked
@@ -693,6 +705,18 @@ class TestExactSearch:
         # thousands of (k, k + 1) tie (1, 1) to within a few ulps here; only exact norms rank them
         for snr in (1e20, 1e30):
             assert _search(_channel([1.0, 1.0], snr), 0).vectors == ((1, 1), (0, 1))
+
+    def test_never_builds_the_k_by_k_gram(self, monkeypatch):
+        # the kernel reads Q's entries from its factors; only LLL, the K >= 4 walk and gram() build the matrix
+        def refuse(ch):
+            raise AssertionError("_q_matrix called")
+
+        monkeypatch.setattr(cfrates.lattice, "_q_matrix", refuse)
+        monkeypatch.setattr(cfrates.linalg, "_q_matrix", refuse)
+        for h in ([2.0], [1.0, 2.5], [0.3, -0.7, 1.1]):
+            for method in ("auto", "exhaustive"):
+                assert transform(ChannelSpec.plain(h, 1e3), method).method == "exhaustive"
+        assert report(SymmetricIcSpec(3, 2.0, 10**2.5)).method == "exhaustive"
 
     def test_needs_no_budget(self):
         # a walk exceeds a small budget on these; K <= 3 searches use none

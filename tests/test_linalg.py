@@ -24,7 +24,7 @@ from cfrates.linalg import (
     sylvester_logdet,
 )
 from cfrates.rates import comp_rate, effective_variance, optimal_beta
-from cfrates.transform import ChannelSpec, transform
+from cfrates.transform import ChannelSpec, pseudo_triangularize, transform
 
 
 def quad(gram: GramMatrix, a) -> float:
@@ -529,6 +529,22 @@ class TestExactRank:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             exact_rank([[0.5, 1.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (exact_rank, lambda x: ([[x, 2]],)),
+        (exact_solve_in_span, lambda x: ([[x, 1]], [1])),
+        (pseudo_triangularize, lambda x: ([[x, 2], [1, 1]],)),
+    ],
+    ids=["exact_rank", "exact_solve_in_span", "pseudo_triangularize"],
+)
+def test_exact_routines_refuse_non_finite_entries(entry, args, value):
+    # an infinite entry raised OverflowError from int(); nan already gave ValueError
+    with pytest.raises(ValueError, match="exact routines require integer entries"):
+        entry(*args(value))
 
 
 def fraction_solve_reference(mat, rhs):

@@ -225,6 +225,12 @@ class TestInOutage:
         with pytest.raises(ValueError):
             in_outage(1.0, 1e4, -1.0)
 
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_gain_must_be_finite(self, g):
+        # nan fails every comparison, so g <= 0 let it through and it was reported outside the outage set
+        with pytest.raises(ValueError, match="positive and finite"):
+            in_outage(g, 100.0, 2.0)
+
     def test_gain_one_ulp_below_a_power_of_two(self):
         # g sits in [2^-b, 2^-b+1) with b = 3 although -log2(g) rounds to 2; 4*g is within 2^-52 of 1
         snr, c = 1e10, 0.5

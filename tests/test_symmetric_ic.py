@@ -47,6 +47,13 @@ class TestSpec:
             with pytest.raises(ValueError, match="cross gain"):
                 SymmetricIcSpec(3, gain, 10.0)
 
+    @pytest.mark.parametrize("users", [2.5, 3.0, math.nan, math.inf, True, "3"])
+    def test_users_must_be_an_integer(self, users):
+        # 2.5 gave a 2.5-user report with interference weight 1.5; nan passed the users < 2 check
+        with pytest.raises(ValueError, match="integer number of users"):
+            SymmetricIcSpec(users, 2.0, 1000.0)
+        assert SymmetricIcSpec(np.int64(3), 2.0, 1000.0).users == 3
+
     def test_regime_thresholds(self):
         snr = 1e4
         # alpha = 1 + 2*log_snr(g), so g = snr**e gives alpha = 1 + 2e
