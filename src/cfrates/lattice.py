@@ -23,15 +23,15 @@ vectors found so far, so a sign rule on the trailing coordinates skips the
 span and no independence test is needed.  LLL is integral LLL on the integer
 Gram Q (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
 §2.6.7), exact in Python ints, and alone the fast suboptimal fallback when a
-node budget runs out.  The walk reads the basis's Gram-Schmidt data rounded
-once and takes no radius: its first descent, nearest-first as in
-Schnorr-Euchner, sets one and each later leaf shrinks it.
+node budget runs out.  The walk prunes on the basis's integral Gram-Schmidt
+data, exact in Python ints, and takes no radius: its first descent,
+nearest-first as in Schnorr-Euchner, sets one and each later leaf shrinks it.
 
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
 checked record (``linalg._channel``).  At every K candidates are ranked by the
-exact integer a^T Q a (``linalg._q_norm``), the set is empty when the first
-reaches U (a^T G a >= snr, exactly), and each norm reported is that a^T Q a
-rounded once (``linalg._exact_norm``), the norm the rates use.
+exact integer a^T Q a and exact ties by the signed a, the set is empty when the
+first reaches U (a^T G a >= snr, exactly), and each norm reported is that
+a^T Q a rounded once (``linalg._exact_norm``), the norm the rates use.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ DEFAULT_BUDGET = 10_000_000
 
 # Channels of at most this many gains are searched by greedy reduction, with no LLL or walk
 _EXACT_K = 3
-
-# The walk keeps the leaves whose cost is within this factor of the least one,
-# for ``_search`` to rank by exact a^T Q a: costs equal on the walk's own mu and
-# bb differ in floats by the rounding of its sums, a few ulps per level (a
-# center, a square, a product, a running sum), which 64 eps covers at these K.
-_WINDOW = 1.0 + 64 * 2.0**-52
-
 
 class BudgetExceeded(RuntimeError):
     """Raised when enumeration visits more nodes than the caller allowed."""
@@ -178,64 +171,54 @@ def _lll(g: list[list[int]], delta: float) -> tuple[list[list[int]], list[list[i
     return u, lam, dd
 
 
-def _walk_floats(lam: list[list[int]], dd: list[int]) -> tuple[list[list[float]], list[float]]:
-    """The walk's mu[i][j] = lam[i][j] / dd[j + 1] and bb[i] = dd[i + 1] / dd[i], each an int / int division rounded once.
+def _walk(lam: list[list[int]], dd: list[int], floor: int, budget: int, nodes: int = 0) -> tuple[int, list, int]:
+    """The least x^T Q x over the c with c[floor:] nonzero, one per {c, -c}, and every c that reaches it.
 
-    The walk is the same at every scale: bb is scaled by the power of two that puts the largest in
-    (1/2, 2).  ValueError when a mu overflows or the least bb is then not a normal float.
+    x = sum_i c_i b_i on ``_gso``'s data lam and dd of the basis b.  With
+    dd_l = dd[l], P_l = dd_l ||pi_l(x)||^2 is an integer for each l, pi_l
+    projecting away b_0..b_{l-1}: fixed from the last coordinate down, P_k = 0
+    and P_l = (dd_l P_{l+1} + t_l^2) / dd_{l+1}, an exact division, with
+    t_l = dd_{l+1} c_l + sum_{j>l} lam[j][l] c_j; a leaf's cost P_0 is x^T Q x.
+    While the fixed coordinates are zero the current one must be nonnegative,
+    and positive at ``floor``, which keeps the representative whose last
+    nonzero entry is positive.  The first descent takes the integer nearest
+    each center -sum_{j>l} lam[j][l] c_j / dd_{l+1} (Schnorr-Euchner),
+    reaching Babai's point; each leaf lowers the limit, and each level's range
+    t_l^2 <= dd_l (dd_{l+1} limit - P_{l+1}) counts against ``budget`` from
+    ``nodes`` before any value in it is tried.  Returns the least cost, every
+    c that reaches it and the new node count.
     """
-    e = max(b.bit_length() - a.bit_length() for a, b in zip(dd, dd[1:]))
-    bb = [(b << max(-e, 0)) / (a << max(e, 0)) for a, b in zip(dd, dd[1:])]
-    try:
-        mu = [[x / d for x, d in zip(row, dd[1:])] for row in lam]
-        if min(bb) >= 2.0**-1022:  # the least normal float
-            return mu, bb
-    except OverflowError:
-        pass
-    raise ValueError("the lattice's Gram-Schmidt lengths span more than the floats hold; gains, weights or snr are too far apart")
+    k = len(dd) - 1
+    c, leaves, limit = [0] * k, [], None
 
-
-def _walk(mu, bb, floor: int, budget: int, nodes: int = 0) -> tuple[list, int]:
-    """The c with c[floor:] nonzero, one per {c, -c}, of least ||R c||^2 to within ``_WINDOW``.
-
-    ||R c||^2 = sum_i bb[i] (c_i + sum_{j>i} mu[j][i] c_j)^2 (``_walk_floats``),
-    fixed from the last coordinate down; while the fixed ones are zero the
-    current one must be nonnegative, and positive at ``floor``, which keeps
-    the representative whose last nonzero entry is positive.  The first
-    descent takes the integer nearest each center (Schnorr-Euchner), reaching
-    Babai's point; each leaf shrinks the radius, and each level's range at the
-    radius counts against ``budget`` from ``nodes``.  Returns the leaves and
-    the new node count.
-    """
-    k = len(bb)
-    a, leaves, limit = [0] * k, [], math.inf
-
-    def descend(level: int, partial: float, tail_zero: bool) -> None:
+    def descend(level: int, partial: int, tail_zero: bool) -> None:
         nonlocal nodes, limit
         if level < 0:  # a leaf
-            leaves.append((partial, tuple(a)))
-            limit = min(limit, partial * _WINDOW)
+            if limit is None or partial < limit:
+                limit = partial
+                leaves.clear()
+            leaves.append(tuple(c))
             return
-        center = -sum(mu[j][level] * a[j] for j in range(level + 1, k))
-        weight = bb[level]
-        low = int(level == floor) if tail_zero else -math.inf
-        first = max(round(center), low) if limit == math.inf else None
-        if first is not None:  # the first descent: the nearest admissible integer alone, until its leaf sets the radius
-            a[level] = first
-            descend(level - 1, partial + weight * (first - center) ** 2, tail_zero and first == 0)
-        half = math.sqrt((limit - partial) / weight)
-        lo, hi = max(math.ceil(center - half), low), math.floor(center + half)
+        d, scale = dd[level + 1], dd[level]
+        s = sum(lam[j][level] * c[j] for j in range(level + 1, k))
+        base, low = scale * partial, int(level == floor) if tail_zero else -math.inf
+        first = max((d - 2 * s) // (2 * d), low) if limit is None else None
+        if first is not None:  # the first descent: the nearest admissible integer alone, until its leaf sets the limit
+            c[level] = first
+            descend(level - 1, (base + (d * first + s) ** 2) // d, tail_zero and first == 0)
+        r = math.isqrt(scale * (d * limit - partial))
+        lo, hi = max(-((r + s) // d), low), (r - s) // d
         nodes += max(0, hi - lo + 1)
         if nodes > budget:
             raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
         for v in range(lo, hi + 1):
-            cost = partial + weight * (v - center) ** 2
-            if cost <= limit and v != first:  # a cost passes the limit only after a leaf shrank it
-                a[level] = v
+            cost = (base + (d * v + s) ** 2) // d
+            if cost <= scale * limit and v != first:  # a cost passes the limit only after a leaf lowered it
+                c[level] = v
                 descend(level - 1, cost, tail_zero and v == 0)
 
-    descend(k - 1, 0.0, True)
-    return [c for cost, c in leaves if cost <= limit], nodes
+    descend(k - 1, 0, True)
+    return limit, leaves, nodes
 
 
 def _fold(w: list[list[int]], m: int, c: tuple[int, ...]) -> bool:
@@ -268,9 +251,9 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     0..m-1, ranked by a^T G a with ties broken lexicographically on the
     canonicalized entries, on the channel record the Gram carries: vectors
     and norms equal ``transform``'s rows.  The ranking is by the exact
-    a^T G a (for K >= 4, of the walk's leaves within its float window).  For
-    K >= 4 BudgetExceeded is raised when the K enumeration trees together
-    grow past ``budget`` nodes; callers may fall back to ``lll_reduce``.
+    a^T G a at every K.  For K >= 4 BudgetExceeded is raised when the K
+    enumeration trees together grow past ``budget`` nodes; callers may fall
+    back to ``lll_reduce``.
     Returns an empty set when even the shortest vector has a^T G a >= snr
     exactly (no positive rate).  A negative ``budget``, or a Gram with no
     channel record (built by hand or ``dataclasses.replace``), is a ValueError.
@@ -367,31 +350,28 @@ def _exact_search(ch: _Checked) -> OptimalSet:
 
 
 def _search(ch: _Checked, budget: int) -> OptimalSet:
-    """``successive_minima`` on a channel record: ``_exact_search`` for K <= 3, else LLL on Q and the walk."""
+    """``successive_minima`` on a channel record: ``_exact_search`` for K <= 3, else LLL on Q and the walk.
+
+    Each step's norm is the walk's least cost, the exact a^T Q a, and its row
+    the least signed a = W c among the c that reach it.
+    """
     if len(ch.g) <= _EXACT_K:
         return _exact_search(ch)
     q = _q_matrix(ch)
     u, lam, dd = _lll(q, 0.99)
     w = [list(row) for row in zip(*u)]
-    mu, bb = _walk_floats(lam, dd)
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(w)):
-        coords, nodes = _walk(mu, bb, m, budget, nodes)
-        best = None
-        for c in coords:  # ranked by (a^T Q a, a) for a = W c, sign-normalized
-            a = _signed(tuple(_dot(row, c) for row in w))
-            key = (_q_norm(ch, a), a, c)
-            best = key if best is None or key < best else best
-        n, vec, c = best
+        n, coords, nodes = _walk(lam, dd, m, budget, nodes)
         if m == 0 and n >= ch.q[-1]:  # the positive-rate rule of ``_exact_search``
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
+        vec, c = min((_signed(tuple(_dot(row, c) for row in w)), c) for c in coords)  # exact ties ranked by signed a = W c
         vectors.append(vec)
         out_norms.append(_exact_norm(ch, n))
         if m + 1 < len(w) and _fold(w, m, c):  # w is not read after the last step
             cols = list(zip(*w))
             qw = [[_dot(row, v) for row in q] for v in cols]  # the columns Q w_j
             _gso([[_dot(col, x) for x in qw] for col in cols], lam, dd, m)  # of the Gram W^T Q W, from vector m on
-            mu, bb = _walk_floats(lam, dd)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 
 

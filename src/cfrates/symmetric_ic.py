@@ -57,6 +57,12 @@ def _log2p(x: float) -> float:
     return max(0.0, math.log2(x)) if x > 0 else 0.0
 
 
+def _check_users(users, least: int) -> None:
+    """ValueError unless ``users`` is an integer (``numbers.Integral``: numpy ints pass, 3.0 and nan do not) of at least ``least``."""
+    if not (isinstance(users, numbers.Integral) and users >= least):
+        raise ValueError(f"need an integer number of users, at least {least}")
+
+
 @dataclass(frozen=True)
 class SymmetricIcSpec:
     """Symmetric interference channel instance: K users, cross gain, snr."""
@@ -66,8 +72,7 @@ class SymmetricIcSpec:
     snr: float
 
     def __post_init__(self):
-        if not (isinstance(self.users, numbers.Integral) and self.users >= 2):
-            raise ValueError("need an integer number of users, at least two")
+        _check_users(self.users, 2)
         if not (math.isfinite(self.cross_gain) and self.cross_gain >= 0):
             raise ValueError("cross gain must be nonnegative and finite")
         if not (math.isfinite(self.snr) and self.snr > 0):
@@ -221,12 +226,12 @@ def gdof(alpha: float, users: int) -> float:
     """Generalized degrees-of-freedom per user at interference level alpha.
 
     Piecewise linear with a singularity at alpha == 1, where the value drops
-    to 1/K.
+    to 1/K.  ValueError unless alpha is nonnegative and ``users`` an integer
+    of at least 2.
     """
     if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
-    if users < 2:
-        raise ValueError("need at least two users")
+    _check_users(users, 2)
     if alpha < 0.5:
         return 1.0 - alpha
     if alpha <= _TWO_THIRDS:
@@ -244,16 +249,16 @@ def tdma_rate(spec_or_users, snr: float | None = None) -> float:
     """Time-division baseline: (1/K) * 0.5*log2(1 + K*snr).
 
     Each user transmits a 1/K fraction of the time with a K-fold power boost
-    (same average power).
+    (same average power).  ValueError unless a user count is an integer of at
+    least 1 and snr is positive and finite.
     """
     if isinstance(spec_or_users, SymmetricIcSpec):
         users, snr = spec_or_users.users, spec_or_users.snr
     else:
+        _check_users(spec_or_users, 1)
         users = int(spec_or_users)
         if snr is None:
             raise ValueError("snr required when passing a user count")
-    if users < 1:
-        raise ValueError("need at least one user")
     if not 0 < snr < math.inf:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     return 0.5 * math.log2(1.0 + users * snr) / users

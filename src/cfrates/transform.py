@@ -117,13 +117,11 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     the node budget is exhausted; 'exhaustive' propagates BudgetExceeded;
     'lll' skips enumeration entirely.  The budget, and so BudgetExceeded and
     the fallback, apply to K >= 4 only: for K <= 3 the exhaustive search is an
-    exact reduction with no enumeration; the K >= 4 walk raises ValueError when
-    the lattice's Gram-Schmidt lengths span more than the floats hold.  Each
-    row's result comes from the record and the row's search norm by the same
-    ``rates._rate`` that ``comp_rate`` calls, and the rank check is
-    ``exact_rank``'s elimination on the rows.  A row whose exact norm is below
-    snr but rounds to it has rate 0.0.  ValueError for an unknown method or a
-    negative ``budget``.
+    exact reduction with no enumeration.  Each row's result comes from the
+    record and the row's search norm by the same ``rates._rate`` that
+    ``comp_rate`` calls, and the rank check is ``exact_rank``'s elimination on
+    the rows.  A row whose exact norm is below snr but rounds to it has rate
+    0.0.  ValueError for an unknown method or a negative ``budget``.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")

@@ -22,6 +22,17 @@ from cfrates.transform import ChannelSpec, transform
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+# A K = 4 channel whose first minimum is about 1e134 times shorter than the others: in the last step
+# one level of the exact walk holds more integers than the default budget, charged before any is tried
+FALLBACK_ARGS = [
+    "--eff-g",
+    "3.812245313001031e+89,1.127565542431324e+90,2.0273245928995462e+90,-2.2212917830164186e+90",
+    "--eff-b",
+    "0.00218,0.000325,5.44e+19,1.81e-14",
+    "--snr-db",
+    "28",
+]
+
 
 def run_cli(args, timeout=300, code=None):
     """``python -m cfrates args``, or ``python -c code args`` when ``code`` is given."""
@@ -118,13 +129,13 @@ class TestRates:
 
     @pytest.mark.parametrize(
         "args",
-        [["--h", "1,2.5", "--snr-db", "25", "--method", "lll"], ["--h", "1,1,1,1", "--snr-db", "300"]],
+        [["--h", "1,2.5", "--snr-db", "25", "--method", "lll"], FALLBACK_ARGS],
         ids=["lll", "auto-fallback"],
     )
     def test_lll_transform_writes_nothing_to_stderr(self, args):
         # sum_rate_bounds warns that an LLL lower bound is not guaranteed; the
         # table says "search: lll".  The second channel's walk exceeds the
-        # budget at once (K = 4: K <= 3 searches have no budget)
+        # default budget at once (K = 4: K <= 3 searches have no budget)
         proc = run_cli(["rates", *args])
         assert proc.returncode == 0 and proc.stderr == ""
         assert "search: lll" in proc.stdout

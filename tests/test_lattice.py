@@ -23,7 +23,6 @@ from cfrates.lattice import (
     _search,
     _signed,
     _walk,
-    _walk_floats,
     canonicalize,
     candidate_bound,
     lll_reduce,
@@ -242,9 +241,11 @@ def refresh_every_step_search(ch, budget):
     for m in range(len(w)):
         if m:
             _gso(gram_of(q, zip(*w)), lam, dd, m - 1)
-        coords, nodes = cfrates.lattice._walk(*_walk_floats(lam, dd), m, budget, nodes)
+        least, coords, nodes = cfrates.lattice._walk(lam, dd, m, budget, nodes)
         cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
-        n, vec, c = min((_q_norm(ch, a), a, c) for a, c in zip(cands, coords))
+        norms = [_q_norm(ch, a) for a in cands]
+        assert set(norms) == {least}  # the walk's least cost is the exact a^T Q a of every point it returns
+        n, vec, c = min(zip(norms, cands, coords))
         if m == 0 and n >= ch.q[-1]:  # a^T G a >= snr, exactly
             return OptimalSet(vectors=(), norms=(), method="exhaustive")
         vectors.append(vec)
@@ -559,9 +560,9 @@ class TestRefreshAfterMovingFold:
             folds.append((m, len(c), moved))
             return moved
 
-        def recording_walk(mu, bb, *args):
-            walks.append(copy.deepcopy((mu, bb, args)))
-            return _walk(mu, bb, *args)
+        def recording_walk(lam, dd, *args):
+            walks.append(copy.deepcopy((lam, dd, args)))
+            return _walk(lam, dd, *args)
 
         monkeypatch.setattr(cfrates.lattice, "_fold", recording_fold)
         monkeypatch.setattr(cfrates.lattice, "_walk", recording_walk)
@@ -572,7 +573,7 @@ class TestRefreshAfterMovingFold:
             ref_walks = walks[:]
             walks.clear()
             assert outcome(_search, ch, budget) == ref, label
-            # every step walks the same triangular factor, bit for bit
+            # every step walks the same integral Gram-Schmidt data
             assert walks == ref_walks, label
             kinds.add(ref[0] if isinstance(ref, tuple) else "ok")
         assert {"ok", BudgetExceeded} <= kinds
@@ -613,7 +614,8 @@ def least_outside(ch, rows, m, limit):
     k = len(rows)
     assert abs(exact_det(rows)) == 1
     g = exact_gram(ch)
-    r = [[sum(u[i] * g[i][j] * v[j] for i in range(k) for j in range(k)) for v in rows] for u in rows]
+    gv = [[sum(g[i][j] * v[j] for j in range(k)) for v in rows] for i in range(k)]  # the columns G v
+    r = [[sum(u[i] * gv[i][col] for i in range(k)) for col in range(k)] for u in rows]
     mu, d = [[Fraction(0)] * k for _ in range(k)], []
     for i in range(k):
         for j in range(i):
@@ -638,6 +640,33 @@ def least_outside(ch, rows, m, limit):
 
     descend(k - 1, Fraction(0))
     return min(found, default=None)
+
+
+def certify(cases):
+    """Check ``_search`` on each channel record against ``least_outside``; returns (empty sets, sets with an exact tie).
+
+    Vector m must be the least (exact norm, signed a) outside the span of
+    vectors 0..m-1, and its norm the exact one rounded once; an empty set
+    must have no vector with a^T G a below snr.
+    """
+    empty = tied = 0
+    for ch in cases:
+        opt = _search(ch, DEFAULT_BUDGET)
+        assert opt.method == "exhaustive"
+        rows = opt.vectors
+        if not rows:  # no vector has a^T G a below snr
+            unit = [tuple(int(i == j) for j in range(len(ch.g))) for i in range(len(ch.g))]
+            least = least_outside(ch, unit, 0, Fraction(ch.snr))
+            assert least is None or least[0] >= Fraction(ch.snr)
+            empty += 1
+            continue
+        exact = exact_gram(ch)
+        norms = [sum(x * exact[i][j] * y for i, x in enumerate(a) for j, y in enumerate(a)) for a in rows]
+        assert opt.norms == tuple(map(float, norms))
+        for m, (a, norm) in enumerate(zip(rows, norms)):
+            assert least_outside(ch, rows, m, norm) == (norm, a), (ch.g, ch.b_sq, ch.snr, m)
+        tied += len(set(norms)) < len(norms)
+    return empty, tied
 
 
 def exact_search_cases():
@@ -678,28 +707,47 @@ def exact_search_cases():
             yield gram._checked
 
 
+def walk_cases():
+    """Channel records with K = 4..6, 10-300 dB, for the walk: random MACs and exact ties.
+
+    The random ones are plain and weighted at 10-300 dB.  The plain [1, 1, 1, 1],
+    [2, 1, 1, 1], [1, 1, 1, 1, 1] and [2, 2, 1, 1, 1, 1] have minima that tie
+    exactly, at every snr; so do many of the weighted integer channels that
+    follow: gains in {-2..2}, weights in {1..4}, integer snr or 10/25/80/300 dB.
+    """
+    rng = np.random.default_rng(27)
+    for db in (10, 25, 45, 80, 120, 160, 200, 250, 300):
+        snr = 10 ** (db / 10)
+        for k in (4, 5, 6):
+            yield _channel(rng.normal(size=k), snr)
+            yield _channel(rng.normal(size=k), snr, rng.uniform(0.25, 4, size=k))
+    for h in ([1, 1, 1, 1], [2, 1, 1, 1], [1, 1, 1, 1, 1], [2, 2, 1, 1, 1, 1]):
+        for db in (10, 40, 160, 300):
+            yield _channel(h, 10 ** (db / 10))
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        k = int(rng.integers(4, 7))
+        g, b = rng.integers(-2, 3, size=k), rng.integers(1, 5, size=k)
+        snr = float(rng.integers(1, 21)) if rng.integers(0, 2) else 10 ** (int(rng.choice([10, 25, 80, 300])) / 10)
+        if g.any():
+            yield _channel(g.tolist(), snr, b.tolist())
+
+
+class TestExactWalk:
+    """K >= 4: the integer walk gives the exact successive minima, ties included, from 10 to 300 dB."""
+
+    def test_equals_the_exact_minima(self):
+        """As for K <= 3: vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1."""
+        empty, tied = certify(walk_cases())
+        assert empty == 0 and tied >= 20
+
+
 class TestExactSearch:
     """K <= 3: the greedy-reduced basis gives the exact successive minima, ties included, at any snr."""
 
     def test_equals_the_exact_minima(self):
         """Vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1; its norm is the exact one rounded once."""
-        empty = 0
-        for ch in exact_search_cases():
-            opt = _search(ch, DEFAULT_BUDGET)
-            assert opt.method == "exhaustive"
-            rows = opt.vectors
-            if not rows:  # no vector has a^T G a below snr
-                unit = [tuple(int(i == j) for j in range(len(ch.g))) for i in range(len(ch.g))]
-                least = least_outside(ch, unit, 0, Fraction(ch.snr))
-                assert least is None or least[0] >= Fraction(ch.snr)
-                empty += 1
-                continue
-            exact = exact_gram(ch)
-            norms = [sum(x * exact[i][j] * y for i, x in enumerate(a) for j, y in enumerate(a)) for a in rows]
-            assert opt.norms == tuple(map(float, norms))
-            for m, (a, norm) in enumerate(zip(rows, norms)):
-                assert least_outside(ch, rows, m, norm) == (norm, a), (ch.g, ch.b_sq, ch.snr, m)
-        assert empty < 5
+        assert certify(exact_search_cases())[0] < 5
 
     def test_high_snr_ties(self):
         # thousands of (k, k + 1) tie (1, 1) to within a few ulps here; only exact norms rank them

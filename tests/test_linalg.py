@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfrates.lattice import BudgetExceeded, candidate_bound
+from cfrates.lattice import candidate_bound
 from cfrates.linalg import (
     GramMatrix,
     RationalMatrix,
@@ -350,15 +350,12 @@ def test_gram_floats_cannot_orthogonalize_is_refused(gains, snr, method):
 
     LLL and the searches run on the integer Gram Q, so every norm is the
     exact a^T G a rounded once and every ``gram()`` entry the exact G_ij
-    rounded once; an exhaustive K >= 4 walk may instead exceed its budget.
+    rounded once.  The K >= 4 walk, exact too, answers each within its budget.
     """
     channel = ChannelSpec.plain(gains, snr)
-    try:
-        t = transform(channel, method, budget=100_000)
-    except BudgetExceeded:
-        assert method == "exhaustive" and len(gains) >= 4
-    else:
-        assert [r.sigma2_eff for r in t.results] == [float(exact_sq_norm(gains, channel.weights_sq, snr, r.a)) for r in t.results]
+    t = transform(channel, method, budget=100_000)
+    assert t.method == ("lll" if method == "lll" else "exhaustive")
+    assert [r.sigma2_eff for r in t.results] == [float(exact_sq_norm(gains, channel.weights_sq, snr, r.a)) for r in t.results]
     assert channel.gram().entries.tolist() == [[float(x) for x in row] for row in exact_gram(gains, channel.weights_sq, snr)]
 
 
@@ -371,18 +368,23 @@ def test_k_ge_4_comp_rate_needs_no_m():
 
 @pytest.mark.parametrize("method", ["lll", "auto"])
 def test_lll_rows_at_high_snr_are_exactly_rounded(method):
-    """LLL rows on the integer Gram, each norm the exact a^T G a rounded once.
+    """LLL rows, and ``auto``'s exhaustive rows, on the integer Gram, each norm the exact a^T G a rounded once.
 
     At 300 dB the equal gains give (1, 1, 1, 1) and three unit vectors, where
-    a float LLL returned entries near 1e14 (``auto`` falls back to LLL there);
-    at 1600 dB unequal gains give rows with entries past 2^27.
+    a float LLL returned entries near 1e14; ``auto``, which fell back to LLL
+    there while its walk pruned in floats, now walks them exactly, with the
+    tied unit vectors ranked by signed a.  At 1600 dB unequal gains give rows
+    with entries past 2^27.
     """
     equal, unequal = ChannelSpec.plain([1, 1, 1, 1], 1e30), ChannelSpec.plain([1, 2.5, 0.7, 1.3], 1e160)
+    searched = "lll" if method == "lll" else "exhaustive"
     t = transform(equal, method)
-    assert t.method == "lll" and t.results[0].a == (1, 1, 1, 1)
+    assert t.method == searched and t.results[0].a == (1, 1, 1, 1)
     assert all(sorted(r.a) == [0, 0, 0, 1] for r in t.results[1:])
+    if method == "auto":
+        assert [r.a for r in t.results[1:]] == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)]
     far = transform(unequal, method, budget=10_000)
-    assert max(abs(x) for r in far.results for x in r.a) > 2**27
+    assert far.method == searched and max(abs(x) for r in far.results for x in r.a) > 2**27
     for channel, rows in ((equal, t), (unequal, far)):
         exact = [float(exact_sq_norm(channel.gains, channel.weights_sq, channel.snr, r.a)) for r in rows.results]
         assert [r.sigma2_eff for r in rows.results] == exact

@@ -261,6 +261,13 @@ class TestGdof:
         with pytest.raises(ValueError, match="alpha must be nonnegative"):
             gdof(math.nan, 3)
 
+    @pytest.mark.parametrize("alpha, users", [(1.0, 2.5), (0.5, math.nan), (0.5, 3.0), (0.5, 1)])
+    def test_users_must_be_an_integer(self, alpha, users):
+        # (1.0, 2.5) gave 0.4, 1 / 2.5; (0.5, nan) passed the users < 2 check and gave 0.5
+        with pytest.raises(ValueError, match="integer number of users, at least 2"):
+            gdof(alpha, users)
+        assert gdof(1.0, np.int64(4)) == 0.25
+
 
 class TestTdma:
     def test_single_user(self):
@@ -273,6 +280,13 @@ class TestTdma:
         snr = 31.6227766
         rates = [tdma_rate(k, snr) for k in range(1, 9)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("users", [2.5, 3.9, math.nan, 0, "3"])
+    def test_users_must_be_an_integer(self, users):
+        # int() truncated 2.5 to the 2-user answer, 1.9128, and 3.9 to the 3-user one; nan failed in int()
+        with pytest.raises(ValueError, match="integer number of users, at least 1"):
+            tdma_rate(users, 100.0)
+        assert tdma_rate(np.int64(2), 100.0) == tdma_rate(2, 100.0) == 0.25 * math.log2(201.0)
 
     @pytest.mark.parametrize("snr", [-0.4, 0.0, math.inf, math.nan])
     def test_rejects_snr_outside_the_positive_floats(self, snr):

@@ -5,7 +5,6 @@ import hashlib
 import importlib
 import itertools
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -241,21 +240,22 @@ class TestTransform:
             transform(ch, method="exhaustive", budget=0)
 
     def test_200_db_near_ties_fit_a_small_budget(self):
-        # every (k, k+1) costs 5e19 + (2k+1)^2/4 in step 1; the walk ranks only
-        # the 1,688 within 64 eps of the least cost
+        # every (k, k+1) costs 5e19 + (2k+1)^2/4 in step 1, the same in floats
+        # for thousands of k; K = 2 searches exactly, with no budget
         t = transform(ChannelSpec.plain([1.0, 1.0], 1e20), "exhaustive", budget=10_000)
         assert [r.a for r in t.results] == [(1, 1), (0, 1)]
 
-    def test_level_the_floats_cannot_resolve_exceeds_the_budget_at_once(self):
+    def test_level_past_the_float_resolution_is_walked_exactly(self):
         # the first minimum (1, 1, 1, 1) has norm about 1 and the others about
-        # snr = 1e30, where the costs' ulp is about 1e14: at step 2 the level
-        # along it, about 1e15 integers, is charged before any is tried
+        # snr = 1e30, where a float cost's ulp is about 1e14: at step 2 the level
+        # along it held about 1e15 integers for a float walk.  On the exact
+        # projected norms each level holds a few, and the unit vectors tie exactly
         ch = ChannelSpec.plain([1.0] * 4, 1e30)
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceeded):
-            transform(ch, "exhaustive")
-        assert time.perf_counter() - start < 0.1
-        assert transform(ch).method == "lll"
+        t = transform(ch, "exhaustive", budget=100)
+        assert [r.a for r in t.results] == [(1, 1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)]
+        assert [r.sigma2_eff for r in t.results] == [float(exact_norm(ch, r.a)) for r in t.results]
+        assert exact_norm(ch, (0, 0, 0, 1)) < exact_norm(ch, (1, 1, 1, 0))
+        assert transform(ch).method == "exhaustive"
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -277,11 +277,41 @@ def test_returns_or_refuses_across_the_float_range(k, gain_exp, snr_exp, seed, w
         pass
 
 
-def test_lengths_past_the_float_range_are_refused_by_the_walk():
-    # the Gram-Schmidt lengths span about 2^2000: LLL on Q is exact, but the walk's bb cannot hold them
+def test_walk_answers_across_the_float_range():
+    """K = 4..6, gains 1e+-150, snr 1e+-100, weights 1e+-20: the exhaustive walk answers, or exceeds its budget.
+
+    The walk prunes on exact integers, so no Gram-Schmidt length is out of its
+    range and no level finer than it resolves; a ValueError can only be a
+    channel or norm refusal.  Each answered norm is the exact a^T G a rounded
+    once.  A walk that pruned in floats exceeded the 100,000 budget on 229 of
+    these 300 channels, and answered 59.
+    """
+    rng = np.random.default_rng(4)
+    answered = 0
+    for _ in range(300):
+        k = int(rng.integers(4, 7))
+        g = rng.normal(size=k) * 10 ** rng.uniform(-150, 150)
+        b_sq, snr = 10 ** rng.uniform(-20, 20, size=k), 10 ** rng.uniform(-100, 100)
+        try:
+            channel = ChannelSpec.effective(g, b_sq, snr)
+            t = transform(channel, "exhaustive", budget=100_000)
+        except BudgetExceeded:
+            continue
+        except ValueError as exc:
+            assert any(x in str(exc) for x in ("overflows floating point", "underflows floating point", "positive-rate")), exc
+            continue
+        assert [r.sigma2_eff for r in t.results] == [float(exact_norm(channel, r.a)) for r in t.results]
+        answered += 1
+    assert answered >= 260
+
+
+def test_lengths_past_the_float_range_reach_the_norm_check():
+    # the Gram-Schmidt lengths span about 2^2000: LLL and the walk on Q are exact, and only a
+    # norm the floats cannot hold, about snr b_1 = 1e310, is refused
     channel = ChannelSpec.effective((1e-300, 1, 1, 1), (1e300, 1e-300, 1, 1), 1e10)
-    with pytest.raises(ValueError, match="Gram-Schmidt lengths span more than the floats hold"):
-        transform(channel, "auto")
+    for method in ("auto", "exhaustive"):
+        with pytest.raises(ValueError, match=r"noise norm a\^T G a overflows floating point"):
+            transform(channel, method)
 
 
 @st.composite
