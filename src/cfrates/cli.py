@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -261,7 +262,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--points must be at least 2")
         if not 0 < args.g_min < args.g_max < math.inf:
             parser.error("need 0 < g-min < g-max < inf")
-    if args.command in ("report", "sweep") and args.k < 2:
+    if args.command in ("report", "sweep", "gdof") and args.k < 2:
         parser.error("--k must be at least 2")
 
 
@@ -270,7 +271,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else list(argv)))
     _validate(parser, args)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # stdout was closed: say nothing, and let the exit's flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,7 +37,6 @@ a^T Q a rounded once (``linalg._exact_norm``), the norm the rates use.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -49,6 +48,7 @@ DEFAULT_BUDGET = 10_000_000
 
 # Channels of at most this many gains are searched by greedy reduction, with no LLL or walk
 _EXACT_K = 3
+_DELTA = 0.99  # the Lovasz parameter of the LLL that starts the walk, of the LLL fallback and of lll_reduce's default
 
 class BudgetExceeded(RuntimeError):
     """Raised when enumeration visits more nodes than the caller allowed."""
@@ -175,18 +175,19 @@ def _walk(lam: list[list[int]], dd: list[int], floor: int, budget: int, nodes: i
     """The least x^T Q x over the c with c[floor:] nonzero, one per {c, -c}, and every c that reaches it.
 
     x = sum_i c_i b_i on ``_gso``'s data lam and dd of the basis b.  With
-    dd_l = dd[l], P_l = dd_l ||pi_l(x)||^2 is an integer for each l, pi_l
-    projecting away b_0..b_{l-1}: fixed from the last coordinate down, P_k = 0
-    and P_l = (dd_l P_{l+1} + t_l^2) / dd_{l+1}, an exact division, with
-    t_l = dd_{l+1} c_l + sum_{j>l} lam[j][l] c_j; a leaf's cost P_0 is x^T Q x.
-    While the fixed coordinates are zero the current one must be nonnegative,
-    and positive at ``floor``, which keeps the representative whose last
-    nonzero entry is positive.  The first descent takes the integer nearest
-    each center -sum_{j>l} lam[j][l] c_j / dd_{l+1} (Schnorr-Euchner),
-    reaching Babai's point; each leaf lowers the limit, and each level's range
-    t_l^2 <= dd_l (dd_{l+1} limit - P_{l+1}) counts against ``budget`` from
-    ``nodes`` before any value in it is tried.  Returns the least cost, every
-    c that reaches it and the new node count.
+    dd_l = dd[l], P_l = dd_l ||pi_l(x)||^2 is an integer, pi_l projecting away
+    b_0..b_{l-1}: fixed from the last coordinate down, P_k = 0 and P_l =
+    (dd_l P_{l+1} + t_l^2) / dd_{l+1}, an exact division, with t_l = dd_{l+1}
+    c_l + sum_{j>l} lam[j][l] c_j; a leaf's cost P_0 is x^T Q x.  While the
+    fixed coordinates are zero (so the sum is 0) the current one is
+    nonnegative, and positive at ``floor``: the representative whose last
+    nonzero entry is positive.  Each level walks up, then down, from the
+    integer nearest its center -sum_{j>l} lam[j][l] c_j / dd_{l+1}; a side
+    stops at the first P_l past dd_l times the limit, as the cost grows away
+    from the center (Schnorr-Euchner) and the limit, the least leaf cost, only
+    falls from the first leaf, Babai's point.  Each value entered counts one
+    node against ``budget`` from ``nodes``.  Returns the least cost, every c
+    that reaches it and the new node count.
     """
     k = len(dd) - 1
     c, leaves, limit = [0] * k, [], None
@@ -201,19 +202,16 @@ def _walk(lam: list[list[int]], dd: list[int], floor: int, budget: int, nodes: i
             return
         d, scale = dd[level + 1], dd[level]
         s = sum(lam[j][level] * c[j] for j in range(level + 1, k))
-        base, low = scale * partial, int(level == floor) if tail_zero else -math.inf
-        first = max((d - 2 * s) // (2 * d), low) if limit is None else None
-        if first is not None:  # the first descent: the nearest admissible integer alone, until its leaf sets the limit
-            c[level] = first
-            descend(level - 1, (base + (d * first + s) ** 2) // d, tail_zero and first == 0)
-        r = math.isqrt(scale * (d * limit - partial))
-        lo, hi = max(-((r + s) // d), low), (r - s) // d
-        nodes += max(0, hi - lo + 1)
-        if nodes > budget:
-            raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
-        for v in range(lo, hi + 1):
-            cost = (base + (d * v + s) ** 2) // d
-            if cost <= scale * limit and v != first:  # a cost passes the limit only after a leaf lowered it
+        base, start = scale * partial, (d - 2 * s) // (2 * d)
+        sides = [itertools.count(int(level == floor))] if tail_zero else [itertools.count(start), itertools.count(start - 1, -1)]
+        for side in sides:
+            for v in side:
+                cost = (base + (d * v + s) ** 2) // d
+                if limit is not None and cost > scale * limit:
+                    break
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
                 c[level] = v
                 descend(level - 1, cost, tail_zero and v == 0)
 
@@ -358,7 +356,7 @@ def _search(ch: _Checked, budget: int) -> OptimalSet:
     if len(ch.g) <= _EXACT_K:
         return _exact_search(ch)
     q = _q_matrix(ch)
-    u, lam, dd = _lll(q, 0.99)
+    u, lam, dd = _lll(q, _DELTA)
     w = [list(row) for row in zip(*u)]
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(w)):
@@ -375,7 +373,7 @@ def _search(ch: _Checked, budget: int) -> OptimalSet:
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 
 
-def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
+def lll_reduce(basis: np.ndarray, delta: float = _DELTA) -> OptimalSet:
     """Suboptimal coefficient set from an LLL reduction of ``basis``.
 
     The rows of ``basis`` (for a Gram G, the Cholesky factor from
@@ -405,7 +403,7 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> OptimalSet:
         raise ValueError("LLL norm |B^T a|^2 overflows floating point") from None
 
 
-def _lll_set(ch: _Checked, delta: float = 0.99) -> OptimalSet:
+def _lll_set(ch: _Checked) -> OptimalSet:
     """``lll_reduce`` on the integer Gram Q of a channel record, ranked by exact a^T Q a, with ``_exact_norm`` norms."""
-    scored = sorted((_q_norm(ch, a), _signed(tuple(a))) for a in _lll(_q_matrix(ch), delta)[0])
+    scored = sorted((_q_norm(ch, a), _signed(tuple(a))) for a in _lll(_q_matrix(ch), _DELTA)[0])
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(_exact_norm(ch, n) for n, _ in scored), method="lll")

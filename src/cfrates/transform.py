@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import DEFAULT_BUDGET, BudgetExceeded, OptimalSet, _lll_set, _search
+from .lattice import DEFAULT_BUDGET, BudgetExceeded, _lll_set, _search
 from .linalg import GramMatrix, RationalMatrix, _channel, _Checked, _echelon, _gram, _int_rows, _logdet, _matrix
 from .rates import ComputationResult, _rate
 
@@ -128,16 +128,12 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     k, ch = channel.dim, channel._checked
-    opt: OptimalSet
-    if method == "lll":
+    try:
+        opt = _lll_set(ch) if method == "lll" else _search(ch, budget)
+    except BudgetExceeded:
+        if method == "exhaustive":
+            raise
         opt = _lll_set(ch)
-    else:
-        try:
-            opt = _search(ch, budget)
-        except BudgetExceeded:
-            if method == "exhaustive":
-                raise
-            opt = _lll_set(ch)
     if len(opt) != k:
         raise ValueError("channel admits no full positive-rate coefficient set")
     results = tuple(_rate(ch, vec, norm) for vec, norm in zip(opt.vectors, opt.norms))

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, CSV/JSON contracts, exit codes."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -17,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfrates.cli
 from cfrates.cli import SWEEP_COLUMNS, main
 from cfrates.transform import ChannelSpec, transform
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# A K = 4 channel whose first minimum is about 1e134 times shorter than the others: in the last step
-# one level of the exact walk holds more integers than the default budget, charged before any is tried
+# A K = 4 channel whose first minimum is about 1e134 times shorter than the others: the walk enters
+# about 20 values, though one level's range holds more integers than the default budget
 FALLBACK_ARGS = [
     "--eff-g",
     "3.812245313001031e+89,1.127565542431324e+90,2.0273245928995462e+90,-2.2212917830164186e+90",
@@ -34,20 +36,23 @@ FALLBACK_ARGS = [
 ]
 
 
-def run_cli(args, timeout=300, code=None):
-    """``python -m cfrates args``, or ``python -c code args`` when ``code`` is given."""
-    # pytest's pythonpath and filterwarnings settings do not reach a child process
-    env = dict(
+def cli_env():
+    """The environment of a child process, with pytest's pythonpath and filterwarnings settings, which do not reach it."""
+    return dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
         PYTHONWARNINGS="error::RuntimeWarning",
     )
+
+
+def run_cli(args, timeout=300, code=None):
+    """``python -m cfrates args``, or ``python -c code args`` when ``code`` is given."""
     proc = subprocess.run(
         [sys.executable, *(["-m", "cfrates"] if code is None else ["-c", code]), *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=cli_env(),
     )
     return proc
 
@@ -128,17 +133,50 @@ class TestRates:
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "args",
-        [["--h", "1,2.5", "--snr-db", "25", "--method", "lll"], FALLBACK_ARGS],
+        "args, search",
+        [(["--h", "1,2.5", "--snr-db", "25", "--method", "lll"], "lll"), (FALLBACK_ARGS, "exhaustive")],
         ids=["lll", "auto-fallback"],
     )
-    def test_lll_transform_writes_nothing_to_stderr(self, args):
+    def test_lll_transform_writes_nothing_to_stderr(self, args, search):
         # sum_rate_bounds warns that an LLL lower bound is not guaranteed; the
-        # table says "search: lll".  The second channel's walk exceeds the
-        # default budget at once (K = 4: K <= 3 searches have no budget)
+        # table says "search: lll".  The second channel's walk answers within
+        # the default budget, so its table says "search: exhaustive"
         proc = run_cli(["rates", *args])
         assert proc.returncode == 0 and proc.stderr == ""
-        assert "search: lll" in proc.stdout
+        assert f"search: {search}" in proc.stdout
+
+    def test_auto_fallback_writes_nothing_to_stderr(self, monkeypatch, capsys):
+        # a 3-node budget cannot finish this K = 4 walk, so auto falls back to LLL (K <= 3 has no budget)
+        monkeypatch.setattr(cfrates.cli, "transform", functools.partial(transform, budget=3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["rates", "--h", "1,0.62,0.34,0.21", "--snr-db", "30"]) == 0
+        captured = capsys.readouterr()
+        assert "search: lll" in captured.out
+        assert caught == [] and captured.err == ""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self, unbuffered):
+        # the read end is closed before the child starts, so its first write to stdout, at a print
+        # (unbuffered) or at main's flush (buffered), raises BrokenPipeError
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cfrates", "rates", "--h", "1,1,1,1", "--snr-db", "300"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=300,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1 and proc.stderr == ""
 
     @pytest.mark.parametrize("weights", [[], ["--eff-b", "1"]])
     def test_effective_weights_mismatch_exits_2(self, weights):
@@ -321,6 +359,13 @@ class TestGdof:
         out = capsys.readouterr().out.splitlines()
         values = [float(line.split(",")[1]) for line in out]
         assert values == [1.0, 0.5, 1 / 3, 0.75, 1.0]
+
+    def test_k_below_2_is_a_usage_error(self, capsys):
+        # as for report and sweep: argparse exits 2 before gdof refuses the user count
+        with pytest.raises(SystemExit) as exc:
+            main(["gdof", "--alpha", "0.5", "--k", "1"])
+        assert exc.value.code == 2
+        assert "--k must be at least 2" in capsys.readouterr().err
 
     def test_nan_alpha_is_a_computation_failure(self):
         proc = run_cli(["gdof", "--alpha", "nan", "--k", "3"], timeout=30)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -740,6 +741,33 @@ class TestExactWalk:
         """As for K <= 3: vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1."""
         empty, tied = certify(walk_cases())
         assert empty == 0 and tied >= 20
+
+    def test_far_shorter_first_minimum_fits_a_small_budget(self):
+        # the CLI tests' FALLBACK_ARGS channel: its first minimum is about 1e134 times shorter than the
+        # others, and a walk that charged each level's whole range before trying it exceeded 10M nodes
+        g = [3.812245313001031e89, 1.127565542431324e90, 2.0273245928995462e90, -2.2212917830164186e90]
+        channel = ChannelSpec.effective(g, [0.00218, 0.000325, 5.44e19, 1.81e-14], 10**2.8)
+        t = transform(channel, "exhaustive", budget=100)
+        assert certify([channel._checked]) == (0, 0)
+        assert tuple(r.a for r in t.results) == _search(channel._checked, DEFAULT_BUDGET).vectors
+
+    def test_budget_is_the_count_of_values_entered(self, monkeypatch):
+        # a search whose walks enter n values in all answers under a budget of n and raises under n - 1
+        totals = []
+
+        def recording_walk(*args):
+            least, coords, nodes = _walk(*args)
+            totals.append(nodes)
+            return least, coords, nodes
+
+        monkeypatch.setattr(cfrates.lattice, "_walk", recording_walk)
+        for ch in itertools.islice(walk_cases(), 0, None, 7):
+            totals.clear()
+            opt = _search(ch, DEFAULT_BUDGET)
+            n = totals[-1]
+            assert _search(ch, n) == opt
+            with pytest.raises(BudgetExceeded, match=f"exceeded {n - 1} nodes"):
+                _search(ch, n - 1)
 
 
 class TestExactSearch:
