@@ -28,10 +28,10 @@ data, exact in Python ints, and takes no radius: its first descent,
 nearest-first as in Schnorr-Euchner, sets one and each later leaf shrinks it.
 
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
-checked record (``linalg._channel``).  At every K candidates are ranked by the
-exact integer a^T Q a and exact ties by the signed a, the set is empty when the
-first reaches U (a^T G a >= snr, exactly), and each norm reported is that
-a^T Q a rounded once (``linalg._exact_norm``), the norm the rates use.
+``ChannelSpec``.  At every K candidates are ranked by the exact integer
+a^T Q a and exact ties by the signed a, the set is empty when the first
+reaches U (a^T G a >= snr, exactly), and each norm reported is that a^T Q a
+rounded once (``linalg._exact_norm``), the norm the rates use.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import itertools
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import GramMatrix, _channel, _Checked, _echelon, _exact_norm, _mantissas, _matrix, _q_matrix, _q_norm
+from .linalg import ChannelSpec, GramMatrix, _echelon, _exact_norm, _mantissas, _matrix, _q_matrix, _q_norm
 
-__all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "candidate_bound", "successive_minima", "lll_reduce"]
+__all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "successive_minima", "lll_reduce"]
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -67,15 +67,6 @@ def canonicalize(a) -> np.ndarray:
         raise ValueError("zero vector has no canonical form")
     import numpy as np
     return np.array(_signed(tuple(vec)), dtype=np.int64)
-
-
-def candidate_bound(gains, snr: float, b_sq=None) -> float:
-    """Squared-norm bound below which integer vectors can yield positive rate.
-
-    Returns 1 + snr*||h||^2 for a plain MAC, or 1 + snr * g^T B g with squared
-    weights ``b_sq``.
-    """
-    return _channel(gains, snr, b_sq).denom
 
 
 @dataclass(frozen=True)
@@ -247,20 +238,20 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
 
     Vector m is the smallest lattice vector outside the span of vectors
     0..m-1, ranked by a^T G a with ties broken lexicographically on the
-    canonicalized entries, on the channel record the Gram carries: vectors
+    canonicalized entries, on the ``ChannelSpec`` the Gram carries: vectors
     and norms equal ``transform``'s rows.  The ranking is by the exact
     a^T G a at every K.  For K >= 4 BudgetExceeded is raised when the K
     enumeration trees together grow past ``budget`` nodes; callers may fall
     back to ``lll_reduce``.
     Returns an empty set when even the shortest vector has a^T G a >= snr
     exactly (no positive rate).  A negative ``budget``, or a Gram with no
-    channel record (built by hand or ``dataclasses.replace``), is a ValueError.
+    ``ChannelSpec`` (built by hand or ``dataclasses.replace``), is a ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if gram._checked is None:
+    if gram._spec is None:
         raise ValueError("successive_minima needs a Gram built by gram_effective, gram_plain or ChannelSpec.gram")
-    return _search(gram._checked, budget)
+    return _search(gram._spec, budget)
 
 
 # The {0, +-1} combinations x of three basis vectors with a positive first nonzero entry, the last entry
@@ -268,7 +259,7 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
 _COMBOS = [x[::-1] for x in itertools.product((0, 1, -1), repeat=3) if x[::-1] > (0, 0, 0)]
 
 
-def _exact_search(ch: _Checked) -> OptimalSet:
+def _exact_search(ch: ChannelSpec) -> OptimalSet:
     """``_search`` for K <= 3: the successive minima from a greedy reduction of Z^K under the integer Gram Q.
 
     The reduction reads Q's entries from its factors (``ch.q``): n_i = D B_i
@@ -347,13 +338,13 @@ def _exact_search(ch: _Checked) -> OptimalSet:
     return OptimalSet(tuple([signed(x) for _, x in kept]), tuple([_exact_norm(ch, n) for n, _ in kept]), "exhaustive")
 
 
-def _search(ch: _Checked, budget: int) -> OptimalSet:
-    """``successive_minima`` on a channel record: ``_exact_search`` for K <= 3, else LLL on Q and the walk.
+def _search(ch: ChannelSpec, budget: int) -> OptimalSet:
+    """``successive_minima`` on a ``ChannelSpec``: ``_exact_search`` for K <= 3, else LLL on Q and the walk.
 
     Each step's norm is the walk's least cost, the exact a^T Q a, and its row
     the least signed a = W c among the c that reach it.
     """
-    if len(ch.g) <= _EXACT_K:
+    if ch.dim <= _EXACT_K:
         return _exact_search(ch)
     q = _q_matrix(ch)
     u, lam, dd = _lll(q, _DELTA)
@@ -403,7 +394,7 @@ def lll_reduce(basis: np.ndarray, delta: float = _DELTA) -> OptimalSet:
         raise ValueError("LLL norm |B^T a|^2 overflows floating point") from None
 
 
-def _lll_set(ch: _Checked) -> OptimalSet:
-    """``lll_reduce`` on the integer Gram Q of a channel record, ranked by exact a^T Q a, with ``_exact_norm`` norms."""
+def _lll_set(ch: ChannelSpec) -> OptimalSet:
+    """``lll_reduce`` on the integer Gram Q of a ``ChannelSpec``, ranked by exact a^T Q a, with ``_exact_norm`` norms."""
     scored = sorted((_q_norm(ch, a), _signed(tuple(a))) for a in _lll(_q_matrix(ch), _DELTA)[0])
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(_exact_norm(ch, n) for n, _ in scored), method="lll")

@@ -2,17 +2,17 @@
 
 Vector and matrix inputs are read by ``_vector`` and ``_matrix`` (arrays through
 ``tolist()``), so the kernels run on Python floats and ints and numpy loads only
-in views that return arrays.  Every channel input is checked in ``_channel``,
-whose record (g, b_sq, B g, 1 + snr g^T B g, snr) builds the integer factors of
-its Gram on first read; a ``ChannelSpec`` and its Grams share one record, and
-each public function of a raw channel is a view over its record.  LLL, the
-K >= 4 walk and ``gram()`` read the integer Gram Q (``_q_matrix``), an exact
-multiple of G; the K <= 3 search reads its entries from the factors.  Every
-noise norm a^T G a is ``_sq_norm`` of the record, the exact a^T Q a from two
-integer dot products, rounded once, so nothing cancels at any snr or K.  Exact
-paths (rank, span solve, span membership) take integer matrices and share one
-fraction-free (Bareiss) elimination over Python ints; rationals appear only in
-their solutions and in ``RationalMatrix``.
+in views that return arrays.  A channel is one ``ChannelSpec``, checked once on
+construction, which keeps g, b_sq and snr as floats, 1 + snr g^T B g and the
+integer factors of its Gram; its Grams keep it, and each public function of a
+raw channel is a view over one.  LLL, the K >= 4 walk and ``gram()`` read the
+integer Gram Q (``_q_matrix``), an exact multiple of G; the K <= 3 search reads
+its entries from the factors.  Every noise norm a^T G a is ``_sq_norm`` of the
+channel, the exact a^T Q a from two integer dot products, rounded once, so
+nothing cancels at any snr or K.  Exact paths (rank, span solve, span
+membership) take integer matrices and share one fraction-free (Bareiss)
+elimination over Python ints; rationals appear only in their solutions and in
+``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from operator import mul
 
@@ -41,14 +40,14 @@ class GramMatrix:
     when decoding the integer combination ``a``.  ``snr`` rides along because
     both the positive-rate sphere and the rate formula are relative to it.
     Equality and hashing compare the entries, as nested tuples, and snr.
-    ``_checked``, outside init, repr, equality and hash, keeps the channel's
-    record, and so its integer Gram, for ``successive_minima``; a Gram built
-    by hand or ``dataclasses.replace`` has none.
+    ``_spec``, outside init, repr, equality and hash, keeps the
+    ``ChannelSpec``, and so its integer Gram, for ``successive_minima``; a
+    Gram built by hand or ``dataclasses.replace`` has none.
     """
 
     entries: np.ndarray
     snr: float
-    _checked: _Checked | None = field(default=None, init=False, repr=False, compare=False)
+    _spec: ChannelSpec | None = field(default=None, init=False, repr=False, compare=False)
 
     def _key(self) -> tuple:
         return tuple(map(tuple, self.entries.tolist())), self.snr
@@ -91,52 +90,70 @@ def _matrix(values, message: str, square: bool = False) -> list[list]:
     return rows
 
 
-class _Checked:
-    """One checked channel: g, b_sq and B g (tuples of floats), 1 + snr g^T B g and snr.
+@dataclass(frozen=True)
+class ChannelSpec:
+    """One checked channel: gains, linear snr and squared effective weights.
 
-    ``q``, the integer factors of its Gram (``_integer_gram``), is built on first read and kept.
-    """
-
-    def __init__(self, g: tuple[float, ...], b_sq: tuple[float, ...], bg: tuple[float, ...], denom: float, snr: float):
-        self.g, self.b_sq, self.bg, self.denom, self.snr = g, b_sq, bg, denom, snr
-
-    @cached_property
-    def q(self) -> tuple[list[int], list[int], int, int, int, int]:
-        return _integer_gram(self)
-
-
-def _channel(gains, snr: float, b_sq=None) -> _Checked:
-    """The checked record of a channel: g, b_sq, B g, 1 + snr * g^T B g and snr.
-
-    ``b_sq`` None means unit weights (a plain MAC).  Raises ValueError unless
+    ``weights_sq`` None means unit weights (a plain MAC); effective MACs carry
+    the diagonal of their weight matrix.  Construction raises ValueError unless
     the gains are a nonempty finite 1-D vector, snr is positive and finite, the
-    weights match the gains in length and are positive and finite, and the
-    denominator is finite.  g^T B g is the ``math.fsum`` of the g_i (b_i g_i).
+    weights match the gains in length and are positive and finite, and
+    ``denom`` = 1 + snr g^T B g (``math.fsum`` of the g_i (b_i g_i)) is finite.
+    Gains and weights are stored as tuples of floats and snr as a float, so
+    equality and hashing compare values whatever the input type; ``denom`` and
+    ``q``, the integer factors of the Gram (``_integer_gram``), are outside
+    init, repr, equality and hash.
     """
-    g = _vector(gains, "channel gains must be a nonempty 1-D vector")
-    if not g:
-        raise ValueError("channel gains must be a nonempty 1-D vector")
-    if not all(map(math.isfinite, g)):
-        raise ValueError("channel gains must be finite")
-    if not (math.isfinite(snr) and snr > 0):
-        raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    b_sq = (1.0,) * len(g) if b_sq is None else _vector(b_sq, "weights must match the gain vector length")
-    if len(b_sq) != len(g):
-        raise ValueError("weights must match the gain vector length")
-    if not all(0 < x < math.inf for x in b_sq):
-        raise ValueError("effective weights must be positive and finite")
-    snr = float(snr)
-    bg = tuple(map(mul, b_sq, g))
-    try:
-        denom = 1.0 + snr * math.fsum(map(mul, g, bg))
-    except OverflowError:  # fsum's partial sums overflowed; with snr < 1 folded into each term they may not
+
+    gains: tuple[float, ...]
+    snr: float
+    weights_sq: tuple[float, ...]
+    denom: float = field(init=False, repr=False, compare=False)
+    q: tuple[list[int], list[int], int, int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g = _vector(self.gains, "channel gains must be a nonempty 1-D vector")
+        if not g:
+            raise ValueError("channel gains must be a nonempty 1-D vector")
+        if not all(map(math.isfinite, g)):
+            raise ValueError("channel gains must be finite")
+        snr = self.snr
+        if not (math.isfinite(snr) and snr > 0):
+            raise ValueError(f"snr must be positive and finite, got {snr!r}")
+        b_sq = (1.0,) * len(g) if self.weights_sq is None else _vector(self.weights_sq, "weights must match the gain vector length")
+        if len(b_sq) != len(g):
+            raise ValueError("weights must match the gain vector length")
+        if not all(0 < x < math.inf for x in b_sq):
+            raise ValueError("effective weights must be positive and finite")
+        snr = float(snr)
+        gbg = [x * (b * x) for x, b in zip(g, b_sq)]
         try:
-            denom = 1.0 + math.fsum(snr * x for x in map(mul, g, bg))
-        except OverflowError:
-            denom = math.inf
-    if not math.isfinite(denom):
-        raise ValueError("1 + snr g^T B g overflows floating point; gains or snr are too large")
-    return _Checked(g, b_sq, bg, denom, snr)
+            denom = 1.0 + snr * math.fsum(gbg)
+        except OverflowError:  # fsum's partial sums overflowed; with snr < 1 folded into each term they may not
+            try:
+                denom = 1.0 + math.fsum(snr * x for x in gbg)
+            except OverflowError:
+                denom = math.inf
+        if not math.isfinite(denom):
+            raise ValueError("1 + snr g^T B g overflows floating point; gains or snr are too large")
+        for name, value in (("gains", g), ("snr", snr), ("weights_sq", b_sq), ("denom", denom)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "q", _integer_gram(self))
+
+    @classmethod
+    def plain(cls, h, snr: float) -> "ChannelSpec":
+        return cls(h, snr, None)
+
+    @classmethod
+    def effective(cls, g, b_sq, snr: float) -> "ChannelSpec":
+        return cls(g, snr, b_sq)
+
+    @property
+    def dim(self) -> int:
+        return len(self.gains)
+
+    def gram(self) -> GramMatrix:
+        return _gram(self)
 
 
 def _mantissas(values: tuple[float, ...]) -> tuple[list[int], int]:
@@ -146,7 +163,7 @@ def _mantissas(values: tuple[float, ...]) -> tuple[list[int], int]:
     return [n * (d // e) for n, e in ratios], d
 
 
-def _integer_gram(ch: _Checked) -> tuple[list[int], list[int], int, int, int, int]:
+def _integer_gram(ch: ChannelSpec) -> tuple[list[int], list[int], int, int, int, int]:
     """(B, BG, D, S, ds, U): the factors of Q = D diag(B) - S (BG)(BG)^T, an exact positive multiple of the channel's Gram.
 
     G, B and S are the integer mantissas of g, b_sq and snr over powers of two
@@ -157,13 +174,13 @@ def _integer_gram(ch: _Checked) -> tuple[list[int], list[int], int, int, int, in
     from the float inputs: for n = a^T Q a, a^T G a = S n / (ds U), and
     U = db D is the n at which a^T G a = snr.
     """
-    (gm, dg), (bm, db), (s, ds) = _mantissas(ch.g), _mantissas(ch.b_sq), ch.snr.as_integer_ratio()
+    (gm, dg), (bm, db), (s, ds) = _mantissas(ch.gains), _mantissas(ch.weights_sq), ch.snr.as_integer_ratio()
     bgm = list(map(mul, bm, gm))
     d = ds * dg * dg * db + s * sum(map(mul, gm, bgm))
     return bm, bgm, d, s, ds, db * d
 
 
-def _q_matrix(ch: _Checked) -> list[list[int]]:
+def _q_matrix(ch: ChannelSpec) -> list[list[int]]:
     """Q = D diag(B) - S (BG)(BG)^T as a list of rows, the integer Gram that LLL, the K >= 4 walk and ``gram()`` read."""
     bm, bgm, d, s, _, _ = ch.q
     q = [[-s * x * y for y in bgm] for x in bgm]
@@ -172,13 +189,13 @@ def _q_matrix(ch: _Checked) -> list[list[int]]:
     return q
 
 
-def _q_norm(ch: _Checked, a) -> int:
+def _q_norm(ch: ChannelSpec, a) -> int:
     """a^T Q a for an integer ``a``: D sum B_i a_i^2 - S (BG . a)^2, over Python ints."""
     bm, bgm, d, s, _, _ = ch.q
     return d * sum(map(mul, bm, [x * x for x in a])) - s * sum(map(mul, bgm, a)) ** 2
 
 
-def _exact_norm(ch: _Checked, n: int) -> float:
+def _exact_norm(ch: ChannelSpec, n: int) -> float:
     """a^T G a for n = a^T Q a: S n / (ds U), an int / int true division, which Python rounds correctly; ValueError past the float range."""
     _, _, _, s, ds, u = ch.q
     try:
@@ -190,7 +207,7 @@ def _exact_norm(ch: _Checked, n: int) -> float:
     return norm
 
 
-def _sq_norm(ch: _Checked, a) -> float:
+def _sq_norm(ch: ChannelSpec, a) -> float:
     """a^T G a for an integer ``a``, every noise norm reported: ``_exact_norm`` of ``_q_norm``, at any K and snr."""
     return _exact_norm(ch, _q_norm(ch, a))
 
@@ -201,7 +218,7 @@ def gram_plain(h, snr: float) -> GramMatrix:
     G = snr * (I - snr * h h^T / (1 + snr * ||h||^2)), the inverse of
     (snr^-1 I + h h^T).
     """
-    return _gram(_channel(h, snr))
+    return _gram(ChannelSpec(h, snr, None))
 
 
 def gram_effective(g, b_sq, snr: float) -> GramMatrix:
@@ -215,11 +232,11 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
     Each entry is S Q_ij / (ds U) (``_integer_gram``), exact and rounded once;
     ValueError when one overflows or a nonzero one rounds to 0.
     """
-    return _gram(_channel(g, snr, b_sq))
+    return _gram(ChannelSpec(g, snr, b_sq))
 
 
-def _gram(ch: _Checked) -> GramMatrix:
-    """``gram_effective`` of a checked channel record, keeping the record."""
+def _gram(ch: ChannelSpec) -> GramMatrix:
+    """``gram_effective`` of a ``ChannelSpec``, keeping it."""
     import numpy as np
     _, _, _, s, ds, u = ch.q
     q = _q_matrix(ch)
@@ -230,7 +247,7 @@ def _gram(ch: _Checked) -> GramMatrix:
     if any(x and not y for q_row, row in zip(q, entries) for x, y in zip(q_row, row)):
         raise ValueError("Gram matrix underflows floating point; snr or the weights are too small")
     gram = GramMatrix(entries=np.array(entries), snr=ch.snr)
-    object.__setattr__(gram, "_checked", ch)
+    object.__setattr__(gram, "_spec", ch)
     return gram
 
 
@@ -261,12 +278,12 @@ def sylvester_logdet(gains, snr: float, b_sq=None) -> float:
     ``b_sq`` the determinant identity picks up det(B):
     L*log2(snr) + log2(det B) - log2(1 + snr * g^T B g).
     """
-    return _logdet(_channel(gains, snr, b_sq))
+    return _logdet(ChannelSpec(gains, snr, b_sq))
 
 
-def _logdet(ch: _Checked) -> float:
-    """``sylvester_logdet`` of a checked channel record."""
-    return len(ch.g) * math.log2(ch.snr) + math.fsum(map(math.log2, ch.b_sq)) - math.log2(ch.denom)
+def _logdet(ch: ChannelSpec) -> float:
+    """``sylvester_logdet`` of a ``ChannelSpec``."""
+    return len(ch.gains) * math.log2(ch.snr) + math.fsum(map(math.log2, ch.weights_sq)) - math.log2(ch.denom)
 
 
 # ---------------------------------------------------------------------------

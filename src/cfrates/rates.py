@@ -4,9 +4,9 @@ Everything here is closed form: the MMSE scaling coefficient, the resulting
 effective noise variance, and the rate 0.5*log2(snr/sigma2).  A plain MAC is
 the special case of an effective MAC with unit weights, so each function takes
 an optional ``b_sq`` vector of squared effective weights.  The channel is
-checked, and 1 + snr g^T B g computed, by ``linalg._channel``, and each
-public function here is a view over that record; only the coefficient vector
-is checked here.  The noise variance is ``linalg._sq_norm`` of the record,
+checked, and 1 + snr g^T B g computed, by building one ``linalg.ChannelSpec``,
+and each public function here is a view over it; only the coefficient vector
+is checked here.  The noise variance is ``linalg._sq_norm`` of the channel,
 the exact a^T G a rounded once, as the search reports it: ``comp_rate``
 computes it, and ``transform`` passes each row's search norm to ``_rate``.
 """
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import _channel, _Checked, _sq_norm, _vector
+from .linalg import ChannelSpec, _sq_norm, _vector
 
 __all__ = ["ComputationResult", "effective_variance", "optimal_beta", "comp_rate"]
 
@@ -36,10 +36,10 @@ class ComputationResult:
     r_comp: float
 
 
-def _prepare(gains, a, snr: float, b_sq) -> tuple[_Checked, tuple[float, ...]]:
-    ch = _channel(gains, snr, b_sq)
+def _prepare(gains, a, snr: float, b_sq) -> tuple[ChannelSpec, tuple[float, ...]]:
+    ch = ChannelSpec(gains, snr, b_sq)
     a = _vector(a, "coefficient vector must match the gain vector length")
-    if len(a) != len(ch.g):
+    if len(a) != ch.dim:
         raise ValueError("coefficient vector must match the gain vector length")
     return ch, a
 
@@ -50,9 +50,9 @@ def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
     snr * sum((beta*g - a)^2 * b_sq) + beta^2
     """
     ch, a = _prepare(gains, a, snr, b_sq)
-    mismatch = [beta * g - x for g, x in zip(ch.g, a)]
+    mismatch = [beta * g - x for g, x in zip(ch.gains, a)]
     try:
-        return ch.snr * math.fsum(m * (b * m) for m, b in zip(mismatch, ch.b_sq)) + beta * beta
+        return ch.snr * math.fsum(m * (b * m) for m, b in zip(mismatch, ch.weights_sq)) + beta * beta
     except OverflowError:  # fsum's partial sums overflowed; every term is nonnegative
         return math.inf
 
@@ -62,9 +62,9 @@ def optimal_beta(gains, a, snr: float, b_sq=None) -> float:
     return _beta(*_prepare(gains, a, snr, b_sq))
 
 
-def _beta(ch: _Checked, a) -> float:
-    """``optimal_beta`` of a checked record; (snr / den) g^T B a where snr g^T B a overflows, as snr / den < 1 / g^T B g."""
-    dot = sum(map(mul, ch.bg, a))
+def _beta(ch: ChannelSpec, a) -> float:
+    """``optimal_beta`` of a ``ChannelSpec``; (snr / den) g^T B a where snr g^T B a overflows, as snr / den < 1 / g^T B g."""
+    dot = sum(map(mul, map(mul, ch.weights_sq, ch.gains), a))
     beta = ch.snr * dot / ch.denom
     return ch.snr / ch.denom * dot if math.isinf(beta) else beta
 
@@ -87,8 +87,8 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
     return _rate(ch, a, _sq_norm(ch, a))
 
 
-def _rate(ch: _Checked, a: tuple[int, ...], sigma2: float) -> ComputationResult:
-    """``comp_rate`` for a checked channel record, a nonzero integer ``a`` and its ``_sq_norm`` ``sigma2`` (positive, finite)."""
+def _rate(ch: ChannelSpec, a: tuple[int, ...], sigma2: float) -> ComputationResult:
+    """``comp_rate`` for a ``ChannelSpec``, a nonzero integer ``a`` and its ``_sq_norm`` ``sigma2`` (positive, finite)."""
     ratio = ch.snr / sigma2  # past the float range, its log is a difference of logs
     rate = 0.5 * (math.log2(ratio) if 0 < ratio < math.inf else math.log2(ch.snr) - math.log2(sigma2))
     return ComputationResult(a=a, beta=_beta(ch, a), sigma2_eff=sigma2, r_comp=rate)

@@ -9,9 +9,8 @@ from one depth-first walk over column-set prefixes, with at most 2^K steps of
 integer rows q_S L_i and q_S (L A)_i; each order can be replayed over Z_p
 with an integer L, as a mod-p decoder would.  Orders and lifts hold only
 integer rows, and their ``Fraction`` matrices and int64 arrays are cached
-views, as are a transform's matrix, rates and integer columns.  A
-``ChannelSpec`` keeps one checked channel record (``linalg._channel``) that
-``transform``, ``gram()`` and ``sum_rate_bounds`` share.
+views, as are a transform's matrix, rates and integer columns.  The
+``ChannelSpec`` re-exported here is ``linalg``'s one checked channel record.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .lattice import DEFAULT_BUDGET, BudgetExceeded, _lll_set, _search
-from .linalg import GramMatrix, RationalMatrix, _channel, _Checked, _echelon, _gram, _int_rows, _logdet, _matrix
+from .linalg import ChannelSpec, RationalMatrix, _echelon, _int_rows, _logdet, _matrix
 from .rates import ComputationResult, _rate
 
 __all__ = [
@@ -42,43 +41,7 @@ __all__ = [
     "rate_allocation",
 ]
 
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """A problem instance: gains, squared effective weights, and linear snr.
-
-    ``weights_sq`` is all ones for a plain MAC; effective MACs carry the
-    diagonal of their weight matrix.  Construction checks the channel with
-    ``linalg._channel``, so an invalid spec raises ValueError; the record,
-    snr included, is kept in ``_checked``, outside init, repr, equality and
-    hash.  ``transform``, ``gram()`` and ``sum_rate_bounds`` all read it, so
-    the integer factors of its Gram are built once, on first use.
-    """
-
-    gains: tuple[float, ...]
-    snr: float
-    weights_sq: tuple[float, ...]
-    _checked: _Checked = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_checked", _channel(self.gains, self.snr, self.weights_sq))
-
-    @classmethod
-    def plain(cls, h, snr: float) -> "ChannelSpec":
-        h = tuple(float(x) for x in h)
-        return cls(gains=h, snr=float(snr), weights_sq=(1.0,) * len(h))
-
-    @classmethod
-    def effective(cls, g, b_sq, snr: float) -> "ChannelSpec":
-        g = tuple(float(x) for x in g)
-        return cls(gains=g, snr=float(snr), weights_sq=tuple(float(x) for x in b_sq))
-
-    @property
-    def dim(self) -> int:
-        return len(self.gains)
-
-    def gram(self) -> GramMatrix:
-        return _gram(self._checked)
+_ENUMERATE_LIMIT = 8  # past this many users, pseudo_triangularize returns only the greedy order
 
 
 @dataclass(frozen=True)
@@ -118,7 +81,7 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     'lll' skips enumeration entirely.  The budget, and so BudgetExceeded and
     the fallback, apply to K >= 4 only: for K <= 3 the exhaustive search is an
     exact reduction with no enumeration.  Each row's result comes from the
-    record and the row's search norm by the same ``rates._rate`` that
+    channel and the row's search norm by the same ``rates._rate`` that
     ``comp_rate`` calls, and the rank check is ``exact_rank``'s elimination on
     the rows.  A row whose exact norm is below snr but rounds to it has rate
     0.0.  ValueError for an unknown method or a negative ``budget``.
@@ -127,16 +90,16 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
         raise ValueError(f"unknown method {method!r}")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    k, ch = channel.dim, channel._checked
+    k = channel.dim
     try:
-        opt = _lll_set(ch) if method == "lll" else _search(ch, budget)
+        opt = _lll_set(channel) if method == "lll" else _search(channel, budget)
     except BudgetExceeded:
         if method == "exhaustive":
             raise
-        opt = _lll_set(ch)
+        opt = _lll_set(channel)
     if len(opt) != k:
         raise ValueError("channel admits no full positive-rate coefficient set")
-    results = tuple(_rate(ch, vec, norm) for vec, norm in zip(opt.vectors, opt.norms))
+    results = tuple(_rate(channel, vec, norm) for vec, norm in zip(opt.vectors, opt.norms))
     if len(_echelon([list(vec) for vec in opt.vectors], k)) != k:
         raise RuntimeError("coefficient matrix lost rank")
     return CfTransform(results=results, channel=channel, method=opt.method)
@@ -157,8 +120,7 @@ def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
     """
     ch = t.channel
     k = ch.dim
-    logdet = _logdet(ch._checked)
-    upper = 0.5 * (k * math.log2(ch.snr) - logdet)
+    upper = 0.5 * (k * math.log2(ch.snr) - _logdet(ch))
     lower = upper - 0.5 * k * math.log2(k)
     total = sum(t.rates)
     if t.method == "lll":
@@ -240,7 +202,7 @@ def _reduce(cols, path, pi) -> list[int]:
     return [x // g for x in lower]
 
 
-def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTriangularization]:
+def pseudo_triangularize(a_matrix) -> list[PseudoTriangularization]:
     """All column orders under which A triangularizes without row swaps.
 
     Row i's multipliers depend only on the set S of columns eliminated before
@@ -249,7 +211,7 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
     prefixes builds each (row, S) step once, by ``_reduce`` from the steps on
     its path, with no ``Fraction`` arithmetic; L A is recomputed from A's
     columns, so the check that S is eliminated does not trust the reduction.
-    Orders come out in lexicographic ``pi`` order.  For K > ``enumerate_limit``
+    Orders come out in lexicographic ``pi`` order.  For K > 8 (``_ENUMERATE_LIMIT``)
     only the greedy order is returned: at each row, the first remaining column
     where the reduced row is nonzero.  ValueError unless A is a nonempty
     full-rank square integer matrix.
@@ -275,7 +237,7 @@ def pseudo_triangularize(a_matrix, enumerate_limit: int = 8) -> list[PseudoTrian
                 raise RuntimeError("eliminated entry is nonzero")
             nxt = [c for c in range(k) if tilde[c]]  # the columns in S are zero there
             step = _Step(source, head[i], (*head, *[0] * (k - i - 1)), tilde)
-            memo[done] = step, nxt[:1] if k > enumerate_limit else nxt
+            memo[done] = step, nxt[:1] if k > _ENUMERATE_LIMIT else nxt
         s, nxt = memo[done]
         path = (*path, s)
         if i + 1 == k:  # the last row: its one next column completes the order

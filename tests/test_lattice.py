@@ -25,14 +25,12 @@ from cfrates.lattice import (
     _signed,
     _walk,
     canonicalize,
-    candidate_bound,
     lll_reduce,
     successive_minima,
 )
 from cfrates.linalg import (
     GramMatrix,
     RationalSpan,
-    _channel,
     _mantissas,
     _q_matrix,
     _q_norm,
@@ -350,15 +348,17 @@ class TestCanonicalize:
 
 
 class TestCandidateBound:
+    """The squared-norm bound 1 + snr g^T B g below which vectors can have positive rate: a channel's ``denom``."""
+
     def test_scalar(self):
-        assert candidate_bound([1.0], 3.0) == pytest.approx(4.0, rel=1e-15)
+        assert ChannelSpec.plain([1.0], 3.0).denom == pytest.approx(4.0, rel=1e-15)
 
     def test_reference_channel(self):
-        got = candidate_bound([math.sqrt(5), 1.0], 10**1.5)
+        got = ChannelSpec.plain([math.sqrt(5), 1.0], 10**1.5).denom
         assert got == pytest.approx(1 + 6 * 10**1.5, rel=1e-12)
 
     def test_effective(self):
-        assert candidate_bound([1.0, 2.0], 10.0, [1.0, 2.0]) == pytest.approx(91.0, rel=1e-12)
+        assert ChannelSpec([1.0, 2.0], 10.0, [1.0, 2.0]).denom == pytest.approx(91.0, rel=1e-12)
 
 
 class TestSuccessiveMinima:
@@ -379,7 +379,7 @@ class TestSuccessiveMinima:
         snr = 100.0
         gram = gram_plain(h, snr)
         opt = successive_minima(gram)
-        vecs, norms = cube_minima(gram, candidate_bound(h, snr))
+        vecs, norms = cube_minima(gram, gram._spec.denom)
         assert opt.vectors == vecs
         assert opt.norms == pytest.approx(norms, rel=1e-12)
         assert max(abs(x) for vec in vecs for x in vec) <= 15
@@ -392,7 +392,7 @@ class TestSuccessiveMinima:
             snr = 10 ** rng.uniform(0, 2)
             gram = gram_plain(h, snr)
             opt = successive_minima(gram)
-            vecs, norms = cube_minima(gram, candidate_bound(h, snr))
+            vecs, norms = cube_minima(gram, gram._spec.denom)
             assert opt.vectors == vecs
             assert opt.norms == pytest.approx(norms, rel=1e-12)
 
@@ -535,11 +535,11 @@ def search_cases():
     """
     for k in range(4, 9):
         for i, gram in enumerate(random_grams(80 + k, 60, (k, k), 140.0)):
-            yield f"gram K={k} #{i}", gram._checked, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
+            yield f"gram K={k} #{i}", gram._spec, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
         rng = np.random.default_rng(100 + k)
         for i in range(20):
             snr = 10 ** (rng.uniform(0, 140) / 10)
-            ch = _channel(rng.normal(size=k), snr, rng.uniform(0.5, 4, size=k))
+            ch = ChannelSpec(rng.normal(size=k), snr, rng.uniform(0.5, 4, size=k))
             yield f"channel K={k} #{i}", ch, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
 
 
@@ -597,7 +597,7 @@ class TestRefreshAfterMovingFold:
 
 def exact_gram(ch):
     """snr (B - snr B g g^T B / den) over Fractions, from a channel record's float inputs."""
-    snr, g, b = Fraction(ch.snr), [Fraction(x) for x in ch.g], [Fraction(x) for x in ch.b_sq]
+    snr, g, b = Fraction(ch.snr), [Fraction(x) for x in ch.gains], [Fraction(x) for x in ch.weights_sq]
     bg = [x * y for x, y in zip(b, g)]
     den = 1 + snr * sum(x * y for x, y in zip(g, bg))
     return [[snr * (b[i] * (i == j) - snr * bg[i] * bg[j] / den) for j in range(len(g))] for i in range(len(g))]
@@ -656,7 +656,7 @@ def certify(cases):
         assert opt.method == "exhaustive"
         rows = opt.vectors
         if not rows:  # no vector has a^T G a below snr
-            unit = [tuple(int(i == j) for j in range(len(ch.g))) for i in range(len(ch.g))]
+            unit = [tuple(int(i == j) for j in range(len(ch.gains))) for i in range(len(ch.gains))]
             least = least_outside(ch, unit, 0, Fraction(ch.snr))
             assert least is None or least[0] >= Fraction(ch.snr)
             empty += 1
@@ -665,7 +665,7 @@ def certify(cases):
         norms = [sum(x * exact[i][j] * y for i, x in enumerate(a) for j, y in enumerate(a)) for a in rows]
         assert opt.norms == tuple(map(float, norms))
         for m, (a, norm) in enumerate(zip(rows, norms)):
-            assert least_outside(ch, rows, m, norm) == (norm, a), (ch.g, ch.b_sq, ch.snr, m)
+            assert least_outside(ch, rows, m, norm) == (norm, a), (ch.gains, ch.weights_sq, ch.snr, m)
         tied += len(set(norms)) < len(norms)
     return empty, tied
 
@@ -688,24 +688,24 @@ def exact_search_cases():
         snr = 10 ** (db / 10)
         for g in np.exp(rng.uniform(math.log(snr**-0.25 / 4), math.log(2 * math.sqrt(snr)), 5)):
             spec = SymmetricIcSpec(int(rng.choice([2, 3, 5])), float(g), snr)
-            yield effective_two_user(spec)._checked
+            yield effective_two_user(spec)
             if spec.inr > 1:
-                yield _hk_channel(spec, math.sqrt(1 / spec.inr))._checked
+                yield _hk_channel(spec, math.sqrt(1 / spec.inr))
         for k in (2, 3):
-            yield _channel(rng.normal(size=k), snr, rng.uniform(0.25, 4, size=k))
+            yield ChannelSpec(rng.normal(size=k), snr, rng.uniform(0.25, 4, size=k))
     for h in ([1, 1], [1, 2], [2, 1, 1], [1, 1, 1], [math.sqrt(5), 1]):
         for db in (10, 25, 40, 80, 160, 300):
-            yield _channel(h, 10 ** (db / 10))
+            yield ChannelSpec.plain(h, 10 ** (db / 10))
     rng = np.random.default_rng(26)
     for _ in range(200):
         k = int(rng.integers(2, 4))
         g, b = rng.integers(-2, 3, size=k), rng.integers(1, 5, size=k)
         snr = float(rng.integers(1, 21)) if rng.integers(0, 2) else 10 ** (int(rng.choice([10, 25, 80, 300])) / 10)
         if g.any():
-            yield _channel(g.tolist(), snr, b.tolist())
+            yield ChannelSpec(g.tolist(), snr, b.tolist())
     for k in (2, 3):
         for gram in random_grams(80 + k, 30, (k, k), 140.0):
-            yield gram._checked
+            yield gram._spec
 
 
 def walk_cases():
@@ -720,18 +720,18 @@ def walk_cases():
     for db in (10, 25, 45, 80, 120, 160, 200, 250, 300):
         snr = 10 ** (db / 10)
         for k in (4, 5, 6):
-            yield _channel(rng.normal(size=k), snr)
-            yield _channel(rng.normal(size=k), snr, rng.uniform(0.25, 4, size=k))
+            yield ChannelSpec.plain(rng.normal(size=k), snr)
+            yield ChannelSpec(rng.normal(size=k), snr, rng.uniform(0.25, 4, size=k))
     for h in ([1, 1, 1, 1], [2, 1, 1, 1], [1, 1, 1, 1, 1], [2, 2, 1, 1, 1, 1]):
         for db in (10, 40, 160, 300):
-            yield _channel(h, 10 ** (db / 10))
+            yield ChannelSpec.plain(h, 10 ** (db / 10))
     rng = np.random.default_rng(28)
     for _ in range(40):
         k = int(rng.integers(4, 7))
         g, b = rng.integers(-2, 3, size=k), rng.integers(1, 5, size=k)
         snr = float(rng.integers(1, 21)) if rng.integers(0, 2) else 10 ** (int(rng.choice([10, 25, 80, 300])) / 10)
         if g.any():
-            yield _channel(g.tolist(), snr, b.tolist())
+            yield ChannelSpec(g.tolist(), snr, b.tolist())
 
 
 class TestExactWalk:
@@ -748,8 +748,8 @@ class TestExactWalk:
         g = [3.812245313001031e89, 1.127565542431324e90, 2.0273245928995462e90, -2.2212917830164186e90]
         channel = ChannelSpec.effective(g, [0.00218, 0.000325, 5.44e19, 1.81e-14], 10**2.8)
         t = transform(channel, "exhaustive", budget=100)
-        assert certify([channel._checked]) == (0, 0)
-        assert tuple(r.a for r in t.results) == _search(channel._checked, DEFAULT_BUDGET).vectors
+        assert certify([channel]) == (0, 0)
+        assert tuple(r.a for r in t.results) == _search(channel, DEFAULT_BUDGET).vectors
 
     def test_budget_is_the_count_of_values_entered(self, monkeypatch):
         # a search whose walks enter n values in all answers under a budget of n and raises under n - 1
@@ -780,7 +780,7 @@ class TestExactSearch:
     def test_high_snr_ties(self):
         # thousands of (k, k + 1) tie (1, 1) to within a few ulps here; only exact norms rank them
         for snr in (1e20, 1e30):
-            assert _search(_channel([1.0, 1.0], snr), 0).vectors == ((1, 1), (0, 1))
+            assert _search(ChannelSpec.plain([1.0, 1.0], snr), 0).vectors == ((1, 1), (0, 1))
 
     def test_never_builds_the_k_by_k_gram(self, monkeypatch):
         # the kernel reads Q's entries from its factors; only LLL, the K >= 4 walk and gram() build the matrix
@@ -796,9 +796,9 @@ class TestExactSearch:
 
     def test_needs_no_budget(self):
         # a walk exceeds a small budget on these; K <= 3 searches use none
-        for ch in (_channel([1.0, 0.62, 0.34], 1e3), _channel([1.0, 1.0], 1e30)):
+        for ch in (ChannelSpec.plain([1.0, 0.62, 0.34], 1e3), ChannelSpec.plain([1.0, 1.0], 1e30)):
             assert _search(ch, 0) == _search(ch, DEFAULT_BUDGET)
-            assert transform(ChannelSpec.plain(ch.g, ch.snr), "exhaustive", budget=0).method == "exhaustive"
+            assert transform(ch, "exhaustive", budget=0).method == "exhaustive"
 
 
 class TestLll:
@@ -818,7 +818,7 @@ class TestLll:
         # LLL on each channel's integer Gram Q, as transform's LLL runs it
         rng = np.random.default_rng(20)
         for _ in range(50):
-            q = _q_matrix(gram_plain(rng.normal(size=4), 10 ** rng.uniform(0, 3))._checked)
+            q = _q_matrix(gram_plain(rng.normal(size=4), 10 ** rng.uniform(0, 3))._spec)
             assert_lll_reduced(q, _lll(q, 0.99)[0])
 
     @pytest.mark.parametrize("seed, n, k_range", [(41, 300, (2, 5)), (42, 30, (6, 8))])
@@ -904,7 +904,7 @@ class TestLazyGramSchmidt:
     def test_channel_bases(self, k):
         for gram in random_grams(60 + k, 40, (k, k), 60.0):
             self.reduced_basis(mantissa_gram(cholesky(gram).tolist()))
-            self.reduced_basis(_q_matrix(gram._checked))
+            self.reduced_basis(_q_matrix(gram._spec))
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_integer_bases(self, k):

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfrates.lattice import candidate_bound
 from cfrates.linalg import (
     GramMatrix,
     RationalMatrix,
     RationalSpan,
-    _channel,
     _sq_norm,
     cholesky,
     exact_rank,
@@ -199,12 +197,14 @@ CHANNEL_ENTRY_POINTS = {
     "gram_effective": lambda g, snr, b: gram_effective(g, b, snr),
     "gram_plain": lambda g, snr, b: gram_plain(g, snr),
     "sylvester_logdet": sylvester_logdet,
-    "candidate_bound": candidate_bound,
+    "candidate_bound": lambda g, snr, b: ChannelSpec(g, snr, b).denom,  # the bound 1 + snr g^T B g
     "effective_variance": lambda g, snr, b: effective_variance(g, _ones(g), 0.5, snr, b),
     "optimal_beta": lambda g, snr, b: optimal_beta(g, _ones(g), snr, b),
     "comp_rate": lambda g, snr, b: comp_rate(g, _ones(g), snr, b),
     "ChannelSpec": lambda g, snr, b: ChannelSpec(g, snr, _ones(g) if b is None else b),
+    "ChannelSpec.plain": lambda g, snr, b: ChannelSpec.plain(g, snr),
 }
+PLAIN_ENTRY_POINTS = ("gram_plain", "ChannelSpec.plain")  # these take no weights
 
 
 @pytest.mark.parametrize(
@@ -213,7 +213,7 @@ CHANNEL_ENTRY_POINTS = {
         pytest.param(entry, gains, snr, b_sq, message, id=f"{entry}-{case}")
         for entry in CHANNEL_ENTRY_POINTS
         for case, gains, snr, b_sq, message in MALFORMED_CHANNELS
-        if not (entry == "gram_plain" and b_sq is not None)
+        if not (entry in PLAIN_ENTRY_POINTS and b_sq is not None)
     ],
 )
 def test_malformed_channel_rejected_by_every_entry_point(entry, gains, snr, b_sq, message):
@@ -233,13 +233,13 @@ OVERFLOWING_CHANNELS = [
     "entry, gains, snr, b_sq",
     [
         pytest.param(entry, gains, snr, b_sq, id=f"{entry}-{case}")
-        for entry in [*CHANNEL_ENTRY_POINTS, "ChannelSpec.plain"]
+        for entry in CHANNEL_ENTRY_POINTS
         for case, gains, snr, b_sq in OVERFLOWING_CHANNELS
-        if not (entry in ("gram_plain", "ChannelSpec.plain") and b_sq is not None)
+        if not (entry in PLAIN_ENTRY_POINTS and b_sq is not None)
     ],
 )
 def test_overflowing_denominator_rejected_without_warning(entry, gains, snr, b_sq):
-    call = CHANNEL_ENTRY_POINTS.get(entry, lambda g, s, b: ChannelSpec.plain(g, s))
+    call = CHANNEL_ENTRY_POINTS[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
@@ -250,9 +250,9 @@ def test_denominator_in_range_though_g_b_g_overflows():
     # g^T B g = 2e308 overflows fsum; with snr folded into each term den = 2e307
     gains, snr = [1e154, 1e154], 0.1
     exact = 1 + Fraction(snr) * sum(Fraction(g) ** 2 for g in gains)
-    assert abs(Fraction(_channel(gains, snr).denom) - exact) <= Fraction(6, 2**53) * exact
+    assert abs(Fraction(ChannelSpec.plain(gains, snr).denom) - exact) <= Fraction(6, 2**53) * exact
     with pytest.raises(ValueError, match="overflows"):
-        _channel(gains, 0.95)  # 1.9e308 even so
+        ChannelSpec.plain(gains, 0.95)  # 1.9e308 even so
 
 
 MAGNITUDES = st.floats(min_value=1e-50, max_value=1e50)
@@ -277,7 +277,7 @@ def test_denominator_within_6_eps_of_the_exact_value(channel):
     """
     gains, snr, b_sq = channel
     exact = 1 + Fraction(snr) * sum(Fraction(b) * Fraction(g) ** 2 for g, b in zip(gains, b_sq))
-    assert abs(Fraction(_channel(gains, snr, b_sq).denom) - exact) <= Fraction(6, 2**53) * exact
+    assert abs(Fraction(ChannelSpec(gains, snr, b_sq).denom) - exact) <= Fraction(6, 2**53) * exact
 
 
 def exact_sq_norm(g, b_sq, snr, a) -> Fraction:
@@ -396,7 +396,7 @@ def test_sq_norm_is_the_lagrange_form_exactly_rounded():
     for k in range(1, 9):
         for _ in range(25):
             g, b_sq, snr = rng.normal(size=k), rng.uniform(0.25, 4, size=k), 10 ** rng.uniform(0, 30)
-            ch = _channel(g, snr, b_sq)
+            ch = ChannelSpec(g, snr, b_sq)
             bound = 2 ** int(rng.integers(1, 41))
             a = [int(x) for x in rng.integers(-bound, bound + 1, size=k)]
             a[0] = a[0] or 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cfrates import cli, linalg, symmetric_ic
 from cfrates.lattice import BudgetExceeded, _dot, _lll, successive_minima
-from cfrates.linalg import RationalMatrix, RationalSpan, _channel, exact_rank, sylvester_logdet
+from cfrates.linalg import RationalMatrix, RationalSpan, exact_rank, sylvester_logdet
 from cfrates.rates import comp_rate
 from cfrates.transform import (
     ChannelSpec,
@@ -353,13 +353,13 @@ class TestCheckedChannel:
     def test_replace_rebuilds_the_record(self, ch):
         moved = dataclasses.replace(ch, snr=2 * ch.snr)
         assert moved == ChannelSpec(ch.gains, 2 * ch.snr, ch.weights_sq)
-        assert moved._checked.denom == _channel(ch.gains, 2 * ch.snr, ch.weights_sq).denom
-        assert moved._checked.denom != ch._checked.denom
+        assert moved.denom == ChannelSpec(ch.gains, 2 * ch.snr, ch.weights_sq).denom
+        assert moved.denom != ch.denom
         with pytest.raises(ValueError, match="snr must be positive"):
             dataclasses.replace(ch, snr=-1.0)
 
     def test_m_is_built_once_per_channel(self, monkeypatch):
-        """``transform``, two ``gram()`` calls, the bounds and the Gram search share one record and one integer Gram."""
+        """``transform``, two ``gram()`` calls, the bounds and the Gram search share one ``ChannelSpec`` and one integer Gram."""
         calls = []
         build = linalg._integer_gram
 
@@ -368,15 +368,27 @@ class TestCheckedChannel:
             return build(ch)
 
         monkeypatch.setattr(linalg, "_integer_gram", counting_build)
-        for ch in (ChannelSpec.effective((0.7, -1.3, 0.4), (1.0, 2.5, 0.6), 10**2.5), ChannelSpec.plain((1.0, 0.62, 0.34, 0.21), 1e3)):
+        for gains, b_sq, snr in (((0.7, -1.3, 0.4), (1.0, 2.5, 0.6), 10**2.5), ((1.0, 0.62, 0.34, 0.21), None, 1e3)):
             calls.clear()
+            ch = ChannelSpec(gains, snr, b_sq)
             t = transform(ch)
             grams = ch.gram(), ch.gram()
-            assert all(gram._checked is ch._checked for gram in grams)
+            assert all(gram._spec is ch for gram in grams)
             assert successive_minima(grams[0]).vectors == tuple(r.a for r in t.results)
             sum_rate_bounds(t)
             transform(ch, "lll")
-            assert calls == [ch._checked]
+            assert len(calls) == 1 and calls[0] is ch
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_equality_and_hash_compare_values(self, kind):
+        """A spec built from lists, tuples or arrays equals and hashes as ``plain``'s, and so does its transform."""
+        plain = ChannelSpec.plain([1.0, 2.0], 10.0)
+        spec = ChannelSpec(gains=kind([1.0, 2.0]), snr=10.0, weights_sq=kind([1.0, 1.0]))
+        assert spec == plain and hash(spec) == hash(plain)
+        assert spec.gains == (1.0, 2.0) and spec.weights_sq == (1.0, 1.0) and type(spec.snr) is float
+        assert transform(spec) == transform(plain) and hash(transform(spec)) == hash(transform(plain))
+        assert ChannelSpec(kind([1, 2]), np.float64(10), None) == plain
+        assert {spec: 1}[plain] == 1
 
 
 def exact_norm(ch, a):
@@ -462,9 +474,9 @@ def exact_minima(ch, radius_sq, budget=100_000):
     radius.  They are ranked by exact norm and kept greedily when
     independent of those kept.
     """
-    u, lam, dd = _lll(linalg._q_matrix(ch._checked), 0.99)
+    u, lam, dd = _lll(linalg._q_matrix(ch), 0.99)
     w = list(zip(*u))
-    _, _, _, s, ds, u = ch._checked.q
+    _, _, _, s, ds, u = ch.q
     mu = [[x / d for x, d in zip(row, dd[1:])] for row in lam]
     bb = [s * b / (ds * u * a) for a, b in zip(dd, dd[1:])]  # |b*_i|^2 = S (dd[i+1] / dd[i]) / (ds U) in G's units
     try:
@@ -500,7 +512,7 @@ class TestHighSnrExactNorms:
             assert abs(Fraction(r.sigma2_eff) - x) <= 1e-12 * x, r
         # the sphere allows 8 eps sqrt(den) relative (den = 1 + snr g^T B g), far wider
         # than the rounding of a walk on mu and bb that are each rounded once
-        radius = max(r.sigma2_eff for r in t.results) * (1 + 1e-12 + 8 * 2**-52 * math.sqrt(ch._checked.denom))
+        radius = max(r.sigma2_eff for r in t.results) * (1 + 1e-12 + 8 * 2**-52 * math.sqrt(ch.denom))
         minima = exact_minima(ch, radius)
         assume(minima is not None)
         assert len(minima) == k
@@ -557,8 +569,12 @@ class TestSumRateBounds:
         ch = ChannelSpec.plain(gains, snr) if b_sq is None else ChannelSpec.effective(gains, b_sq, snr)
         t = transform(ch)
         upper = 0.5 * (3 * math.log2(snr) - sylvester_logdet(gains, snr, b_sq))
-        for module in ("cfrates.linalg", "cfrates.transform"):
-            monkeypatch.setattr(importlib.import_module(module), "_channel", None)
+
+        def refuse(*args):
+            raise AssertionError("a channel was checked again")
+
+        monkeypatch.setattr(ChannelSpec, "__post_init__", refuse)
+        monkeypatch.setattr(linalg, "_vector", refuse)
         bounds = sum_rate_bounds(t)
         assert bounds.upper == upper
         assert bounds.lower == upper - 1.5 * math.log2(3)
@@ -705,11 +721,13 @@ class TestPseudoTriangularize:
             assert as_tuples(pseudo_triangularize(a)) == brute_force_reference(a)
 
     @pytest.mark.parametrize("k,limit", [(5, 3), (9, 8)])
-    def test_greedy_matches_brute_force(self, k, limit):
+    def test_greedy_matches_brute_force(self, k, limit, monkeypatch):
+        # the K > limit branch at K = 5, under a lowered limit, and at K = 9 under the module's own
+        monkeypatch.setattr(importlib.import_module("cfrates.transform"), "_ENUMERATE_LIMIT", limit)
         rng = np.random.default_rng(k)
         for sparse in (False, True):
             a = seeded_full_rank(rng, k, sparse)
-            assert as_tuples(pseudo_triangularize(a, limit)) == brute_force_reference(a, limit)
+            assert as_tuples(pseudo_triangularize(a)) == brute_force_reference(a, limit)
 
     def test_wrong_row_reduction_is_runtime_error(self, monkeypatch, capsys):
         """An exact-invariant guard raises RuntimeError, which the CLI reports as an error.
