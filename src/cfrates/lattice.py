@@ -22,9 +22,10 @@ unimodular basis that starts LLL-reduced and whose leading columns span the
 vectors found so far, so a sign rule on the trailing coordinates skips the
 span and no independence test is needed.  LLL is integral LLL on the integer
 Gram Q (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
-§2.6.7), exact in Python ints, and alone the fast suboptimal fallback when a
-node budget runs out.  The walk prunes on the basis's integral Gram-Schmidt
-data, exact in Python ints, and takes no radius: its first descent,
+§2.6.7), exact in Python ints, from Q's unit basis sorted shortest first
+(alone, the fast suboptimal fallback when a node budget runs out, from the
+unsorted one).  The walk prunes on the basis's integral Gram-Schmidt data,
+each W^T Q W from Q's factors, and takes no radius: its first descent,
 nearest-first as in Schnorr-Euchner, sets one and each later leaf shrinks it.
 
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
@@ -40,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import ChannelSpec, GramMatrix, _echelon, _exact_norm, _mantissas, _matrix, _q_matrix, _q_norm
+from .linalg import ChannelSpec, GramMatrix, _echelon, _exact_norm, _mantissas, _matrix, _q_gram, _q_matrix, _q_norm
 
 __all__ = ["BudgetExceeded", "OptimalSet", "canonicalize", "successive_minima", "lll_reduce"]
 
@@ -338,17 +339,27 @@ def _exact_search(ch: ChannelSpec) -> OptimalSet:
     return OptimalSet(tuple([signed(x) for _, x in kept]), tuple([_exact_norm(ch, n) for n, _ in kept]), "exhaustive")
 
 
+def _start(ch: ChannelSpec) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The walk's first basis: W (a list of rows), lam and dd from ``_lll`` on Q's unit basis sorted by Q_ii, shortest first."""
+    bm, bgm, d, s, _, _ = ch.q
+    order = sorted(range(len(bm)), key=lambda i: d * bm[i] - s * bgm[i] ** 2)  # stable: equal Q_ii keep their order
+    u, lam, dd = _lll(_q_gram(ch, [[bm[i] * (i == j) for j in order] for i in order], [bgm[i] for i in order]), _DELTA)
+    return [list(row) for _, row in sorted(zip(order, zip(*u)))], lam, dd  # W = P U, P's column j the unit vector order[j]
+
+
 def _search(ch: ChannelSpec, budget: int) -> OptimalSet:
     """``successive_minima`` on a ``ChannelSpec``: ``_exact_search`` for K <= 3, else LLL on Q and the walk.
 
-    Each step's norm is the walk's least cost, the exact a^T Q a, and its row
-    the least signed a = W c among the c that reach it.
+    LLL starts from Q's unit basis sorted by Q_ii (``_start``), for fewer
+    exchanges; ``_lll_set`` keeps the unsorted start, as its rows are the
+    reduced basis.  The walk's answer does not depend on the basis: each
+    step's norm is its least cost, the exact a^T Q a, and its row the least
+    signed a = W c among the c that reach it.  A fold that moved W is
+    followed by W^T Q W from Q's factors (``_q_gram``) and ``_gso``.
     """
     if ch.dim <= _EXACT_K:
         return _exact_search(ch)
-    q = _q_matrix(ch)
-    u, lam, dd = _lll(q, _DELTA)
-    w = [list(row) for row in zip(*u)]
+    w, lam, dd = _start(ch)
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(w)):
         n, coords, nodes = _walk(lam, dd, m, budget, nodes)
@@ -358,9 +369,8 @@ def _search(ch: ChannelSpec, budget: int) -> OptimalSet:
         vectors.append(vec)
         out_norms.append(_exact_norm(ch, n))
         if m + 1 < len(w) and _fold(w, m, c):  # w is not read after the last step
-            cols = list(zip(*w))
-            qw = [[_dot(row, v) for row in q] for v in cols]  # the columns Q w_j
-            _gso([[_dot(col, x) for x in qw] for col in cols], lam, dd, m)  # of the Gram W^T Q W, from vector m on
+            cols, (bm, bgm) = list(zip(*w)), ch.q[:2]  # W^T diag(B) W and W^T (BG) for _q_gram, then _gso from vector m on
+            _gso(_q_gram(ch, [[_dot(map(mul, bm, u), v) for v in cols] for u in cols], [_dot(bgm, v) for v in cols]), lam, dd, m)
     return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
 
 

@@ -5,14 +5,14 @@ Vector and matrix inputs are read by ``_vector`` and ``_matrix`` (arrays through
 in views that return arrays.  A channel is one ``ChannelSpec``, checked once on
 construction, which keeps g, b_sq and snr as floats, 1 + snr g^T B g and the
 integer factors of its Gram; its Grams keep it, and each public function of a
-raw channel is a view over one.  LLL, the K >= 4 walk and ``gram()`` read the
-integer Gram Q (``_q_matrix``), an exact multiple of G; the K <= 3 search reads
-its entries from the factors.  Every noise norm a^T G a is ``_sq_norm`` of the
-channel, the exact a^T Q a from two integer dot products, rounded once, so
-nothing cancels at any snr or K.  Exact paths (rank, span solve, span
-membership) take integer matrices and share one fraction-free (Bareiss)
-elimination over Python ints; rationals appear only in their solutions and in
-``RationalMatrix``.
+raw channel is a view over one.  ``gram()`` and the LLL fallback read the
+integer Gram Q (``_q_matrix``), an exact multiple of G; the K >= 4 walk reads
+W^T Q W (``_q_gram``), the K <= 3 search Q's entries, from the factors.
+Every noise norm a^T G a is ``_sq_norm`` of the channel, the exact a^T Q a
+from two integer dot products, rounded once, so nothing cancels at any snr or
+K.  Exact paths (rank, span solve, span membership) take integer matrices and
+share one fraction-free (Bareiss) elimination over Python ints; rationals
+appear only in their solutions and in ``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -180,13 +180,16 @@ def _integer_gram(ch: ChannelSpec) -> tuple[list[int], list[int], int, int, int,
     return bm, bgm, d, s, ds, db * d
 
 
+def _q_gram(ch: ChannelSpec, m, t) -> list[list[int]]:
+    """W^T Q W = D m - S t t^T as rows, from Q's factors: m = W^T diag(B) W and t = W^T (BG), K^2 big-int products."""
+    _, _, d, s, _, _ = ch.q
+    return [[d * x - s * ti * tj for x, tj in zip(row, t)] for row, ti in zip(m, t)]
+
+
 def _q_matrix(ch: ChannelSpec) -> list[list[int]]:
-    """Q = D diag(B) - S (BG)(BG)^T as a list of rows, the integer Gram that LLL, the K >= 4 walk and ``gram()`` read."""
-    bm, bgm, d, s, _, _ = ch.q
-    q = [[-s * x * y for y in bgm] for x in bgm]
-    for i, row in enumerate(q):
-        row[i] += d * bm[i]
-    return q
+    """Q = D diag(B) - S (BG)(BG)^T, ``_q_gram`` of the unit basis: the integer Gram that ``gram()`` and ``_lll_set`` read."""
+    bm, bgm = ch.q[:2]
+    return _q_gram(ch, [[b * (i == j) for j in range(len(bm))] for i, b in enumerate(bm)], bgm)
 
 
 def _q_norm(ch: ChannelSpec, a) -> int:

@@ -25,20 +25,12 @@ from operator import mul
 from typing import NamedTuple
 
 from .lattice import DEFAULT_BUDGET, BudgetExceeded, _lll_set, _search
-from .linalg import ChannelSpec, RationalMatrix, _echelon, _int_rows, _logdet, _matrix
+from .linalg import ChannelSpec, RationalMatrix, _echelon, _int_rows, _listed, _logdet, _matrix
 from .rates import ComputationResult, _rate
 
 __all__ = [
-    "ChannelSpec",
-    "CfTransform",
-    "PseudoTriangularization",
-    "ModPLift",
-    "SumRateBounds",
-    "transform",
-    "sum_rate_bounds",
-    "pseudo_triangularize",
-    "mod_p_lift",
-    "rate_allocation",
+    "ChannelSpec", "CfTransform", "PseudoTriangularization", "ModPLift", "SumRateBounds", "transform",
+    "sum_rate_bounds", "pseudo_triangularize", "mod_p_lift", "rate_allocation",
 ]
 
 _ENUMERATE_LIMIT = 8  # past this many users, pseudo_triangularize returns only the greedy order
@@ -278,10 +270,7 @@ class ModPLift:
 
 
 def _is_prime(n: int) -> bool:
-    for f in range(2, math.isqrt(n) + 1):
-        if not n % f:
-            return False
-    return n >= 2
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
@@ -294,7 +283,11 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     built from.
     """
     steps, pi = pt.steps, pt.pi
-    if not steps or _matrix(a_matrix, "matrix is not the one the triangularization was built from") != steps[0].source.rows:
+    try:  # a plain row read: only a matrix equal to the source rows passes, so _matrix's shape checks are not needed
+        same = bool(steps) and [row if type(row) is list else _listed(row) for row in _listed(a_matrix)] == steps[0].source.rows
+    except TypeError:  # text, or a number as a row
+        same = False
+    if not same:
         raise ValueError("matrix is not the one the triangularization was built from")
     _, cols, lemma_bound = steps[0].source
     units = 1

@@ -165,3 +165,30 @@ def test_09_alignment_dips(tmp_path):
             lines.append(f"{snr_db},{format(float(g), '.17g')},{format(rate, '.17g')}")
     out.write_text("\n".join(lines) + "\n")
     verdict(9, f"integer-gain dip at 15 dB and half-integer dip at 25 dB confirmed; curves at {out}")
+
+
+def test_10_high_snr_dominance():
+    """test_06's two checks at 60, 160 and 300 dB for K in {2, 3, 5, 10}.
+
+    Per K and then per snr, 400 gains log-uniform over
+    [snr^-1/4 / 4, 2 sqrt(snr)), all from one ``default_rng(5)`` stream;
+    every regime appears in each sweep.  Two margins vanish at high snr: the
+    least r_best - lower_closed is 0 at K = 2 and, at 300 dB, at every K; the
+    largest r_best - upper_loose is 0.0 at 300 dB (K = 2, 3).  So the
+    300 dB checks rest on the 1e-9 slack.
+    """
+    start = time.perf_counter()
+    rng = np.random.default_rng(5)
+    for k in (2, 3, 5, 10):
+        for snr_db in (60.0, 160.0, 300.0):
+            snr = 10 ** (snr_db / 10)
+            regimes_seen = set()
+            for g in np.exp(rng.uniform(math.log(snr ** -0.25 / 4), math.log(2 * math.sqrt(snr)), 400)):
+                rep = report(SymmetricIcSpec(k, float(g), snr), c=2.0, method="auto")
+                regimes_seen.add(rep.regime)
+                if not rep.in_outage:
+                    assert rep.lower_closed <= rep.r_best + 1e-9, (k, snr_db, g, rep)
+                assert rep.r_best <= rep.upper_loose + 1e-9, (k, snr_db, g, rep)
+            assert regimes_seen == {"noisy", "weak", "moderately-weak", "strong", "very-strong"}, (k, snr_db)
+    elapsed = time.perf_counter() - start
+    verdict(10, f"4800 points at 60/160/300 dB, K in {{2, 3, 5, 10}}, all five regimes each, dominance holds, {elapsed:.1f} s")

@@ -23,6 +23,7 @@ from cfrates.lattice import (
     _lll,
     _search,
     _signed,
+    _start,
     _walk,
     canonicalize,
     lll_reduce,
@@ -32,6 +33,7 @@ from cfrates.linalg import (
     GramMatrix,
     RationalSpan,
     _mantissas,
+    _q_gram,
     _q_matrix,
     _q_norm,
     _sq_norm,
@@ -229,13 +231,14 @@ def numpy_search(gram):
 def refresh_every_step_search(ch, budget):
     """Reference: ``_search`` rebuilding its Gram-Schmidt data at every step.
 
-    It reruns ``_gso`` on W^T Q W from vector m-1 at every step m >= 1, and
-    folds after every step, the last one included.  The walk is looked up on
-    the module, as ``_search`` does, so a test can record what each step walks.
+    It starts from ``_search``'s basis (``_start``), reruns ``_gso`` on
+    W^T Q W, formed through the K x K Q, from vector m-1 at every step
+    m >= 1, and folds after every step, the last one included.  The walk is
+    looked up on the module, as ``_search`` does, so a test can record what
+    each step walks.
     """
     q = _q_matrix(ch)
-    u, lam, dd = _lll(q, 0.99)
-    w = [list(row) for row in zip(*u)]
+    w, lam, dd = _start(ch)
     vectors, out_norms, nodes = [], [], 0
     for m in range(len(w)):
         if m:
@@ -582,6 +585,29 @@ class TestRefreshAfterMovingFold:
         assert all(m + 1 < k for m, k, _ in folds)
         assert sum(moved for _, _, moved in folds) >= 20
 
+    def test_start_is_the_sorted_unit_basis_reduced(self):
+        # W is unimodular, W^T Q W is LLL-reduced with _gso's data, and LLL began from Q's unit basis sorted by Q_ii
+        for _, ch, _ in itertools.islice(search_cases(), 0, None, 9):
+            q, (w, lam, dd) = _q_matrix(ch), _start(ch)
+            cols = [list(col) for col in zip(*w)]
+            assert_lll_reduced(q, cols)
+            fresh_lam, fresh_dd = [[0] * i for i in range(len(q))], [1] + [0] * len(q)
+            _gso(gram_of(q, cols), fresh_lam, fresh_dd, 0)
+            assert (lam, dd) == (fresh_lam, fresh_dd)
+            order = sorted(range(len(q)), key=lambda i: q[i][i])
+            u = _lll([[q[i][j] for j in order] for i in order], 0.99)[0]
+            assert cols == [[v[order.index(i)] for i in range(len(q))] for v in u]
+
+    def test_factor_gram_equals_products_through_q(self):
+        # D m - S t t^T, m = W^T diag(B) W and t = W^T (BG), equals W^T Q W through the K x K Q, for unimodular and
+        # arbitrary integer W
+        rng = np.random.default_rng(9)
+        for _, ch, _ in itertools.islice(search_cases(), 0, None, 5):
+            k, (bm, bgm) = ch.dim, ch.q[:2]
+            for cols in (list(zip(*_start(ch)[0])), rng.integers(-9, 10, size=(k, k)).tolist()):
+                m = [[sum(b * x * y for b, x, y in zip(bm, u, v)) for v in cols] for u in cols]
+                assert _q_gram(ch, m, [_dot(bgm, v) for v in cols]) == gram_of(_q_matrix(ch), cols)
+
     def test_fold_reports_a_move(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -709,12 +735,14 @@ def exact_search_cases():
 
 
 def walk_cases():
-    """Channel records with K = 4..6, 10-300 dB, for the walk: random MACs and exact ties.
+    """Channel records with K = 4..8, 10-300 dB, for the walk: random MACs and exact ties.
 
     The random ones are plain and weighted at 10-300 dB.  The plain [1, 1, 1, 1],
     [2, 1, 1, 1], [1, 1, 1, 1, 1] and [2, 2, 1, 1, 1, 1] have minima that tie
     exactly, at every snr; so do many of the weighted integer channels that
     follow: gains in {-2..2}, weights in {1..4}, integer snr or 10/25/80/300 dB.
+    Last come plain and weighted K = 7 and 8 MACs at 10/80/160 dB, so every
+    dimension up to ``_ENUMERATE_LIMIT`` is covered.
     """
     rng = np.random.default_rng(27)
     for db in (10, 25, 45, 80, 120, 160, 200, 250, 300):
@@ -732,10 +760,15 @@ def walk_cases():
         snr = float(rng.integers(1, 21)) if rng.integers(0, 2) else 10 ** (int(rng.choice([10, 25, 80, 300])) / 10)
         if g.any():
             yield ChannelSpec(g.tolist(), snr, b.tolist())
+    rng = np.random.default_rng(29)
+    for db in (10, 80, 160):
+        for k in (7, 8):
+            yield ChannelSpec.plain(rng.normal(size=k), 10 ** (db / 10))
+            yield ChannelSpec(rng.normal(size=k), 10 ** (db / 10), rng.uniform(0.25, 4, size=k))
 
 
 class TestExactWalk:
-    """K >= 4: the integer walk gives the exact successive minima, ties included, from 10 to 300 dB."""
+    """K = 4..8: the integer walk gives the exact successive minima, ties included, from 10 to 300 dB."""
 
     def test_equals_the_exact_minima(self):
         """As for K <= 3: vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1."""
@@ -783,12 +816,13 @@ class TestExactSearch:
             assert _search(ChannelSpec.plain([1.0, 1.0], snr), 0).vectors == ((1, 1), (0, 1))
 
     def test_never_builds_the_k_by_k_gram(self, monkeypatch):
-        # the kernel reads Q's entries from its factors; only LLL, the K >= 4 walk and gram() build the matrix
-        def refuse(ch):
-            raise AssertionError("_q_matrix called")
+        # the kernel reads Q's entries from its factors; only LLL, the K >= 4 walk and gram() build a K x K Gram
+        def refuse(*args):
+            raise AssertionError("a K x K Gram was built")
 
-        monkeypatch.setattr(cfrates.lattice, "_q_matrix", refuse)
-        monkeypatch.setattr(cfrates.linalg, "_q_matrix", refuse)
+        for name in ("_q_matrix", "_q_gram"):
+            monkeypatch.setattr(cfrates.lattice, name, refuse)
+            monkeypatch.setattr(cfrates.linalg, name, refuse)
         for h in ([2.0], [1.0, 2.5], [0.3, -0.7, 1.1]):
             for method in ("auto", "exhaustive"):
                 assert transform(ChannelSpec.plain(h, 1e3), method).method == "exhaustive"

@@ -866,6 +866,46 @@ class TestModPLift:
         with pytest.raises(ValueError, match="not the one"):
             mod_p_lift(np.zeros((0, 0), int), empty)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            EXAMPLE_A,
+            EXAMPLE_A.astype(float),
+            [(2, 1), (3, 1)],
+            ((2, 1), (3, 1)),
+            [np.array([2, 1]), (3.0, 1.0)],
+            EXAMPLE_A + 1,
+            [[2, 1], [3, 1.5]],
+            [2, 1],
+            [[2, 1], [3]],
+            [[2, 1, 0], [3, 1, 0]],
+            "21 31",
+            [b"21", b"31"],
+            EXAMPLE_A[None],
+            [[[2], [1]], [[3], [1]]],
+            np.zeros((0, 2), int),
+            [],
+        ],
+        ids=[
+            "int-array", "float-array", "tuple-rows", "tuple-of-tuples", "mixed-rows", "other-values", "non-integer",
+            "vector", "ragged", "wide", "text", "bytes-rows", "3-d-array", "3-d-lists", "empty-array", "empty-list",
+        ],
+    )
+    def test_row_read_accepts_what_the_matrix_check_did(self, a):
+        # the plain row read accepts exactly the inputs whose _matrix rows equal the source rows, and
+        # refuses the rest with the same ValueError
+        pt = pseudo_triangularize(EXAMPLE_A)[0]
+        message = "matrix is not the one the triangularization was built from"
+        try:
+            accepted = linalg._matrix(a, message) == EXAMPLE_A.tolist()
+        except ValueError:
+            accepted = False
+        if accepted:
+            assert mod_p_lift(a, pt) == mod_p_lift(EXAMPLE_A, pt)
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                mod_p_lift(a, pt)
+
     def test_lost_zero_is_runtime_error(self):
         pt = pseudo_triangularize(EXAMPLE_A)[0]
         broken = dataclasses.replace(pt.steps[1], lower_int=(1, 1), mod_p={})
