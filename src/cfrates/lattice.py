@@ -274,10 +274,11 @@ def _exact_search(ch: ChannelSpec) -> OptimalSet:
     every minimum lies among its {0, +-1} combinations.  Those up to the
     last basis norm are ranked by exact a^T Q a, summed from the reduced
     Gram entries, and exact ties by the signed a = x U, built only for them
-    and for the rows kept; each is kept when independent of those kept
-    before it.  Norms are ``_exact_norm``'s; the set is empty when the first
-    a^T Q a reaches U (a^T G a >= snr, exactly), so a kept norm may round to
-    snr (rate 0.0).
+    and for the rows kept.  They are independent with no elimination: U is
+    unimodular, distinct sign-normalized {0, +-1} x are never parallel, and
+    the third x passes an exact cross-product test.  Norms are
+    ``_exact_norm``'s; the set is empty when the first a^T Q a reaches U
+    (a^T G a >= snr, exactly), so a kept norm may round to snr (rate 0.0).
     """
     bm, bgm, d, s, _, limit = ch.q
     k, pad = len(bm), [0] * (3 - len(bm))  # a missing vector has zero entries
@@ -355,7 +356,9 @@ def _search(ch: ChannelSpec, budget: int) -> OptimalSet:
     reduced basis.  The walk's answer does not depend on the basis: each
     step's norm is its least cost, the exact a^T Q a, and its row the least
     signed a = W c among the c that reach it.  A fold that moved W is
-    followed by W^T Q W from Q's factors (``_q_gram``) and ``_gso``.
+    followed by W^T Q W from Q's factors (``_q_gram``) and ``_gso``.  Rows are
+    independent: step m's c[m:] is nonzero, and the unimodular W's first m
+    columns span the earlier rows.
     """
     if ch.dim <= _EXACT_K:
         return _exact_search(ch)
@@ -405,6 +408,6 @@ def lll_reduce(basis: np.ndarray, delta: float = _DELTA) -> OptimalSet:
 
 
 def _lll_set(ch: ChannelSpec) -> OptimalSet:
-    """``lll_reduce`` on the integer Gram Q of a ``ChannelSpec``, ranked by exact a^T Q a, with ``_exact_norm`` norms."""
+    """``lll_reduce`` on a ``ChannelSpec``'s integer Gram Q, ranked by exact a^T Q a; rows of a unimodular u, so independent."""
     scored = sorted((_q_norm(ch, a), _signed(tuple(a))) for a in _lll(_q_matrix(ch), _DELTA)[0])
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(_exact_norm(ch, n) for n, _ in scored), method="lll")

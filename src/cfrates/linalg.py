@@ -294,9 +294,8 @@ def _logdet(ch: ChannelSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(mat) -> list[list[int]]:
-    """Rows of ``mat`` as Python ints; ``[]`` is the matrix with no rows.  ValueError unless 2-D with integer entries."""
-    entries = _matrix(mat, "expected a 2-D matrix")
+def _int_rows(entries: list[list]) -> list[list[int]]:
+    """``_matrix``'s rows as Python ints; ``[]`` is the matrix with no rows.  ValueError unless every entry is an integer."""
     try:  # int() refuses nan and +-inf
         rows = [list(map(int, row)) for row in entries]
     except (ValueError, OverflowError):
@@ -341,7 +340,7 @@ def _echelon(rows: list[list[int]], n_cols: int) -> list[int]:
 
 def exact_rank(mat) -> int:
     """Rank of an integer matrix over the rationals: its number of pivots."""
-    rows = _int_rows(mat)
+    rows = _int_rows(_matrix(mat, "expected a 2-D matrix"))
     return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 
@@ -373,8 +372,8 @@ def exact_solve_in_span(mat, rhs) -> list[Fraction] | None:
     Entries must be integers (ValueError otherwise).  ``mat`` may be rank
     deficient; free coordinates are set to zero.
     """
-    aug = _int_rows(mat)
-    (b,) = _int_rows([rhs])
+    aug = _int_rows(_matrix(mat, "expected a 2-D matrix"))
+    (b,) = _int_rows(_matrix([rhs], "expected a 2-D matrix"))
     if len(aug) != len(b):
         raise ValueError("matrix and right-hand side sizes differ")
     solved = _solve_scaled(aug, b)
@@ -397,7 +396,7 @@ class RationalSpan:
         return len(self._rows)
 
     def try_add(self, vec) -> bool:
-        (v,) = _int_rows([vec])
+        (v,) = _int_rows(_matrix([vec], "expected a 2-D matrix"))
         if len(v) != self.dim:
             raise ValueError("vector has wrong length")
         if exact_rank([*self._rows, v]) == self.rank:

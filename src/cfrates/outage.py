@@ -185,7 +185,7 @@ def in_outage(g: float, snr: float, c: float) -> bool:
         raise ValueError("cross gain must be positive and finite")
     if not snr > 1:
         raise ValueError("outage sets are defined for snr > 1")
-    if c <= 0:
+    if not c > 0:  # nan fails every comparison
         raise ValueError("gap parameter c must be positive")
     if 1.0 <= g < math.sqrt(snr):
         _, q_max, phi = _strong(math.floor(g), snr, c)

@@ -164,9 +164,11 @@ def hk_rate_default(spec: SymmetricIcSpec, method: str = "auto") -> float:
 
 
 def hk_rate_optimized(spec: SymmetricIcSpec, n_gamma: int = 64, method: str = "auto") -> float:
-    """Layered rate maximized over a log-spaced gamma grid of ``n_gamma`` >= 2 points (plus the default)."""
+    """Layered rate maximized over a log-spaced gamma grid of ``n_gamma`` points (plus the default); ValueError unless an integer >= 2."""
     if not n_gamma >= 2:
         raise ValueError(f"n_gamma must be at least 2, got {n_gamma!r}")
+    if not isinstance(n_gamma, numbers.Integral):
+        raise ValueError(f"n_gamma must be an integer, got {n_gamma!r}")
     lo, hi = 1e-3, 1.0 - 1e-6
     step = (hi / lo) ** (1.0 / (n_gamma - 1))
     gammas = [lo * step**i for i in range(n_gamma)]

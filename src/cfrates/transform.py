@@ -6,11 +6,12 @@ cancellation needs A triangularized without row swaps, which only some column
 orders allow: each comes with a unit-lower-triangular rational L such that
 L A is upper triangular up to that permutation.  All feasible orders come
 from one depth-first walk over column-set prefixes, with at most 2^K steps of
-integer rows q_S L_i and q_S (L A)_i; each order can be replayed over Z_p
-with an integer L, as a mod-p decoder would.  Orders and lifts hold only
-integer rows, and their ``Fraction`` matrices and int64 arrays are cached
-views, as are a transform's matrix, rates and integer columns.  The
-``ChannelSpec`` re-exported here is ``linalg``'s one checked channel record.
+integer rows q_S L_i and q_S (L A)_i, which also decides A's rank; each
+order is replayed over Z_p, as a mod-p decoder would, by scaling those rows
+by q_S^-1 mod p.  Orders and lifts hold only integer rows, and their
+``Fraction`` matrices and int64 arrays are cached views, as are a
+transform's matrix, rates and integer columns.  The ``ChannelSpec``
+re-exported here is ``linalg``'s one checked channel record.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .lattice import DEFAULT_BUDGET, BudgetExceeded, _lll_set, _search
-from .linalg import ChannelSpec, RationalMatrix, _echelon, _int_rows, _listed, _logdet, _matrix
+from .linalg import ChannelSpec, RationalMatrix, _int_rows, _listed, _logdet, _matrix
 from .rates import ComputationResult, _rate
 
 __all__ = [
@@ -74,9 +75,11 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     the fallback, apply to K >= 4 only: for K <= 3 the exhaustive search is an
     exact reduction with no enumeration.  Each row's result comes from the
     channel and the row's search norm by the same ``rates._rate`` that
-    ``comp_rate`` calls, and the rank check is ``exact_rank``'s elimination on
-    the rows.  A row whose exact norm is below snr but rounds to it has rate
-    0.0.  ValueError for an unknown method or a negative ``budget``.
+    ``comp_rate`` calls.  The matrix has full rank with no elimination here:
+    each search's rows are independent by its construction (``_exact_search``,
+    ``_search`` and ``_lll_set`` say why).  A row whose exact norm is below
+    snr but rounds to it has rate 0.0.  ValueError for an unknown method or a
+    negative ``budget``.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")
@@ -92,8 +95,6 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     if len(opt) != k:
         raise ValueError("channel admits no full positive-rate coefficient set")
     results = tuple(_rate(channel, vec, norm) for vec, norm in zip(opt.vectors, opt.norms))
-    if len(_echelon([list(vec) for vec in opt.vectors], k)) != k:
-        raise RuntimeError("coefficient matrix lost rank")
     return CfTransform(results=results, channel=channel, method=opt.method)
 
 
@@ -198,22 +199,23 @@ def pseudo_triangularize(a_matrix) -> list[PseudoTriangularization]:
     """All column orders under which A triangularizes without row swaps.
 
     Row i's multipliers depend only on the set S of columns eliminated before
-    it, and column c can follow S iff row i of L A is nonzero at c (L A keeps
-    the rank of A), so every prefix completes.  A depth-first walk over column
-    prefixes builds each (row, S) step once, by ``_reduce`` from the steps on
-    its path, with no ``Fraction`` arithmetic; L A is recomputed from A's
-    columns, so the check that S is eliminated does not trust the reduction.
-    Orders come out in lexicographic ``pi`` order.  For K > 8 (``_ENUMERATE_LIMIT``)
-    only the greedy order is returned: at each row, the first remaining column
-    where the reduced row is nonzero.  ValueError unless A is a nonempty
-    full-rank square integer matrix.
+    it, and column c can follow S iff row i of L A is nonzero at c.  A
+    depth-first walk over column prefixes builds each (row, S) step once, by
+    ``_reduce`` from the steps on its path, with no ``Fraction`` arithmetic;
+    L A is recomputed from A's columns, so the check that S is eliminated
+    does not trust the reduction.  Row i of L A is A_i plus a combination of
+    earlier rows, so it is zero off S only when A is singular: every prefix
+    of a full-rank A completes, and a singular A stops the first descent, at
+    its first dependent row, within K ``_reduce`` calls.  Orders come out in
+    lexicographic ``pi`` order.  For K > 8 (``_ENUMERATE_LIMIT``) only the
+    greedy order is returned: at each row, the first remaining column where
+    the reduced row is nonzero.  ValueError unless A is a nonempty full-rank
+    square integer matrix.
     """
     rows = _int_rows(_matrix(a_matrix, "matrix must be a nonempty square matrix", square=True))
     k = len(rows)
     if not k:
         raise ValueError("matrix must be a nonempty square matrix")
-    if len(_echelon([row[:] for row in rows], k)) != k:
-        raise ValueError("matrix must be full rank")
     a_max = max(1, *map(abs, itertools.chain.from_iterable(rows)))
     cols = [list(col) for col in zip(*rows)]
     source = _Source(rows, cols, k * math.factorial(k) ** 2 * (k * a_max) ** (2 * k) * a_max)
@@ -228,6 +230,8 @@ def pseudo_triangularize(a_matrix) -> list[PseudoTriangularization]:
             if any(map(tilde.__getitem__, pi)):
                 raise RuntimeError("eliminated entry is nonzero")
             nxt = [c for c in range(k) if tilde[c]]  # the columns in S are zero there
+            if not nxt:
+                raise ValueError("matrix must be full rank")
             step = _Step(source, head[i], (*head, *[0] * (k - i - 1)), tilde)
             memo[done] = step, nxt[:1] if k > _ENUMERATE_LIMIT else nxt
         s, nxt = memo[done]
@@ -276,11 +280,13 @@ def _is_prime(n: int) -> bool:
 def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
     """Lift a rational triangularization of integer A to arithmetic mod p.
 
-    Row i of L mod p is q_i^-1 times the integer row q_i L_i of its step, and p
-    is the smallest prime that divides no q_i and no permuted diagonal entry
-    q_i (L A)[i, pi_i].  Each lifted row is built and checked for lost zeros
-    once per (column set, p).  ValueError when A is not the matrix ``pt`` was
-    built from.
+    p is the smallest prime that divides no q_i and no permuted diagonal
+    entry q_i (L A)[i, pi_i].  Rows i of L mod p and (L mod p) A mod p are
+    q_i^-1 times the step's integer rows q_i L_i and q_i (L A)_i, as
+    (q_i^-1 q_i L_i) A = q_i^-1 (q_i L_i A): the zeros stay the exact zeros
+    that ``pseudo_triangularize`` certifies, and p keeps the diagonal.  Each
+    lifted row is built once per (column set, p).  ValueError when A is not
+    the matrix ``pt`` was built from.
     """
     steps, pi = pt.steps, pt.pi
     try:  # a plain row read: only a matrix equal to the source rows passes, so _matrix's shape checks are not needed
@@ -289,28 +295,16 @@ def mod_p_lift(a_matrix, pt: PseudoTriangularization) -> ModPLift:
         same = False
     if not same:
         raise ValueError("matrix is not the one the triangularization was built from")
-    _, cols, lemma_bound = steps[0].source
-    units = 1
-    for s, c in zip(steps, pi):
-        units *= s.q * s.tilde_int[c]
+    units = math.prod(s.q * s.tilde_int[c] for s, c in zip(steps, pi))
     p = 2
     while not units % p or not _is_prime(p):
         p += 1
-    lower_rows, a_tilde_rows = [], []
-    for i, s in enumerate(steps):
-        lifted = s.mod_p.get(p)
-        if lifted is None:
+    for s in steps:
+        if p not in s.mod_p:
             inv = pow(s.q, -1, p)
-            head = [x * inv % p for x in s.lower_int[: i + 1]]  # entries past i are zero
-            tilde_p = tuple([sum(map(mul, head, col)) % p for col in cols])
-            if any(map(tilde_p.__getitem__, pi[:i])):
-                raise RuntimeError("mod-p elimination lost a zero")
-            lifted = s.mod_p[p] = (*head, *[0] * (len(cols) - i - 1)), tilde_p
-        if not lifted[1][pi[i]]:
-            raise RuntimeError("mod-p diagonal entry vanished")
-        lower_rows.append(lifted[0])
-        a_tilde_rows.append(lifted[1])
-    return ModPLift(p, tuple(lower_rows), tuple(a_tilde_rows), tuple([s.q for s in steps]), lemma_bound)
+            s.mod_p[p] = tuple([x * inv % p for x in s.lower_int]), tuple([x * inv % p for x in s.tilde_int])
+    lower_rows, a_tilde_rows = zip(*[s.mod_p[p] for s in steps])
+    return ModPLift(p, lower_rows, a_tilde_rows, tuple([s.q for s in steps]), steps[0].source.lemma_bound)
 
 
 def rate_allocation(t: CfTransform, pt: PseudoTriangularization) -> tuple[float, ...]:

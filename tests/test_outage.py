@@ -225,6 +225,14 @@ class TestInOutage:
         with pytest.raises(ValueError):
             in_outage(1.0, 1e4, -1.0)
 
+    @pytest.mark.parametrize("c", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("g", [1e-9, 0.7, 2.0, 1e3], ids=["noisy", "moderately-weak", "strong", "very-strong"])
+    def test_gap_must_be_positive_in_every_regime(self, g, c):
+        # nan fails every comparison, so c <= 0 let it through: a noisy or very strong gain returned
+        # False, and a moderately weak or strong one raised the set's own range message
+        with pytest.raises(ValueError, match="^gap parameter c must be positive$"):
+            in_outage(g, 100.0, c)
+
     @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
     def test_gain_must_be_finite(self, g):
         # nan fails every comparison, so g <= 0 let it through and it was reported outside the outage set

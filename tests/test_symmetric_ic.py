@@ -185,6 +185,12 @@ class TestLayeredScheme:
         with pytest.raises(ValueError, match="n_gamma must be at least 2"):
             hk_rate_optimized(SymmetricIcSpec(3, 0.3, 10**2.5), n_gamma=n_gamma)
 
+    @pytest.mark.parametrize("n_gamma", [3.0, 2.5])
+    def test_grid_of_non_integer_points_rejected(self, n_gamma):
+        # range() raised TypeError for these, not the documented ValueError
+        with pytest.raises(ValueError, match="n_gamma must be an integer"):
+            hk_rate_optimized(SymmetricIcSpec(3, 0.3, 10**2.5), n_gamma=n_gamma)
+
 
 class TestUpperBounds:
     def test_very_strong_branch(self):

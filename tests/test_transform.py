@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrates import cli, linalg, symmetric_ic
-from cfrates.lattice import BudgetExceeded, _dot, _lll, successive_minima
+from cfrates.lattice import DEFAULT_BUDGET, BudgetExceeded, _dot, _lll, successive_minima
 from cfrates.linalg import RationalMatrix, RationalSpan, exact_rank, sylvester_logdet
 from cfrates.rates import comp_rate
 from cfrates.transform import (
@@ -206,6 +206,30 @@ class TestTransform:
             assert all(a >= b - 1e-12 for a, b in zip(t.rates, t.rates[1:]))
             for res, row in zip(t.results, t.matrix):
                 assert res.a == tuple(row.tolist())
+
+    def test_rows_have_full_rank_on_every_path(self):
+        """Each search's rows are independent by construction; ``transform`` does not eliminate them again.
+
+        K = 1..8, plain and weighted channels, -10..300 dB, through the K <= 3 kernel and the K >= 4 walk
+        (``auto``), LLL (``lll``) and the LLL fallback (``auto`` at ``budget=0``, K >= 4).
+        """
+        rng = np.random.default_rng(30)
+        checked = 0
+        for k in range(1, 9):
+            for weighted in (False, True):
+                for snr_db in rng.uniform(-10.0, 300.0, size=4):
+                    b_sq = 10 ** rng.uniform(-1.0, 1.0, size=k) if weighted else np.ones(k)
+                    ch = ChannelSpec.effective(rng.normal(size=k), b_sq, 10 ** (snr_db / 10))
+                    for method, budget in (("auto", DEFAULT_BUDGET), ("lll", DEFAULT_BUDGET), ("auto", 0)):
+                        try:
+                            t = transform(ch, method, budget)
+                        except ValueError as exc:
+                            assert "positive-rate" in str(exc)
+                            continue
+                        assert t.method == ("lll" if method == "lll" or (budget == 0 and k >= 4) else "exhaustive")
+                        assert exact_rank(t.matrix) == k
+                        checked += 1
+        assert checked >= 180
 
     def test_lll_method(self):
         t = transform(ChannelSpec.plain([math.sqrt(5), 1.0], 10**1.5), method="lll")
@@ -665,8 +689,30 @@ class TestPseudoTriangularize:
                 assert (pi in feasible) == pi_feasible_oracle(rows, pi)
 
     def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_triangularize([[1, 2], [2, 4]])
+        """The walk decides the rank: singular matrices at K = 1..9 (K = 9 takes the greedy branch)."""
+        rng = np.random.default_rng(30)
+        matrices = [[[0]], [[1, 2], [2, 4]], [[1, 0, 2], [3, 0, 1], [2, 0, 5]]]
+        for k in range(2, 10):
+            for dependent in sorted({0, k // 2, k - 1}):  # a row that is an integer combination of the others
+                a = rng.integers(-3, 4, size=(k, k))
+                a[dependent] = rng.integers(-2, 3, size=k - 1) @ np.delete(a, dependent, axis=0)
+                matrices.append(a)
+        for a in matrices:
+            assert exact_rank(a) < len(a)
+            with pytest.raises(ValueError, match="^matrix must be full rank$"):
+                pseudo_triangularize(a)
+
+    def test_singular_rejected_within_k_reductions(self, monkeypatch):
+        # rows 0..6 of DENSE_K8 are independent and row 7 is not, so the first descent reaches row 7
+        # and finds its row of L A zero: one _reduce per row, and no order or other prefix is tried
+        module = importlib.import_module("cfrates.transform")
+        reduce, calls = module._reduce, []
+        monkeypatch.setattr(module, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+        a = DENSE_K8.copy()
+        a[7] = a[1] - 2 * a[4] + a[6]
+        with pytest.raises(ValueError, match="^matrix must be full rank$"):
+            pseudo_triangularize(a)
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("a", [np.zeros((0, 0), int), np.zeros((0,), int), np.zeros((2, 0), int), 3, [[1, 2, 3]]])
     def test_empty_or_non_square_rejected(self, a):
@@ -905,12 +951,6 @@ class TestModPLift:
         else:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 mod_p_lift(a, pt)
-
-    def test_lost_zero_is_runtime_error(self):
-        pt = pseudo_triangularize(EXAMPLE_A)[0]
-        broken = dataclasses.replace(pt.steps[1], lower_int=(1, 1), mod_p={})
-        with pytest.raises(RuntimeError, match="lost a zero"):
-            mod_p_lift(EXAMPLE_A, dataclasses.replace(pt, steps=(pt.steps[0], broken)))
 
     def test_lemma_bound_formula(self):
         pts = pseudo_triangularize(EXAMPLE_A)
