@@ -280,7 +280,7 @@ def _exact_search(ch: ChannelSpec) -> OptimalSet:
     ``_exact_norm``'s; the set is empty when the first a^T Q a reaches U
     (a^T G a >= snr, exactly), so a kept norm may round to snr (rate 0.0).
     """
-    bm, bgm, d, s, _, limit = ch.q
+    bm, bgm, d, s, _, _, limit = ch.q
     k, pad = len(bm), [0] * (3 - len(bm))  # a missing vector has zero entries
     n0, n1, n2 = [d * b - s * x * x for b, x in zip(bm, bgm)] + pad
     g0, g1, g2 = bgm + pad
@@ -342,7 +342,7 @@ def _exact_search(ch: ChannelSpec) -> OptimalSet:
 
 def _start(ch: ChannelSpec) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """The walk's first basis: W (a list of rows), lam and dd from ``_lll`` on Q's unit basis sorted by Q_ii, shortest first."""
-    bm, bgm, d, s, _, _ = ch.q
+    bm, bgm, d, s, _, _, _ = ch.q
     order = sorted(range(len(bm)), key=lambda i: d * bm[i] - s * bgm[i] ** 2)  # stable: equal Q_ii keep their order
     u, lam, dd = _lll(_q_gram(ch, [[bm[i] * (i == j) for j in order] for i in order], [bgm[i] for i in order]), _DELTA)
     return [list(row) for _, row in sorted(zip(order, zip(*u)))], lam, dd  # W = P U, P's column j the unit vector order[j]

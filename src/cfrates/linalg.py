@@ -3,16 +3,18 @@
 Vector and matrix inputs are read by ``_vector`` and ``_matrix`` (arrays through
 ``tolist()``), so the kernels run on Python floats and ints and numpy loads only
 in views that return arrays.  A channel is one ``ChannelSpec``, checked once on
-construction, which keeps g, b_sq and snr as floats, 1 + snr g^T B g and the
-integer factors of its Gram; its Grams keep it, and each public function of a
-raw channel is a view over one.  ``gram()`` and the LLL fallback read the
-integer Gram Q (``_q_matrix``), an exact multiple of G; the K >= 4 walk reads
-W^T Q W (``_q_gram``), the K <= 3 search Q's entries, from the factors.
-Every noise norm a^T G a is ``_sq_norm`` of the channel, the exact a^T Q a
-from two integer dot products, rounded once, so nothing cancels at any snr or
-K.  Exact paths (rank, span solve, span membership) take integer matrices and
-share one fraction-free (Bareiss) elimination over Python ints; rationals
-appear only in their solutions and in ``RationalMatrix``.
+construction, which keeps g, b_sq and snr as floats and the integer factors of
+its Gram, den = 1 + snr g^T B g among them; its Grams keep it, and each public
+function of a raw channel is a view over one.  ``gram()`` and the LLL fallback
+read the integer Gram Q (``_q_matrix``), an exact multiple of G; the K >= 4
+walk reads W^T Q W (``_q_gram``), the K <= 3 search Q's entries, from the
+factors.  Every noise norm a^T G a is ``_sq_norm`` of the channel, the exact
+a^T Q a from two integer dot products, rounded once, so nothing cancels at any
+snr or K; the log-determinant and the MAC sum capacity are ``_log2_ratio`` of
+one integer ratio of the factors.  Exact paths (rank, span solve, span
+membership) take integer matrices and share one fraction-free (Bareiss)
+elimination over Python ints; rationals appear only in their solutions and in
+``RationalMatrix``.
 
 All logarithms are base 2; SNR is linear here (dB conversion happens at the
 CLI boundary).
@@ -21,6 +23,7 @@ CLI boundary).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -96,20 +99,18 @@ class ChannelSpec:
 
     ``weights_sq`` None means unit weights (a plain MAC); effective MACs carry
     the diagonal of their weight matrix.  Construction raises ValueError unless
-    the gains are a nonempty finite 1-D vector, snr is positive and finite, the
-    weights match the gains in length and are positive and finite, and
-    ``denom`` = 1 + snr g^T B g (``math.fsum`` of the g_i (b_i g_i)) is finite.
-    Gains and weights are stored as tuples of floats and snr as a float, so
-    equality and hashing compare values whatever the input type; ``denom`` and
-    ``q``, the integer factors of the Gram (``_integer_gram``), are outside
+    the gains are a nonempty finite 1-D vector, snr is a positive finite real
+    number, and the weights match the gains in length and are positive and
+    finite.  Gains and weights are stored as tuples of floats and snr as a
+    float, so equality and hashing compare values whatever the input type;
+    ``q``, the integer factors of the Gram (``_integer_gram``), is outside
     init, repr, equality and hash.
     """
 
     gains: tuple[float, ...]
     snr: float
     weights_sq: tuple[float, ...]
-    denom: float = field(init=False, repr=False, compare=False)
-    q: tuple[list[int], list[int], int, int, int, int] = field(init=False, repr=False, compare=False)
+    q: tuple[list[int], list[int], int, int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _vector(self.gains, "channel gains must be a nonempty 1-D vector")
@@ -117,26 +118,14 @@ class ChannelSpec:
             raise ValueError("channel gains must be a nonempty 1-D vector")
         if not all(map(math.isfinite, g)):
             raise ValueError("channel gains must be finite")
-        snr = self.snr
-        if not (math.isfinite(snr) and snr > 0):
-            raise ValueError(f"snr must be positive and finite, got {snr!r}")
+        if not (isinstance(self.snr, (float, numbers.Real)) and math.isfinite(self.snr) and self.snr > 0):  # floats skip the slow ABC test
+            raise ValueError(f"snr must be positive and finite, got {self.snr!r}")
         b_sq = (1.0,) * len(g) if self.weights_sq is None else _vector(self.weights_sq, "weights must match the gain vector length")
         if len(b_sq) != len(g):
             raise ValueError("weights must match the gain vector length")
         if not all(0 < x < math.inf for x in b_sq):
             raise ValueError("effective weights must be positive and finite")
-        snr = float(snr)
-        gbg = [x * (b * x) for x, b in zip(g, b_sq)]
-        try:
-            denom = 1.0 + snr * math.fsum(gbg)
-        except OverflowError:  # fsum's partial sums overflowed; with snr < 1 folded into each term they may not
-            try:
-                denom = 1.0 + math.fsum(snr * x for x in gbg)
-            except OverflowError:
-                denom = math.inf
-        if not math.isfinite(denom):
-            raise ValueError("1 + snr g^T B g overflows floating point; gains or snr are too large")
-        for name, value in (("gains", g), ("snr", snr), ("weights_sq", b_sq), ("denom", denom)):
+        for name, value in (("gains", g), ("snr", float(self.snr)), ("weights_sq", b_sq)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "q", _integer_gram(self))
 
@@ -163,8 +152,8 @@ def _mantissas(values: tuple[float, ...]) -> tuple[list[int], int]:
     return [n * (d // e) for n, e in ratios], d
 
 
-def _integer_gram(ch: ChannelSpec) -> tuple[list[int], list[int], int, int, int, int]:
-    """(B, BG, D, S, ds, U): the factors of Q = D diag(B) - S (BG)(BG)^T, an exact positive multiple of the channel's Gram.
+def _integer_gram(ch: ChannelSpec) -> tuple[list[int], list[int], int, int, int, int, int]:
+    """(B, BG, D, S, ds, dg, U): the factors of Q = D diag(B) - S (BG)(BG)^T, an exact positive multiple of the channel's Gram.
 
     G, B and S are the integer mantissas of g, b_sq and snr over powers of two
     (``_mantissas``): g = G / dg, b = B / db and snr = S / ds, and BG is their
@@ -177,12 +166,12 @@ def _integer_gram(ch: ChannelSpec) -> tuple[list[int], list[int], int, int, int,
     (gm, dg), (bm, db), (s, ds) = _mantissas(ch.gains), _mantissas(ch.weights_sq), ch.snr.as_integer_ratio()
     bgm = list(map(mul, bm, gm))
     d = ds * dg * dg * db + s * sum(map(mul, gm, bgm))
-    return bm, bgm, d, s, ds, db * d
+    return bm, bgm, d, s, ds, dg, db * d
 
 
 def _q_gram(ch: ChannelSpec, m, t) -> list[list[int]]:
     """W^T Q W = D m - S t t^T as rows, from Q's factors: m = W^T diag(B) W and t = W^T (BG), K^2 big-int products."""
-    _, _, d, s, _, _ = ch.q
+    _, _, d, s, _, _, _ = ch.q
     return [[d * x - s * ti * tj for x, tj in zip(row, t)] for row, ti in zip(m, t)]
 
 
@@ -194,13 +183,13 @@ def _q_matrix(ch: ChannelSpec) -> list[list[int]]:
 
 def _q_norm(ch: ChannelSpec, a) -> int:
     """a^T Q a for an integer ``a``: D sum B_i a_i^2 - S (BG . a)^2, over Python ints."""
-    bm, bgm, d, s, _, _ = ch.q
+    bm, bgm, d, s, _, _, _ = ch.q
     return d * sum(map(mul, bm, [x * x for x in a])) - s * sum(map(mul, bgm, a)) ** 2
 
 
 def _exact_norm(ch: ChannelSpec, n: int) -> float:
     """a^T G a for n = a^T Q a: S n / (ds U), an int / int true division, which Python rounds correctly; ValueError past the float range."""
-    _, _, _, s, ds, u = ch.q
+    _, _, _, s, ds, _, u = ch.q
     try:
         norm = s * n / (ds * u)
     except OverflowError:
@@ -241,7 +230,7 @@ def gram_effective(g, b_sq, snr: float) -> GramMatrix:
 def _gram(ch: ChannelSpec) -> GramMatrix:
     """``gram_effective`` of a ``ChannelSpec``, keeping it."""
     import numpy as np
-    _, _, _, s, ds, u = ch.q
+    _, _, _, s, ds, _, u = ch.q
     q = _q_matrix(ch)
     try:
         entries = [[s * x / (ds * u) for x in row] for row in q]
@@ -277,16 +266,21 @@ def cholesky(gram) -> np.ndarray:
 def sylvester_logdet(gains, snr: float, b_sq=None) -> float:
     """log2 of the squared determinant of the lattice basis.
 
-    Plain MAC: K*log2(snr) - log2(1 + snr*||h||^2).  With squared weights
-    ``b_sq`` the determinant identity picks up det(B):
-    L*log2(snr) + log2(det B) - log2(1 + snr * g^T B g).
+    Plain MAC: K*log2(snr) - log2(1 + snr*||h||^2).  With squared weights it
+    picks up det(B): log2(snr^K det B / (1 + snr g^T B g)), the exact ratio
+    S^K dg^2 prod B_i / ((ds db)^(K-1) D) (db = U / D) rounded once.
     """
-    return _logdet(ChannelSpec(gains, snr, b_sq))
+    bm, _, d, s, ds, dg, u = ChannelSpec(gains, snr, b_sq).q
+    return _log2_ratio(s ** len(bm) * dg * dg * math.prod(bm), (ds * (u // d)) ** (len(bm) - 1) * d)
 
 
-def _logdet(ch: ChannelSpec) -> float:
-    """``sylvester_logdet`` of a ``ChannelSpec``."""
-    return len(ch.gains) * math.log2(ch.snr) + math.fsum(map(math.log2, ch.weights_sq)) - math.log2(ch.denom)
+def _log2_ratio(n, d) -> float:
+    """log2(n / d) for positive n and d: log2 of the rounded ratio while it is a positive finite float, else a difference of logs."""
+    try:
+        ratio = n / d  # int / int is correctly rounded, and raises OverflowError past the float range
+    except OverflowError:
+        ratio = math.inf
+    return math.log2(ratio) if 0 < ratio < math.inf else math.log2(n) - math.log2(d)
 
 
 # ---------------------------------------------------------------------------

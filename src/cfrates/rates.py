@@ -4,11 +4,11 @@ Everything here is closed form: the MMSE scaling coefficient, the resulting
 effective noise variance, and the rate 0.5*log2(snr/sigma2).  A plain MAC is
 the special case of an effective MAC with unit weights, so each function takes
 an optional ``b_sq`` vector of squared effective weights.  The channel is
-checked, and 1 + snr g^T B g computed, by building one ``linalg.ChannelSpec``,
-and each public function here is a view over it; only the coefficient vector
-is checked here.  The noise variance is ``linalg._sq_norm`` of the channel,
-the exact a^T G a rounded once, as the search reports it: ``comp_rate``
-computes it, and ``transform`` passes each row's search norm to ``_rate``.
+checked by building one ``linalg.ChannelSpec``, and each public function here
+is a view over it; only the coefficient vector is checked here.  The noise
+variance is ``linalg._sq_norm`` of the channel, as the search reports it, and
+beta one integer ratio of the channel's factors, each exact and rounded once:
+``comp_rate`` computes both, ``transform`` passes each row's norm to ``_rate``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import ChannelSpec, _sq_norm, _vector
+from .linalg import ChannelSpec, _log2_ratio, _mantissas, _sq_norm, _vector
 
 __all__ = ["ComputationResult", "effective_variance", "optimal_beta", "comp_rate"]
 
@@ -58,15 +58,18 @@ def effective_variance(gains, a, beta: float, snr: float, b_sq=None) -> float:
 
 
 def optimal_beta(gains, a, snr: float, b_sq=None) -> float:
-    """MMSE scaling coefficient: snr * g^T B a / (1 + snr * g^T B g)."""
-    return _beta(*_prepare(gains, a, snr, b_sq))
+    """MMSE scaling coefficient: snr * g^T B a / (1 + snr * g^T B g), exact and rounded once; ValueError for a non-finite a or beta."""
+    ch, a = _prepare(gains, a, snr, b_sq)
+    try:
+        return _beta(ch, *_mantissas(a))
+    except OverflowError:  # an infinite entry of a, or beta past the float range; a nan entry is a ValueError
+        raise ValueError("beta is not finite; a, gains, weights or snr are too large") from None
 
 
-def _beta(ch: ChannelSpec, a) -> float:
-    """``optimal_beta`` of a ``ChannelSpec``; (snr / den) g^T B a where snr g^T B a overflows, as snr / den < 1 / g^T B g."""
-    dot = sum(map(mul, map(mul, ch.weights_sq, ch.gains), a))
-    beta = ch.snr * dot / ch.denom
-    return ch.snr / ch.denom * dot if math.isinf(beta) else beta
+def _beta(ch: ChannelSpec, a, scale: int = 1) -> float:
+    """``optimal_beta`` of a ``ChannelSpec`` at integers ``a`` over ``scale``: S dg (BG . a) / (D scale), one int / int true division."""
+    _, bgm, d, s, _, dg, _ = ch.q
+    return s * dg * sum(map(mul, bgm, a)) / (d * scale)
 
 
 def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
@@ -89,6 +92,4 @@ def comp_rate(gains, a, snr: float, b_sq=None) -> ComputationResult:
 
 def _rate(ch: ChannelSpec, a: tuple[int, ...], sigma2: float) -> ComputationResult:
     """``comp_rate`` for a ``ChannelSpec``, a nonzero integer ``a`` and its ``_sq_norm`` ``sigma2`` (positive, finite)."""
-    ratio = ch.snr / sigma2  # past the float range, its log is a difference of logs
-    rate = 0.5 * (math.log2(ratio) if 0 < ratio < math.inf else math.log2(ch.snr) - math.log2(sigma2))
-    return ComputationResult(a=a, beta=_beta(ch, a), sigma2_eff=sigma2, r_comp=rate)
+    return ComputationResult(a=a, beta=_beta(ch, a), sigma2_eff=sigma2, r_comp=0.5 * _log2_ratio(ch.snr, sigma2))

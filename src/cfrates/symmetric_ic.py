@@ -73,13 +73,16 @@ class SymmetricIcSpec:
 
     def __post_init__(self):
         _check_users(self.users, 2)
-        if not (math.isfinite(self.cross_gain) and self.cross_gain >= 0):
+        if not (isinstance(self.cross_gain, (float, numbers.Real)) and math.isfinite(self.cross_gain) and self.cross_gain >= 0):
             raise ValueError("cross gain must be nonnegative and finite")
-        if not (math.isfinite(self.snr) and self.snr > 0):
+        if not (isinstance(self.snr, (float, numbers.Real)) and math.isfinite(self.snr) and self.snr > 0):  # as in ChannelSpec
             raise ValueError("snr must be positive and finite")
 
     @property
     def inr(self) -> float:
+        """g^2 snr; ValueError where (K-1) g^2 snr, the interference a receiver sees, overflows the floats."""
+        if (self.users - 1) * self.cross_gain * self.cross_gain * self.snr == math.inf:
+            raise ValueError("(K-1) g^2 snr overflows floating point; cross gain or snr are too large")
         return self.cross_gain * self.cross_gain * self.snr
 
     @property
@@ -125,8 +128,8 @@ def single_layer_rate(spec: SymmetricIcSpec, method: str = "auto") -> float:
 
 
 def treat_as_noise_rate(spec: SymmetricIcSpec) -> float:
-    """Rate of decoding the desired codeword with all interference as noise."""
-    k, g, snr = spec.users, spec.cross_gain, spec.snr
+    """Rate of decoding the desired codeword with all interference as noise; ValueError where ``spec.inr`` refuses."""
+    k, g, snr, _ = spec.users, spec.cross_gain, spec.snr, spec.inr
     return 0.5 * math.log2(1.0 + snr / (1.0 + (k - 1) * g * g * snr))
 
 
@@ -165,10 +168,10 @@ def hk_rate_default(spec: SymmetricIcSpec, method: str = "auto") -> float:
 
 def hk_rate_optimized(spec: SymmetricIcSpec, n_gamma: int = 64, method: str = "auto") -> float:
     """Layered rate maximized over a log-spaced gamma grid of ``n_gamma`` points (plus the default); ValueError unless an integer >= 2."""
-    if not n_gamma >= 2:
-        raise ValueError(f"n_gamma must be at least 2, got {n_gamma!r}")
     if not isinstance(n_gamma, numbers.Integral):
         raise ValueError(f"n_gamma must be an integer, got {n_gamma!r}")
+    if not n_gamma >= 2:
+        raise ValueError(f"n_gamma must be at least 2, got {n_gamma!r}")
     lo, hi = 1e-3, 1.0 - 1e-6
     step = (hi / lo) ** (1.0 / (n_gamma - 1))
     gammas = [lo * step**i for i in range(n_gamma)]

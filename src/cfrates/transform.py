@@ -26,7 +26,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .lattice import DEFAULT_BUDGET, BudgetExceeded, _lll_set, _search
-from .linalg import ChannelSpec, RationalMatrix, _int_rows, _listed, _logdet, _matrix
+from .linalg import ChannelSpec, RationalMatrix, _int_rows, _listed, _log2_ratio, _matrix
 from .rates import ComputationResult, _rate
 
 __all__ = [
@@ -107,13 +107,14 @@ class SumRateBounds(NamedTuple):
 def sum_rate_bounds(t: CfTransform) -> SumRateBounds:
     """Sandwich for the sum of computation rates.
 
-    upper is the MAC sum capacity 0.5*log2(1 + snr*g^T B g / det B); lower sits
-    (K/2)*log2(K) below it.  Both bound the exhaustive sum; an LLL transform
-    only guarantees the upper bound, so one is flagged with a warning.
+    upper is the MAC sum capacity 0.5*log2((1 + snr*g^T B g) / det B), the
+    exact ratio D db^(K-1) / (ds dg^2 prod B_i) (db = U / D) rounded once;
+    lower sits (K/2)*log2(K) below it.  Both bound the exhaustive sum; an LLL
+    transform only guarantees the upper bound, so one is flagged with a warning.
     """
-    ch = t.channel
-    k = ch.dim
-    upper = 0.5 * (k * math.log2(ch.snr) - _logdet(ch))
+    bm, _, d, _, ds, dg, u = t.channel.q
+    k = len(bm)
+    upper = 0.5 * _log2_ratio(d * (u // d) ** (k - 1), ds * dg * dg * math.prod(bm))
     lower = upper - 0.5 * k * math.log2(k)
     total = sum(t.rates)
     if t.method == "lll":

@@ -431,6 +431,15 @@ class TestFloatRange:
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row)
 
 
+    def test_interference_past_the_float_range_exits_1(self, capsys):
+        # (K-1) g^2 snr = 2e312: an inf alpha once reported "very-strong" and a 498-bit upper bound, then nan HK gains
+        assert main(["report", "--k", "3", "--g", "1e6", "--snr-db", "3000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "g^2 snr overflows" in line
+
+
 class TestOutageSizeCap:
     def test_oversized_set_exits_1_with_one_error_line(self, capsys):
         # about 4e8 intervals: refused from q_max before any is built
@@ -476,7 +485,7 @@ class TestFoundByFuzzing:
 # K = 4, where the walk's cost still grows about 10x per 10 dB past 160 dB, so its
 # dB values that run stop there.  report and sweep search only 2- and 3-dimensional
 # effective MACs, by exact reduction at a cost flat in snr and with no M, so theirs
-# reach 3000 dB, where only a large gain is refused (1 + snr g^T B g overflows).
+# reach 3000 dB, where only a large gain is refused ((K-1) g^2 snr overflows).
 # Outage sets stop at 60 dB: they grow with snr.
 NUMBERS = (
     ["0.5", "1", "2", "2.5"],

@@ -350,18 +350,29 @@ class TestCanonicalize:
         assert canonicalize(np.array([0.0, -3.0])).tolist() == [0, 3]
 
 
+def exact_den(ch) -> Fraction:
+    """den = 1 + snr g^T B g in rationals from a channel record's float inputs."""
+    return 1 + Fraction(ch.snr) * sum(Fraction(b) * Fraction(g) ** 2 for g, b in zip(ch.gains, ch.weights_sq))
+
+
 class TestCandidateBound:
-    """The squared-norm bound 1 + snr g^T B g below which vectors can have positive rate: a channel's ``denom``."""
+    """The squared-norm bound den = 1 + snr g^T B g below which vectors can have positive rate, exact in ``q`` as D / (ds dg^2 db)."""
+
+    @staticmethod
+    def q_den(ch) -> Fraction:
+        _, _, d, _, ds, dg, u = ch.q
+        return Fraction(d, ds * dg * dg * (u // d))  # db = U / D
 
     def test_scalar(self):
-        assert ChannelSpec.plain([1.0], 3.0).denom == pytest.approx(4.0, rel=1e-15)
+        assert self.q_den(ChannelSpec.plain([1.0], 3.0)) == 4
 
     def test_reference_channel(self):
-        got = ChannelSpec.plain([math.sqrt(5), 1.0], 10**1.5).denom
-        assert got == pytest.approx(1 + 6 * 10**1.5, rel=1e-12)
+        ch = ChannelSpec.plain([math.sqrt(5), 1.0], 10**1.5)
+        assert self.q_den(ch) == exact_den(ch)
+        assert float(self.q_den(ch)) == pytest.approx(1 + 6 * 10**1.5, rel=1e-12)
 
     def test_effective(self):
-        assert ChannelSpec([1.0, 2.0], 10.0, [1.0, 2.0]).denom == pytest.approx(91.0, rel=1e-12)
+        assert self.q_den(ChannelSpec([1.0, 2.0], 10.0, [1.0, 2.0])) == 91
 
 
 class TestSuccessiveMinima:
@@ -382,7 +393,7 @@ class TestSuccessiveMinima:
         snr = 100.0
         gram = gram_plain(h, snr)
         opt = successive_minima(gram)
-        vecs, norms = cube_minima(gram, gram._spec.denom)
+        vecs, norms = cube_minima(gram, float(exact_den(gram._spec)))
         assert opt.vectors == vecs
         assert opt.norms == pytest.approx(norms, rel=1e-12)
         assert max(abs(x) for vec in vecs for x in vec) <= 15
@@ -395,7 +406,7 @@ class TestSuccessiveMinima:
             snr = 10 ** rng.uniform(0, 2)
             gram = gram_plain(h, snr)
             opt = successive_minima(gram)
-            vecs, norms = cube_minima(gram, gram._spec.denom)
+            vecs, norms = cube_minima(gram, float(exact_den(gram._spec)))
             assert opt.vectors == vecs
             assert opt.norms == pytest.approx(norms, rel=1e-12)
 

@@ -2,12 +2,11 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cfrates.linalg import (
     GramMatrix,
@@ -22,7 +21,7 @@ from cfrates.linalg import (
     sylvester_logdet,
 )
 from cfrates.rates import comp_rate, effective_variance, optimal_beta
-from cfrates.transform import ChannelSpec, pseudo_triangularize, transform
+from cfrates.transform import ChannelSpec, pseudo_triangularize, sum_rate_bounds, transform
 
 
 def quad(gram: GramMatrix, a) -> float:
@@ -86,7 +85,7 @@ class TestGramPlain:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             gram_plain([np.inf, 1.0], 10.0)
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(ValueError, match="underflows"):  # den = 1e401 is exact, but G_11 = 1.1e-399 is below the floats
             gram_plain([1e200, 1.0], 10.0)
         with pytest.raises(ValueError):
             gram_plain([1.0], 0.0)
@@ -185,7 +184,22 @@ MALFORMED_CHANNELS = [
     ("negative-snr", [1.0, 2.0], -1.0, None, "snr must be positive and finite"),
     ("nan-snr", [1.0, 2.0], math.nan, None, "snr must be positive and finite"),
     ("inf-snr", [1.0, 2.0], math.inf, None, "snr must be positive and finite"),
+    ("text-snr", [1.0, 2.0], "10", None, "snr must be positive and finite"),  # math.isfinite raised TypeError
+    ("none-snr", [1.0, 2.0], None, None, "snr must be positive and finite"),
+    ("list-snr", [1.0, 2.0], [10.0], None, "snr must be positive and finite"),
 ]
+
+
+def q_den(ch) -> Fraction:
+    """den = 1 + snr g^T B g as the record's integer factors hold it: D / (ds dg^2 db), with db = U / D."""
+    _, _, d, _, ds, dg, u = ch.q
+    return Fraction(d, ds * dg * dg * (u // d))
+
+
+def exact_den(gains, snr, b_sq) -> Fraction:
+    """den = 1 + snr g^T B g in rationals from the float inputs (unit weights for None)."""
+    b_sq = [1.0] * len(gains) if b_sq is None else b_sq
+    return 1 + Fraction(snr) * sum(Fraction(b) * Fraction(g) ** 2 for g, b in zip(gains, b_sq))
 
 
 def _ones(gains):
@@ -197,7 +211,7 @@ CHANNEL_ENTRY_POINTS = {
     "gram_effective": lambda g, snr, b: gram_effective(g, b, snr),
     "gram_plain": lambda g, snr, b: gram_plain(g, snr),
     "sylvester_logdet": sylvester_logdet,
-    "candidate_bound": lambda g, snr, b: ChannelSpec(g, snr, b).denom,  # the bound 1 + snr g^T B g
+    "candidate_bound": lambda g, snr, b: q_den(ChannelSpec(g, snr, b)),  # the bound 1 + snr g^T B g
     "effective_variance": lambda g, snr, b: effective_variance(g, _ones(g), 0.5, snr, b),
     "optimal_beta": lambda g, snr, b: optimal_beta(g, _ones(g), snr, b),
     "comp_rate": lambda g, snr, b: comp_rate(g, _ones(g), snr, b),
@@ -227,6 +241,7 @@ OVERFLOWING_CHANNELS = [
     ("weights", [1e100, 1.0], 10.0, [1e200, 1.0]),
     ("snr", [1e150, 1.0], 1e10, None),
 ]
+GRAM_ENTRY_POINTS = ("gram_effective", "gram_plain")
 
 
 @pytest.mark.parametrize(
@@ -239,45 +254,70 @@ OVERFLOWING_CHANNELS = [
     ],
 )
 def test_overflowing_denominator_rejected_without_warning(entry, gains, snr, b_sq):
+    """A den past the float range, once refused by every entry point, is no refusal: den is exact in the record's integers.
+
+    Each entry point answers, with no warning, but the Grams of the "gains"
+    channel: their first entry, about 1e-399, underflows and is refused.
+    """
     call = CHANNEL_ENTRY_POINTS[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows"):
+        if entry in GRAM_ENTRY_POINTS and gains[0] == 1e200:
+            with pytest.raises(ValueError, match="Gram matrix underflows"):
+                call(gains, snr, b_sq)
+        else:
             call(gains, snr, b_sq)
+    assert q_den(ChannelSpec(gains, snr, b_sq)) == exact_den(gains, snr, b_sq)
 
 
-def test_denominator_in_range_though_g_b_g_overflows():
-    # g^T B g = 2e308 overflows fsum; with snr folded into each term den = 2e307
-    gains, snr = [1e154, 1e154], 0.1
-    exact = 1 + Fraction(snr) * sum(Fraction(g) ** 2 for g in gains)
-    assert abs(Fraction(ChannelSpec.plain(gains, snr).denom) - exact) <= Fraction(6, 2**53) * exact
-    with pytest.raises(ValueError, match="overflows"):
-        ChannelSpec.plain(gains, 0.95)  # 1.9e308 even so
+@pytest.mark.parametrize("gains, snr, b_sq", [pytest.param(*c[1:], id=c[0]) for c in OVERFLOWING_CHANNELS[1:]])
+def test_rate_sum_reaches_the_capacity_past_the_float_den(gains, snr, b_sq):
+    """Each of these channels has a second minimum with tiny noise, so its rate sum is the sum capacity 0.5 log2(den / det B)."""
+    b_sq = [1.0] * len(gains) if b_sq is None else b_sq
+    capacity = exact_den(gains, snr, b_sq) / math.prod(map(Fraction, b_sq))
+    bounds = sum_rate_bounds(transform(ChannelSpec(gains, snr, b_sq)))
+    exact = 0.5 * (math.log2(capacity.numerator) - math.log2(capacity.denominator))
+    assert abs(bounds.total - exact) <= 1e-9 and abs(bounds.upper - exact) <= 1e-9
 
 
-MAGNITUDES = st.floats(min_value=1e-50, max_value=1e50)
+def seeded_channels(seed: int, count: int):
+    """``count`` channels as (gains, snr, squared weights or None), K = 2..8 at -10..300 dB, every other one weighted."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(2, 9))
+        b_sq = rng.uniform(0.25, 4.0, size=k).tolist() if i % 2 else None
+        yield rng.normal(size=k).tolist(), float(10 ** rng.uniform(-1, 30)), b_sq
 
 
-@st.composite
-def normal_range_channels(draw):
-    """K = 1..8 gains, squared weights and snr in [1e-50, 1e50]: every product and sum is a normal float."""
-    k = draw(st.integers(1, 8))
-    gains = [draw(MAGNITUDES) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(k)]
-    return gains, draw(MAGNITUDES), [draw(MAGNITUDES) for _ in range(k)]
+def test_beta_of_every_row_is_the_exact_value_rounded_once():
+    """beta = snr g^T B a / den for each transform row, against ``Fraction`` arithmetic on the float inputs."""
+    for gains, snr, b_sq in seeded_channels(31, 60):
+        for r in transform(ChannelSpec(gains, snr, b_sq)).results:
+            cross = sum(Fraction(b) * Fraction(g) * a for g, b, a in zip(gains, b_sq or [1.0] * len(gains), r.a))
+            assert r.beta == float(Fraction(snr) * cross / exact_den(gains, snr, b_sq)), (gains, snr, b_sq, r.a)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(normal_range_channels())
-def test_denominator_within_6_eps_of_the_exact_value(channel):
-    """den = 1 + snr sum b_i g_i^2 against its exact rational value.
+def _log2_decimal(x: Fraction) -> Decimal:
+    return (Decimal(x.numerator).ln() - Decimal(x.denominator).ln()) / Decimal(2).ln()
 
-    Every term is nonnegative, so the two product roundings per term, fsum's
-    one, and those of the multiply by snr and the add of 1 bound the relative
-    error by 5 * 2^-53 to first order.
+
+def test_capacity_and_log_determinant_within_an_ulp_of_60_digits():
+    """upper = 0.5 log2(den / det B) and the log-determinant log2(snr^K det B / den), each log2 of one exact ratio rounded once.
+
+    Each is off the 60-digit value by the ratio's rounding, at most 2^-53 / ln 2
+    in log2, and log2's own error, about an ulp: 2^-52 + 2 ulp bounds both.
     """
-    gains, snr, b_sq = channel
-    exact = 1 + Fraction(snr) * sum(Fraction(b) * Fraction(g) ** 2 for g, b in zip(gains, b_sq))
-    assert abs(Fraction(ChannelSpec(gains, snr, b_sq).denom) - exact) <= Fraction(6, 2**53) * exact
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for gains, snr, b_sq in seeded_channels(37, 80):
+            ratio = exact_den(gains, snr, b_sq) / math.prod(map(Fraction, b_sq or [1.0]))
+            logdet = sylvester_logdet(gains, snr, b_sq)
+            assert abs(Decimal(logdet) - _log2_decimal(Fraction(snr) ** len(gains) / ratio)) <= Decimal(2**-52 + 2 * math.ulp(logdet))
+            try:
+                upper = sum_rate_bounds(transform(ChannelSpec(gains, snr, b_sq))).upper
+            except ValueError:  # no positive-rate set at this draw
+                continue
+            assert abs(Decimal(upper) - _log2_decimal(ratio) / 2) <= Decimal(2**-52 + 2 * math.ulp(upper)), (gains, snr, b_sq)
 
 
 def exact_sq_norm(g, b_sq, snr, a) -> Fraction:

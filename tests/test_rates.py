@@ -54,8 +54,22 @@ class TestOptimalBeta:
         # snr * g^T B a is about 5e315, past the floats, though beta is about 2.2e15
         g, a, snr = [1.0, 1.1], [2**51, 2476979795053773], 1e300
         exact = Fraction(snr) * sum(Fraction(x) * y for x, y in zip(g, a)) / (1 + Fraction(snr) * sum(Fraction(x) ** 2 for x in g))
-        assert optimal_beta(g, a, snr) == pytest.approx(float(exact), rel=1e-15)
+        assert optimal_beta(g, a, snr) == float(exact)  # one int / int division: the exact value rounded once
         assert comp_rate(g, a, snr).beta == optimal_beta(g, a, snr)
+
+    @pytest.mark.parametrize(
+        "g, a, snr, message",
+        [
+            ([1.0, 1.1], [math.inf, 1.0], 10.0, "beta is not finite"),
+            ([1.0, 1.1], [math.nan, 1.0], 10.0, "NaN"),
+            ([1e-200, 1e-200], [1e308, 1e308], 1e300, "beta is not finite"),  # beta is about 2e408
+        ],
+        ids=["inf-a", "nan-a", "beta-past-the-floats"],
+    )
+    def test_non_finite_a_or_beta_rejected(self, g, a, snr, message):
+        # beta is an integer ratio of a's mantissas, which an inf or nan entry has not; the float form returned inf or nan
+        with pytest.raises(ValueError, match=message):
+            optimal_beta(g, a, snr)
 
     def test_parallel_closed_form(self):
         h = np.array([1.0, 2.0, -1.0])

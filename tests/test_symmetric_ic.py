@@ -47,6 +47,27 @@ class TestSpec:
             with pytest.raises(ValueError, match="cross gain"):
                 SymmetricIcSpec(3, gain, 10.0)
 
+    @pytest.mark.parametrize("field", ["cross gain", "snr"])
+    @pytest.mark.parametrize("value", ["2", None, [2.0]])
+    def test_non_numbers_rejected(self, field, value):
+        # math.isfinite raised TypeError for these, not the documented ValueError
+        args = (value, 300.0) if field == "cross gain" else (2.0, value)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SymmetricIcSpec(3, *args)
+        assert SymmetricIcSpec(3, np.float64(2.0), np.int64(300)).inr == 1200.0
+
+    def test_interference_past_the_float_range_refused(self):
+        # g^2 snr = inf made alpha inf: "very-strong" where the true alpha is 1.04, the very-strong bound, and nan HK gains
+        with pytest.raises(ValueError, match="overflows"):
+            regime_name(SymmetricIcSpec(3, 1e6, 1e300))
+        # g^2 snr = 1e308 is finite, but (K-1) g^2 snr is not: treating it as noise read 0, not about 3.6e-9
+        spec = SymmetricIcSpec(3, 1e4, 1e300)
+        for view in (report, treat_as_noise_rate, upper_bound, lambda s: s.alpha):
+            with pytest.raises(ValueError, match=r"\(K-1\) g\^2 snr overflows"):
+                view(spec)
+        assert SymmetricIcSpec(2, 1e4, 1e300).inr == 1e308  # one interferer: (K-1) g^2 snr is inr
+        assert single_layer_rate(spec) > 0 and tdma_rate(spec) > 0  # neither reads inr
+
     @pytest.mark.parametrize("users", [2.5, 3.0, math.nan, math.inf, True, "3"])
     def test_users_must_be_an_integer(self, users):
         # 2.5 gave a 2.5-user report with interference weight 1.5; nan passed the users < 2 check
@@ -185,9 +206,9 @@ class TestLayeredScheme:
         with pytest.raises(ValueError, match="n_gamma must be at least 2"):
             hk_rate_optimized(SymmetricIcSpec(3, 0.3, 10**2.5), n_gamma=n_gamma)
 
-    @pytest.mark.parametrize("n_gamma", [3.0, 2.5])
+    @pytest.mark.parametrize("n_gamma", [3.0, 2.5, None, "8"])
     def test_grid_of_non_integer_points_rejected(self, n_gamma):
-        # range() raised TypeError for these, not the documented ValueError
+        # range() raised TypeError for 3.0 and 2.5, and the ">= 2" test for None and "8", not the documented ValueError
         with pytest.raises(ValueError, match="n_gamma must be an integer"):
             hk_rate_optimized(SymmetricIcSpec(3, 0.3, 10**2.5), n_gamma=n_gamma)
 

@@ -174,8 +174,9 @@ DENSE_K8_DIGEST = "d61143e94e6294c54626d432452e2c28314ff74d5eb3c73f0869d1f3b771d
 # sha256 over the whole `cfrates rates` pipeline on default_rng(13) plain
 # MACs, 8 per K for K=2..6 at 10-40 dB: the transform rows with 17-digit beta,
 # sigma2 and rate, the sum-rate bounds, and for every order its pi, L, p, both
-# lifted row sets and its allocation
-PIPELINE_DIGEST = "f9d076c3e88759186397574ecd69c5885971b3583fa553af2a2e606059ee7764"
+# lifted row sets and its allocation; beta and the bounds are exact ratios
+# rounded once
+PIPELINE_DIGEST = "8d3d9f48f369dac192c59e0bae78c667d4cb2169322ffd5e644a2b4741ceb5ea"
 
 
 @st.composite
@@ -377,8 +378,8 @@ class TestCheckedChannel:
     def test_replace_rebuilds_the_record(self, ch):
         moved = dataclasses.replace(ch, snr=2 * ch.snr)
         assert moved == ChannelSpec(ch.gains, 2 * ch.snr, ch.weights_sq)
-        assert moved.denom == ChannelSpec(ch.gains, 2 * ch.snr, ch.weights_sq).denom
-        assert moved.denom != ch.denom
+        assert moved.q == ChannelSpec(ch.gains, 2 * ch.snr, ch.weights_sq).q
+        assert exact_den(moved) != exact_den(ch)
         with pytest.raises(ValueError, match="snr must be positive"):
             dataclasses.replace(ch, snr=-1.0)
 
@@ -415,12 +416,16 @@ class TestCheckedChannel:
         assert {spec: 1}[plain] == 1
 
 
+def exact_den(ch) -> Fraction:
+    """den = 1 + snr g^T B g in rationals from a channel record's float inputs."""
+    return 1 + Fraction(ch.snr) * sum(Fraction(w) * Fraction(x) ** 2 for w, x in zip(ch.weights_sq, ch.gains))
+
+
 def exact_norm(ch, a):
     """a^T G a in rationals from the float inputs: snr (a^T B a - snr (g^T B a)^2 / (1 + snr g^T B g))."""
     snr, g, b = Fraction(ch.snr), [Fraction(x) for x in ch.gains], [Fraction(x) for x in ch.weights_sq]
     cross = sum(w * x * y for w, x, y in zip(b, g, a))
-    den = 1 + snr * sum(w * x * x for w, x in zip(b, g))
-    return snr * (sum(w * y * y for w, y in zip(b, a)) - snr * cross * cross / den)
+    return snr * (sum(w * y * y for w, y in zip(b, a)) - snr * cross * cross / exact_den(ch))
 
 
 @pytest.mark.parametrize("snr_db", [25, 45, 100, 300, 1000, 3000])
@@ -500,7 +505,7 @@ def exact_minima(ch, radius_sq, budget=100_000):
     """
     u, lam, dd = _lll(linalg._q_matrix(ch), 0.99)
     w = list(zip(*u))
-    _, _, _, s, ds, u = ch.q
+    _, _, _, s, ds, _, u = ch.q
     mu = [[x / d for x, d in zip(row, dd[1:])] for row in lam]
     bb = [s * b / (ds * u * a) for a, b in zip(dd, dd[1:])]  # |b*_i|^2 = S (dd[i+1] / dd[i]) / (ds U) in G's units
     try:
@@ -536,7 +541,7 @@ class TestHighSnrExactNorms:
             assert abs(Fraction(r.sigma2_eff) - x) <= 1e-12 * x, r
         # the sphere allows 8 eps sqrt(den) relative (den = 1 + snr g^T B g), far wider
         # than the rounding of a walk on mu and bb that are each rounded once
-        radius = max(r.sigma2_eff for r in t.results) * (1 + 1e-12 + 8 * 2**-52 * math.sqrt(ch.denom))
+        radius = max(r.sigma2_eff for r in t.results) * (1 + 1e-12 + 8 * 2**-52 * math.sqrt(exact_den(ch)))
         minima = exact_minima(ch, radius)
         assume(minima is not None)
         assert len(minima) == k
@@ -588,11 +593,16 @@ class TestSumRateBounds:
 
     @pytest.mark.parametrize("b_sq", [None, (1.0, 2.5, 0.6)])
     def test_log_determinant_from_the_checked_record(self, b_sq, monkeypatch):
-        """The bounds check no channel again and match ``sylvester_logdet`` bit for bit."""
+        """The bounds check no channel again; upper and ``sylvester_logdet`` are log2 of exact ratios rounded once, bit for bit.
+
+        upper is 0.5 log2(den / det B) and the log-determinant log2(snr^3 det B / den).
+        """
         gains, snr = (0.7, -1.3, 0.4), 10**2.5
         ch = ChannelSpec.plain(gains, snr) if b_sq is None else ChannelSpec.effective(gains, b_sq, snr)
         t = transform(ch)
-        upper = 0.5 * (3 * math.log2(snr) - sylvester_logdet(gains, snr, b_sq))
+        ratio = exact_den(ch) / math.prod(map(Fraction, ch.weights_sq))
+        upper = 0.5 * math.log2(float(ratio))
+        assert sylvester_logdet(gains, snr, b_sq) == math.log2(float(Fraction(snr) ** 3 / ratio))
 
         def refuse(*args):
             raise AssertionError("a channel was checked again")
