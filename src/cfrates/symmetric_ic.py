@@ -14,7 +14,9 @@ whole problem reduces to effective MACs:
 
 Closed-form lower bounds per interference regime, the two-user style upper
 bounds, the generalized degrees-of-freedom curve, and a TDMA baseline round
-out the toolkit.  ``report`` bundles all of it for one channel point.
+out the toolkit.  ``report`` bundles all of it for one channel point and
+decides its regime once; ``_regime`` alone compares alpha with the edges.
+Text, ``None`` or a list for ``c``, ``alpha``, ``gamma`` or snr is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -47,9 +49,19 @@ __all__ = [
 REGIMES = ("noisy", "weak", "moderately-weak", "strong", "very-strong")
 
 # float(2/3) rounds below the real 2/3, so every representable alpha up to and
-# including it lies mathematically inside [1/2, 2/3); "<=" is the faithful
-# float test for that half-open branch.
+# including it lies mathematically inside [1/2, 2/3); "alpha > _TWO_THIRDS" is
+# the faithful float test for leaving that half-open branch.
 _TWO_THIRDS = 2.0 / 3.0
+
+
+def _real(x) -> bool:
+    """True for a real number (``numbers.Real``: numpy floats and ints pass; text, None and lists do not)."""
+    return isinstance(x, numbers.Real)
+
+
+def _regime(alpha: float) -> int:
+    """Index into ``REGIMES`` of interference level alpha: the one place alpha meets the edges 1/2, 2/3, 1 and 2."""
+    return (alpha >= 0.5) + (alpha > _TWO_THIRDS) + (alpha >= 1.0) + (alpha >= 2.0)
 
 
 def _log2p(x: float) -> float:
@@ -73,9 +85,9 @@ class SymmetricIcSpec:
 
     def __post_init__(self):
         _check_users(self.users, 2)
-        if not (isinstance(self.cross_gain, (float, numbers.Real)) and math.isfinite(self.cross_gain) and self.cross_gain >= 0):
+        if not (_real(self.cross_gain) and math.isfinite(self.cross_gain) and self.cross_gain >= 0):
             raise ValueError("cross gain must be nonnegative and finite")
-        if not (isinstance(self.snr, (float, numbers.Real)) and math.isfinite(self.snr) and self.snr > 0):  # as in ChannelSpec
+        if not (_real(self.snr) and math.isfinite(self.snr) and self.snr > 0):  # as in ChannelSpec
             raise ValueError("snr must be positive and finite")
 
     @property
@@ -90,22 +102,12 @@ class SymmetricIcSpec:
         """Interference level log(inr)/log(snr); -inf at zero cross gain."""
         if self.snr == 1.0:
             raise ValueError("interference level is undefined at snr == 1")
-        if self.inr == 0.0:
-            return -math.inf
-        return math.log(self.inr) / math.log(self.snr)
+        inr = self.inr
+        return -math.inf if inr == 0.0 else math.log(inr) / math.log(self.snr)
 
 
 def regime_name(spec: SymmetricIcSpec) -> str:
-    a = spec.alpha
-    if a < 0.5:
-        return "noisy"
-    if a <= _TWO_THIRDS:
-        return "weak"
-    if a < 1.0:
-        return "moderately-weak"
-    if a < 2.0:
-        return "strong"
-    return "very-strong"
+    return REGIMES[_regime(spec.alpha)]
 
 
 def effective_two_user(spec: SymmetricIcSpec) -> ChannelSpec:
@@ -140,7 +142,7 @@ def _hk_channel(spec: SymmetricIcSpec, gamma: float) -> ChannelSpec:
     into the noise, which rescales all remaining gains by
     kappa = 1/sqrt(1 + snr*g^2*gamma^2*(K-1)).
     """
-    if not 0.0 <= gamma < 1.0:
+    if not (_real(gamma) and 0.0 <= gamma < 1.0):
         raise ValueError("gamma must lie in [0, 1)")
     k, g, snr = spec.users, spec.cross_gain, spec.snr
     kappa = 1.0 / math.sqrt(1.0 + snr * g * g * gamma * gamma * (k - 1))
@@ -180,74 +182,61 @@ def hk_rate_optimized(spec: SymmetricIcSpec, n_gamma: int = 64, method: str = "a
     return max(hk_rate(spec, gamma, method=method) for gamma in gammas)
 
 
+def _bounds(spec: SymmetricIcSpec, regime: int, c: float) -> tuple[float, float, float]:
+    """(closed-form lower, tight upper, loose upper) in ``regime``, an index into ``REGIMES``.
+
+    The lower rate is achievable off the regime's outage set; ``c`` trades its
+    constant gap against the outage measure and moves the lower bound alone.
+    """
+    if not (_real(c) and c > 0):
+        raise ValueError("gap parameter c must be positive")
+    k, snr, inr = spec.users, spec.snr, spec.inr
+    if regime == 4:
+        half = 0.5 * math.log2(1.0 + snr)
+        return half - 1.0, half, half
+    if regime == 3:
+        quarter = 0.25 * _log2p(inr)
+        return quarter - 0.5 * c - 3.0, 0.25 * math.log2(1.0 + snr + inr), quarter + 1.0
+    if regime == 2:
+        half = 0.5 * _log2p(snr / math.sqrt(inr))
+        tight = 0.25 * math.log2(1.0 + snr) + 0.25 * math.log2(1.0 + snr / (1.0 + inr))
+        return half - c - 8.0 - math.log2(k), tight, half + 1.0
+    tight = 0.5 * math.log2(1.0 + inr + snr / (1.0 + inr))
+    if regime == 1:
+        half = 0.5 * _log2p(inr)
+        return half - 3.5 - math.log2(k), tight, half + 1.0
+    half = 0.5 * math.log2(1.0 + snr / (1.0 + inr))
+    return half - 0.5 * math.log2(k - 1), tight, half + 1.0
+
+
 def upper_bound(spec: SymmetricIcSpec) -> float:
     """Two-user genie upper bound on the symmetric capacity (tight form)."""
-    snr, inr, a = spec.snr, spec.inr, spec.alpha
-    if a <= _TWO_THIRDS:
-        return 0.5 * math.log2(1.0 + inr + snr / (1.0 + inr))
-    if a < 1.0:
-        return 0.25 * math.log2(1.0 + snr) + 0.25 * math.log2(1.0 + snr / (1.0 + inr))
-    if a < 2.0:
-        return 0.25 * math.log2(1.0 + snr + inr)
-    return 0.5 * math.log2(1.0 + snr)
+    return _bounds(spec, _regime(spec.alpha), 1.0)[1]
 
 
 def upper_bound_loose(spec: SymmetricIcSpec) -> float:
     """Relaxed per-regime upper bound (at most ~1 bit above the tight form)."""
-    snr, inr, a = spec.snr, spec.inr, spec.alpha
-    if a < 0.5:
-        return 0.5 * math.log2(1.0 + snr / (1.0 + inr)) + 1.0
-    if a <= _TWO_THIRDS:
-        return 0.5 * _log2p(inr) + 1.0
-    if a < 1.0:
-        return 0.5 * _log2p(snr / math.sqrt(inr)) + 1.0
-    if a < 2.0:
-        return 0.25 * _log2p(inr) + 1.0
-    return 0.5 * math.log2(1.0 + snr)
+    return _bounds(spec, _regime(spec.alpha), 1.0)[2]
 
 
 def closed_form_lower(spec: SymmetricIcSpec, c: float) -> float:
-    """Per-regime closed-form achievable rate with gap parameter ``c``.
-
-    Off the regime's outage set these rates are achievable; the strong and
-    moderately-weak expressions trade the constant gap against the outage
-    measure through ``c``.
-    """
-    if not c > 0:
-        raise ValueError("gap parameter c must be positive")
-    k, snr, inr, a = spec.users, spec.snr, spec.inr, spec.alpha
-    if a < 0.5:
-        return 0.5 * math.log2(1.0 + snr / (1.0 + inr)) - 0.5 * math.log2(k - 1)
-    if a <= _TWO_THIRDS:
-        return 0.5 * _log2p(inr) - 3.5 - math.log2(k)
-    if a < 1.0:
-        return 0.5 * _log2p(snr / math.sqrt(inr)) - c - 8.0 - math.log2(k)
-    if a < 2.0:
-        return 0.25 * _log2p(inr) - 0.5 * c - 3.0
-    return 0.5 * math.log2(1.0 + snr) - 1.0
+    """Per-regime closed-form rate with gap parameter ``c``, achievable off the regime's outage set."""
+    return _bounds(spec, _regime(spec.alpha), c)[0]
 
 
 def gdof(alpha: float, users: int) -> float:
     """Generalized degrees-of-freedom per user at interference level alpha.
 
     Piecewise linear with a singularity at alpha == 1, where the value drops
-    to 1/K.  ValueError unless alpha is nonnegative and ``users`` an integer
-    of at least 2.
+    to 1/K.  ValueError unless alpha is a nonnegative real number and
+    ``users`` an integer of at least 2.
     """
-    if not alpha >= 0:
+    if not (_real(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
     _check_users(users, 2)
-    if alpha < 0.5:
-        return 1.0 - alpha
-    if alpha <= _TWO_THIRDS:
-        return alpha
-    if alpha < 1.0:
-        return 1.0 - alpha / 2.0
     if alpha == 1.0:
         return 1.0 / users
-    if alpha < 2.0:
-        return alpha / 2.0
-    return 1.0
+    return (1.0 - alpha, alpha, 1.0 - alpha / 2.0, alpha / 2.0, 1.0)[_regime(alpha)]
 
 
 def tdma_rate(spec_or_users, snr: float | None = None) -> float:
@@ -262,9 +251,7 @@ def tdma_rate(spec_or_users, snr: float | None = None) -> float:
     else:
         _check_users(spec_or_users, 1)
         users = int(spec_or_users)
-        if snr is None:
-            raise ValueError("snr required when passing a user count")
-    if not 0 < snr < math.inf:
+    if not (_real(snr) and 0 < snr < math.inf):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     return 0.5 * math.log2(1.0 + users * snr) / users
 
@@ -294,34 +281,35 @@ class RegimeReport:
 
 
 def report(spec: SymmetricIcSpec, c: float = 2.0, method: str = "auto") -> RegimeReport:
-    """Evaluate every scheme and bound at one channel point."""
+    """Evaluate every scheme and bound at one channel point, deciding its regime once."""
+    inr, alpha = spec.inr, spec.alpha
+    regime = _regime(alpha)
+    lower_closed, upper_tight, upper_loose = _bounds(spec, regime, c)  # checks c before any transform
     t_single = transform(effective_two_user(spec), method=method)
     r_single = t_single.rates[1]
     methods = {t_single.method}
 
     r_hk: float | None = None
-    if spec.inr > 1.0:
-        t_hk = transform(_hk_channel(spec, math.sqrt(1.0 / spec.inr)), method=method)
+    if inr > 1.0:
+        t_hk = transform(_hk_channel(spec, math.sqrt(1.0 / inr)), method=method)
         r_hk = t_hk.rates[1] + t_hk.rates[2]
         methods.add(t_hk.method)
 
     r_noise = treat_as_noise_rate(spec)
     r_tdma = tdma_rate(spec)
     achievable = [r_single, r_noise, r_tdma] + ([r_hk] if r_hk is not None else [])
-    outage = (
-        in_outage(spec.cross_gain, spec.snr, c) if spec.cross_gain > 0 and spec.snr > 1 else False
-    )
+    outage = in_outage(spec.cross_gain, spec.snr, c) if spec.cross_gain > 0 and spec.snr > 1 else False
     return RegimeReport(
-        regime=regime_name(spec),
-        alpha=spec.alpha,
+        regime=REGIMES[regime],
+        alpha=alpha,
         r_single=r_single,
         r_noise=r_noise,
         r_hk=r_hk,
         r_tdma=r_tdma,
         r_best=max(achievable),
-        lower_closed=closed_form_lower(spec, c),
-        upper_tight=upper_bound(spec),
-        upper_loose=upper_bound_loose(spec),
+        lower_closed=lower_closed,
+        upper_tight=upper_tight,
+        upper_loose=upper_loose,
         in_outage=outage,
         method="lll" if "lll" in methods else "exhaustive",
     )

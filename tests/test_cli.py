@@ -282,9 +282,10 @@ class TestSweep:
     # sha256 of the 300-point K=3 log sweep CSV over [snr^-1/4 / 4, 2 sqrt(snr)],
     # the regime-dominance range.  Speedups must leave every 17-digit cell as
     # it is; a change that alters answers on purpose updates these and says
-    # which rows changed.  The cells are CPython float arithmetic (den is a
-    # math.fsum, the grid points 10.0 ** y), so they depend on CPython's float
-    # operations and the C library's pow, log and sqrt, not on numpy.
+    # which rows changed.  The cells are CPython float arithmetic (each beta an
+    # exact integer ratio rounded once, the grid points 10.0 ** y), so they
+    # depend on CPython's float operations and the C library's pow, log and
+    # sqrt, not on numpy.
     SWEEP_DIGESTS = {
         25: "0105563c2f645813eb73a9a6ec4e025d4981b3116e62b6e670ab95a32141d8b5",
         45: "b2bcf3c493d1808d5c72d24b7ae88bc6e1366590c415fbb8a04a58a7c82260ab",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cfrates import symmetric_ic
 from cfrates.symmetric_ic import (
     SymmetricIcSpec,
     closed_form_lower,
@@ -344,3 +345,115 @@ class TestReport:
         snr = 100.0
         rep = report(SymmetricIcSpec(3, 10.0, snr), c=1.0)
         assert rep.regime == "very-strong"
+
+
+def _log2p(x):
+    return max(0.0, math.log2(x)) if x > 0 else 0.0
+
+
+def _closed_forms(k, snr, inr, c):
+    """regime -> (closed-form lower, tight upper, loose upper), written out per regime."""
+    log2 = math.log2
+    return {
+        "noisy": (
+            0.5 * log2(1.0 + snr / (1.0 + inr)) - 0.5 * log2(k - 1),
+            0.5 * log2(1.0 + inr + snr / (1.0 + inr)),
+            0.5 * log2(1.0 + snr / (1.0 + inr)) + 1.0,
+        ),
+        "weak": (
+            0.5 * _log2p(inr) - 3.5 - log2(k),
+            0.5 * log2(1.0 + inr + snr / (1.0 + inr)),
+            0.5 * _log2p(inr) + 1.0,
+        ),
+        "moderately-weak": (
+            0.5 * _log2p(snr / math.sqrt(inr)) - c - 8.0 - log2(k),
+            0.25 * log2(1.0 + snr) + 0.25 * log2(1.0 + snr / (1.0 + inr)),
+            0.5 * _log2p(snr / math.sqrt(inr)) + 1.0,
+        ),
+        "strong": (0.25 * _log2p(inr) - 0.5 * c - 3.0, 0.25 * log2(1.0 + snr + inr), 0.25 * _log2p(inr) + 1.0),
+        "very-strong": (0.5 * log2(1.0 + snr) - 1.0, 0.5 * log2(1.0 + snr), 0.5 * log2(1.0 + snr)),
+    }
+
+
+class TestRegimeEdges:
+    @staticmethod
+    def _near(g0, ulps=20):
+        g = g0
+        for _ in range(ulps):
+            g = math.nextafter(g, 0.0)
+        gains = []
+        for _ in range(2 * ulps + 1):
+            gains.append(g)
+            g = math.nextafter(g, math.inf)
+        return gains
+
+    @pytest.mark.parametrize("snr_db", [15, 45, 100])
+    def test_bounds_follow_the_regime_at_every_edge(self, snr_db):
+        # near each edge the regime name, the three bounds and report's fields
+        # must all follow one regime
+        snr, c = 10 ** (snr_db / 10), 2.0
+        edges = [(snr**-0.25, "noisy", "weak"), (snr ** (-1 / 6), "weak", "moderately-weak")]
+        edges += [(1.0, "moderately-weak", "strong"), (math.sqrt(snr), "strong", "very-strong")]
+        for g0, below, above in edges:
+            seen = set()
+            for g in self._near(g0):
+                spec = SymmetricIcSpec(3, g, snr)
+                name = regime_name(spec)
+                seen.add(name)
+                lower, tight, loose = _closed_forms(3, snr, g * g * snr, c)[name]
+                assert (closed_form_lower(spec, c), upper_bound(spec), upper_bound_loose(spec)) == (lower, tight, loose), g
+                rep = report(spec, c=c)
+                assert (rep.regime, rep.lower_closed, rep.upper_tight, rep.upper_loose) == (name, lower, tight, loose), g
+            assert seen == {below, above}, (g0, seen)  # the 41 gains straddle the edge
+
+    def test_every_view_at_the_float_edges(self, monkeypatch):
+        # alpha exactly at an edge, and its float neighbours; gdof cannot tell
+        # 0.5 or 2 apart (both neighbouring slopes meet there), the bounds can
+        names = {0.49999999999999994: "noisy", 0.5: "weak", 0.6666666666666666: "weak"}
+        names.update({0.6666666666666667: "moderately-weak", 0.9999999999999999: "moderately-weak", 1.0: "strong"})
+        names.update({1.9999999999999998: "strong", 2.0: "very-strong", math.inf: "very-strong"})
+        spec, c = SymmetricIcSpec(3, 2.0, 300.0), 2.0
+        for alpha, name in names.items():
+            monkeypatch.setattr(SymmetricIcSpec, "alpha", property(lambda self: alpha))
+            lower, tight, loose = _closed_forms(3, 300.0, spec.inr, c)[name]
+            rep = report(spec, c=c)
+            assert (regime_name(spec), rep.regime) == (name, name), alpha
+            assert (closed_form_lower(spec, c), upper_bound(spec), upper_bound_loose(spec)) == (lower, tight, loose), alpha
+            assert (rep.lower_closed, rep.upper_tight, rep.upper_loose) == (lower, tight, loose), alpha
+
+    def test_gdof_at_the_float_edges(self):
+        table = {
+            0.49999999999999994: 0.5,  # 1 - alpha rounds to 1/2
+            0.5: 0.5,
+            0.6666666666666666: 0.6666666666666666,  # float(2/3) still lies below the real 2/3
+            0.6666666666666667: 0.6666666666666666,
+            0.9999999999999999: 0.5,
+            1.0: 1 / 3,
+            1.0000000000000002: 0.5000000000000001,
+            1.9999999999999998: 0.9999999999999999,
+            2.0: 1.0,
+        }
+        assert {alpha: gdof(alpha, 3) for alpha in table} == table
+
+
+REAL_ARGUMENTS = {
+    "tdma_rate-snr": (lambda x: tdma_rate(2, x), "snr must be positive"),
+    "gdof-alpha": (lambda x: gdof(x, 3), "alpha must be nonnegative"),
+    "closed_form_lower-c": (lambda x: closed_form_lower(SymmetricIcSpec(3, 2.0, 300.0), x), "gap parameter c"),
+    "report-c": (lambda x: report(SymmetricIcSpec(3, 2.0, 300.0), c=x), "gap parameter c"),
+    "hk_rate-gamma": (lambda x: hk_rate(SymmetricIcSpec(3, 2.0, 300.0), x), "gamma must lie in"),
+}
+
+
+@pytest.mark.parametrize("entry", list(REAL_ARGUMENTS))
+@pytest.mark.parametrize("value", ["2", None, [2.0]])
+def test_non_numbers_are_value_errors(entry, value, monkeypatch):
+    # a comparison ("0 < snr", "alpha >= 0", "c > 0", "0.0 <= gamma") raised TypeError,
+    # not the documented ValueError; report refused a bad c only after both transforms
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform ran before the argument was checked")
+
+    monkeypatch.setattr(symmetric_ic, "transform", no_transform)
+    call, message = REAL_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=message):
+        call(value)
