@@ -54,14 +54,9 @@ REGIMES = ("noisy", "weak", "moderately-weak", "strong", "very-strong")
 _TWO_THIRDS = 2.0 / 3.0
 
 
-def _real(x) -> bool:
-    """True for a real number (``numbers.Real``: numpy floats and ints pass; text, None and lists do not)."""
-    return isinstance(x, numbers.Real)
-
-
 def _regime(alpha: float) -> int:
-    """Index into ``REGIMES`` of interference level alpha: the one place alpha meets the edges 1/2, 2/3, 1 and 2."""
-    return (alpha >= 0.5) + (alpha > _TWO_THIRDS) + (alpha >= 1.0) + (alpha >= 2.0)
+    """Index into ``REGIMES`` of alpha, the one place alpha meets 1/2, 2/3, 1 and 2 (sum: numpy's bool "+" is an or)."""
+    return sum((alpha >= 0.5, alpha > _TWO_THIRDS, alpha >= 1.0, alpha >= 2.0))
 
 
 def _log2p(x: float) -> float:
@@ -75,6 +70,12 @@ def _check_users(users, least: int) -> None:
         raise ValueError(f"need an integer number of users, at least {least}")
 
 
+def _check_gap(c) -> None:
+    """ValueError unless the gap parameter ``c`` is a positive real number (``numbers.Real``; text, None and lists are not)."""
+    if not (isinstance(c, numbers.Real) and c > 0):
+        raise ValueError("gap parameter c must be positive")
+
+
 @dataclass(frozen=True)
 class SymmetricIcSpec:
     """Symmetric interference channel instance: K users, cross gain, snr."""
@@ -85,9 +86,9 @@ class SymmetricIcSpec:
 
     def __post_init__(self):
         _check_users(self.users, 2)
-        if not (_real(self.cross_gain) and math.isfinite(self.cross_gain) and self.cross_gain >= 0):
+        if not (isinstance(self.cross_gain, numbers.Real) and math.isfinite(self.cross_gain) and self.cross_gain >= 0):
             raise ValueError("cross gain must be nonnegative and finite")
-        if not (_real(self.snr) and math.isfinite(self.snr) and self.snr > 0):  # as in ChannelSpec
+        if not (isinstance(self.snr, numbers.Real) and math.isfinite(self.snr) and self.snr > 0):  # as in ChannelSpec
             raise ValueError("snr must be positive and finite")
 
     @property
@@ -142,7 +143,7 @@ def _hk_channel(spec: SymmetricIcSpec, gamma: float) -> ChannelSpec:
     into the noise, which rescales all remaining gains by
     kappa = 1/sqrt(1 + snr*g^2*gamma^2*(K-1)).
     """
-    if not (_real(gamma) and 0.0 <= gamma < 1.0):
+    if not (isinstance(gamma, numbers.Real) and 0.0 <= gamma < 1.0):
         raise ValueError("gamma must lie in [0, 1)")
     k, g, snr = spec.users, spec.cross_gain, spec.snr
     kappa = 1.0 / math.sqrt(1.0 + snr * g * g * gamma * gamma * (k - 1))
@@ -185,11 +186,8 @@ def hk_rate_optimized(spec: SymmetricIcSpec, n_gamma: int = 64, method: str = "a
 def _bounds(spec: SymmetricIcSpec, regime: int, c: float) -> tuple[float, float, float]:
     """(closed-form lower, tight upper, loose upper) in ``regime``, an index into ``REGIMES``.
 
-    The lower rate is achievable off the regime's outage set; ``c`` trades its
-    constant gap against the outage measure and moves the lower bound alone.
+    ``c`` trades the lower bound's constant gap against the outage measure; the upper bounds ignore it.
     """
-    if not (_real(c) and c > 0):
-        raise ValueError("gap parameter c must be positive")
     k, snr, inr = spec.users, spec.snr, spec.inr
     if regime == 4:
         half = 0.5 * math.log2(1.0 + snr)
@@ -221,6 +219,7 @@ def upper_bound_loose(spec: SymmetricIcSpec) -> float:
 
 def closed_form_lower(spec: SymmetricIcSpec, c: float) -> float:
     """Per-regime closed-form rate with gap parameter ``c``, achievable off the regime's outage set."""
+    _check_gap(c)
     return _bounds(spec, _regime(spec.alpha), c)[0]
 
 
@@ -231,7 +230,7 @@ def gdof(alpha: float, users: int) -> float:
     to 1/K.  ValueError unless alpha is a nonnegative real number and
     ``users`` an integer of at least 2.
     """
-    if not (_real(alpha) and alpha >= 0):
+    if not (isinstance(alpha, numbers.Real) and alpha >= 0):
         raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
     _check_users(users, 2)
     if alpha == 1.0:
@@ -251,7 +250,7 @@ def tdma_rate(spec_or_users, snr: float | None = None) -> float:
     else:
         _check_users(spec_or_users, 1)
         users = int(spec_or_users)
-    if not (_real(snr) and 0 < snr < math.inf):
+    if not (isinstance(snr, numbers.Real) and 0 < snr < math.inf):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     return 0.5 * math.log2(1.0 + users * snr) / users
 
@@ -282,9 +281,10 @@ class RegimeReport:
 
 def report(spec: SymmetricIcSpec, c: float = 2.0, method: str = "auto") -> RegimeReport:
     """Evaluate every scheme and bound at one channel point, deciding its regime once."""
+    _check_gap(c)
     inr, alpha = spec.inr, spec.alpha
     regime = _regime(alpha)
-    lower_closed, upper_tight, upper_loose = _bounds(spec, regime, c)  # checks c before any transform
+    lower_closed, upper_tight, upper_loose = _bounds(spec, regime, c)
     t_single = transform(effective_two_user(spec), method=method)
     r_single = t_single.rates[1]
     methods = {t_single.method}

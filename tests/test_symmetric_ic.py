@@ -435,6 +435,27 @@ class TestRegimeEdges:
         }
         assert {alpha: gdof(alpha, 3) for alpha in table} == table
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.filterwarnings("error")
+    def test_gdof_takes_numpy_alphas(self, dtype):
+        # numpy's bool "+" is a logical or, so a regime index summed with "+"
+        # put 0.8 in weak and 2.5 in moderately-weak
+        slopes = {0.3: lambda a: 1.0 - a, 0.6: lambda a: a, 0.8: lambda a: 1.0 - a / 2.0}
+        slopes.update({1.5: lambda a: a / 2.0, 2.5: lambda a: 1.0})
+        for alpha, slope in slopes.items():
+            a = dtype(alpha)
+            assert gdof(a, 3) == slope(a), alpha
+
+
+@pytest.mark.parametrize("snr, gain", [(1.0, 2.0), (1e300, 1e6)], ids=["alpha-undefined", "inr-overflows"])
+def test_gap_checked_before_the_spec(snr, gain):
+    # a bad c is named first, even where alpha or inr would refuse the spec
+    spec = SymmetricIcSpec(3, gain, snr)
+    for call in (lambda c: closed_form_lower(spec, c), lambda c: report(spec, c=c)):
+        for c in (0.0, -1.0, "2"):
+            with pytest.raises(ValueError, match="gap parameter c must be positive"):
+                call(c)
+
 
 REAL_ARGUMENTS = {
     "tdma_rate-snr": (lambda x: tdma_rate(2, x), "snr must be positive"),
