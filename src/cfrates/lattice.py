@@ -6,16 +6,10 @@ smallest a^T G a outside the span of vectors 0..m-1, ties broken by the
 sign-normalized a.
 
 For K <= 3, the dimensions of every interference-channel effective MAC, the
-search is exact at any snr and is one integer kernel, ``_exact_search``: a
-greedy reduction (Lagrange for K = 2; Semaev, "A 3-dimensional lattice
-reduction algorithm", CaLC 2001, for K = 3) on the entries of the integer
-Gram Q, an exact multiple of G, read from its diagonal-plus-rank-one factors
-``ch.q`` without building the K x K matrix, gives a Minkowski-reduced basis,
-whose {0, +-1} combinations hold every minimum (Nguyen & Stehle, "Low-
-dimensional lattice basis reduction revisited", ACM TALG 5(4), 2009).  They
-are ranked by exact norms summed from the reduced Gram entries; a vector is
-built only for the rows kept and for exact ties.  The node budget,
-``BudgetExceeded`` and the LLL fallback apply to K >= 4 only.
+search is exact at any snr and is one integer kernel, ``_exact_search``, a
+greedy reduction (Semaev, CaLC 2001; Nguyen & Stehle, ACM TALG 5(4), 2009)
+on the entries of the integer Gram Q, an exact multiple of G, read from its
+factors ``ch.q``.  The node budget and the LLL fallback are for K >= 4 only.
 
 For K >= 4 each step is a depth-first walk in the coordinates of a
 unimodular basis that starts LLL-reduced and whose leading columns span the
@@ -27,6 +21,9 @@ Gram Q (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
 unsorted one).  The walk prunes on the basis's integral Gram-Schmidt data,
 each W^T Q W from Q's factors, and takes no radius: its first descent,
 nearest-first as in Schnorr-Euchner, sets one and each later leaf shrinks it.
+As W^T Q W = D m - S t t^T has leading l x l minors D^(l-1) times an integer,
+LLL, ``_gso`` and the walk start their data at dd[0] = D, not 1, and so carry
+no power of D: the same steps on numbers K-fold shorter.
 
 ``successive_minima`` and ``transform`` both run ``_search`` on a channel's
 ``ChannelSpec``.  At every K candidates are ranked by the exact integer
@@ -38,6 +35,7 @@ rounded once (``linalg._exact_norm``), the norm the rates use.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from operator import mul
 
@@ -53,6 +51,12 @@ _DELTA = 0.99  # the Lovasz parameter of the LLL that starts the walk, of the LL
 
 class BudgetExceeded(RuntimeError):
     """Raised when enumeration visits more nodes than the caller allowed."""
+
+
+def _check_budget(budget) -> None:
+    """ValueError unless ``budget`` is a nonnegative integer: a float (nan and 2.5 too), text or None is refused."""
+    if not isinstance(budget, numbers.Integral) or budget < 0:
+        raise ValueError(f"budget must be nonnegative and integral, got {budget!r}")
 
 
 def canonicalize(a) -> np.ndarray:
@@ -106,8 +110,8 @@ def _signed(a: tuple[int, ...]) -> tuple[int, ...]:
 def _gso(g: list[list[int]], lam: list[list[int]], dd: list[int], start: int) -> None:
     """Integral Gram-Schmidt data (Cohen 1993, 2.6.7) of the basis with integer Gram ``g``, from vector ``start`` on, in place.
 
-    dd[i + 1] is the determinant of g's leading (i + 1) x (i + 1) block (dd[0] = 1), so
-    |b*_i|^2 = dd[i + 1] / dd[i]; lam[i][j] = dd[j + 1] mu_ij for j < i.  Every division is exact.
+    dd[i + 1] is the determinant of g's leading (i + 1) x (i + 1) block over e^i, e = dd[0] (1, or Q's D for g = W^T Q W,
+    whose such minors D^i divides), so |b*_i|^2 = e dd[i + 1] / dd[i]; lam[i][j] = dd[j + 1] mu_ij.  Divisions are exact.
     """
     for i in range(start, len(g)):
         row = lam[i]
@@ -121,18 +125,18 @@ def _gso(g: list[list[int]], lam: list[list[int]], dd: list[int], start: int) ->
                 dd[i + 1] = u
 
 
-def _lll(g: list[list[int]], delta: float) -> tuple[list[list[int]], list[list[int]], list[int]]:
+def _lll(g: list[list[int]], delta: float, lead: int = 1) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Integral LLL (Cohen 1993, 2.6.7) of the basis with integer Gram ``g``: the reduced vectors' coordinates u, lam and dd.
 
-    Vector i is size-reduced against i - 1 down to 0, an exact half rounding
-    to even as ``round`` does, then exchanged with vector i - 1 unless the
-    exact Lovasz test at ``delta`` passes; the vectors u (the columns of a
-    unimodular W) keep ``_gso``'s data lam and dd through each step.
+    Vector i is size-reduced against i - 1 down to 0, an exact half rounding to even as ``round``
+    does, then exchanged with vector i - 1 unless the exact Lovasz test at ``delta`` passes; the
+    vectors u (the columns of a unimodular W) keep ``_gso``'s data lam and dd, from dd[0] = ``lead``,
+    through each step, and every test and update is homogeneous in the lead.
     """
     k = len(g)
     num, den = delta.as_integer_ratio()
     u = [[int(i == j) for j in range(k)] for i in range(k)]
-    lam, dd = [[0] * i for i in range(k)], [1] + [0] * k
+    lam, dd = [[0] * i for i in range(k)], [lead] + [0] * k
     _gso(g, lam, dd, 0)
     i = 1
     while i < k:
@@ -166,22 +170,22 @@ def _lll(g: list[list[int]], delta: float) -> tuple[list[list[int]], list[list[i
 def _walk(lam: list[list[int]], dd: list[int], floor: int, budget: int, nodes: int = 0) -> tuple[int, list, int]:
     """The least x^T Q x over the c with c[floor:] nonzero, one per {c, -c}, and every c that reaches it.
 
-    x = sum_i c_i b_i on ``_gso``'s data lam and dd of the basis b.  With
-    dd_l = dd[l], P_l = dd_l ||pi_l(x)||^2 is an integer, pi_l projecting away
-    b_0..b_{l-1}: fixed from the last coordinate down, P_k = 0 and P_l =
-    (dd_l P_{l+1} + t_l^2) / dd_{l+1}, an exact division, with t_l = dd_{l+1}
-    c_l + sum_{j>l} lam[j][l] c_j; a leaf's cost P_0 is x^T Q x.  While the
-    fixed coordinates are zero (so the sum is 0) the current one is
-    nonnegative, and positive at ``floor``: the representative whose last
-    nonzero entry is positive.  Each level walks up, then down, from the
-    integer nearest its center -sum_{j>l} lam[j][l] c_j / dd_{l+1}; a side
-    stops at the first P_l past dd_l times the limit, as the cost grows away
-    from the center (Schnorr-Euchner) and the limit, the least leaf cost, only
-    falls from the first leaf, Babai's point.  Each value entered counts one
-    node against ``budget`` from ``nodes``.  Returns the least cost, every c
-    that reaches it and the new node count.
+    x = sum_i c_i b_i on ``_gso``'s data lam and dd.  With dd_l = dd[l], P_l =
+    (dd_l / dd_0) ||pi_l(x)||^2, pi_l projecting away b_0..b_{l-1}, is the Gram
+    determinant of b_0..b_{l-1}, x over dd_0^l, an integer: fixed from the last
+    coordinate down, P_k = 0 and P_l = (dd_l P_{l+1} + t_l^2) / dd_{l+1}, exact,
+    with t_l = dd_{l+1} c_l + sum_{j>l} lam[j][l] c_j; a leaf's cost P_0 is
+    x^T Q x.  While the fixed coordinates are zero (so the sum is 0) the
+    current one is nonnegative, and positive at ``floor``: the representative
+    whose last nonzero entry is positive.  Each level walks up, then down,
+    from the integer nearest its center -sum_{j>l} lam[j][l] c_j / dd_{l+1};
+    a side stops at the first P_l past dd_l / dd_0 times the limit, as the
+    cost grows away from the center (Schnorr-Euchner) and the limit, the least
+    leaf cost, only falls from the first leaf, Babai's point.  Each value
+    entered counts one node against ``budget`` from ``nodes``.  Returns the
+    least cost, every c that reaches it and the new node count.
     """
-    k = len(dd) - 1
+    k, lead = len(dd) - 1, dd[0]
     c, leaves, limit = [0] * k, [], None
 
     def descend(level: int, partial: int, tail_zero: bool) -> None:
@@ -199,7 +203,7 @@ def _walk(lam: list[list[int]], dd: list[int], floor: int, budget: int, nodes: i
         for side in sides:
             for v in side:
                 cost = (base + (d * v + s) ** 2) // d
-                if limit is not None and cost > scale * limit:
+                if limit is not None and lead * cost > scale * limit:
                     break
                 nodes += 1
                 if nodes > budget:
@@ -238,18 +242,16 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     """Optimal coefficient set: K independent vectors with minimal G-norms.
 
     Vector m is the smallest lattice vector outside the span of vectors
-    0..m-1, ranked by a^T G a with ties broken lexicographically on the
+    0..m-1, ranked by the exact a^T G a with ties broken on the
     canonicalized entries, on the ``ChannelSpec`` the Gram carries: vectors
-    and norms equal ``transform``'s rows.  The ranking is by the exact
-    a^T G a at every K.  For K >= 4 BudgetExceeded is raised when the K
-    enumeration trees together grow past ``budget`` nodes; callers may fall
-    back to ``lll_reduce``.
-    Returns an empty set when even the shortest vector has a^T G a >= snr
-    exactly (no positive rate).  A negative ``budget``, or a Gram with no
-    ``ChannelSpec`` (built by hand or ``dataclasses.replace``), is a ValueError.
+    and norms equal ``transform``'s rows.  For K >= 4 BudgetExceeded is
+    raised when the K walks together enter more than ``budget`` values;
+    callers may fall back to ``lll_reduce``.  The set is empty when even the
+    shortest vector has a^T G a >= snr exactly.  ValueError for a ``budget``
+    that is not a nonnegative integer, or a Gram with no ``ChannelSpec``
+    (built by hand or ``dataclasses.replace``).
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(budget)
     if gram._spec is None:
         raise ValueError("successive_minima needs a Gram built by gram_effective, gram_plain or ChannelSpec.gram")
     return _search(gram._spec, budget)
@@ -344,7 +346,7 @@ def _start(ch: ChannelSpec) -> tuple[list[list[int]], list[list[int]], list[int]
     """The walk's first basis: W (a list of rows), lam and dd from ``_lll`` on Q's unit basis sorted by Q_ii, shortest first."""
     bm, bgm, d, s, _, _, _ = ch.q
     order = sorted(range(len(bm)), key=lambda i: d * bm[i] - s * bgm[i] ** 2)  # stable: equal Q_ii keep their order
-    u, lam, dd = _lll(_q_gram(ch, [[bm[i] * (i == j) for j in order] for i in order], [bgm[i] for i in order]), _DELTA)
+    u, lam, dd = _lll(_q_gram(ch, [[bm[i] * (i == j) for j in order] for i in order], [bgm[i] for i in order]), _DELTA, d)
     return [list(row) for _, row in sorted(zip(order, zip(*u)))], lam, dd  # W = P U, P's column j the unit vector order[j]
 
 
@@ -409,5 +411,5 @@ def lll_reduce(basis: np.ndarray, delta: float = _DELTA) -> OptimalSet:
 
 def _lll_set(ch: ChannelSpec) -> OptimalSet:
     """``lll_reduce`` on a ``ChannelSpec``'s integer Gram Q, ranked by exact a^T Q a; rows of a unimodular u, so independent."""
-    scored = sorted((_q_norm(ch, a), _signed(tuple(a))) for a in _lll(_q_matrix(ch), _DELTA)[0])
+    scored = sorted((_q_norm(ch, a), _signed(tuple(a))) for a in _lll(_q_matrix(ch), _DELTA, ch.q[2])[0])
     return OptimalSet(vectors=tuple(v for _, v in scored), norms=tuple(_exact_norm(ch, n) for n, _ in scored), method="lll")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import DEFAULT_BUDGET, BudgetExceeded, _lll_set, _search
+from .lattice import DEFAULT_BUDGET, BudgetExceeded, _check_budget, _lll_set, _search
 from .linalg import ChannelSpec, RationalMatrix, _int_rows, _listed, _log2_ratio, _matrix
 from .rates import ComputationResult, _rate
 
@@ -79,12 +79,11 @@ def transform(channel: ChannelSpec, method: str = "auto", budget: int = DEFAULT_
     each search's rows are independent by its construction (``_exact_search``,
     ``_search`` and ``_lll_set`` say why).  A row whose exact norm is below
     snr but rounds to it has rate 0.0.  ValueError for an unknown method or a
-    negative ``budget``.
+    ``budget`` that is not a nonnegative integer.
     """
     if method not in ("auto", "exhaustive", "lll"):
         raise ValueError(f"unknown method {method!r}")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(budget)
     k = channel.dim
     try:
         opt = _lll_set(channel) if method == "lll" else _search(channel, budget)

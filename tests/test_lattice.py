@@ -484,6 +484,12 @@ class TestSuccessiveMinima:
         with pytest.raises(BudgetExceeded, match="exceeded 0 nodes"):
             successive_minima(gram, budget=0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), "10", None, 2.5, 100.0])
+    def test_non_integer_budget_rejected(self, budget):
+        gram = gram_plain([1.0, 0.62, 0.34, 0.21], 1e3)
+        with pytest.raises(ValueError, match="budget must be nonnegative and integral"):
+            successive_minima(gram, budget=budget)
+
 
 class TestOneSearchPath:
     """``successive_minima`` searches the channel embedding its Gram carries, as ``transform`` does."""
@@ -597,17 +603,24 @@ class TestRefreshAfterMovingFold:
         assert sum(moved for _, _, moved in folds) >= 20
 
     def test_start_is_the_sorted_unit_basis_reduced(self):
-        # W is unimodular, W^T Q W is LLL-reduced with _gso's data, and LLL began from Q's unit basis sorted by Q_ii
-        for _, ch, _ in itertools.islice(search_cases(), 0, None, 9):
-            q, (w, lam, dd) = _q_matrix(ch), _start(ch)
+        # W is unimodular, W^T Q W is LLL-reduced with _gso's data from dd[0] = D, those data are the plain
+        # integral ones (dd[0] = 1) over powers of D, and LLL began from Q's unit basis sorted by Q_ii
+        for n, (label, ch, _) in enumerate(search_cases()):
+            q, (w, lam, dd), d = _q_matrix(ch), _start(ch), ch.q[2]
             cols = [list(col) for col in zip(*w)]
-            assert_lll_reduced(q, cols)
-            fresh_lam, fresh_dd = [[0] * i for i in range(len(q))], [1] + [0] * len(q)
-            _gso(gram_of(q, cols), fresh_lam, fresh_dd, 0)
-            assert (lam, dd) == (fresh_lam, fresh_dd)
-            order = sorted(range(len(q)), key=lambda i: q[i][i])
-            u = _lll([[q[i][j] for j in order] for i in order], 0.99)[0]
-            assert cols == [[v[order.index(i)] for i in range(len(q))] for v in u]
+            g, k = gram_of(q, cols), len(q)
+            fresh_lam, fresh_dd = [[0] * i for i in range(k)], [d] + [0] * k
+            _gso(g, fresh_lam, fresh_dd, 0)
+            assert (lam, dd) == (fresh_lam, fresh_dd), label
+            plain_lam, plain_dd = [[0] * i for i in range(k)], [1] + [0] * k
+            _gso(g, plain_lam, plain_dd, 0)
+            assert [e * d**l for l, e in enumerate(dd[1:])] == plain_dd[1:], label
+            assert [[x * d**j for j, x in enumerate(row)] for row in lam] == plain_lam, label
+            if n % 9 == 0:
+                assert_lll_reduced(q, cols)
+                order = sorted(range(k), key=lambda i: q[i][i])
+                u = _lll([[q[i][j] for j in order] for i in order], 0.99)[0]
+                assert cols == [[v[order.index(i)] for i in range(k)] for v in u]
 
     def test_factor_gram_equals_products_through_q(self):
         # D m - S t t^T, m = W^T diag(B) W and t = W^T (BG), equals W^T Q W through the K x K Q, for unimodular and
@@ -778,6 +791,18 @@ def walk_cases():
             yield ChannelSpec(rng.normal(size=k), 10 ** (db / 10), rng.uniform(0.25, 4, size=k))
 
 
+# (channel, n): the search walks enter n values in all, so it answers under a budget of n and raises under n - 1
+PINNED_NODE_COUNTS = [
+    (ChannelSpec.plain([0.3, -1.2, 0.8, 1.5], 10**2.0), 16),
+    (ChannelSpec([0.7, -0.4, 1.3, 0.9, -1.1], 10**6.0, [1.5, 0.5, 2.0, 1.0, 3.0]), 26),
+    (ChannelSpec.plain([1.1, -0.6, 0.4, 1.7, -0.9, 0.3], 10**16.0), 54),
+    (ChannelSpec([0.5, 1.2, -0.8, 0.6, -1.4, 0.9, 0.2], 10**10.0, [2.5, 1.0, 0.75, 1.25, 3.5, 0.5, 2.0]), 71),
+    (ChannelSpec.plain([0.3, -1.2, 0.8, 1.5, -0.4, 0.9, 1.1, -0.7], 10**30.0), 153),
+    (ChannelSpec.plain([0.83, -1.27, 0.41, 1.59, -0.66, 0.97, 1.13, -0.29], 10**30.0), 124),
+    (ChannelSpec([1.3, -0.2, 0.9, -1.6, 0.4, 0.8, -0.5, 1.0], 10**4.0, [0.5, 2.0, 1.5, 1.0, 3.0, 0.25, 1.75, 2.5]), 98),
+]
+
+
 class TestExactWalk:
     """K = 4..8: the integer walk gives the exact successive minima, ties included, from 10 to 300 dB."""
 
@@ -812,6 +837,14 @@ class TestExactWalk:
             assert _search(ch, n) == opt
             with pytest.raises(BudgetExceeded, match=f"exceeded {n - 1} nodes"):
                 _search(ch, n - 1)
+
+    @pytest.mark.parametrize("ch, n", PINNED_NODE_COUNTS, ids=lambda x: f"K={x.dim}" if isinstance(x, ChannelSpec) else str(x))
+    def test_pinned_node_counts(self, ch, n):
+        # K = 4..8 at 20-300 dB, plain and weighted: the prune rule must enter exactly these values
+        opt = _search(ch, n)
+        assert len(opt) == ch.dim and opt == _search(ch, DEFAULT_BUDGET)
+        with pytest.raises(BudgetExceeded, match=f"exceeded {n - 1} nodes"):
+            _search(ch, n - 1)
 
 
 class TestExactSearch:
@@ -938,18 +971,21 @@ class TestLazyGramSchmidt:
     that ``_gso`` computes afresh from the reduced vectors' Gram W^T g W.
     """
 
-    def reduced_basis(self, g):
-        u, lam, dd = _lll(g, 0.99)
+    def reduced_basis(self, g, lead=1):
+        u, lam, dd = _lll(g, 0.99, lead)
         assert_lll_reduced(g, u)
-        fresh_lam, fresh_dd = [[0] * i for i in range(len(g))], [1] + [0] * len(g)
+        fresh_lam, fresh_dd = [[0] * i for i in range(len(g))], [lead] + [0] * len(g)
         _gso(gram_of(g, u), fresh_lam, fresh_dd, 0)
         assert (lam, dd) == (fresh_lam, fresh_dd)
+        return u
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_channel_bases(self, k):
         for gram in random_grams(60 + k, 40, (k, k), 60.0):
             self.reduced_basis(mantissa_gram(cholesky(gram).tolist()))
-            self.reduced_basis(_q_matrix(gram._spec))
+            q = _q_matrix(gram._spec)
+            # from dd[0] = D, as _lll_set runs it, the data lose their powers of D and LLL takes the same steps
+            assert self.reduced_basis(q, gram._spec.q[2]) == self.reduced_basis(q)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_integer_bases(self, k):

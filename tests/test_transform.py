@@ -258,6 +258,19 @@ class TestTransform:
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             transform(ch, method=method, budget=-5)
 
+    @pytest.mark.parametrize("method", ["auto", "exhaustive", "lll"])
+    @pytest.mark.parametrize("budget", [float("nan"), "10", None, 2.5, 100.0])
+    def test_non_integer_budget_rejected(self, method, budget):
+        # nan once compared false with every node count, so a search ran with no budget; text and None raised
+        # TypeError from the comparison, and 2.5 was taken as a budget
+        ch = ChannelSpec.plain([1.0, 0.62, 0.34, 0.21], 1e3)
+        with pytest.raises(ValueError, match="budget must be nonnegative and integral"):
+            transform(ch, method=method, budget=budget)
+
+    def test_numpy_integer_budget(self):
+        ch = ChannelSpec.plain([1.0, 0.62, 0.34, 0.21], 1e3)
+        assert transform(ch, "exhaustive", budget=np.int64(10_000)) == transform(ch, "exhaustive")
+
     def test_zero_budget(self):
         ch = ChannelSpec.plain([1.0, 0.62, 0.34, 0.21], 1e3)
         assert transform(ch, budget=0).method == "lll"
