@@ -63,13 +63,16 @@ def canonicalize(a) -> np.ndarray:
     """Sign-normalize an integer vector so its first nonzero entry is positive.
 
     A vector and its negation give identical rates, so one representative per
-    pair is enough.  ValueError unless the entries are integers, not all zero.
+    pair is enough.  ValueError unless the entries are integers that fit
+    int64, not all zero.
     """
     (vec,) = _matrix([a], "vector must be integer")
-    if not all(float(x).is_integer() for x in vec):
+    if not all(isinstance(x, int) or float(x).is_integer() for x in vec):  # a Python int may be past the floats
         raise ValueError("vector must be integer")
     if not any(vec):
         raise ValueError("zero vector has no canonical form")
+    if not all(abs(x) < 2**63 for x in vec):  # so that -a fits too
+        raise ValueError("vector entries must fit int64")
     import numpy as np
     return np.array(_signed(tuple(vec)), dtype=np.int64)
 
@@ -246,13 +249,14 @@ def successive_minima(gram: GramMatrix, budget: int = DEFAULT_BUDGET) -> Optimal
     canonicalized entries, on the ``ChannelSpec`` the Gram carries: vectors
     and norms equal ``transform``'s rows.  For K >= 4 BudgetExceeded is
     raised when the K walks together enter more than ``budget`` values;
-    callers may fall back to ``lll_reduce``.  The set is empty when even the
+    ``transform(..., method="auto")`` falls back to LLL rows then, and
+    ``method="lll"`` takes them at once.  The set is empty when even the
     shortest vector has a^T G a >= snr exactly.  ValueError for a ``budget``
     that is not a nonnegative integer, or a Gram with no ``ChannelSpec``
     (built by hand or ``dataclasses.replace``).
     """
     _check_budget(budget)
-    if gram._spec is None:
+    if getattr(gram, "_spec", None) is None:
         raise ValueError("successive_minima needs a Gram built by gram_effective, gram_plain or ChannelSpec.gram")
     return _search(gram._spec, budget)
 

@@ -163,6 +163,7 @@ def weak_outage_set(b: int, snr: float, c: float) -> IntervalSet:
     domain; no wraparound is involved.
     """
     params = weak_outage_params(b, snr, c)
+    b = params.b  # an integer-valued float b is checked, then read as the int it equals
     d_lo, d_hi = 2.0 ** (-b), 2.0 ** (-b + 1)
     pieces: list[tuple[float, float]] = []
     for q in _denominators(params, lambda n: (n * (n + 1) >> (b + 1)) + 2 * n):  # q*2^-b + 2 or fewer per q

@@ -11,8 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfrates.lattice import lll_reduce, successive_minima
-from cfrates.linalg import cholesky, gram_plain
 from cfrates.outage import in_outage, strong_outage_params, strong_outage_set
 from cfrates.symmetric_ic import SymmetricIcSpec, gdof, report, single_layer_rate
 from cfrates.transform import ChannelSpec, pseudo_triangularize, sum_rate_bounds, transform

@@ -16,38 +16,26 @@ import cfrates.linalg
 from cfrates.lattice import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    OptimalSet,
     _dot,
     _fold,
     _gso,
     _lll,
     _search,
-    _signed,
     _start,
     _walk,
     canonicalize,
     lll_reduce,
     successive_minima,
 )
-from cfrates.linalg import (
-    GramMatrix,
-    RationalSpan,
-    _mantissas,
-    _q_gram,
-    _q_matrix,
-    _q_norm,
-    _sq_norm,
-    cholesky,
-    exact_rank,
-    gram_effective,
-    gram_plain,
-)
+from cfrates.linalg import GramMatrix, _mantissas, _q_gram, _q_matrix, cholesky, gram_effective, gram_plain
 from cfrates.symmetric_ic import SymmetricIcSpec, _hk_channel, effective_two_user, report
 from cfrates.transform import ChannelSpec, transform
 
+import oracles
+
 
 def cube_minima(gram, bound_sq):
-    """Independent oracle: rank every vector of the full cube, pick greedily."""
+    """Brute force: rank every vector of the full cube, keep each one that raises the rank."""
     g = gram.entries
     k = gram.dim
     r = math.ceil(math.sqrt(bound_sq))
@@ -60,262 +48,35 @@ def cube_minima(gram, bound_sq):
     order = np.lexsort(tuple(grid[:, c] for c in range(k - 1, -1, -1)) + (norms,))
     if norms[order[0]] >= gram.snr:
         return (), ()
-    span = RationalSpan(k)
     vecs, out = [], []
     for idx in order:
         vec = tuple(int(x) for x in grid[idx])
-        if span.try_add(vec):
+        if oracles.rank([*vecs, vec]) > len(vecs):
             vecs.append(vec)
             out.append(float(norms[idx]))
             if len(vecs) == k:
                 break
     return tuple(vecs), tuple(out)
-
-
-def greedy_minima(gram):
-    """Reference: the sort-then-greedy search that successive_minima replaced.
-
-    Enumerate every lattice point (one per +-pair) in the sphere of the
-    largest LLL norm, rank all of them by (a^T G a, canonical lex), and keep
-    each one that is exactly independent of those kept.
-    """
-    g, k = gram.entries, gram.dim
-    chol = cholesky(gram)
-    q = chol.T
-    radius_sq = max(lll_reduce(chol).norms) * (1.0 + 1e-9)
-    slack = 1e-9 * radius_sq
-    a, found = [0] * k, []
-
-    def descend(level, remaining, tail_zero):
-        diag = q[level, level]
-        center = -sum(q[level, j] * a[j] for j in range(level + 1, k)) / diag
-        half_width = math.sqrt(max(remaining, 0.0)) / diag
-        lo = math.ceil(center - half_width - 1e-12)
-        hi = math.floor(center + half_width + 1e-12)
-        for v in range(max(lo, 0) if tail_zero else lo, hi + 1):
-            cost = (diag * (v - center)) ** 2
-            if cost > remaining + slack:
-                continue
-            a[level] = v
-            if level > 0:
-                descend(level - 1, remaining - cost, tail_zero and v == 0)
-            elif not (tail_zero and v == 0):
-                found.append(tuple(a))
-        a[level] = 0
-
-    descend(k - 1, radius_sq, True)
-    cand = np.array(found, dtype=np.int64)
-    first_nonzero = (cand != 0).argmax(axis=1)
-    cand *= np.sign(cand[np.arange(cand.shape[0]), first_nonzero])[:, None]
-    norms = np.einsum("ij,ij->i", cand @ g, cand)
-    order = np.lexsort(tuple(cand[:, col] for col in range(k - 1, -1, -1)) + (norms,))
-    if norms[order[0]] >= gram.snr:
-        return (), ()
-    span, vecs, out = RationalSpan(k), [], []
-    for idx in order:
-        vec = tuple(int(x) for x in cand[idx])
-        if span.try_add(vec):
-            vecs.append(vec)
-            out.append(float(norms[idx]))
-            if len(vecs) == k:
-                break
-    return tuple(vecs), tuple(out)
-
-
-def numpy_lll_coords(basis, delta):
-    """Reference: the numpy LLL that the Python-float one replaced, on the columns of ``basis``."""
-    b = basis.astype(float).copy()
-    k = b.shape[1]
-    u = np.eye(k, dtype=np.int64)
-    ortho = np.zeros_like(b)
-    mu = np.zeros((k, k))
-
-    def update_gs(start):
-        for i in range(start, k):
-            ortho[:, i] = b[:, i]
-            for j in range(i):
-                denom = float(ortho[:, j] @ ortho[:, j])
-                mu[i, j] = float(b[:, i] @ ortho[:, j]) / denom if denom > 0 else 0.0
-                ortho[:, i] -= mu[i, j] * ortho[:, j]
-
-    update_gs(0)
-    i = 1
-    while i < k:
-        for j in range(i - 1, -1, -1):
-            if abs(mu[i, j]) > 0.5:
-                r = round(mu[i, j])
-                b[:, i] -= r * b[:, j]
-                u[:, i] -= r * u[:, j]
-                update_gs(i)
-        lhs = float(ortho[:, i] @ ortho[:, i])
-        rhs = (delta - mu[i, i - 1] ** 2) * float(ortho[:, i - 1] @ ortho[:, i - 1])
-        if lhs >= rhs:
-            i += 1
-        else:
-            b[:, [i - 1, i]] = b[:, [i, i - 1]]
-            u[:, [i - 1, i]] = u[:, [i, i - 1]]
-            update_gs(i - 1)
-            i = max(i - 1, 1)
-    return u
-
-
-def numpy_lll_reduce(basis, delta=0.99):
-    """Reference: the numpy ``lll_reduce``, with norms from ``basis @ basis.T``."""
-    gram = basis @ basis.T
-    coords = numpy_lll_coords(basis.T, delta)
-    vecs = [canonicalize(coords[:, col]) for col in range(basis.shape[0])]
-    scored = sorted((float(v @ gram @ v), tuple(int(x) for x in v)) for v in vecs)
-    return tuple(v for _, v in scored), tuple(n for n, _ in scored)
-
-
-def numpy_search(gram):
-    """Reference: the numpy search that the Python-float core replaced.
-
-    numpy LLL, ``np.linalg.qr`` of q W at every step, a walk over the rows of
-    that R, ``einsum`` norms and a ``lexsort`` ranking of the candidates.
-    """
-    g, k = gram.entries, gram.dim
-    q = cholesky(gram).T
-    w = numpy_lll_coords(q, 0.99)
-    basis = q @ w
-    radii = np.sort(np.einsum("ij,ij->j", basis, basis)) * (1.0 + 1e-9)
-    vecs, out = [], []
-    for m in range(k):
-        r = np.linalg.qr(q @ w, mode="r")
-        r = (r * np.sign(np.diag(r))[:, None]).tolist()
-        slack, a, coords = 1e-9 * radii[m], [0] * k, []
-
-        def descend(level, remaining, tail_zero):
-            diag = r[level][level]
-            center = -sum(r[level][j] * a[j] for j in range(level + 1, k)) / diag
-            half_width = math.sqrt(max(remaining, 0.0)) / diag
-            lo = math.ceil(center - half_width - 1e-12)
-            hi = math.floor(center + half_width + 1e-12)
-            for v in range(max(lo, int(level == m)) if tail_zero else lo, hi + 1):
-                cost = (diag * (v - center)) ** 2
-                if cost > remaining + slack:
-                    continue
-                a[level] = v
-                if level == 0:
-                    coords.append(tuple(a))
-                else:
-                    descend(level - 1, remaining - cost, tail_zero and v == 0)
-            a[level] = 0
-
-        descend(k - 1, radii[m], True)
-        cand = np.array(coords, dtype=np.int64) @ w.T
-        first_nonzero = (cand != 0).argmax(axis=1)
-        cand *= np.sign(cand[np.arange(cand.shape[0]), first_nonzero])[:, None]
-        norms = np.einsum("ij,ij->i", cand @ g, cand)
-        best = np.lexsort(tuple(cand[:, col] for col in range(k - 1, -1, -1)) + (norms,))[0]
-        if m == 0 and norms[best] >= gram.snr:
-            return (), ()
-        vecs.append(tuple(int(x) for x in cand[best]))
-        out.append(float(norms[best]))
-        # fold column m of w into the direction of c[m:] by extended-gcd column steps
-        c = coords[best]
-        x = c[m]
-        for j in range(m + 1, k):
-            if c[j]:
-                d, p, s, d1, p1, s1 = x, 1, 0, c[j], 0, 1
-                while d1:
-                    t = d // d1
-                    d, p, s, d1, p1, s1 = d1, p1, s1, d - t * d1, p - t * p1, s - t * s1
-                wm, wj = w[:, m].copy(), w[:, j].copy()
-                w[:, m] = (x // d) * wm + (c[j] // d) * wj
-                w[:, j] = p * wj - s * wm
-                x = d
-    return tuple(vecs), tuple(out)
-
-
-def refresh_every_step_search(ch, budget):
-    """Reference: ``_search`` rebuilding its Gram-Schmidt data at every step.
-
-    It starts from ``_search``'s basis (``_start``), reruns ``_gso`` on
-    W^T Q W, formed through the K x K Q, from vector m-1 at every step
-    m >= 1, and folds after every step, the last one included.  The walk is
-    looked up on the module, as ``_search`` does, so a test can record what
-    each step walks.
-    """
-    q = _q_matrix(ch)
-    w, lam, dd = _start(ch)
-    vectors, out_norms, nodes = [], [], 0
-    for m in range(len(w)):
-        if m:
-            _gso(gram_of(q, zip(*w)), lam, dd, m - 1)
-        least, coords, nodes = cfrates.lattice._walk(lam, dd, m, budget, nodes)
-        cands = [_signed(tuple(_dot(row, c) for row in w)) for c in coords]
-        norms = [_q_norm(ch, a) for a in cands]
-        assert set(norms) == {least}  # the walk's least cost is the exact a^T Q a of every point it returns
-        n, vec, c = min(zip(norms, cands, coords))
-        if m == 0 and n >= ch.q[-1]:  # a^T G a >= snr, exactly
-            return OptimalSet(vectors=(), norms=(), method="exhaustive")
-        vectors.append(vec)
-        out_norms.append(_sq_norm(ch, vec))
-        _fold(w, m, c)
-    return OptimalSet(vectors=tuple(vectors), norms=tuple(out_norms), method="exhaustive")
-
-
-def gram_of(g, vectors):
-    """The Gram of integer coordinate ``vectors`` under the integer Gram ``g``: W^T g W for W with those columns."""
-    vectors = [list(v) for v in vectors]
-    return [[_dot(u, [_dot(row, v) for row in g]) for v in vectors] for u in vectors]
 
 
 def mantissa_gram(rows):
-    """The integer Gram of float rows' mantissas over one power of two, as ``lll_reduce`` builds it."""
-    flat, _ = _mantissas(tuple(x for row in rows for x in row))
+    """(g, d): the integer Gram of float rows' mantissas over one power of two d, as ``lll_reduce`` builds it; g = d^2 rows rows^T."""
+    flat, d = _mantissas(tuple(x for row in rows for x in row))
     k = len(rows)
     ints = [flat[i * k : (i + 1) * k] for i in range(k)]
-    return [[_dot(u, v) for v in ints] for u in ints]
+    return [[_dot(u, v) for v in ints] for u in ints], d
 
 
-def assert_lll_reduced(g, u, delta=Fraction(99, 100)):
-    """The coordinate vectors ``u`` form a unimodular W, and the basis with Gram W^T g W is size-reduced and meets Lovasz at ``delta``, in Fractions."""
-    assert all(type(x) is int for vec in u for x in vec)
-    assert abs(exact_det(u)) == 1
-    k, gw = len(u), [[Fraction(x) for x in row] for row in gram_of(g, u)]
-    mu, bb = [[Fraction(0)] * k for _ in range(k)], []
-    for i in range(k):
-        for j in range(i):
-            mu[i][j] = (gw[i][j] - sum(mu[j][m] * mu[i][m] * bb[m] for m in range(j))) / bb[j]
-        bb.append(gw[i][i] - sum(mu[i][m] ** 2 * bb[m] for m in range(i)))
-    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(k) for j in range(i))
-    assert all(bb[i] >= (delta - mu[i][i - 1] ** 2) * bb[i - 1] for i in range(1, k))
-
-
-def assert_norms_close(got, ref, vectors, gram_entries):
-    """Norms equal to 1e-9 relative, or within the rounding of two float a^T G a.
-
-    A float a^T G a is within about 2K eps |a|^T |G| |a| of its exact value
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Above
-    about 60 dB that bound exceeds 1e-9 of the norm, and two evaluations that
-    sum in different orders (numpy's BLAS and Python floats) may differ by
-    twice the bound.
-    """
-    k = len(gram_entries)
-    for vec, x, y in zip(vectors, got, ref):
-        a = np.abs(np.array(vec, dtype=float))
-        bound = 4 * k * np.finfo(float).eps * float(a @ np.abs(gram_entries) @ a)
-        assert abs(x - y) <= 1e-9 * abs(y) + bound, (vec, x, y)
-
-
-def exact_det(rows):
-    """Determinant of an integer matrix by Fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(len(m)):
-        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for i in range(col + 1, len(m)):
-            f = m[i][col] / m[col][col]
-            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return det
+def certify_searches(cases):
+    """``oracles.certify`` on ``_search``'s answer for each channel record; returns (empty sets, sets with an exact tie)."""
+    empty = tied = 0
+    for ch in cases:
+        opt = _search(ch, DEFAULT_BUDGET)
+        assert opt.method == "exhaustive"
+        exact = oracles.certify(ch, opt.vectors, opt.norms)
+        empty += not exact
+        tied += len(set(exact)) < len(exact)
+    return empty, tied
 
 
 def random_grams(seed, n, k_range, db_max):
@@ -333,6 +94,7 @@ class TestCanonicalize:
         assert canonicalize([-2, 1]).tolist() == [2, -1]
         assert canonicalize([0, -1, 3]).tolist() == [0, 1, -3]
         assert canonicalize([3, -1]).tolist() == [3, -1]
+        assert canonicalize([1 - 2**63, 1]).tolist() == [2**63 - 1, -1]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -343,16 +105,17 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="must be integer"):
             canonicalize(vec)
 
+    @pytest.mark.parametrize("vec", [[1e20, 1], [2**70, 1], [10**400, 1], [-(2**63), 1], [1, 2**63]])
+    def test_entries_past_int64_rejected(self, vec):
+        # -2^63 fits int64, but its negation, the canonical form, does not
+        with pytest.raises(ValueError, match="fit int64"):
+            canonicalize(vec)
+
     def test_integer_valued_floats_accepted(self):
         got = canonicalize([-2.0, 1.0, 0.0])
         assert got.dtype == np.int64
         assert got.tolist() == [2, -1, 0]
         assert canonicalize(np.array([0.0, -3.0])).tolist() == [0, 3]
-
-
-def exact_den(ch) -> Fraction:
-    """den = 1 + snr g^T B g in rationals from a channel record's float inputs."""
-    return 1 + Fraction(ch.snr) * sum(Fraction(b) * Fraction(g) ** 2 for g, b in zip(ch.gains, ch.weights_sq))
 
 
 class TestCandidateBound:
@@ -368,7 +131,7 @@ class TestCandidateBound:
 
     def test_reference_channel(self):
         ch = ChannelSpec.plain([math.sqrt(5), 1.0], 10**1.5)
-        assert self.q_den(ch) == exact_den(ch)
+        assert self.q_den(ch) == oracles.den(ch)
         assert float(self.q_den(ch)) == pytest.approx(1 + 6 * 10**1.5, rel=1e-12)
 
     def test_effective(self):
@@ -393,7 +156,7 @@ class TestSuccessiveMinima:
         snr = 100.0
         gram = gram_plain(h, snr)
         opt = successive_minima(gram)
-        vecs, norms = cube_minima(gram, float(exact_den(gram._spec)))
+        vecs, norms = cube_minima(gram, float(oracles.den(gram._spec)))
         assert opt.vectors == vecs
         assert opt.norms == pytest.approx(norms, rel=1e-12)
         assert max(abs(x) for vec in vecs for x in vec) <= 15
@@ -406,9 +169,10 @@ class TestSuccessiveMinima:
             snr = 10 ** rng.uniform(0, 2)
             gram = gram_plain(h, snr)
             opt = successive_minima(gram)
-            vecs, norms = cube_minima(gram, float(exact_den(gram._spec)))
+            vecs, norms = cube_minima(gram, float(oracles.den(gram._spec)))
             assert opt.vectors == vecs
             assert opt.norms == pytest.approx(norms, rel=1e-12)
+            oracles.certify(gram._spec, vecs, opt.norms)  # the certificate accepts the brute force's answer
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(18)
@@ -417,7 +181,7 @@ class TestSuccessiveMinima:
             gram = gram_plain(rng.normal(size=k), 10 ** rng.uniform(0, 3))
             opt = successive_minima(gram)
             assert len(opt) == k
-            assert exact_rank(opt.matrix) == k
+            assert oracles.rank(opt.matrix) == k
             assert all(a <= b + 1e-15 for a, b in zip(opt.norms, opt.norms[1:]))
             for vec in opt.vectors:
                 nz = next(x for x in vec if x != 0)
@@ -443,24 +207,13 @@ class TestSuccessiveMinima:
         assert opt.norms == ()
 
     @pytest.mark.parametrize(
-        "seed, n, k_range, db_max", [(31, 400, (2, 5), 60.0), (32, 12, (6, 8), 40.0)]
+        "seed, n, k_range, db_max", [(31, 400, (2, 5), 60.0), (32, 12, (6, 8), 40.0), (41, 300, (2, 5), 100.0), (42, 30, (6, 8), 100.0)]
     )
-    def test_matches_sort_then_greedy(self, seed, n, k_range, db_max):
+    def test_equals_the_exact_minima(self, seed, n, k_range, db_max):
+        # plain and effective Grams, each answer certified on the channel the Gram carries
         for gram in random_grams(seed, n, k_range, db_max):
-            vecs, norms = greedy_minima(gram)
             opt = successive_minima(gram)
-            assert opt.vectors == vecs, (gram.dim, gram.snr)
-            # the batch product cand @ g rounds differently with the row count
-            assert opt.norms == pytest.approx(norms, rel=1e-9)
-
-    @pytest.mark.parametrize("seed, n, k_range", [(41, 300, (2, 5)), (42, 30, (6, 8))])
-    def test_matches_numpy_search(self, seed, n, k_range):
-        # plain and effective Grams at 0-100 dB
-        for gram in random_grams(seed, n, k_range, 100.0):
-            vecs, norms = numpy_search(gram)
-            opt = successive_minima(gram)
-            assert opt.vectors == vecs, (gram.dim, gram.snr)
-            assert_norms_close(opt.norms, norms, vecs, gram.entries)
+            oracles.certify(gram._spec, opt.vectors, opt.norms)
 
     def test_layered_channel_needs_few_nodes(self):
         # K=3 at 45 dB: the plane of the first two minima holds tens of
@@ -469,7 +222,8 @@ class TestSuccessiveMinima:
         spec = SymmetricIcSpec(3, 177.82794100389228, 10**4.5)
         gram = _hk_channel(spec, math.sqrt(1.0 / spec.inr)).gram()
         assert successive_minima(gram, budget=1000) == successive_minima(gram)
-        assert successive_minima(gram).vectors == greedy_minima(gram)[0]
+        opt = successive_minima(gram)
+        oracles.certify(gram._spec, opt.vectors, opt.norms)
 
     def test_budget_exceeded(self):
         gram = gram_plain([1.0, 0.62, 0.34, 0.21], 1e3)
@@ -541,7 +295,8 @@ class TestOneSearchPath:
         assert hand == g and hash(hand) == hash(g) and repr(hand) == repr(g)
         assert moved == GramMatrix(g.entries, 2 * g.snr) and hash(moved) == hash(GramMatrix(g.entries, 2 * g.snr))
         assert moved != g
-        for gram in (hand, moved):
+        # a bare matrix carries no channel either
+        for gram in (hand, moved, np.eye(2), [[1, 0], [0, 1]]):
             with pytest.raises(ValueError, match="gram_effective"):
                 successive_minima(gram)
 
@@ -563,41 +318,47 @@ def search_cases():
             yield f"channel K={k} #{i}", ch, 4 * k if i % 3 == 2 else DEFAULT_BUDGET
 
 
-def outcome(search, *args):
-    try:
-        return search(*args)
-    except BudgetExceeded as exc:
-        return type(exc), str(exc)
-
-
 class TestRefreshAfterMovingFold:
     """The search refreshes its basis only after a fold that moved ``w``, with unchanged results."""
 
-    def test_matches_refresh_every_step(self, monkeypatch):
-        folds, walks = [], []
+    def test_every_walk_reads_fresh_data(self, monkeypatch):
+        # each walk after a fold that moved W reads the data _gso computes afresh, from dd[0] = D, for the new W^T Q W;
+        # a fold that left W as it was (test_fold_reports_a_move) left the data too, and the first walk reads _start's
+        # (test_start_is_the_sorted_unit_basis_reduced), so every walk does.  An answer is the exact minima, and a
+        # search under a budget of 4K either answers or raises BudgetExceeded
+        folds, current = [], {}
+
+        def recording_start(ch):
+            current["w"], lam, dd = _start(ch)
+            return current["w"], lam, dd
 
         def recording_fold(w, m, c):
             moved = _fold(w, m, c)
             folds.append((m, len(c), moved))
             return moved
 
-        def recording_walk(lam, dd, *args):
-            walks.append(copy.deepcopy((lam, dd, args)))
-            return _walk(lam, dd, *args)
+        def checking_walk(lam, dd, m, *args):
+            if m and folds[-1][2]:
+                k, q = len(dd) - 1, current["q"]
+                fresh_lam, fresh_dd = [[0] * i for i in range(k)], [current["d"]] + [0] * k
+                _gso(oracles.gram_of(q, zip(*current["w"])), fresh_lam, fresh_dd, 0)
+                assert (lam, dd) == (fresh_lam, fresh_dd)
+            return _walk(lam, dd, m, *args)
 
+        monkeypatch.setattr(cfrates.lattice, "_start", recording_start)
         monkeypatch.setattr(cfrates.lattice, "_fold", recording_fold)
-        monkeypatch.setattr(cfrates.lattice, "_walk", recording_walk)
+        monkeypatch.setattr(cfrates.lattice, "_walk", checking_walk)
         kinds = set()
         for label, ch, budget in search_cases():
-            walks.clear()
-            ref = outcome(refresh_every_step_search, ch, budget)
-            ref_walks = walks[:]
-            walks.clear()
-            assert outcome(_search, ch, budget) == ref, label
-            # every step walks the same integral Gram-Schmidt data
-            assert walks == ref_walks, label
-            kinds.add(ref[0] if isinstance(ref, tuple) else "ok")
-        assert {"ok", BudgetExceeded} <= kinds
+            current["q"], current["d"] = _q_matrix(ch), ch.q[2]
+            try:
+                opt = _search(ch, budget)
+            except BudgetExceeded:
+                kinds.add(BudgetExceeded)
+                continue
+            oracles.certify(ch, opt.vectors, opt.norms)
+            kinds.add("ok")
+        assert kinds == {"ok", BudgetExceeded}
         # no fold after the last step, and the moving branch is well covered
         assert all(m + 1 < k for m, k, _ in folds)
         assert sum(moved for _, _, moved in folds) >= 20
@@ -608,7 +369,7 @@ class TestRefreshAfterMovingFold:
         for n, (label, ch, _) in enumerate(search_cases()):
             q, (w, lam, dd), d = _q_matrix(ch), _start(ch), ch.q[2]
             cols = [list(col) for col in zip(*w)]
-            g, k = gram_of(q, cols), len(q)
+            g, k = oracles.gram_of(q, cols), len(q)
             fresh_lam, fresh_dd = [[0] * i for i in range(k)], [d] + [0] * k
             _gso(g, fresh_lam, fresh_dd, 0)
             assert (lam, dd) == (fresh_lam, fresh_dd), label
@@ -617,7 +378,7 @@ class TestRefreshAfterMovingFold:
             assert [e * d**l for l, e in enumerate(dd[1:])] == plain_dd[1:], label
             assert [[x * d**j for j, x in enumerate(row)] for row in lam] == plain_lam, label
             if n % 9 == 0:
-                assert_lll_reduced(q, cols)
+                oracles.assert_lll_reduced(q, cols)
                 order = sorted(range(k), key=lambda i: q[i][i])
                 u = _lll([[q[i][j] for j in order] for i in order], 0.99)[0]
                 assert cols == [[v[order.index(i)] for i in range(k)] for v in u]
@@ -630,7 +391,7 @@ class TestRefreshAfterMovingFold:
             k, (bm, bgm) = ch.dim, ch.q[:2]
             for cols in (list(zip(*_start(ch)[0])), rng.integers(-9, 10, size=(k, k)).tolist()):
                 m = [[sum(b * x * y for b, x, y in zip(bm, u, v)) for v in cols] for u in cols]
-                assert _q_gram(ch, m, [_dot(bgm, v) for v in cols]) == gram_of(_q_matrix(ch), cols)
+                assert _q_gram(ch, m, [_dot(bgm, v) for v in cols]) == oracles.gram_of(_q_matrix(ch), cols)
 
     def test_fold_reports_a_move(self):
         rng = np.random.default_rng(7)
@@ -643,81 +404,6 @@ class TestRefreshAfterMovingFold:
             w = [[int(i == j) for j in range(k)] for i in range(k)]
             before = copy.deepcopy(w)
             assert _fold(w, m, c) == (w != before)
-
-
-def exact_gram(ch):
-    """snr (B - snr B g g^T B / den) over Fractions, from a channel record's float inputs."""
-    snr, g, b = Fraction(ch.snr), [Fraction(x) for x in ch.gains], [Fraction(x) for x in ch.weights_sq]
-    bg = [x * y for x, y in zip(b, g)]
-    den = 1 + snr * sum(x * y for x, y in zip(g, bg))
-    return [[snr * (b[i] * (i == j) - snr * bg[i] * bg[j] / den) for j in range(len(g))] for i in range(len(g))]
-
-
-def least_outside(ch, rows, m, limit):
-    """The least (exact a^T G a, signed a) of norm <= ``limit`` outside the span of ``rows[:m]``, or None.
-
-    ``rows`` must span Z^K (|det| = 1), so in their coordinates c the vectors
-    outside that span are those with some c_j != 0, j >= m.  They are
-    enumerated level by level from the last coordinate on the exact
-    Gram-Schmidt data of R = A G A^T, each level's range widened by one and
-    each cost checked exactly: independent of the search under test.
-    """
-    k = len(rows)
-    assert abs(exact_det(rows)) == 1
-    g = exact_gram(ch)
-    gv = [[sum(g[i][j] * v[j] for j in range(k)) for v in rows] for i in range(k)]  # the columns G v
-    r = [[sum(u[i] * gv[i][col] for i in range(k)) for col in range(k)] for u in rows]
-    mu, d = [[Fraction(0)] * k for _ in range(k)], []
-    for i in range(k):
-        for j in range(i):
-            mu[i][j] = (r[i][j] - sum(mu[i][l] * mu[j][l] * d[l] for l in range(j))) / d[j]
-        d.append(r[i][i] - sum(mu[i][l] ** 2 * d[l] for l in range(i)))
-    c, found = [0] * k, []
-
-    def descend(level, partial):
-        if level < m and not any(c[m:]):
-            return  # in the span of rows[:m]
-        if level < 0:
-            found.append((partial, _signed(tuple(_dot(c, col) for col in zip(*rows)))))
-            return
-        center = -sum(mu[j][level] * c[j] for j in range(level + 1, k))
-        half = math.isqrt(math.floor((limit - partial) / d[level])) + 1
-        for v in range(math.floor(center) - half, math.ceil(center) + half + 1):
-            cost = partial + d[level] * (v - center) ** 2
-            if cost <= limit:
-                c[level] = v
-                descend(level - 1, cost)
-        c[level] = 0
-
-    descend(k - 1, Fraction(0))
-    return min(found, default=None)
-
-
-def certify(cases):
-    """Check ``_search`` on each channel record against ``least_outside``; returns (empty sets, sets with an exact tie).
-
-    Vector m must be the least (exact norm, signed a) outside the span of
-    vectors 0..m-1, and its norm the exact one rounded once; an empty set
-    must have no vector with a^T G a below snr.
-    """
-    empty = tied = 0
-    for ch in cases:
-        opt = _search(ch, DEFAULT_BUDGET)
-        assert opt.method == "exhaustive"
-        rows = opt.vectors
-        if not rows:  # no vector has a^T G a below snr
-            unit = [tuple(int(i == j) for j in range(len(ch.gains))) for i in range(len(ch.gains))]
-            least = least_outside(ch, unit, 0, Fraction(ch.snr))
-            assert least is None or least[0] >= Fraction(ch.snr)
-            empty += 1
-            continue
-        exact = exact_gram(ch)
-        norms = [sum(x * exact[i][j] * y for i, x in enumerate(a) for j, y in enumerate(a)) for a in rows]
-        assert opt.norms == tuple(map(float, norms))
-        for m, (a, norm) in enumerate(zip(rows, norms)):
-            assert least_outside(ch, rows, m, norm) == (norm, a), (ch.gains, ch.weights_sq, ch.snr, m)
-        tied += len(set(norms)) < len(norms)
-    return empty, tied
 
 
 def exact_search_cases():
@@ -808,7 +494,7 @@ class TestExactWalk:
 
     def test_equals_the_exact_minima(self):
         """As for K <= 3: vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1."""
-        empty, tied = certify(walk_cases())
+        empty, tied = certify_searches(walk_cases())
         assert empty == 0 and tied >= 20
 
     def test_far_shorter_first_minimum_fits_a_small_budget(self):
@@ -817,7 +503,7 @@ class TestExactWalk:
         g = [3.812245313001031e89, 1.127565542431324e90, 2.0273245928995462e90, -2.2212917830164186e90]
         channel = ChannelSpec.effective(g, [0.00218, 0.000325, 5.44e19, 1.81e-14], 10**2.8)
         t = transform(channel, "exhaustive", budget=100)
-        assert certify([channel]) == (0, 0)
+        assert certify_searches([channel]) == (0, 0)
         assert tuple(r.a for r in t.results) == _search(channel, DEFAULT_BUDGET).vectors
 
     def test_budget_is_the_count_of_values_entered(self, monkeypatch):
@@ -852,7 +538,7 @@ class TestExactSearch:
 
     def test_equals_the_exact_minima(self):
         """Vector m is the least (exact norm, signed a) outside the span of vectors 0..m-1; its norm is the exact one rounded once."""
-        assert certify(exact_search_cases())[0] < 5
+        assert certify_searches(exact_search_cases())[0] < 5
 
     def test_high_snr_ties(self):
         # thousands of (k, k + 1) tie (1, 1) to within a few ulps here; only exact norms rank them
@@ -879,6 +565,30 @@ class TestExactSearch:
             assert transform(ch, "exhaustive", budget=0).method == "exhaustive"
 
 
+class TestCertificate:
+    """``oracles.certify`` itself: it refuses rows that are not the exact minima, and norms not rounded once from them."""
+
+    def test_refuses_other_answers(self):
+        checked = 0
+        for ch in itertools.chain(itertools.islice(exact_search_cases(), 0, None, 8), itertools.islice(walk_cases(), 0, None, 4)):
+            opt = _search(ch, DEFAULT_BUDGET)
+            if not opt.vectors:
+                continue
+            rows, norms = list(opt.vectors), list(opt.norms)
+            longer = tuple(canonicalize([x + y for x, y in zip(rows[-1], rows[0])]).tolist())
+            wrong = [
+                (rows[1::-1] + rows[2:], norms[1::-1] + norms[2:]),  # the first two in the wrong order
+                (rows, [math.nextafter(norms[0], math.inf), *norms[1:]]),  # a norm one ulp off
+                (rows[:-1] + [longer], norms[:-1] + [float(oracles.norm(ch, longer))]),  # a longer last row
+                ((), ()),  # no set, where one has positive rate
+            ]
+            for vectors, wrong_norms in wrong:
+                with pytest.raises(AssertionError):
+                    oracles.certify(ch, vectors, wrong_norms)
+            checked += 1
+        assert checked >= 70
+
+
 class TestLll:
     def test_identity_basis(self):
         opt = lll_reduce(np.eye(3))
@@ -897,23 +607,28 @@ class TestLll:
         rng = np.random.default_rng(20)
         for _ in range(50):
             q = _q_matrix(gram_plain(rng.normal(size=4), 10 ** rng.uniform(0, 3))._spec)
-            assert_lll_reduced(q, _lll(q, 0.99)[0])
+            oracles.assert_lll_reduced(q, _lll(q, 0.99)[0])
 
     @pytest.mark.parametrize("seed, n, k_range", [(41, 300, (2, 5)), (42, 30, (6, 8))])
-    def test_matches_numpy_lll(self, seed, n, k_range):
+    def test_rows_are_the_reduced_basis_ranked(self, seed, n, k_range):
+        # on the Cholesky rows of 0-100 dB Grams: the rows are the signed LLL-reduced basis of their mantissas' Gram g,
+        # ranked by the exact |B^T a|^2 = a^T g a / d^2, each norm rounded once
         for gram in random_grams(seed, n, k_range, 100.0):
-            chol = cholesky(gram)
-            vecs, norms = numpy_lll_reduce(chol)
-            opt = lll_reduce(chol)
-            assert opt.vectors == vecs, (gram.dim, gram.snr)
-            assert_norms_close(opt.norms, norms, vecs, chol @ chol.T)
+            rows = cholesky(gram).tolist()
+            g, d = mantissa_gram(rows)
+            u = _lll(g, 0.99)[0]
+            oracles.assert_lll_reduced(g, u)
+            ranked = sorted((oracles.gram_of(g, [a])[0][0], tuple(canonicalize(a).tolist())) for a in u)
+            opt = lll_reduce(np.array(rows))
+            assert opt.vectors == tuple(a for _, a in ranked), (gram.dim, gram.snr)
+            assert opt.norms == tuple(float(Fraction(x, d * d)) for x, _ in ranked)
 
     @pytest.mark.parametrize("seed, n, k_range", [(43, 100, (2, 5)), (44, 30, (6, 8))])
     def test_unimodular_size_reduced_lovasz(self, seed, n, k_range):
         # LLL on the integer Gram of the Cholesky rows' mantissas, as lll_reduce runs it
         for gram in random_grams(seed, n, k_range, 60.0):
-            g = mantissa_gram(cholesky(gram).tolist())
-            assert_lll_reduced(g, _lll(g, 0.99)[0])
+            g, _ = mantissa_gram(cholesky(gram).tolist())
+            oracles.assert_lll_reduced(g, _lll(g, 0.99)[0])
 
     def test_exhaustive_dominates(self):
         rng = np.random.default_rng(21)
@@ -973,16 +688,16 @@ class TestLazyGramSchmidt:
 
     def reduced_basis(self, g, lead=1):
         u, lam, dd = _lll(g, 0.99, lead)
-        assert_lll_reduced(g, u)
+        oracles.assert_lll_reduced(g, u)
         fresh_lam, fresh_dd = [[0] * i for i in range(len(g))], [lead] + [0] * len(g)
-        _gso(gram_of(g, u), fresh_lam, fresh_dd, 0)
+        _gso(oracles.gram_of(g, u), fresh_lam, fresh_dd, 0)
         assert (lam, dd) == (fresh_lam, fresh_dd)
         return u
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_channel_bases(self, k):
         for gram in random_grams(60 + k, 40, (k, k), 60.0):
-            self.reduced_basis(mantissa_gram(cholesky(gram).tolist()))
+            self.reduced_basis(mantissa_gram(cholesky(gram).tolist())[0])
             q = _q_matrix(gram._spec)
             # from dd[0] = D, as _lll_set runs it, the data lose their powers of D and LLL takes the same steps
             assert self.reduced_basis(q, gram._spec.q[2]) == self.reduced_basis(q)
@@ -993,7 +708,7 @@ class TestLazyGramSchmidt:
         done = 0
         while done < 40:
             basis = rng.integers(-20, 21, size=(k, k))
-            if exact_rank(basis) != k:
+            if oracles.rank(basis) != k:
                 continue
             rows = basis.tolist()
             self.reduced_basis([[_dot(u, v) for v in rows] for u in rows])

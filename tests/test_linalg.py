@@ -23,6 +23,8 @@ from cfrates.linalg import (
 from cfrates.rates import comp_rate, effective_variance, optimal_beta
 from cfrates.transform import ChannelSpec, pseudo_triangularize, sum_rate_bounds, transform
 
+import oracles
+
 
 def quad(gram: GramMatrix, a) -> float:
     a = np.asarray(a, dtype=float)
@@ -196,12 +198,6 @@ def q_den(ch) -> Fraction:
     return Fraction(d, ds * dg * dg * (u // d))
 
 
-def exact_den(gains, snr, b_sq) -> Fraction:
-    """den = 1 + snr g^T B g in rationals from the float inputs (unit weights for None)."""
-    b_sq = [1.0] * len(gains) if b_sq is None else b_sq
-    return 1 + Fraction(snr) * sum(Fraction(b) * Fraction(g) ** 2 for g, b in zip(gains, b_sq))
-
-
 def _ones(gains):
     return np.ones(np.shape(gains))
 
@@ -267,15 +263,15 @@ def test_overflowing_denominator_rejected_without_warning(entry, gains, snr, b_s
                 call(gains, snr, b_sq)
         else:
             call(gains, snr, b_sq)
-    assert q_den(ChannelSpec(gains, snr, b_sq)) == exact_den(gains, snr, b_sq)
+    assert q_den(ChannelSpec(gains, snr, b_sq)) == oracles.den(ChannelSpec(gains, snr, b_sq))
 
 
 @pytest.mark.parametrize("gains, snr, b_sq", [pytest.param(*c[1:], id=c[0]) for c in OVERFLOWING_CHANNELS[1:]])
 def test_rate_sum_reaches_the_capacity_past_the_float_den(gains, snr, b_sq):
     """Each of these channels has a second minimum with tiny noise, so its rate sum is the sum capacity 0.5 log2(den / det B)."""
-    b_sq = [1.0] * len(gains) if b_sq is None else b_sq
-    capacity = exact_den(gains, snr, b_sq) / math.prod(map(Fraction, b_sq))
-    bounds = sum_rate_bounds(transform(ChannelSpec(gains, snr, b_sq)))
+    ch = ChannelSpec(gains, snr, b_sq)
+    capacity = oracles.den(ch) / math.prod(map(Fraction, ch.weights_sq))
+    bounds = sum_rate_bounds(transform(ch))
     exact = 0.5 * (math.log2(capacity.numerator) - math.log2(capacity.denominator))
     assert abs(bounds.total - exact) <= 1e-9 and abs(bounds.upper - exact) <= 1e-9
 
@@ -292,9 +288,10 @@ def seeded_channels(seed: int, count: int):
 def test_beta_of_every_row_is_the_exact_value_rounded_once():
     """beta = snr g^T B a / den for each transform row, against ``Fraction`` arithmetic on the float inputs."""
     for gains, snr, b_sq in seeded_channels(31, 60):
-        for r in transform(ChannelSpec(gains, snr, b_sq)).results:
-            cross = sum(Fraction(b) * Fraction(g) * a for g, b, a in zip(gains, b_sq or [1.0] * len(gains), r.a))
-            assert r.beta == float(Fraction(snr) * cross / exact_den(gains, snr, b_sq)), (gains, snr, b_sq, r.a)
+        ch = ChannelSpec(gains, snr, b_sq)
+        for r in transform(ch).results:
+            cross = sum(Fraction(b) * Fraction(g) * a for g, b, a in zip(gains, ch.weights_sq, r.a))
+            assert r.beta == float(Fraction(snr) * cross / oracles.den(ch)), (gains, snr, b_sq, r.a)
 
 
 def _log2_decimal(x: Fraction) -> Decimal:
@@ -310,7 +307,7 @@ def test_capacity_and_log_determinant_within_an_ulp_of_60_digits():
     with localcontext() as ctx:
         ctx.prec = 60
         for gains, snr, b_sq in seeded_channels(37, 80):
-            ratio = exact_den(gains, snr, b_sq) / math.prod(map(Fraction, b_sq or [1.0]))
+            ratio = oracles.den(ChannelSpec(gains, snr, b_sq)) / math.prod(map(Fraction, b_sq or [1.0]))
             logdet = sylvester_logdet(gains, snr, b_sq)
             assert abs(Decimal(logdet) - _log2_decimal(Fraction(snr) ** len(gains) / ratio)) <= Decimal(2**-52 + 2 * math.ulp(logdet))
             try:
@@ -318,14 +315,6 @@ def test_capacity_and_log_determinant_within_an_ulp_of_60_digits():
             except ValueError:  # no positive-rate set at this draw
                 continue
             assert abs(Decimal(upper) - _log2_decimal(ratio) / 2) <= Decimal(2**-52 + 2 * math.ulp(upper)), (gains, snr, b_sq)
-
-
-def exact_sq_norm(g, b_sq, snr, a) -> Fraction:
-    """a^T G a in rationals from the float inputs: snr (a^T B a - snr (g^T B a)^2 / (1 + snr g^T B g))."""
-    s, gf, bf = Fraction(snr), [Fraction(x) for x in g], [Fraction(x) for x in b_sq]
-    den = 1 + s * sum(b * x * x for b, x in zip(bf, gf))
-    cross = sum(b * x * y for b, x, y in zip(bf, gf, a))
-    return s * (sum(b * y * y for b, y in zip(bf, a)) - s * cross * cross / den)
 
 
 def test_overflowing_gram_entry_rejected_by_transform():
@@ -359,15 +348,7 @@ def test_norm_past_the_float_range_is_refused():
         transform(ChannelSpec.effective(gains, b_sq, snr))
     with pytest.raises(ValueError, match=r"noise norm a\^T G a overflows floating point"):
         comp_rate(gains, [0, 1], snr, b_sq)
-    assert comp_rate(gains, [1, 0], snr, b_sq).sigma2_eff == float(exact_sq_norm(gains, b_sq, snr, [1, 0]))
-
-
-def exact_gram(g, b_sq, snr) -> list[list[Fraction]]:
-    """G = snr (B - snr B g g^T B / (1 + snr g^T B g)) in rationals from the float inputs."""
-    s, gf, bf = Fraction(snr), [Fraction(x) for x in g], [Fraction(x) for x in b_sq]
-    den = 1 + s * sum(b * x * x for b, x in zip(bf, gf))
-    bg = [b * x for b, x in zip(bf, gf)]
-    return [[s * (bf[i] * (i == j) - s * bg[i] * bg[j] / den) for j in range(len(gf))] for i in range(len(gf))]
+    assert comp_rate(gains, [1, 0], snr, b_sq).sigma2_eff == float(oracles.norm(ChannelSpec(gains, snr, b_sq), [1, 0]))
 
 
 @pytest.mark.parametrize("method", ["auto", "exhaustive", "lll"])
@@ -395,15 +376,15 @@ def test_gram_floats_cannot_orthogonalize_is_refused(gains, snr, method):
     channel = ChannelSpec.plain(gains, snr)
     t = transform(channel, method, budget=100_000)
     assert t.method == ("lll" if method == "lll" else "exhaustive")
-    assert [r.sigma2_eff for r in t.results] == [float(exact_sq_norm(gains, channel.weights_sq, snr, r.a)) for r in t.results]
-    assert channel.gram().entries.tolist() == [[float(x) for x in row] for row in exact_gram(gains, channel.weights_sq, snr)]
+    assert [r.sigma2_eff for r in t.results] == [float(oracles.norm(channel, r.a)) for r in t.results]
+    assert channel.gram().entries.tolist() == [[float(x) for x in row] for row in oracles.gram(channel)]
 
 
 def test_k_ge_4_comp_rate_needs_no_m():
     """``comp_rate`` reads only the integer factors of Q at any K, here on a K = 4 channel at 1600 dB."""
     gains, snr = (1.0, 2.5, 0.7, 1.3), 1e160
     assert comp_rate(gains, [1, 0, 0, 0], snr).sigma2_eff == 8.939554612937433e159
-    assert 8.939554612937433e159 == float(exact_sq_norm(gains, (1.0,) * 4, snr, [1, 0, 0, 0]))
+    assert 8.939554612937433e159 == float(oracles.norm(ChannelSpec.plain(gains, snr), [1, 0, 0, 0]))
 
 
 @pytest.mark.parametrize("method", ["lll", "auto"])
@@ -426,7 +407,7 @@ def test_lll_rows_at_high_snr_are_exactly_rounded(method):
     far = transform(unequal, method, budget=10_000)
     assert far.method == searched and max(abs(x) for r in far.results for x in r.a) > 2**27
     for channel, rows in ((equal, t), (unequal, far)):
-        exact = [float(exact_sq_norm(channel.gains, channel.weights_sq, channel.snr, r.a)) for r in rows.results]
+        exact = [float(oracles.norm(channel, r.a)) for r in rows.results]
         assert [r.sigma2_eff for r in rows.results] == exact
 
 
@@ -440,7 +421,7 @@ def test_sq_norm_is_the_lagrange_form_exactly_rounded():
             bound = 2 ** int(rng.integers(1, 41))
             a = [int(x) for x in rng.integers(-bound, bound + 1, size=k)]
             a[0] = a[0] or 1
-            assert _sq_norm(ch, a) == float(exact_sq_norm(g.tolist(), b_sq.tolist(), snr, a)) and "m" not in ch.__dict__
+            assert _sq_norm(ch, a) == float(oracles.norm(ch, a)) and "m" not in ch.__dict__
 
 
 def spd_matrices(seed, n):
@@ -589,33 +570,6 @@ def test_exact_routines_refuse_non_finite_entries(entry, args, value):
         entry(*args(value))
 
 
-def fraction_solve_reference(mat, rhs):
-    """Reference: Gauss-Jordan over Fractions, free unknowns set to zero."""
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if n_rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-    pivot_cols = []
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        aug[r] = [v / aug[r][col] for v in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-    if any(aug[i][n_cols] != 0 for i in range(r, n_rows)):
-        return None
-    x = [Fraction(0)] * n_cols
-    for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][n_cols]
-    return x
-
-
 def seeded_systems(seed, n):
     """Integer systems up to 7 x 7: half sparsified, a third with a dependent
     row, half with a right-hand side drawn independently of the matrix."""
@@ -665,7 +619,7 @@ class TestExactSolve:
         outcomes = set()
         for mat, rhs in seeded_systems(11, 3000):
             sol = exact_solve_in_span(mat, rhs)
-            assert sol == fraction_solve_reference(mat, rhs)
+            assert sol == oracles.solve(mat, rhs)
             outcomes.add(sol is None)
         assert outcomes == {True, False}
 
@@ -689,8 +643,8 @@ class TestRationalHelpers:
         for mat, _ in seeded_systems(12, 500):
             span = RationalSpan(len(mat[0]))
             for i, row in enumerate(mat):
-                assert span.try_add(row) == (exact_rank(mat[: i + 1]) > exact_rank(mat[:i]))
-            assert span.rank == exact_rank(mat)
+                assert span.try_add(row) == (oracles.rank(mat[: i + 1]) > oracles.rank(mat[:i]))
+            assert span.rank == oracles.rank(mat)
 
     def test_span_rejects_non_integer(self):
         with pytest.raises(ValueError):

@@ -181,6 +181,15 @@ class TestWeakSet:
             np.testing.assert_array_equal(set_members(s, gs), brute)
             np.testing.assert_array_equal([in_outage(float(g), snr, c) for g in gs], brute)
 
+    def test_integer_valued_float_b(self):
+        # 1.0 and 1 hash alike, so the first call fills the cache for both: either order must build the same set
+        built = []
+        for order in ((1.0, 1), (1, 1.0)):
+            weak_outage_set.cache_clear()
+            built.append([weak_outage_set(b, 1e4, 2) for b in order])
+        assert built[0] == built[1] and built[0][0] == built[0][1]
+        assert built[0][0].domain == (0.5, 1.0)
+
     def test_domain_is_dyadic(self):
         s = weak_outage_set(2, 1e8, 0.5)
         assert s.domain == (0.25, 0.5)
