@@ -71,10 +71,11 @@ def canonicalize(a) -> np.ndarray:
         raise ValueError("vector must be integer")
     if not any(vec):
         raise ValueError("zero vector has no canonical form")
-    if not all(abs(x) < 2**63 for x in vec):  # so that -a fits too
+    signed = _signed(tuple(vec))
+    if not all(-(2**63) <= x < 2**63 for x in signed):
         raise ValueError("vector entries must fit int64")
     import numpy as np
-    return np.array(_signed(tuple(vec)), dtype=np.int64)
+    return np.array(signed, dtype=np.int64)
 
 
 @dataclass(frozen=True)

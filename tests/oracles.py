@@ -8,7 +8,7 @@ an error there cannot cancel out here.
 - ``den``, ``gram`` and ``norm``: the channel, as exact rationals.
 - ``certify``: the search.  Row m must be the least (exact a^T G a, signed
   a) outside the span of rows 0..m-1, each norm the exact one rounded once.
-- ``assert_lll_reduced``: LLL, from the Gram-Schmidt data of W^T g W.
+- ``assert_lll_reduced``: LLL, from the integral Gram-Schmidt data of W^T g W.
 - ``mod_p_lift``: the lift of one triangularization order modulo its prime.
 - ``rank``, ``det``, ``solve`` and ``matmul``: exact linear algebra, on one
   Gaussian elimination with no division, and Fractions only in a solution.
@@ -108,17 +108,19 @@ def gram_of(g, vectors) -> list[list[int]]:
 
 
 def assert_lll_reduced(g, u, delta=Fraction(99, 100)) -> None:
-    """The integer vectors ``u`` form a unimodular W, and the basis with Gram W^T g W is size-reduced and meets Lovasz at ``delta``."""
+    """The integer vectors ``u`` form a unimodular W, and the basis with Gram W^T g W is size-reduced and meets Lovasz at ``delta``.
+
+    On the integral Gram-Schmidt data, with mu_ij = lam[i][j] / dd[j + 1] and
+    |b*_i|^2 = dd[i + 1] / dd[i]: |mu_ij| <= 1/2 is 2 |lam[i][j]| <= dd[j + 1],
+    and |b*_i|^2 >= (delta - mu_i,i-1^2) |b*_i-1|^2 is, times dd[i] dd[i - 1],
+    dd[i + 1] dd[i - 1] >= delta dd[i]^2 - lam[i][i - 1]^2.
+    """
     assert all(type(x) is int for vec in u for x in vec)
     assert abs(det(u)) == 1
-    k, gw = len(u), gram_of(g, u)
-    mu, bb = [[Fraction(0)] * k for _ in range(k)], []
-    for i in range(k):
-        for j in range(i):
-            mu[i][j] = (gw[i][j] - sum(mu[j][m] * mu[i][m] * bb[m] for m in range(j))) / bb[j]
-        bb.append(gw[i][i] - sum(mu[i][m] ** 2 * bb[m] for m in range(i)))
-    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(k) for j in range(i))
-    assert all(bb[i] >= (delta - mu[i][i - 1] ** 2) * bb[i - 1] for i in range(1, k))
+    dd, lam = _integral_gso(gram_of(g, u))
+    num, den = delta.numerator, delta.denominator
+    assert all(2 * abs(x) <= dd[j + 1] for row in lam for j, x in enumerate(row))
+    assert all(den * dd[i + 1] * dd[i - 1] >= num * dd[i] ** 2 - den * lam[i][i - 1] ** 2 for i in range(1, len(u)))
 
 
 def mod_p_lift(a, lower, pi) -> tuple:
@@ -226,8 +228,8 @@ def _outside(mat, rows, dd, lam, m: int, limit: int):
 def certify(ch, vectors, norms) -> list[Fraction]:
     """Check that ``vectors`` are the successive minima of ch's lattice and ``norms`` their a^T G a; returns the exact norms.
 
-    Vector m must be the least (exact a^T G a, signed a) outside the span of
-    vectors 0..m-1, and its norm the exact one rounded once.  The first must
+    Each vector must be signed (first nonzero entry positive), vector m the
+    least (exact a^T G a, signed a) outside the span of vectors 0..m-1, and its norm the exact one rounded once.  The first must
     lie below snr; an empty set must have no vector with a^T G a below snr.
     The rows span Z^K when det(A M A^T) = det(M).
     """
@@ -238,7 +240,7 @@ def certify(ch, vectors, norms) -> list[Fraction]:
         assert not len(norms) and next(_outside(mat, unit, *_integral_gso(mat), 0, below), None) is None
         return []
     rows = [[int(x) for x in a] for a in vectors]
-    assert len(rows) == k
+    assert len(rows) == k and all(tuple(a) == _signed(tuple(a)) for a in rows)  # first nonzero entry positive
     dd, lam = _integral_gso(gram_of(mat, rows))
     assert dd[k] == _integral_gso(mat)[0][k]
     exact = [_quad(mat, a) for a in rows]

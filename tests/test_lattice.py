@@ -95,6 +95,8 @@ class TestCanonicalize:
         assert canonicalize([0, -1, 3]).tolist() == [0, 1, -3]
         assert canonicalize([3, -1]).tolist() == [3, -1]
         assert canonicalize([1 - 2**63, 1]).tolist() == [2**63 - 1, -1]
+        assert canonicalize([1, -(2**63)]).tolist() == [1, -(2**63)]
+        assert canonicalize([-1, 2**63]).tolist() == [1, -(2**63)]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +109,7 @@ class TestCanonicalize:
 
     @pytest.mark.parametrize("vec", [[1e20, 1], [2**70, 1], [10**400, 1], [-(2**63), 1], [1, 2**63]])
     def test_entries_past_int64_rejected(self, vec):
-        # -2^63 fits int64, but its negation, the canonical form, does not
+        # the canonical form must fit: [-2^63, 1] becomes [2^63, -1], which does not
         with pytest.raises(ValueError, match="fit int64"):
             canonicalize(vec)
 
@@ -579,6 +581,7 @@ class TestCertificate:
             wrong = [
                 (rows[1::-1] + rows[2:], norms[1::-1] + norms[2:]),  # the first two in the wrong order
                 (rows, [math.nextafter(norms[0], math.inf), *norms[1:]]),  # a norm one ulp off
+                ([tuple(-x for x in rows[0])] + rows[1:], norms),  # the first row with its sign flipped
                 (rows[:-1] + [longer], norms[:-1] + [float(oracles.norm(ch, longer))]),  # a longer last row
                 ((), ()),  # no set, where one has positive rate
             ]
@@ -680,7 +683,7 @@ class TestLll:
 class TestLazyGramSchmidt:
     """``_lll`` keeps its integral Gram-Schmidt data exact through every size reduction and exchange.
 
-    What must hold is the result, checked in Fractions from the Gram and W:
+    What must hold is the result, checked exactly from the Gram and W:
     W is unimodular, and the reduced basis is size-reduced and meets the
     Lovasz condition at delta = 99/100; the data ``_lll`` returns are those
     that ``_gso`` computes afresh from the reduced vectors' Gram W^T g W.
